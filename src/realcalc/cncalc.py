@@ -21,7 +21,6 @@ from .liealg import (
     StructureConstants,
     anchor_solution_space,
     common_left_eigenvector,
-    is_semisimple,
     killing_form,
     levi_split_compact,
     mu_obstruction_space,
@@ -292,27 +291,32 @@ def koszul_residual(
             - d_k h(e_i, e_j) - h(e_i, phi([D_j, D_k]))
             + h(e_j, phi([D_k, D_i])) + h(e_k, phi([D_i, D_j]))
 
-    and returns the largest entry of LHS - RHS over (i, j, k).
+    and returns the largest entry of LHS - RHS over (i, j, k) and the
+    matrix entries (a, b). The (j, k, a, b) entries are formed one i at a
+    time by broadcasting. Cost: O(n^3 N^2) time, O(n^2 N^2) memory.
     """
     x = pre.metric_scale
     mats = pre.basis.mats
     mu = anchor.mu
     v0 = anchor.v0
     P = np.outer(v0.conj(), v0)
-    dP = np.array([D @ P - P @ D for D in mats])
+    dP = mats @ P - P @ mats
     # nabla_i e_j = mu_j w_i with w_i the connection applied to v0
-    w = 1j * conn.lambdas[:, None] * v0[None, :] - np.einsum("a,iab->ib", v0, mats)
-    c = np.einsum("kij,k->ij", f.f, mu)
-    lhs = 2.0 * x * np.einsum("ia,b,j,k->ijkab", w.conj(), v0, mu, mu)
-    rhs = x * (
-        np.einsum("iab,j,k->ijkab", dP, mu, mu)
-        + np.einsum("jab,i,k->ijkab", dP, mu, mu)
-        - np.einsum("kab,i,j->ijkab", dP, mu, mu)
-        - np.einsum("i,jk,ab->ijkab", mu, c, P)
-        + np.einsum("j,ki,ab->ijkab", mu, c, P)
-        + np.einsum("k,ij,ab->ijkab", mu, c, P)
-    )
-    return float(max_norm(lhs - rhs))
+    w = 1j * conn.lambdas[:, None] * v0[None, :] - v0 @ mats
+    c = np.tensordot(mu, f.f, axes=1)
+    mumu = np.outer(mu, mu)[:, :, None, None]
+    # mu_i times this is the second plus the third term on the right
+    dP_jk = mu[None, :, None, None] * dP[:, None] - mu[:, None, None, None] * dP[None, :]
+    worst = 0.0
+    for i in range(len(mu)):
+        # LHS minus the first term on the right share the factor mu_j mu_k
+        gap = mumu * (2.0 * np.outer(w[i].conj(), v0) - dP[i])
+        gap -= mu[i] * dP_jk
+        # the three phi-bracket terms, all multiples of P
+        phi_terms = -mu[i] * c + np.outer(mu, c[:, i]) + np.outer(c[i], mu)
+        gap -= phi_terms[:, :, None, None] * P
+        worst = max(worst, max_norm(gap))
+    return abs(x) * worst
 
 
 def _torsion_pair_norms(T: np.ndarray) -> np.ndarray:
@@ -357,7 +361,8 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     the positive branch a witness is constructed -- v0 from the common
     eigenvector with connection coefficients from its eigenvalues, mu
     supported on the abelian part -- and re-verified against all four
-    checks before being reported.
+    checks before being reported. Cost: O(n^5 + n^3 N^2 + n^2 N^3) time
+    (Jacobi check, Koszul check, bracket fit), O(n^3 + n^2 N^2) memory.
     """
     basis = pre.basis
     f = structure_constants(basis, tol)
@@ -367,7 +372,8 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
         "killing_singular_values": [float(s) for s in svals],
         "mu_obstruction_dim": int(mu_obstruction_space(f, tol).shape[0]),
     }
-    if is_semisimple(B, tol):
+    # Cartan's criterion, as in liealg.is_semisimple, on the values above
+    if svals[-1] > tol.cut(svals[0]):
         diagnostics["semisimple"] = True
         return ExistenceReport(NONEXISTENT, REASON_SEMISIMPLE, None, diagnostics)
     diagnostics["semisimple"] = False

@@ -115,7 +115,13 @@ class LieBasis:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k."""
+    """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k.
+
+    Construction checks antisymmetry and the Jacobi identity for every
+    tensor, fitted or user-supplied. The Jacobi tensor is built one
+    leading index m at a time, each slab one BLAS contraction plus two
+    cyclic transposes. Cost: O(n^5) time, O(n^3) memory.
+    """
 
     f: np.ndarray
 
@@ -128,13 +134,13 @@ class StructureConstants:
         scale = max(1.0, max_norm(arr))
         if max_norm(arr + arr.transpose(0, 2, 1)) > tol.cut(scale):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
-        jac = (
-            np.einsum("mil,ljk->mijk", arr, arr)
-            + np.einsum("mjl,lki->mijk", arr, arr)
-            + np.einsum("mkl,lij->mijk", arr, arr)
-        )
-        if max_norm(jac) > tol.cut(scale * scale):
-            raise ValueError("structure constants violate the Jacobi identity")
+        jacobi_cut = tol.cut(scale * scale)
+        for fm in arr:
+            # t[i, j, k] = sum_l f[m, i, l] f[l, j, k]; the two cyclic
+            # shifts of t are the other two Jacobi terms of slab m.
+            t = np.tensordot(fm, arr, axes=([1], [0]))
+            if max_norm(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)) > jacobi_cut:
+                raise ValueError("structure constants violate the Jacobi identity")
         object.__setattr__(self, "f", _freeze(arr))
 
     @property
@@ -200,8 +206,11 @@ def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> Struct
 
     Each commutator [D_i, D_j] is decomposed over the basis in the
     realified vectorization; a pair whose residual exceeds tolerance
-    raises :class:`ClosureViolation`. Antisymmetry is exact on output
-    (enforced by averaging the fitted tensor with its negated swap).
+    raises :class:`ClosureViolation` (the first such pair in row-major
+    order). Antisymmetry is exact on output (enforced by averaging the
+    fitted tensor with its negated swap). Cost: O(n^2 N^3 + n^3 N^2)
+    time, O(n^2 N^2) memory, plus the Jacobi check of
+    :class:`StructureConstants`.
     """
     mats = basis.mats
     n = basis.n
@@ -212,11 +221,11 @@ def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> Struct
     ).T
     coeffs, _, _, _ = np.linalg.lstsq(columns, targets, rcond=None)
     residuals = np.linalg.norm(columns @ coeffs - targets, axis=0).reshape(n, n)
-    for i in range(n):
-        for j in range(n):
-            scale = max(1.0, float(np.linalg.norm(brackets[i, j])))
-            if residuals[i, j] > tol.cut(scale):
-                raise ClosureViolation(i, j, float(residuals[i, j]))
+    scales = np.maximum(1.0, np.linalg.norm(brackets.reshape(n, n, -1), axis=2))
+    open_pairs = np.argwhere(residuals > tol.abs + tol.rel * scales)
+    if open_pairs.size:
+        i, j = (int(x) for x in open_pairs[0])
+        raise ClosureViolation(i, j, float(residuals[i, j]))
     f = coeffs.reshape(n, n, n)
     f = 0.5 * (f - f.transpose(0, 2, 1))
     return StructureConstants(f, tol)
@@ -325,15 +334,15 @@ def common_left_eigenvector(
     w D_j D_i = w [D_i, D_j] = 0), hence W is nonzero exactly when a
     common eigenvector exists, and iterated eigenspace intersection of
     the restrictions finds one.
+
+    The spanning set is the orthonormal coefficient basis of
+    :func:`derived_subalgebra`, at most n matrices. Cost: O(n^4 + n^2 N^2
+    + n N^3) time, O(n^3 + n N^2) memory.
     """
     mats = basis.mats
-    n, N = basis.n, basis.N
-    span_mats = [
-        np.einsum("k,kab->ab", f.f[:, i, j], mats)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    W = left_nullspace(span_mats, tol, dim=N)
+    der = derived_subalgebra(basis, f, tol)
+    span_mats = np.tensordot(der, mats, axes=1)
+    W = left_nullspace(list(span_mats), tol, dim=basis.N)
     if W.shape[0] == 0:
         return None
     scale = max(1.0, max(max_norm(m) for m in mats))
@@ -357,15 +366,18 @@ def common_left_eigenvector(
     final = subspaces[0]
     # Deterministic representative: project the standard basis direction
     # with the largest footprint in the subspace (first index on ties),
-    # then make the first nonzero entry real positive.
+    # then make the first nonzero entry real positive. The phase rotation
+    # leaves a round-off imaginary part on that entry, so it is set
+    # outright.
     proj_norms = np.linalg.norm(final, axis=0)
     best = float(np.max(proj_norms))
     k = int(np.argmax(proj_norms >= best * (1.0 - 1e-8)))
     v = final[:, k].conj() @ final
     v = v / np.linalg.norm(v)
     lead = int(np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v))))
-    phase = v[lead] / abs(v[lead])
-    v = v * phase.conjugate()
+    magnitude = abs(v[lead])
+    v = v * (v[lead].conjugate() / magnitude)
+    v[lead] = magnitude
     lambdas = np.array([1j * (v.conj() @ (v @ D)).imag for D in mats])
     residual = max(
         max_norm(v @ D - lam * v) for D, lam in zip(mats, lambdas)
@@ -376,10 +388,16 @@ def common_left_eigenvector(
 
 
 def _adapted_constants(split: LeviSplit, f: StructureConstants) -> np.ndarray:
-    """Bracket tensor in the split-adapted basis (radical directions first)."""
+    """Bracket tensor in the split-adapted basis (radical directions first).
+
+    Computes sum_{k,i,j} Sinv[c, k] f[k, i, j] S[i, a] S[j, b] as three
+    successive contractions. Cost: O(n^4) time, O(n^3) memory.
+    """
     S = np.vstack([split.radical_basis, split.ss_basis]).T
     Sinv = np.linalg.inv(S)
-    return np.einsum("ck,kij,ia,jb->cab", Sinv, f.f, S, S)
+    fa = np.tensordot(Sinv, f.f, axes=1)  # (c, i, j)
+    fa = np.tensordot(fa, S, axes=([1], [0]))  # (c, j, a)
+    return np.tensordot(fa, S, axes=([1], [0]))  # (c, a, b)
 
 
 def anchor_solution_space(

@@ -110,10 +110,12 @@ def is_antihermitian_tracefree(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 def left_nullspace(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> np.ndarray:
     """Orthonormal basis of ``{v : v @ M = 0 for every M in mats}``.
 
-    The basis is returned as rows of a (m, N) array. Works via one SVD
-    of the horizontally stacked system; singular values below
-    ``rel * s_max + abs`` count as zero. An empty input list yields the
-    full space, in which case ``dim`` must supply N.
+    The basis is returned as rows of a (m, N) array. Works via one thin
+    SVD of the horizontally stacked N x N*m system; singular values
+    below ``rel * s_max + abs`` count as zero. Only U is read, and it is
+    N x N because m >= 1. Cost: O(m N^3) time, O(m N^2) memory (the
+    stack itself). An empty input list yields the full space, in which
+    case ``dim`` must supply N.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -126,7 +128,7 @@ def left_nullspace(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -
         if m.shape[0] != n:
             raise ValueError("all matrices must share one dimension")
     stacked = np.hstack(mats)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=True)
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     cutoff = tol.cut(s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     # v @ stacked = 0 exactly when v is spanned by the trailing left
@@ -168,14 +170,19 @@ def antihermitian_eigen(a, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, 
 
 
 def real_nullspace(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the right nullspace of a real matrix."""
+    """Orthonormal basis (rows) of the right nullspace of a real matrix.
+
+    For an r x c matrix with r >= c the thin SVD already holds all c
+    right singular vectors; only a wide matrix (r < c) needs the full
+    c x c factor. Cost: O(r c^2) time, O(r c + c^2) memory.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d real matrix, got shape {m.shape}")
-    cols = m.shape[1]
-    if m.shape[0] == 0:
+    rows, cols = m.shape
+    if rows == 0:
         return np.eye(cols)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     cutoff = tol.cut(s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:]

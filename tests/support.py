@@ -111,6 +111,16 @@ def _balancing_center(N: int, offset: int, k: int) -> np.ndarray:
     return 1j * np.diag(diag)
 
 
+def generic_presentation(rng: np.random.Generator, mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Conjugate by a random unitary, then mix the basis over the reals."""
+    return mix_basis(rng, conjugate(mats, random_unitary(rng, mats[0].shape[0])))
+
+
+def block_with_center(N: int, k: int) -> list[np.ndarray]:
+    """su(k) in the top corner of su(N), plus its balancing center (n = k^2)."""
+    return _embed(su_basis(k), N, 0) + [_balancing_center(N, 0, k)]
+
+
 def random_subalgebra(
     rng: np.random.Generator, sizes=(2, 3, 4, 5)
 ) -> tuple[str, list[np.ndarray]]:

@@ -21,10 +21,19 @@ from realcalc.cncalc import (
     torsion,
     verify_uniqueness,
 )
-from realcalc.liealg import LieBasis, structure_constants
-from realcalc.matlin import max_norm
+from realcalc.liealg import LieBasis, common_left_eigenvector, structure_constants
+from realcalc.matlin import DEFAULT_TOL, max_norm
 
-from support import conjugate, oracle_existence, random_subalgebra, random_unitary, su2_mats
+from support import (
+    block_with_center,
+    conjugate,
+    generic_presentation,
+    oracle_existence,
+    random_subalgebra,
+    random_unitary,
+    su2_mats,
+    su_basis,
+)
 
 D1, D2, D3 = su2_mats()
 
@@ -187,6 +196,43 @@ class TestRccCheck:
         assert not rcc_check(Connection([0.0]), basis, anchor)
 
 
+def _koszul_literal(pre, conn, f, anchor):
+    """The Koszul residual from the identity's displayed form, one triple at a time."""
+    x = pre.metric_scale
+    mats = pre.basis.mats
+    n = pre.basis.n
+    e = [m * anchor.v0 for m in anchor.mu]
+
+    def h(u, v):
+        return x * np.outer(u.conj(), v)
+
+    def d(idx, a):
+        return mats[idx] @ a - a @ mats[idx]
+
+    def nabla(idx, v):
+        return 1j * conn.lambdas[idx] * v - v @ mats[idx]
+
+    def phi_bracket(i, j):
+        coeff = float(f.f[:, i, j] @ anchor.mu)
+        return coeff * anchor.v0
+
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = 2.0 * h(nabla(i, e[j]), e[k])
+                rhs = (
+                    d(i, h(e[j], e[k]))
+                    + d(j, h(e[i], e[k]))
+                    - d(k, h(e[i], e[j]))
+                    - h(e[i], phi_bracket(j, k))
+                    + h(e[j], phi_bracket(k, i))
+                    + h(e[k], phi_bracket(i, j))
+                )
+                worst = max(worst, max_norm(lhs - rhs))
+    return worst
+
+
 class TestKoszulResidual:
     def test_gc_witness_within_tolerance(self, gc_witness):
         pre, f, anchor, conn = gc_witness
@@ -201,43 +247,6 @@ class TestKoszulResidual:
             assert residual >= 2.0 * abs(x) - 1e-9
 
     def test_matches_literal_sixterm_evaluation(self, su2_basis, su2_f):
-        # transcription cross-check: evaluate the identity term by term
-        # from its displayed form, one triple at a time
-        def literal(pre, conn, f, anchor):
-            x = pre.metric_scale
-            mats = pre.basis.mats
-            n = pre.basis.n
-            e = [m * anchor.v0 for m in anchor.mu]
-
-            def h(u, v):
-                return x * np.outer(u.conj(), v)
-
-            def d(idx, a):
-                return mats[idx] @ a - a @ mats[idx]
-
-            def nabla(idx, v):
-                return 1j * conn.lambdas[idx] * v - v @ mats[idx]
-
-            def phi_bracket(i, j):
-                coeff = float(f.f[:, i, j] @ anchor.mu)
-                return coeff * anchor.v0
-
-            worst = 0.0
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        lhs = 2.0 * h(nabla(i, e[j]), e[k])
-                        rhs = (
-                            d(i, h(e[j], e[k]))
-                            + d(j, h(e[i], e[k]))
-                            - d(k, h(e[i], e[j]))
-                            - h(e[i], phi_bracket(j, k))
-                            + h(e[j], phi_bracket(k, i))
-                            + h(e[k], phi_bracket(i, j))
-                        )
-                        worst = max(worst, max_norm(lhs - rhs))
-            return worst
-
         rng = np.random.default_rng(77)
         pre = MetricPreCalculus(su2_basis, -1.5)
         for _ in range(10):
@@ -245,7 +254,31 @@ class TestKoszulResidual:
             anchor = AnchorMap(v / np.linalg.norm(v), rng.standard_normal(3))
             conn = Connection(rng.standard_normal(3))
             fast = koszul_residual(pre, conn, su2_f, anchor)
-            slow = literal(pre, conn, su2_f, anchor)
+            slow = _koszul_literal(pre, conn, su2_f, anchor)
+            assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+    def test_matches_literal_on_su3_center_random_anchors(self):
+        # n = 9 and N = 4 keep the index roles apart, and random mu make
+        # c = sum_k mu_k f^k nonzero, which central witness anchors never
+        # do. On the common eigenvector with its own connection every
+        # term but the three phi-bracket terms vanishes, so the residual
+        # is theirs alone; elsewhere the j = k entries dominate, where
+        # those terms cancel.
+        rng = np.random.default_rng(78)
+        basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
+        f = structure_constants(basis)
+        pre = MetricPreCalculus(basis, 0.8)
+        v_eig, eigenvalues = common_left_eigenvector(basis, f)
+        cases = [(v_eig, eigenvalues.imag)] * 3
+        for _ in range(3):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            cases.append((v / np.linalg.norm(v), rng.standard_normal(9)))
+        for v, lambdas in cases:
+            anchor = AnchorMap(v, rng.standard_normal(9))
+            assert max_norm(np.einsum("kij,k->ij", f.f, anchor.mu)) > 0.1
+            conn = Connection(lambdas)
+            fast = koszul_residual(pre, conn, f, anchor)
+            slow = _koszul_literal(pre, conn, f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
 
 
@@ -353,6 +386,27 @@ class TestDecideExistence:
             report = decide_existence(MetricPreCalculus(LieBasis(mats)))
             want = expected(label.split("-")[0], mats[0].shape[0])
             assert (report.status, report.reason) == want, label
+
+
+class TestDecideExistenceAtScale:
+    def test_su7_center_in_su8_exists(self):
+        rng = np.random.default_rng(49)
+        pre = MetricPreCalculus(LieBasis(generic_presentation(rng, block_with_center(8, 7))))
+        assert pre.basis.n == 49
+        report = decide_existence(pre)
+        assert (report.status, report.reason) == (EXISTS, REASON_WITNESS)
+        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+        residuals = report.diagnostics["witness_residuals"]
+        assert set(residuals) == {"torsion", "rcc", "metric_compatibility", "koszul"}
+        assert all(value <= thr for value in residuals.values()), residuals
+
+    def test_doubled_su4_center_in_su8_has_no_common_eigenvector(self):
+        rng = np.random.default_rng(16)
+        doubled = [np.kron(np.eye(2), m) for m in su_basis(4)]
+        center = 1j * np.diag([1.0] * 4 + [-1.0] * 4)
+        pre = MetricPreCalculus(LieBasis(generic_presentation(rng, doubled + [center])))
+        report = decide_existence(pre)
+        assert (report.status, report.reason) == (NONEXISTENT, REASON_NO_COMMON_EIGENVECTOR)
 
 
 class TestSemisimpleTorsionBound:

@@ -20,7 +20,14 @@ from realcalc.liealg import (
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
-from support import killing_by_ad, random_subalgebra, su2_mats
+from support import (
+    block_with_center,
+    generic_presentation,
+    killing_by_ad,
+    random_subalgebra,
+    su2_mats,
+    su4_family,
+)
 
 D1, D2, D3 = su2_mats()
 
@@ -381,3 +388,56 @@ class TestRandomFamilyProperties:
                     max_norm(v0 @ D - lam * v0) for D, lam in zip(mats, lambdas)
                 )
                 assert residual <= 10 * DEFAULT_TOL.cut(scale), label
+
+
+class TestKernelEquivalence:
+    """The contraction-ordered kernels against their literal definitions."""
+
+    def test_adapted_constants_matches_literal_einsum(self):
+        rng = np.random.default_rng(8)
+        basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
+        f = structure_constants(basis)
+        n = f.n
+        assert n >= 8
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        split = liealg.LeviSplit(q[:3], q[3:] * rng.uniform(0.5, 2.0, size=(n - 3, 1)))
+        S = np.vstack([split.radical_basis, split.ss_basis]).T
+        literal = np.einsum("ck,kij,ia,jb->cab", np.linalg.inv(S), f.f, S, S)
+        got = liealg._adapted_constants(split, f)
+        assert got.shape == (n, n, n)
+        assert max_norm(got - literal) <= 1e-12 * max(1.0, max_norm(literal))
+
+    def test_jacobi_violation_in_last_slab_only_is_rejected(self):
+        # su(3) plus a central last element: giving the brackets of su(3)
+        # a central component through a random antisymmetric form is
+        # no 2-cocycle, and the Jacobi defect then sits in slab m = n - 1
+        # alone, since column n - 1 of every other slab stays zero
+        basis = LieBasis(block_with_center(4, 3))
+        f = np.array(structure_constants(basis).f)
+        n = f.shape[0]
+        assert max_norm(f[:, :, n - 1]) == 0.0
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((n - 1, n - 1))
+        f[n - 1, : n - 1, : n - 1] = 0.01 * (g - g.T)
+        jac = (
+            np.einsum("mil,ljk->mijk", f, f)
+            + np.einsum("mjl,lki->mijk", f, f)
+            + np.einsum("mkl,lij->mijk", f, f)
+        )
+        assert max_norm(jac[: n - 1]) <= 1e-12
+        assert max_norm(jac[n - 1]) > 1e-3
+        with pytest.raises(ValueError, match="Jacobi"):
+            StructureConstants(f)
+
+
+class TestEigenvectorLeadEntry:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["gc_su4", "su3_center"])
+    def test_lead_entry_is_exactly_real(self, kind, seed):
+        raw = su4_family()["gc"] if kind == "gc_su4" else block_with_center(4, 3)
+        rng = np.random.default_rng(seed)
+        basis = LieBasis(generic_presentation(rng, raw))
+        v0, _ = common_left_eigenvector(basis, structure_constants(basis))
+        lead = int(np.argmax(np.abs(v0) > 1e-8 * np.max(np.abs(v0))))
+        assert v0[lead].imag == 0.0
+        assert v0[lead].real > 0.0

@@ -200,6 +200,55 @@ class TestRealNullspace:
         assert real_nullspace(np.zeros((0, 4))).shape == (4, 4)
 
 
+def _full_svd_left_nullspace(mats):
+    u, s, _ = np.linalg.svd(np.hstack(mats), full_matrices=True)
+    return u[:, int(np.sum(s > DEFAULT_TOL.cut(s[0]))) :].conj().T
+
+
+def _full_svd_real_nullspace(m):
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[int(np.sum(s > DEFAULT_TOL.cut(s[0]))) :]
+
+
+def _low_rank(rng, rows, cols, rank, dtype=float):
+    def draw(shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if dtype is complex else g
+
+    return draw((rows, rank)) @ draw((rank, cols))
+
+
+class TestNullspacesMatchFullSvd:
+    """The thin-SVD kernels span what the full-SVD reference spans."""
+
+    @pytest.mark.parametrize(
+        "N, m, rank",
+        [(5, 1, 5), (5, 1, 3), (5, 3, 5), (6, 4, 2), (4, 6, 0)],
+        ids=["square", "square-deficient", "wide", "wide-deficient", "zero"],
+    )
+    def test_left_nullspace(self, N, m, rank):
+        rng = np.random.default_rng(N * 100 + m * 10 + rank)
+        stacked = _low_rank(rng, N, N * m, rank, complex) if rank else np.zeros((N, N * m))
+        mats = np.split(stacked, m, axis=1)
+        got = left_nullspace(mats)
+        want = _full_svd_left_nullspace(mats)
+        assert got.shape == want.shape == (N - rank, N)
+        assert max_norm(got.conj().T @ got - want.conj().T @ want) < 1e-10
+
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [(3, 7, 3), (3, 7, 2), (12, 5, 5), (12, 5, 3), (6, 6, 6), (6, 6, 4)],
+        ids=["wide", "wide-deficient", "tall", "tall-deficient", "square", "square-deficient"],
+    )
+    def test_real_nullspace(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        m = _low_rank(rng, rows, cols, rank)
+        got = real_nullspace(m)
+        want = _full_svd_real_nullspace(m)
+        assert got.shape == want.shape == (cols - rank, cols)
+        assert max_norm(got.T @ got - want.T @ want) < 1e-10
+
+
 class TestRealRowSpace:
     def test_rank_one(self):
         rows = real_row_space(np.array([[1.0, 1.0], [2.0, 2.0]]))
