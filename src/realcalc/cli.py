@@ -306,7 +306,10 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     except liealg.ClosureViolation as exc:
         raise CliError(f"basis is not closed under brackets at pair {exc.pair}: {exc}") from exc
     B = liealg.killing_form(f)
-    split = liealg.levi_split_compact(basis, f, tol)
+    try:
+        split = liealg.levi_split_compact(f, liealg.derived_subalgebra(f, tol), tol)
+    except liealg.SplitInconsistent as exc:
+        raise CliError(f"SplitInconsistent: {exc}") from exc
     return {
         "command": "lie",
         "input": source,
@@ -336,6 +339,8 @@ def cmd_analyze(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
         raise CliError(f"basis is not closed under brackets at pair {exc.pair}: {exc}") from exc
     except cncalc.WitnessVerificationFailed as exc:
         raise CliError(f"WitnessVerificationFailed: {exc}") from exc
+    except liealg.SplitInconsistent as exc:
+        raise CliError(f"SplitInconsistent: {exc}") from exc
     diagnostics = dict(report.diagnostics)
     residuals = diagnostics.pop("witness_residuals", None)
     out = {

@@ -19,6 +19,7 @@ import numpy as np
 from .matlin import (
     DEFAULT_TOL,
     Tolerance,
+    _freeze,
     antihermitian_eigen,
     as_matrix,
     is_antihermitian_tracefree,
@@ -67,11 +68,6 @@ class SplitInconsistent(RuntimeError):
     For a basis of antihermitian matrices this signals a tolerance
     failure or invalid input, never genuine mathematics.
     """
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,7 @@ def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) ->
     return real_nullspace(mu_system_matrix(f), tol)
 
 
-def derived_subalgebra(basis: LieBasis, f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def derived_subalgebra(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal coefficient basis of the span of all brackets."""
     n = f.n
     iu, ju = np.triu_indices(n, k=1)
@@ -270,23 +266,22 @@ def derived_subalgebra(basis: LieBasis, f: StructureConstants, tol: Tolerance = 
     return real_row_space(vectors, tol)
 
 
-def center(basis: LieBasis, f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def center(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal coefficient basis of elements commuting with the algebra."""
     n = f.n
     system = f.f.transpose(0, 2, 1).reshape(n * n, n)
     return real_nullspace(system, tol)
 
 
-def levi_split_compact(basis: LieBasis, f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
-    """Split a compact algebra as center (+) derived subalgebra.
+def levi_split_compact(f: StructureConstants, der: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
+    """Split a compact algebra as center (+) ``der``, its derived subalgebra.
 
     The direct-sum decomposition with abelian radical is a theorem for
     subalgebras of su(N); dimensions failing to add up to n therefore
     signal a tolerance failure or invalid input.
     """
     n = f.n
-    rad = center(basis, f, tol)
-    der = derived_subalgebra(basis, f, tol)
+    rad = center(f, tol)
     if rad.shape[0] + der.shape[0] != n:
         raise SplitInconsistent(
             f"center ({rad.shape[0]}) + derived ({der.shape[0]}) != n ({n})"
@@ -320,7 +315,7 @@ def is_solvable(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def common_left_eigenvector(
-    basis: LieBasis, f: StructureConstants, tol: Tolerance = DEFAULT_TOL
+    basis: LieBasis, der: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Find a unit vector v with v D_i = lam_i v for every basis matrix.
 
@@ -335,12 +330,11 @@ def common_left_eigenvector(
     common eigenvector exists, and iterated eigenspace intersection of
     the restrictions finds one.
 
-    The spanning set is the orthonormal coefficient basis of
-    :func:`derived_subalgebra`, at most n matrices. Cost: O(n^4 + n^2 N^2
-    + n N^3) time, O(n^3 + n N^2) memory.
+    The spanning set is ``der``, the orthonormal coefficient basis of
+    :func:`derived_subalgebra`, at most n matrices. Cost: O(n^2 N^2
+    + n N^3) time, O(n N^2) memory.
     """
     mats = basis.mats
-    der = derived_subalgebra(basis, f, tol)
     span_mats = np.tensordot(der, mats, axes=1)
     W = left_nullspace(list(span_mats), tol, dim=basis.N)
     if W.shape[0] == 0:

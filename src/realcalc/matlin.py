@@ -78,6 +78,11 @@ def as_row_vector(v) -> np.ndarray:
     return arr
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def max_norm(a) -> float:
     """Largest entry magnitude; zero for empty arrays."""
     a = np.asarray(a)

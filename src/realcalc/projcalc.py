@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, as_row_vector, max_norm
+from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_matrix, as_row_vector, max_norm
 from .liealg import LieBasis, StructureConstants
 
 __all__ = [
@@ -121,11 +121,9 @@ class ProjectiveCalculusData:
 
         self.derivs = derivs
         self.f = f
-        self.p = p
-        self.h = h
-        self.h_inv = h_inv
-        for arr in (self.p, self.h, self.h_inv):
-            arr.flags.writeable = False
+        self.p = _freeze(p)
+        self.h = _freeze(h)
+        self.h_inv = _freeze(h_inv)
 
     @property
     def n(self) -> int:
@@ -145,8 +143,7 @@ class LambdaTensor:
             raise ValueError(f"expected shape (n, n, n, N, N), got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("tensor entries must be finite")
-        self.values = values
-        self.values.flags.writeable = False
+        self.values = _freeze(values)
 
     @property
     def n(self) -> int:

@@ -309,7 +309,7 @@ def oracle_existence(mats: list[np.ndarray], x: float = 1.0, tol: Tolerance = DE
                 continue
             if not cncalc.rcc_check(conn, basis, anchor, tol):
                 continue
-            if cncalc.metric_compat_residual(pre, conn, 16, tol) > thr:
+            if cncalc.metric_compat_residual(pre, conn) > thr:
                 continue
             if cncalc.koszul_residual(pre, conn, f, anchor) > thr:
                 continue

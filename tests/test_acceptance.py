@@ -117,7 +117,7 @@ def test_criterion_4_cartan_triple_agreement():
             flags = (
                 is_semisimple(killing_form(f)),
                 mu_obstruction_space(f).shape[0] == 0,
-                center(basis, f).shape[0] == 0,
+                center(f).shape[0] == 0,
             )
             if len(set(flags)) != 1:
                 disagreements.append((label, flags))

@@ -244,3 +244,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
         assert "metric_scale" in err
+
+    def test_split_inconsistent_is_one_error_line(self, capsys, tmp_path):
+        # at 1e-8 the first element's brackets fall under the absolute
+        # floor, so the center and the derived algebra no longer add up
+        spec = json.loads(fixture_path("ga_su4.json").read_text())
+        matrix = np.array(spec["basis"][0]["matrix"], dtype=float)
+        spec["basis"][0]["matrix"] = (1e-8 * matrix).tolist()
+        bad = tmp_path / "ga_scaled.json"
+        bad.write_text(json.dumps(spec))
+        for command in ("lie", "analyze"):
+            code, out, err = run(capsys, command, str(bad))
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("realcalc: error: SplitInconsistent")

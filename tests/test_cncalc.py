@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realcalc import cncalc
+from realcalc import cncalc, liealg
 from realcalc.cncalc import (
     EXISTS,
     NONEXISTENT,
@@ -21,7 +21,12 @@ from realcalc.cncalc import (
     torsion,
     verify_uniqueness,
 )
-from realcalc.liealg import LieBasis, common_left_eigenvector, structure_constants
+from realcalc.liealg import (
+    LieBasis,
+    common_left_eigenvector,
+    derived_subalgebra,
+    structure_constants,
+)
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
@@ -116,6 +121,36 @@ class TestApplyConnection:
             apply_connection(conn, su2_basis, 3, np.zeros(2))
 
 
+def _unit_pairs(N, trials=16):
+    """Fixed batch of random unit-vector pairs (u, v), as rows of U and V."""
+    rng = np.random.default_rng(1729)
+    us, vs = [], []
+    for _ in range(trials):
+        u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        us.append(u / np.linalg.norm(u))
+        vs.append(v / np.linalg.norm(v))
+    return np.array(us), np.array(vs)
+
+
+def _metric_compat_literal(x, mats, ts, U, V):
+    """Largest entry of D_j h(u,v) - h(nabla_j u, v) - h(u, nabla_j v) per pair.
+
+    Evaluated term by term for nabla_j v = t_j v - v D_j with any complex
+    t_j and any square matrices, derivations acting by commutators and
+    h(u, v) = x u^dagger v; one value per row pair of U and V.
+    """
+    h = x * np.einsum("ta,tb->tab", U.conj(), V)
+    lhs = np.einsum("jab,tbc->jtac", mats, h) - np.einsum("tab,jbc->jtac", h, mats)
+    du = np.einsum("j,ta->jta", ts, U) - np.einsum("ta,jab->jtb", U, mats)
+    dv = np.einsum("j,ta->jta", ts, V) - np.einsum("ta,jab->jtb", V, mats)
+    rhs = x * (
+        np.einsum("jta,tb->jtab", du.conj(), V)
+        + np.einsum("ta,jtb->jtab", U.conj(), dv)
+    )
+    return np.max(np.abs(lhs - rhs), axis=(0, 2, 3))
+
+
 class TestMetricCompatibility:
     def test_imaginary_t_is_compatible(self, su2_basis):
         pre = MetricPreCalculus(su2_basis, -3.0)
@@ -125,14 +160,33 @@ class TestMetricCompatibility:
     def test_real_part_breaks_compatibility(self, su2_basis):
         # with t = 1 + i*lam the defect is exactly -x(t + conj t) u^dag v
         x = -3.0
-        pre = MetricPreCalculus(su2_basis, x)
         ts = 1.0 + 1j * np.array([0.7, -1.3, 2.9])
-        got = cncalc._metric_compat_residual_general(pre, ts, 16)
-        pairs = cncalc._sample_unit_pairs(2, 16)
-        expect = max(
-            2.0 * abs(x) * np.max(np.abs(np.outer(u.conj(), v))) for u, v in pairs
-        )
+        U, V = _unit_pairs(2)
+        got = _metric_compat_literal(x, su2_basis.mats, ts, U, V)
+        expect = [2.0 * abs(x) * np.max(np.abs(np.outer(u.conj(), v))) for u, v in zip(U, V)]
         assert got == pytest.approx(expect, rel=1e-12)
+        sup = cncalc._metric_compat_supremum(x, su2_basis.mats, ts)
+        assert sup == pytest.approx(2.0 * abs(x), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_is_the_supremum(self, seed):
+        # raw complex matrices, neither antihermitian nor trace-free, and
+        # complex t with nonzero real parts
+        rng = np.random.default_rng(seed)
+        n, N = 3, 4
+        mats = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
+        ts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.uniform(-3.0, 3.0)
+        sup = cncalc._metric_compat_supremum(x, mats, ts)
+        sampled = _metric_compat_literal(x, mats, ts, *_unit_pairs(N))
+        assert np.all(sampled <= sup * (1.0 + 1e-12))
+        # attained at u the normalized worst row of A_j and v = e_b
+        A = mats + mats.conj().transpose(0, 2, 1) - 2.0 * ts.real[:, None, None] * np.eye(N)
+        j, a = np.unravel_index(np.argmax(np.linalg.norm(A, axis=2)), (n, N))
+        u = A[j, a] / np.linalg.norm(A[j, a])
+        for b in range(N):
+            at = _metric_compat_literal(x, mats, ts, u[None], np.eye(N)[b][None])
+            assert at[0] == pytest.approx(sup, rel=1e-12)
 
 
 class TestTorsion:
@@ -268,7 +322,7 @@ class TestKoszulResidual:
         basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
         f = structure_constants(basis)
         pre = MetricPreCalculus(basis, 0.8)
-        v_eig, eigenvalues = common_left_eigenvector(basis, f)
+        v_eig, eigenvalues = common_left_eigenvector(basis, derived_subalgebra(f))
         cases = [(v_eig, eigenvalues.imag)] * 3
         for _ in range(3):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -386,6 +440,30 @@ class TestDecideExistence:
             report = decide_existence(MetricPreCalculus(LieBasis(mats)))
             want = expected(label.split("-")[0], mats[0].shape[0])
             assert (report.status, report.reason) == want, label
+
+
+class TestIntermediatesComputedOnce:
+    @pytest.mark.parametrize(
+        "key, reason",
+        [("gc", REASON_WITNESS), ("gb", REASON_NO_COMMON_EIGENVECTOR), ("su2", REASON_SEMISIMPLE)],
+    )
+    def test_derived_once_and_no_mu_obstruction_solve(self, su4, su2_basis, monkeypatch, key, reason):
+        # [g, g] is built once and shared by the obstruction dimension,
+        # the eigenvector search and the split
+        calls = {"derived_subalgebra": 0, "mu_obstruction_space": 0}
+        for name in calls:
+            original = getattr(liealg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (liealg, cncalc):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        basis = su2_basis if key == "su2" else su4[key]
+        report = decide_existence(MetricPreCalculus(basis))
+        assert report.reason == reason
+        assert calls == {"derived_subalgebra": 1, "mu_obstruction_space": 0}
 
 
 class TestDecideExistenceAtScale:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realcalc import liealg
+from realcalc import cncalc, liealg
 from realcalc.liealg import (
     ClosureViolation,
     LieBasis,
@@ -173,32 +173,32 @@ class TestMuObstruction:
 
 class TestDerivedAndCenter:
     def test_su2_derived_full(self, su2_basis, su2_f):
-        assert derived_subalgebra(su2_basis, su2_f).shape == (3, 3)
+        assert derived_subalgebra(su2_f).shape == (3, 3)
 
     def test_abelian_derived_empty(self):
         basis = abelian_diag(2)
         f = structure_constants(basis)
-        assert derived_subalgebra(basis, f).shape == (0, 2)
+        assert derived_subalgebra(f).shape == (0, 2)
 
     def test_gc_derived_is_corner_block_span(self, su4):
         f = structure_constants(su4["gc"])
-        der = derived_subalgebra(su4["gc"], f)
+        der = derived_subalgebra(f)
         assert der.shape == (3, 4)
         assert max_norm(der[:, 0]) < 1e-12
 
     def test_center_dims(self, su2_basis, su2_f, su4):
-        assert center(su2_basis, su2_f).shape == (0, 3)
+        assert center(su2_f).shape == (0, 3)
         fgc = structure_constants(su4["gc"])
-        c = center(su4["gc"], fgc)
+        c = center(fgc)
         assert c.shape == (1, 4)
         assert abs(c[0, 0]) == pytest.approx(1.0)
         basis2 = abelian_diag(2)
         f2 = structure_constants(basis2)
-        assert center(basis2, f2).shape == (2, 2)
+        assert center(f2).shape == (2, 2)
 
     def test_radical_vectors_commute(self, su4):
         fgc = structure_constants(su4["gc"])
-        split = levi_split_compact(su4["gc"], fgc)
+        split = levi_split_compact(fgc, derived_subalgebra(fgc))
         for vec in split.radical_basis:
             assert max_norm(np.einsum("i,kij->kj", vec, fgc.f)) <= 10 * DEFAULT_TOL.cut(
                 max(1.0, max_norm(fgc.f))
@@ -208,16 +208,17 @@ class TestDerivedAndCenter:
 class TestLeviSplit:
     def test_gc(self, su4):
         f = structure_constants(su4["gc"])
-        split = levi_split_compact(su4["gc"], f)
+        split = levi_split_compact(f, derived_subalgebra(f))
         assert (split.radical_dim, split.ss_dim) == (1, 3)
 
     def test_su2(self, su2_basis, su2_f):
-        split = levi_split_compact(su2_basis, su2_f)
+        split = levi_split_compact(su2_f, derived_subalgebra(su2_f))
         assert (split.radical_dim, split.ss_dim) == (0, 3)
 
     def test_abelian(self):
         basis = abelian_diag(2)
-        split = levi_split_compact(basis, structure_constants(basis))
+        f = structure_constants(basis)
+        split = levi_split_compact(f, derived_subalgebra(f))
         assert (split.radical_dim, split.ss_dim) == (2, 0)
 
     def test_inconsistent_dimensions_raise(self, su2_basis, su2_f, monkeypatch):
@@ -227,7 +228,7 @@ class TestLeviSplit:
             liealg, "center", lambda *a, **k: np.eye(3)[:1]
         )
         with pytest.raises(liealg.SplitInconsistent):
-            levi_split_compact(su2_basis, su2_f)
+            levi_split_compact(su2_f, derived_subalgebra(su2_f))
 
 
 class TestSolvable:
@@ -250,27 +251,27 @@ class TestSolvable:
 class TestCommonLeftEigenvector:
     def test_gc(self, su4):
         f = structure_constants(su4["gc"])
-        v0, lambdas = common_left_eigenvector(su4["gc"], f)
+        v0, lambdas = common_left_eigenvector(su4["gc"], derived_subalgebra(f))
         assert np.allclose(v0, [1, 0, 0, 0], atol=1e-12)
         assert np.allclose(lambdas, [1j, 0, 0, 0], atol=1e-12)
 
     def test_gb_has_none(self, su4):
         f = structure_constants(su4["gb"])
-        assert common_left_eigenvector(su4["gb"], f) is None
+        assert common_left_eigenvector(su4["gb"], derived_subalgebra(f)) is None
 
     def test_single_diagonal(self):
         basis = LieBasis([D3])
         f = structure_constants(basis)
-        v0, lambdas = common_left_eigenvector(basis, f)
+        v0, lambdas = common_left_eigenvector(basis, derived_subalgebra(f))
         assert np.allclose(v0, [1, 0], atol=1e-12)
         assert lambdas[0] == pytest.approx(1j)
 
     def test_su2_has_none(self, su2_basis, su2_f):
-        assert common_left_eigenvector(su2_basis, su2_f) is None
+        assert common_left_eigenvector(su2_basis, derived_subalgebra(su2_f)) is None
 
     def test_eigen_residuals(self, su4):
         f = structure_constants(su4["gc"])
-        v0, lambdas = common_left_eigenvector(su4["gc"], f)
+        v0, lambdas = common_left_eigenvector(su4["gc"], derived_subalgebra(f))
         scale = max(max_norm(m) for m in su4["gc"].mats)
         for D, lam in zip(su4["gc"].mats, lambdas):
             assert max_norm(v0 @ D - lam * v0) <= 10 * DEFAULT_TOL.cut(scale)
@@ -280,18 +281,18 @@ class TestCommonLeftEigenvector:
 class TestAnchorSolutionSpace:
     def test_gc_central_direction_free(self, su4):
         f = structure_constants(su4["gc"])
-        split = levi_split_compact(su4["gc"], f)
+        split = levi_split_compact(f, derived_subalgebra(f))
         space = anchor_solution_space(split, f)
         assert space.shape == (1, 1)
 
     def test_semisimple_empty(self, su2_basis, su2_f):
-        split = levi_split_compact(su2_basis, su2_f)
+        split = levi_split_compact(su2_f, derived_subalgebra(su2_f))
         assert anchor_solution_space(split, su2_f).shape == (0, 0)
 
     def test_abelian_full(self):
         basis = abelian_diag(3)
         f = structure_constants(basis)
-        split = levi_split_compact(basis, f)
+        split = levi_split_compact(f, derived_subalgebra(f))
         assert anchor_solution_space(split, f).shape == (3, 3)
 
     def test_solvable_radical_bracket_constrains_mu(self):
@@ -355,9 +356,11 @@ class TestRandomFamilyProperties:
             flags = (
                 is_semisimple(killing_form(f)),
                 mu_obstruction_space(f).shape[0] == 0,
-                center(basis, f).shape[0] == 0,
+                center(f).shape[0] == 0,
             )
             assert len(set(flags)) == 1, (label, flags)
+            report = cncalc.decide_existence(cncalc.MetricPreCalculus(basis))
+            assert report.diagnostics["mu_obstruction_dim"] == mu_obstruction_space(f).shape[0], label
 
     def test_expected_verdicts_by_construction(self):
         rng = np.random.default_rng(5150)
@@ -378,7 +381,7 @@ class TestRandomFamilyProperties:
             label, mats = random_subalgebra(rng, sizes=(2, 3, 4))
             basis = LieBasis(mats)
             f = structure_constants(basis)
-            fast = common_left_eigenvector(basis, f)
+            fast = common_left_eigenvector(basis, derived_subalgebra(f))
             slow = eigenspace_chains(mats)
             assert (fast is not None) == bool(slow), label
             if fast is not None:
@@ -437,7 +440,7 @@ class TestEigenvectorLeadEntry:
         raw = su4_family()["gc"] if kind == "gc_su4" else block_with_center(4, 3)
         rng = np.random.default_rng(seed)
         basis = LieBasis(generic_presentation(rng, raw))
-        v0, _ = common_left_eigenvector(basis, structure_constants(basis))
+        v0, _ = common_left_eigenvector(basis, derived_subalgebra(structure_constants(basis)))
         lead = int(np.argmax(np.abs(v0) > 1e-8 * np.max(np.abs(v0))))
         assert v0[lead].imag == 0.0
         assert v0[lead].real > 0.0
