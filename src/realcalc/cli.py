@@ -58,6 +58,14 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            value = np.stack([value.real, value.imag], axis=-1)
+        if value.dtype.kind == "f":
+            # _round12 entry by entry; adding 0.0 turns -0.0 into 0.0
+            rounded = np.fromiter(
+                (float(f"{x:.12g}") for x in value.ravel().tolist()), float, count=value.size
+            )
+            return (rounded.reshape(value.shape) + 0.0).tolist()
         return _jsonify(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -306,8 +314,9 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     except liealg.ClosureViolation as exc:
         raise CliError(f"basis is not closed under brackets at pair {exc.pair}: {exc}") from exc
     B = liealg.killing_form(f)
+    der = liealg.derived_subalgebra(f, tol)
     try:
-        split = liealg.levi_split_compact(f, liealg.derived_subalgebra(f, tol), tol)
+        split = liealg.levi_split_compact(f, der, tol)
     except liealg.SplitInconsistent as exc:
         raise CliError(f"SplitInconsistent: {exc}") from exc
     return {
@@ -320,7 +329,7 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
         "structure_constants": _jsonify(f.f),
         "killing": _jsonify(B.B),
         "semisimple": liealg.is_semisimple(B, tol),
-        "solvable": liealg.is_solvable(f, tol),
+        "solvable": liealg.is_solvable(f, der, tol),
         "center_dim": split.radical_dim,
         "derived_dim": split.ss_dim,
         "levi_split": {
@@ -413,31 +422,49 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
 # Rendering and dispatch
 
 
-def _dump_json(value, indent: int) -> str:
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_INLINE_WIDTH = 88
+
+
+def _render(value, indent: int) -> tuple[Optional[str], str]:
+    """``(flat, pretty)`` text of one report value at the given depth.
+
+    ``pretty`` is the value as printed at this depth. ``flat`` is its
+    one-line JSON when that may be inlined, i.e. it has at most
+    _INLINE_WIDTH characters and no "{"; otherwise None, and then no
+    list holding the value can be inlined either. Each value is encoded
+    once, so rendering is linear in the size of the report.
+    """
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            return None, "{}"
+        pad = "  " * (indent + 1)
         inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(k) + ": " + _dump_json(v, indent + 1)
-            for k, v in value.items()
+            pad + _ENCODE(k) + ": " + _render(v, indent + 1)[1] for k, v in value.items()
         )
-        return "{\n" + inner + "\n" + "  " * indent + "}"
+        return None, "{\n" + inner + "\n" + "  " * indent + "}"
     if isinstance(value, list):
-        flat = json.dumps(value, allow_nan=False)
-        if "{" not in flat and len(flat) <= 88:
-            return flat
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + _dump_json(v, indent + 1) for v in value
-        )
-        return "[\n" + inner + "\n" + "  " * indent + "]"
-    return json.dumps(value, allow_nan=False)
+        if not any(isinstance(v, (dict, list)) for v in value):
+            # a list of scalars, such as a [re, im] pair: one encoder call
+            flat = _ENCODE(value)
+            if len(flat) <= _INLINE_WIDTH and "{" not in flat:
+                return flat, flat
+        parts = [_render(v, indent + 1) for v in value]
+        flats = [flat for flat, _ in parts]
+        # two brackets, and ", " between items
+        if None not in flats and sum(len(f) + 2 for f in flats) <= _INLINE_WIDTH:
+            flat = "[" + ", ".join(flats) + "]"
+            return flat, flat
+        pad = "  " * (indent + 1)
+        inner = ",\n".join(pad + pretty for _, pretty in parts)
+        return None, "[\n" + inner + "\n" + "  " * indent + "]"
+    text = _ENCODE(value)
+    return (text if len(text) <= _INLINE_WIDTH and "{" not in text else None), text
 
 
 def render_json(report: dict) -> str:
     """Deterministic JSON: fixed key order, short numeric lists inline."""
-    return _dump_json(report, 0) + "\n"
+    return _render(report, 0)[1] + "\n"
 
 
 def _render_text_lines(value, key: str, indent: int, lines: list[str]) -> None:

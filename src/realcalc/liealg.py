@@ -293,25 +293,22 @@ def levi_split_compact(f: StructureConstants, der: np.ndarray, tol: Tolerance = 
     return LeviSplit(rad, der)
 
 
-def is_solvable(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_solvable(f: StructureConstants, der: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the derived series reaches zero.
 
-    The series is computed on coefficient vectors: each step spans the
-    brackets of the current subspace and the iteration stops when the
-    dimension stabilizes.
+    ``der`` is the first step of the series, the orthonormal basis of
+    [g, g] from :func:`derived_subalgebra`. The series is computed on
+    coefficient vectors: each further step spans the brackets of the
+    current subspace and the iteration stops when the dimension
+    stabilizes.
     """
-    n = f.n
-    span = np.eye(n)
-    while span.shape[0] > 0:
+    span, dim = der, f.n
+    while 0 < span.shape[0] < dim:
         dim = span.shape[0]
-        if dim == 1:
-            return True
         iu, ju = np.triu_indices(dim, k=1)
         vectors = np.einsum("kij,pi,pj->pk", f.f, span[iu], span[ju])
         span = real_row_space(vectors, tol)
-        if span.shape[0] >= dim:
-            return False
-    return True
+    return span.shape[0] == 0
 
 
 def common_left_eigenvector(

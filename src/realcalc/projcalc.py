@@ -66,10 +66,45 @@ def _grid(value, n: int, N: int, name: str) -> np.ndarray:
 
 
 def _commutators(mats: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """d_i applied to every grid entry: out[i, a, b] = [D_i, grid[a, b]]."""
-    return np.einsum("irs,absc->iabrc", mats, grid) - np.einsum(
-        "abrs,isc->iabrc", grid, mats
-    )
+    """d_i applied to every grid entry: out[i, a, b] = [D_i, grid[a, b]].
+
+    Two broadcast matrix products: O(n^3 N^3) time, O(n^3 N^2) memory.
+    """
+    m = mats[:, None, None]
+    return m @ grid - grid @ m
+
+
+def _block_matrix(grid: np.ndarray) -> np.ndarray:
+    """The (n N) x (n N) matrix whose (k, l) block is grid[k, l].
+
+    Grid products sum_l g[k, l] g'[l, j] are then block matrix products.
+    """
+    n, N = grid.shape[0], grid.shape[2]
+    return grid.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+
+
+def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
+    """Yield ``(identity, residual, scale)`` for each defining identity.
+
+    The identities are checked in this order, so a caller that stops at
+    the first violation reports the same one. The three grid products
+    are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
+    """
+    pmax = max(1.0, max_norm(p))
+    hmax = max(1.0, max_norm(h))
+    imax = max(1.0, max_norm(h_inv))
+    P, H, Hi = _block_matrix(p), _block_matrix(h), _block_matrix(h_inv)
+
+    yield "projection idempotence p.p = p", max_norm(P @ P - P), pmax * pmax
+    res = max_norm(h - h.conj().transpose(1, 0, 3, 2))
+    yield "metric symmetry h_ij = h_ji^*", res, hmax
+    res = max_norm(h - h.conj().transpose(0, 1, 3, 2))
+    yield "metric hermiticity h_ij = h_ij^dagger", res, hmax
+    res = max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2))
+    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, imax
+    PHi = P @ Hi
+    yield "inverse relation p h^{kl} h_li = p", max_norm(PHi @ H - P), pmax * hmax * imax
+    yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), pmax * imax
 
 
 class ProjectiveCalculusData:
@@ -78,7 +113,8 @@ class ProjectiveCalculusData:
     Checks, each within tolerance: idempotence of p, hermiticity and
     index symmetry of the metric blocks, conjugate symmetry of the
     inverse blocks, the defining inverse relation in coefficient form,
-    and compatibility of the inverse with the projection.
+    and compatibility of the inverse with the projection. The checks are
+    block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
     """
 
     def __init__(self, derivs: LieBasis, f: StructureConstants, p, h, h_inv,
@@ -90,34 +126,9 @@ class ProjectiveCalculusData:
         h = _grid(h, n, N, "h")
         h_inv = _grid(h_inv, n, N, "h_inv")
 
-        pmax = max(1.0, max_norm(p))
-        hmax = max(1.0, max_norm(h))
-        imax = max(1.0, max_norm(h_inv))
-
-        res = max_norm(np.einsum("klab,ljbc->kjac", p, p) - p)
-        if res > tol.cut(pmax * pmax):
-            raise InvariantViolation("projection idempotence p.p = p", res)
-
-        res = max_norm(h - h.conj().transpose(1, 0, 3, 2))
-        if res > tol.cut(hmax):
-            raise InvariantViolation("metric symmetry h_ij = h_ji^*", res)
-        res = max_norm(h - h.conj().transpose(0, 1, 3, 2))
-        if res > tol.cut(hmax):
-            raise InvariantViolation("metric hermiticity h_ij = h_ij^dagger", res)
-
-        res = max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2))
-        if res > tol.cut(imax):
-            raise InvariantViolation("inverse conjugate symmetry (h^ij)^* = h^ji", res)
-
-        res = max_norm(
-            np.einsum("qkab,klbc,licd->qiad", p, h_inv, h) - p
-        )
-        if res > tol.cut(pmax * hmax * imax):
-            raise InvariantViolation("inverse relation p h^{kl} h_li = p", res)
-
-        res = max_norm(np.einsum("kmab,mlbc->klac", p, h_inv) - h_inv)
-        if res > tol.cut(pmax * imax):
-            raise InvariantViolation("projection compatibility p h^{ml} = h^{kl}", res)
+        for identity, res, scale in _invariant_residuals(p, h, h_inv):
+            if res > tol.cut(scale):
+                raise InvariantViolation(identity, res)
 
         self.derivs = derivs
         self.f = f
@@ -150,24 +161,35 @@ class LambdaTensor:
         return self.values.shape[0]
 
 
+def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """out[x, y, j] = sum_l t[x, y, l] grid[l, j] for an (n, n, n, N, N) t.
+
+    One tensordot over (l, b): O(n^4 N^3) time, O(n^3 N^2) memory.
+    """
+    return np.tensordot(t, grid, axes=([2, 4], [0, 2])).transpose(0, 1, 3, 2, 4)
+
+
 def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
     """Assemble Lam^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij
-    - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij)."""
-    mats = data.derivs.mats
+    - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij).
+
+    The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
+    over (l, b) is one tensordot, O(n^4 N^3) time. O(n^3 N^2) memory.
+    """
     h = data.h
-    fr = data.f.f
-    dh = _commutators(mats, h)
-    # six[i, j, l] is the bracketed sum; dh[i, a, b] = d_i h_ab
+    dh = _commutators(data.derivs.mats, h)
+    # hf[x, y, z] = h_xq f^q_yz; six[i, j, l] is the bracketed sum
+    hf = np.tensordot(h, data.f.f, axes=([1], [0])).transpose(0, 3, 4, 1, 2)
     six = (
         dh
-        + np.einsum("jilab->ijlab", dh)
-        - np.einsum("lijab->ijlab", dh)
-        - np.einsum("jqab,qil->ijlab", h, fr)
-        - np.einsum("iqab,qjl->ijlab", h, fr)
-        + np.einsum("lqab,qij->ijlab", h, fr)
+        + dh.transpose(1, 0, 2, 3, 4)
+        - dh.transpose(1, 2, 0, 3, 4)
+        - hf.transpose(1, 0, 2, 3, 4)
+        - hf
+        + hf.transpose(1, 2, 0, 3, 4)
     )
-    values = 0.5 * np.einsum("klab,ijlbc->kijac", data.h_inv, six)
-    return LambdaTensor(values)
+    values = np.tensordot(data.h_inv, six, axes=([1, 3], [2, 3]))
+    return LambdaTensor(0.5 * values.transpose(0, 2, 3, 1, 4))
 
 
 def lc_condition_check(
@@ -180,16 +202,14 @@ def lc_condition_check(
 
         sum_l p^k_l [D_i, p^l_j] - sum_l Lam^k_il (delta^l_j 1 - p^l_j)
 
-    so failures localize to their index triple.
+    so failures localize to their index triple. Both sums are tensordots
+    over (l, b): O(n^4 N^3) time, O(n^3 N^2) memory.
     """
-    mats = data.derivs.mats
     p = data.p
-    n, N = data.n, data.N
     lam = lambda_tensor(data).values
-    dp = _commutators(mats, p)
-    lhs = np.einsum("klab,iljbc->kijac", p, dp)
-    rhs = lam - np.einsum("kilab,ljbc->kijac", lam, p)
-    residual = lhs - rhs
+    dp = _commutators(data.derivs.mats, p)
+    lhs = np.tensordot(p, dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
+    residual = lhs - (lam - _times_grid(lam, p))
     per_index = np.max(np.abs(residual), axis=(3, 4))
     worst = float(np.max(per_index)) if per_index.size else 0.0
     scale = max(1.0, max_norm(p), max_norm(lam))
@@ -203,19 +223,18 @@ def lc_connection_coefficients(
 
     Only defined when the criterion holds; assembled from the projected
     free-module connection Gam^l_ik = Lam^l_im p^m_k as
-    C^l_ij = Gam^l_ik p^k_j + [D_i, p^l_j].
+    C^l_ij = Gam^l_ik p^k_j + [D_i, p^l_j]. Two tensordots over (m, b):
+    O(n^4 N^3) time, O(n^3 N^2) memory.
     """
     holds, worst, _ = lc_condition_check(data, tol)
     if not holds:
         raise ConditionFails(
             f"criterion fails (max residual {worst:.3e}); no Levi-Civita connection"
         )
-    mats = data.derivs.mats
     p = data.p
-    lam = lambda_tensor(data).values
-    gam = np.einsum("limab,mkbc->likac", lam, p)
-    dp = _commutators(mats, p)
-    return np.einsum("likab,kjbc->lijac", gam, p) + dp.transpose(1, 0, 2, 3, 4)
+    gam = _times_grid(lambda_tensor(data).values, p)
+    dp = _commutators(data.derivs.mats, p)
+    return _times_grid(gam, p) + dp.transpose(1, 0, 2, 3, 4)
 
 
 def koszul_verify_projective(
@@ -225,16 +244,16 @@ def koszul_verify_projective(
 
     Returns the largest entry of sum_l h_ml C^l_ij - sum_k h_mk Lam^k_ij
     over (m, i, j); a value within tolerance certifies the Levi-Civita
-    property of the connection the coefficients define.
+    property of the connection the coefficients define. Both sums share
+    h, so one tensordot of h with C - Lam over (l, b): O(n^4 N^3) time,
+    O(n^3 N^2) memory.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n, N = data.n, data.N
     if coeffs.shape != (n, n, n, N, N):
         raise ValueError(f"coefficients must have shape ({n}, {n}, {n}, {N}, {N})")
     lam = lambda_tensor(data).values
-    lhs = np.einsum("mlab,lijbc->mijac", data.h, coeffs)
-    rhs = np.einsum("mkab,kijbc->mijac", data.h, lam)
-    return float(max_norm(lhs - rhs))
+    return float(max_norm(np.tensordot(data.h, coeffs - lam, axes=([1, 3], [0, 3]))))
 
 
 def from_module_generators(

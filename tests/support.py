@@ -171,7 +171,13 @@ def random_subalgebra(
 
 
 def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
-    """Trivial projection over a random subalgebra with a random block metric.
+    """Trivial projection over a random subalgebra with a random block metric."""
+    label, mats = random_subalgebra(rng, sizes=sizes)
+    return label, trivial_data(rng, liealg.LieBasis(mats))
+
+
+def trivial_data(rng: np.random.Generator, basis: liealg.LieBasis):
+    """Trivial projection over the given derivations with a random block metric.
 
     The metric blocks are hermitian, symmetric in their indices and made
     invertible by a diagonal shift, so the grid of inverse blocks is the
@@ -179,8 +185,6 @@ def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
     """
     from realcalc import projcalc
 
-    label, mats = random_subalgebra(rng, sizes=sizes)
-    basis = liealg.LieBasis(mats)
     f = liealg.structure_constants(basis)
     n, N = basis.n, basis.N
     big = np.zeros((n * N, n * N), dtype=complex)
@@ -195,8 +199,31 @@ def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
     h = big.reshape(n, N, n, N).transpose(0, 2, 1, 3)
     h_inv = inv.reshape(n, N, n, N).transpose(0, 2, 1, 3)
     p = np.einsum("ki,ab->kiab", np.eye(n), np.eye(N, dtype=complex))
-    data = projcalc.ProjectiveCalculusData(basis, f, p, h, h_inv)
-    return label, data
+    return projcalc.ProjectiveCalculusData(basis, f, p, h, h_inv)
+
+
+def generator_data(rng: np.random.Generator, basis: liealg.LieBasis):
+    """Projective data from n random generators X_i with right inverse Y^k.
+
+    X_i = q_i V with q_i from one commuting hermitian pencil and V unitary,
+    so every block X_i^dagger X_j is hermitian; Y^2..Y^n are free and Y^1
+    makes sum_k X_k Y^k = 1. The projection is proper (rank N in C^{nN})
+    and the criterion generically fails.
+    """
+    from realcalc import projcalc
+
+    n, N = basis.n, basis.N
+    g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    H = 0.5 * (g + g.conj().T)
+    V = random_unitary(rng, N)
+    qs = [(np.linalg.norm(H, 2) + 1.0) * np.eye(N) + H]
+    qs += [rng.standard_normal() * np.eye(N) + rng.standard_normal() * H for _ in range(n - 1)]
+    ws = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(n - 1)]
+    rest = np.eye(N) - sum(q @ w for q, w in zip(qs[1:], ws))
+    xs = [q @ V for q in qs]
+    ys = [V.conj().T @ np.linalg.inv(qs[0]) @ rest] + [V.conj().T @ w for w in ws]
+    f = liealg.structure_constants(basis)
+    return projcalc.from_module_generators(xs, ys, basis, f)
 
 
 # ---------------------------------------------------------------------------

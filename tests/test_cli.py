@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from realcalc import liealg
 from realcalc.cli import (
     main,
     parse_algebra_spec,
@@ -93,6 +94,22 @@ class TestLieCommand:
         report = run_json(capsys, "lie", "abelian1.json")
         assert report["semisimple"] is False
         assert report["solvable"] is True
+
+    @pytest.mark.parametrize("name, spans", [("gc_su4.json", 2), ("su2.json", 1)])
+    def test_derived_algebra_built_once(self, capsys, monkeypatch, name, spans):
+        # the derived series starts from the [g, g] basis the report
+        # already holds, so is_solvable spans only the later steps
+        calls = []
+        original = liealg.real_row_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "real_row_space", counting)
+        report = run_json(capsys, "lie", name)
+        assert report["solvable"] is False
+        assert len(calls) == spans
 
 
 class TestProjectiveCommand:

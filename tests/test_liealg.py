@@ -233,19 +233,51 @@ class TestLeviSplit:
 
 class TestSolvable:
     def test_abelian(self):
-        assert is_solvable(structure_constants(abelian_diag(2)))
+        f = structure_constants(abelian_diag(2))
+        assert is_solvable(f, derived_subalgebra(f))
 
     def test_su2_not(self, su2_f):
-        assert not is_solvable(su2_f)
+        assert not is_solvable(su2_f, derived_subalgebra(su2_f))
 
     def test_gc_not(self, su4):
-        assert not is_solvable(structure_constants(su4["gc"]))
+        f = structure_constants(su4["gc"])
+        assert not is_solvable(f, derived_subalgebra(f))
 
     def test_consistency_with_semisimple(self, su2_f):
         # a semisimple algebra is never solvable; zero constants always are
-        assert is_semisimple(killing_form(su2_f)) and not is_solvable(su2_f)
+        assert is_semisimple(killing_form(su2_f))
+        assert not is_solvable(su2_f, derived_subalgebra(su2_f))
         zero = StructureConstants(np.zeros((3, 3, 3)))
-        assert is_solvable(zero)
+        assert is_solvable(zero, derived_subalgebra(zero))
+
+    @pytest.mark.parametrize(
+        "units, solvable",
+        [
+            # upper triangular 3 x 3: series of dimensions 6, 3, 1, 0
+            ([(a, b) for a in range(3) for b in range(a, 3)], True),
+            # x = E11 acting on y = E12, E13: [g, g] = span(y) is abelian
+            ([(0, 0), (0, 1), (0, 2)], True),
+            # gl(2): [g, g] = sl(2) is perfect
+            ([(0, 0), (0, 1), (1, 0), (1, 1)], False),
+        ],
+    )
+    def test_real_matrix_algebras(self, units, solvable):
+        # each further step of the derived series after [g, g] is taken
+        mats = []
+        for a, b in units:
+            m = np.zeros((3, 3))
+            m[a, b] = 1.0
+            mats.append(m.ravel())
+        basis = np.array(mats)
+        brackets = [
+            (x @ y - y @ x).ravel()
+            for x in basis.reshape(-1, 3, 3)
+            for y in basis.reshape(-1, 3, 3)
+        ]
+        n = len(units)
+        coeffs = np.linalg.lstsq(basis.T, np.array(brackets).T, rcond=None)[0]
+        f = StructureConstants(coeffs.reshape(n, n, n))
+        assert is_solvable(f, derived_subalgebra(f)) is solvable
 
 
 class TestCommonLeftEigenvector:
@@ -301,7 +333,7 @@ class TestAnchorSolutionSpace:
         f = np.zeros((2, 2, 2))
         f[1, 0, 1], f[1, 1, 0] = 1.0, -1.0
         fc = StructureConstants(f)
-        assert is_solvable(fc)
+        assert is_solvable(fc, derived_subalgebra(fc))
         split = liealg.LeviSplit(np.eye(2), np.zeros((0, 2)))
         space = anchor_solution_space(split, fc)
         assert space.shape == (1, 2)

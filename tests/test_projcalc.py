@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realcalc import cncalc
+from realcalc import cncalc, projcalc
 from realcalc.liealg import LieBasis, StructureConstants, structure_constants
 from realcalc.matlin import DEFAULT_TOL, max_norm
 from realcalc.projcalc import (
@@ -17,7 +17,14 @@ from realcalc.projcalc import (
     rank_one_calculus,
 )
 
-from support import random_trivial_data, su2_mats
+from support import (
+    generator_data,
+    generic_presentation,
+    random_trivial_data,
+    su2_mats,
+    su_basis,
+    trivial_data,
+)
 
 D1, D2, D3 = su2_mats()
 I2 = np.eye(2, dtype=complex)
@@ -272,3 +279,201 @@ class TestRankOneCrossCheck:
             data = rank_one_calculus(su4["gc"], f, v0, mu, metric_scale=x)
             holds, _, _ = lc_condition_check(data)
             assert holds
+
+
+# ---------------------------------------------------------------------------
+# Literal evaluators: each formula as one einsum, in the index order of
+# the docstrings. The library contracts the same sums in another order.
+
+
+def _commutators_literal(mats, grid):
+    return np.einsum("irs,absc->iabrc", mats, grid) - np.einsum("abrs,isc->iabrc", grid, mats)
+
+
+def _invariant_residuals_literal(p, h, h_inv):
+    return [
+        ("projection idempotence p.p = p", max_norm(np.einsum("klab,ljbc->kjac", p, p) - p)),
+        ("metric symmetry h_ij = h_ji^*", max_norm(h - h.conj().transpose(1, 0, 3, 2))),
+        ("metric hermiticity h_ij = h_ij^dagger", max_norm(h - h.conj().transpose(0, 1, 3, 2))),
+        (
+            "inverse conjugate symmetry (h^ij)^* = h^ji",
+            max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2)),
+        ),
+        (
+            "inverse relation p h^{kl} h_li = p",
+            max_norm(np.einsum("qkab,klbc,licd->qiad", p, h_inv, h) - p),
+        ),
+        (
+            "projection compatibility p h^{ml} = h^{kl}",
+            max_norm(np.einsum("kmab,mlbc->klac", p, h_inv) - h_inv),
+        ),
+    ]
+
+
+def _lambda_literal(data):
+    h, fr = data.h, data.f.f
+    dh = _commutators_literal(data.derivs.mats, h)
+    six = (
+        dh
+        + np.einsum("jilab->ijlab", dh)
+        - np.einsum("lijab->ijlab", dh)
+        - np.einsum("jqab,qil->ijlab", h, fr)
+        - np.einsum("iqab,qjl->ijlab", h, fr)
+        + np.einsum("lqab,qij->ijlab", h, fr)
+    )
+    return 0.5 * np.einsum("klab,ijlbc->kijac", data.h_inv, six)
+
+
+def _criterion_literal(data):
+    """(lhs, rhs) of p^k_l d_i(p^l_j) = Lam^k_il (delta^l_j 1 - p^l_j)."""
+    p, lam = data.p, _lambda_literal(data)
+    dp = _commutators_literal(data.derivs.mats, p)
+    lhs = np.einsum("klab,iljbc->kijac", p, dp)
+    rhs = lam - np.einsum("kilab,ljbc->kijac", lam, p)
+    return lhs, rhs
+
+
+def _coefficients_literal(data):
+    p, lam = data.p, _lambda_literal(data)
+    gam = np.einsum("limab,mkbc->likac", lam, p)
+    dp = _commutators_literal(data.derivs.mats, p)
+    return np.einsum("likab,kjbc->lijac", gam, p) + dp.transpose(1, 0, 2, 3, 4)
+
+
+def _koszul_terms_literal(data, coeffs):
+    lhs = np.einsum("mlab,lijbc->mijac", data.h, coeffs)
+    rhs = np.einsum("mkab,kijbc->mijac", data.h, _lambda_literal(data))
+    return lhs, rhs
+
+
+REL = 1e-12
+
+
+def _agree(got, want, scale):
+    """Within REL of the scale of the terms the quantity is built from."""
+    return max_norm(np.asarray(got) - np.asarray(want)) <= REL * max(1.0, scale)
+
+
+@pytest.fixture(scope="module", params=["trivial", "generators"])
+def generic_data(request):
+    """n = 8, N = 3: su(3) in a generic presentation, two kinds of data."""
+    rng = np.random.default_rng(2024)
+    basis = LieBasis(generic_presentation(rng, su_basis(3)))
+    build = trivial_data if request.param == "trivial" else generator_data
+    data = build(rng, basis)
+    assert (data.n, data.N) == (8, 3)
+    return data
+
+
+def _hermitian_block_grid(rng, n, N):
+    """Random grid whose stacked nN x nN matrix is hermitian, entries <= 1."""
+    g = rng.standard_normal((n * N, n * N)) + 1j * rng.standard_normal((n * N, n * N))
+    big = g + g.conj().T
+    return (big / np.max(np.abs(big))).reshape(n, N, n, N).transpose(0, 2, 1, 3)
+
+
+class TestContractionsAgainstLiteral:
+    def test_commutators(self, generic_data):
+        mats = generic_data.derivs.mats
+        for grid in (generic_data.p, generic_data.h, generic_data.h_inv):
+            want = _commutators_literal(mats, grid)
+            got = projcalc._commutators(mats, grid)
+            assert _agree(got, want, max_norm(mats) * max_norm(grid))
+
+    def test_invariant_residuals(self, generic_data):
+        rng = np.random.default_rng(5)
+        d = generic_data
+        grids = [np.array(d.p), np.array(d.h), np.array(d.h_inv)]
+        perturbed = [g + 1e-3 * max_norm(g) * rng.standard_normal(g.shape) for g in grids]
+        for p, h, h_inv in (grids, perturbed):
+            got = list(projcalc._invariant_residuals(p, h, h_inv))
+            want = _invariant_residuals_literal(p, h, h_inv)
+            assert [name for name, _, _ in got] == [name for name, _ in want]
+            for (_, res, scale), (_, lit) in zip(got, want):
+                assert abs(res - lit) <= REL * scale
+
+    def test_lambda_tensor(self, generic_data):
+        want = _lambda_literal(generic_data)
+        got = lambda_tensor(generic_data).values
+        d = generic_data
+        scale = max_norm(d.h_inv) * max_norm(d.h) * max(max_norm(d.derivs.mats), max_norm(d.f.f))
+        assert _agree(got, want, scale)
+
+    def test_criterion_residuals(self, generic_data):
+        lhs, rhs = _criterion_literal(generic_data)
+        holds, worst, per_index = lc_condition_check(generic_data)
+        want = np.max(np.abs(lhs - rhs), axis=(3, 4))
+        scale = max(max_norm(lhs), max_norm(rhs))
+        assert _agree(per_index, want, scale)
+        assert worst == pytest.approx(float(np.max(want)), abs=REL * max(1.0, scale))
+        cut = DEFAULT_TOL.cut(max(1.0, max_norm(generic_data.p), max_norm(_lambda_literal(generic_data))))
+        assert holds == (float(np.max(want)) <= cut)
+
+    def test_connection_coefficients(self, generic_data, monkeypatch):
+        # the assembly is compared on both kinds of data, so the guard
+        # that the criterion holds is lifted
+        monkeypatch.setattr(projcalc, "lc_condition_check", lambda data, tol: (True, 0.0, None))
+        want = _coefficients_literal(generic_data)
+        got = lc_connection_coefficients(generic_data)
+        d = generic_data
+        scale = max_norm(_lambda_literal(d)) * max_norm(d.p) ** 2 + max_norm(want)
+        assert _agree(got, want, scale)
+
+    def test_koszul_residual(self, generic_data):
+        rng = np.random.default_rng(6)
+        d = generic_data
+        shape = (d.n, d.n, d.n, d.N, d.N)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for candidate in (coeffs, _lambda_literal(d)):
+            lhs, rhs = _koszul_terms_literal(d, candidate)
+            got = koszul_verify_projective(d, candidate)
+            assert _agree(got, max_norm(lhs - rhs), max(max_norm(lhs), max_norm(rhs)))
+
+
+class TestInvariantViolationNames:
+    """A perturbation aimed at one identity is reported under its name."""
+
+    @pytest.mark.parametrize(
+        "target, identity",
+        [
+            ("p", "projection idempotence p.p = p"),
+            ("h", "metric symmetry h_ij = h_ji^*"),
+            ("h_hermitian", "metric hermiticity h_ij = h_ij^dagger"),
+            ("h_inv", "inverse conjugate symmetry (h^ij)^* = h^ji"),
+            ("h_inv_hermitian", "inverse relation p h^{kl} h_li = p"),
+            ("h_inv_off_range", "projection compatibility p h^{ml} = h^{kl}"),
+        ],
+    )
+    def test_named_identity(self, target, identity):
+        rng = np.random.default_rng(7)
+        basis = LieBasis(generic_presentation(rng, su_basis(3)))
+        d = generator_data(rng, basis)
+        n, N = d.n, d.N
+        grids = {"p": np.array(d.p), "h": np.array(d.h), "h_inv": np.array(d.h_inv)}
+        noise = rng.standard_normal((n, n, N, N)) + 1j * rng.standard_normal((n, n, N, N))
+        herm = _hermitian_block_grid(rng, n, N)
+        if target == "h_inv_off_range":
+            # E = (1 - P) S (1 - P)^dagger: hermitian, and P E = 0, so only
+            # p h^{ml} = h^{kl} sees it
+            Q = np.eye(n * N) - projcalc._block_matrix(grids["p"])
+            E = Q @ projcalc._block_matrix(herm) @ Q.conj().T
+            grid = (E / max_norm(E)).reshape(n, N, n, N).transpose(0, 2, 1, 3)
+        else:
+            grid = herm if target.endswith("_hermitian") else noise / max_norm(noise)
+        key = target.split("_hermitian")[0].split("_off_range")[0]
+        grids[key] = grids[key] + 1e-3 * max(1.0, max_norm(grids[key])) * grid
+
+        # the literal checks, in the parent's order, name the same identity
+        first = next(
+            (name, res)
+            for (name, res), (_, _, scale) in zip(
+                _invariant_residuals_literal(grids["p"], grids["h"], grids["h_inv"]),
+                projcalc._invariant_residuals(grids["p"], grids["h"], grids["h_inv"]),
+            )
+            if res > DEFAULT_TOL.cut(scale)
+        )
+        assert first[0] == identity
+        with pytest.raises(InvariantViolation) as info:
+            ProjectiveCalculusData(basis, d.f, grids["p"], grids["h"], grids["h_inv"])
+        assert info.value.identity == identity
+        assert info.value.residual == pytest.approx(first[1], rel=1e-9)
