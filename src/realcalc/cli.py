@@ -13,6 +13,10 @@ a row-major list of rows; grids of matrices are nested lists indexed
 notation. Mathematical verdicts are data, not exit codes: the exit
 status is 0 whenever the analysis ran, nonzero only for input or
 processing errors.
+
+Every number in a report, and in a canonical spec file, is printed
+with 12 significant digits, -0.0 as 0.0, and a complex value as
+``[re, im]``; ``_jsonify`` is the one place that applies this format.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -41,49 +45,33 @@ class CliError(Exception):
 # JSON value handling
 
 
-def _round12(x: float) -> float:
-    """Canonical float: 12 significant digits, minus-zero normalized."""
-    r = float(f"{float(x):.12g}")
-    return 0.0 if r == 0.0 else r
-
-
-def _complex_out(z: complex) -> list[float]:
-    return [_round12(z.real), _round12(z.imag)]
-
-
 def _jsonify(value):
-    """Recursively convert report values to canonical JSON-ready types."""
+    """Convert a report value, recursively, to plain JSON types in the
+    report number format (see the module docstring).
+
+    Floats and complex numbers, scalar or array, are rounded in one pass
+    over their entries; ints and bools become Python ints and bools.
+    """
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "c":
-            value = np.stack([value.real, value.imag], axis=-1)
-        if value.dtype.kind == "f":
-            # _round12 entry by entry; adding 0.0 turns -0.0 into 0.0
-            rounded = np.fromiter(
-                (float(f"{x:.12g}") for x in value.ravel().tolist()), float, count=value.size
-            )
-            return (rounded.reshape(value.shape) + 0.0).tolist()
-        return _jsonify(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return _complex_out(complex(value))
-    if isinstance(value, (float, np.floating)):
-        return _round12(float(value))
+    if isinstance(value, (float, complex, np.number, np.ndarray)):
+        value = np.asarray(value)
+        if value.dtype.kind == "c":
+            value = np.stack([value.real, value.imag], axis=-1)
+        if value.dtype.kind != "f":
+            return _jsonify(value.tolist())
+        # adding 0.0 turns -0.0 into 0.0
+        rounded = np.fromiter(
+            (float(f"{x:.12g}") for x in value.ravel().tolist()), float, count=value.size
+        )
+        return (rounded.reshape(value.shape) + 0.0).tolist()
     return value
-
-
-def _matrix_out(m: np.ndarray) -> list:
-    return [[_complex_out(complex(z)) for z in row] for row in np.asarray(m)]
-
-
-def _grid_out(grid: np.ndarray) -> list:
-    return [[_matrix_out(m) for m in row] for row in grid]
 
 
 def _parse_number(value, loc: str) -> float:
@@ -144,18 +132,12 @@ class AlgebraSpecFile:
     def canonical(self) -> dict:
         out = {
             "N": self.N,
-            "basis": [
-                {"name": name, "matrix": _matrix_out(m)}
-                for name, m in zip(self.names, self.mats)
-            ],
-            "metric_scale": _round12(self.metric_scale),
+            "basis": [{"name": name, "matrix": m} for name, m in zip(self.names, self.mats)],
+            "metric_scale": self.metric_scale,
         }
         if self.tolerance is not None:
-            out["tolerance"] = {
-                "rel": _round12(self.tolerance.rel),
-                "abs": _round12(self.tolerance.abs),
-            }
-        return out
+            out["tolerance"] = asdict(self.tolerance)
+        return _jsonify(out)
 
 
 @dataclass
@@ -172,26 +154,16 @@ class ProjectiveSpecFile:
     tolerance: Optional[Tolerance]
 
     def canonical(self) -> dict:
-        out: dict = {"N": self.N, "n": self.n}
-        out["derivations"] = [_matrix_out(m) for m in self.derivations]
+        out = {"N": self.N, "n": self.n, "derivations": self.derivations}
         if self.structure_constants is not None:
-            out["structure_constants"] = [
-                [[_round12(v) for v in row] for row in plane]
-                for plane in self.structure_constants
-            ]
+            out["structure_constants"] = self.structure_constants
         if self.p is not None:
-            out["p"] = _grid_out(self.p)
-            out["h"] = _grid_out(self.h)
-            out["h_inv"] = _grid_out(self.h_inv)
+            out.update(p=self.p, h=self.h, h_inv=self.h_inv)
         else:
-            out["X"] = [_matrix_out(m) for m in self.X]
-            out["Y"] = [_matrix_out(m) for m in self.Y]
+            out.update(X=self.X, Y=self.Y)
         if self.tolerance is not None:
-            out["tolerance"] = {
-                "rel": _round12(self.tolerance.rel),
-                "abs": _round12(self.tolerance.abs),
-            }
-        return out
+            out["tolerance"] = asdict(self.tolerance)
+        return _jsonify(out)
 
 
 def _parse_positive_int(obj: dict, key: str) -> int:
@@ -225,16 +197,16 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
     return AlgebraSpecFile(N, names, mats, metric_scale, tol)
 
 
+def _parse_matrices(value, count: int, N: int, loc: str) -> list[np.ndarray]:
+    if not isinstance(value, list) or len(value) != count:
+        raise CliError(f"{loc}: expected a list of {count} matrices")
+    return [_parse_matrix(m, N, f"{loc}[{i}]") for i, m in enumerate(value)]
+
+
 def _parse_grid(value, n: int, N: int, loc: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise CliError(f"{loc}: expected {n} rows of matrices")
-    out = np.empty((n, n, N, N), dtype=complex)
-    for k, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliError(f"{loc}[{k}]: expected {n} matrices")
-        for i, entry in enumerate(row):
-            out[k, i] = _parse_matrix(entry, N, f"{loc}[{k}][{i}]")
-    return out
+    return np.array([_parse_matrices(row, n, N, f"{loc}[{k}]") for k, row in enumerate(value)])
 
 
 def parse_projective_spec(obj) -> ProjectiveSpecFile:
@@ -242,12 +214,7 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
         raise CliError("top level: expected an object")
     N = _parse_positive_int(obj, "N")
     n = _parse_positive_int(obj, "n")
-    derivs = obj.get("derivations")
-    if not isinstance(derivs, list) or len(derivs) != n:
-        raise CliError(f"derivations: expected a list of {n} matrices")
-    derivations = [
-        _parse_matrix(m, N, f"derivations[{i}]") for i, m in enumerate(derivs)
-    ]
+    derivations = _parse_matrices(obj.get("derivations"), n, N, "derivations")
     f = None
     if "structure_constants" in obj:
         try:
@@ -268,18 +235,12 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
         h = _parse_grid(obj["h"], n, N, "h")
         h_inv = _parse_grid(obj["h_inv"], n, N, "h_inv")
     elif len(gen_keys) == 2:
-        X = [_parse_matrix(m, N, f"X[{i}]") for i, m in enumerate(_expect_list(obj["X"], n, "X"))]
-        Y = [_parse_matrix(m, N, f"Y[{i}]") for i, m in enumerate(_expect_list(obj["Y"], n, "Y"))]
+        X = _parse_matrices(obj["X"], n, N, "X")
+        Y = _parse_matrices(obj["Y"], n, N, "Y")
     else:
         raise CliError("exactly one of {p, h, h_inv} or {X, Y} must be present")
     tol = _parse_tolerance(obj.get("tolerance"), "tolerance")
     return ProjectiveSpecFile(N, n, derivations, f, p, h, h_inv, X, Y, tol)
-
-
-def _expect_list(value, n: int, loc: str) -> list:
-    if not isinstance(value, list) or len(value) != n:
-        raise CliError(f"{loc}: expected a list of {n} matrices")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +257,6 @@ def _effective_tol(file_tol: Optional[Tolerance], cli_rel: Optional[float]) -> T
     return tol
 
 
-def _tol_out(tol: Tolerance) -> dict:
-    return {"rel": _round12(tol.rel), "abs": _round12(tol.abs)}
-
-
 def _build_basis(spec: AlgebraSpecFile, tol: Tolerance) -> liealg.LieBasis:
     try:
         return liealg.LieBasis(spec.mats, tol)
@@ -309,68 +266,48 @@ def _build_basis(spec: AlgebraSpecFile, tol: Tolerance) -> liealg.LieBasis:
 
 def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
-    try:
-        f = liealg.structure_constants(basis, tol)
-    except liealg.ClosureViolation as exc:
-        raise CliError(f"basis is not closed under brackets at pair {exc.pair}: {exc}") from exc
+    f = liealg.structure_constants(basis, tol)
     B = liealg.killing_form(f)
     der = liealg.derived_subalgebra(f, tol)
-    try:
-        split = liealg.levi_split_compact(f, der, tol)
-    except liealg.SplitInconsistent as exc:
-        raise CliError(f"SplitInconsistent: {exc}") from exc
-    return {
+    split = liealg.levi_split_compact(f, der, tol)
+    return _jsonify({
         "command": "lie",
         "input": source,
-        "tolerance": _tol_out(tol),
+        "tolerance": asdict(tol),
         "n": basis.n,
         "N": basis.N,
         "names": list(spec.names),
-        "structure_constants": _jsonify(f.f),
-        "killing": _jsonify(B.B),
+        "structure_constants": f.f,
+        "killing": B.B,
         "semisimple": liealg.is_semisimple(B, tol),
         "solvable": liealg.is_solvable(f, der, tol),
         "center_dim": split.radical_dim,
         "derived_dim": split.ss_dim,
-        "levi_split": {
-            "radical": _jsonify(split.radical_basis),
-            "semisimple": _jsonify(split.ss_basis),
-        },
-    }
+        "levi_split": {"radical": split.radical_basis, "semisimple": split.ss_basis},
+    })
 
 
 def cmd_analyze(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
     pre = cncalc.MetricPreCalculus(basis, spec.metric_scale)
-    try:
-        report = cncalc.decide_existence(pre, tol)
-    except liealg.ClosureViolation as exc:
-        raise CliError(f"basis is not closed under brackets at pair {exc.pair}: {exc}") from exc
-    except cncalc.WitnessVerificationFailed as exc:
-        raise CliError(f"WitnessVerificationFailed: {exc}") from exc
-    except liealg.SplitInconsistent as exc:
-        raise CliError(f"SplitInconsistent: {exc}") from exc
+    report = cncalc.decide_existence(pre, tol)
     diagnostics = dict(report.diagnostics)
     residuals = diagnostics.pop("witness_residuals", None)
     out = {
         "command": "analyze",
         "input": source,
-        "tolerance": _tol_out(tol),
-        "metric_scale": _round12(spec.metric_scale),
+        "tolerance": asdict(tol),
+        "metric_scale": spec.metric_scale,
         "status": report.status,
         "reason": report.reason,
         "witness": None,
-        "diagnostics": _jsonify(diagnostics),
+        "diagnostics": diagnostics,
     }
     if report.witness is not None:
         anchor, conn = report.witness
-        out["witness"] = {
-            "v0": [_complex_out(complex(z)) for z in anchor.v0],
-            "mu": [_round12(m) for m in anchor.mu],
-            "lambdas": [_round12(l) for l in conn.lambdas],
-        }
-        out["residuals"] = _jsonify(residuals)
-    return out
+        out["witness"] = {"v0": anchor.v0, "mu": anchor.mu, "lambdas": conn.lambdas}
+        out["residuals"] = residuals
+    return _jsonify(out)
 
 
 def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dict:
@@ -400,22 +337,20 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
     out = {
         "command": "projective",
         "input": source,
-        "tolerance": _tol_out(tol),
+        "tolerance": asdict(tol),
         "n": data.n,
         "N": data.N,
-        "holds": bool(holds),
-        "max_residual": _round12(worst),
-        "worst_index": [int(i) + 1 for i in worst_idx],
-        "residuals": _jsonify(residuals),
-        "lambda_at_worst": _matrix_out(lam[worst_idx]),
+        "holds": holds,
+        "max_residual": worst,
+        "worst_index": [i + 1 for i in worst_idx],
+        "residuals": residuals,
+        "lambda_at_worst": lam[worst_idx],
     }
     if holds:
         coeffs = projcalc.lc_connection_coefficients(data, tol)
-        out["connection_coefficients"] = _jsonify(coeffs)
-        out["koszul_residual"] = _round12(
-            projcalc.koszul_verify_projective(data, coeffs, tol)
-        )
-    return out
+        out["connection_coefficients"] = coeffs
+        out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs, tol)
+    return _jsonify(out)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +492,13 @@ def main(argv=None) -> int:
             sys.stdout.write(rendered)
         return 0
     except CliError as exc:
-        print(f"realcalc: error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except liealg.ClosureViolation as exc:
+        message = f"basis is not closed under brackets at pair {exc.pair}: {exc}"
+    except (liealg.SplitInconsistent, cncalc.WitnessVerificationFailed) as exc:
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"realcalc: error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

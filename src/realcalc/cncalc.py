@@ -192,6 +192,12 @@ def metric_compat_residual(pre: MetricPreCalculus, conn: Connection) -> float:
     return _metric_compat_supremum(pre.metric_scale, pre.basis.mats, 1j * conn.lambdas)
 
 
+def _connection_on_v0(conn: Connection, basis: LieBasis, anchor: AnchorMap) -> np.ndarray:
+    """w[j] = nabla_j v0 = v0 X_j = i*lam_j v0 - v0 D_j, shape (n, N)."""
+    v0 = anchor.v0
+    return 1j * conn.lambdas[:, None] * v0[None, :] - v0 @ basis.mats
+
+
 def torsion(
     pre: MetricPreCalculus,
     conn: Connection,
@@ -200,28 +206,24 @@ def torsion(
 ) -> np.ndarray:
     """Torsion vectors T[i, j] = v0 (mu_j X_i - mu_i X_j - sum_k f^k_ij mu_k).
 
-    Result has shape (n, n, N) and is exactly antisymmetric in (i, j).
+    With w_i = v0 X_i and c_ij = sum_k f^k_ij mu_k this is
+    T[i, j] = mu_j w_i - mu_i w_j - c_ij v0. Result has shape (n, n, N)
+    and is exactly antisymmetric in (i, j). Cost: O(n^3 + n^2 N + n N^2)
+    time, O(n^2 N) memory.
     """
-    mats = pre.basis.mats
-    N = pre.basis.N
     mu = anchor.mu
-    eye = np.eye(N)
-    X = np.array([1j * lam * eye - D for lam, D in zip(conn.lambdas, mats)])
-    c = np.einsum("kij,k->ij", f.f, mu)
-    inner = (
-        np.einsum("j,iab->ijab", mu, X)
-        - np.einsum("i,jab->ijab", mu, X)
-        - np.einsum("ij,ab->ijab", c, eye)
+    w = _connection_on_v0(conn, pre.basis, anchor)
+    c = np.tensordot(mu, f.f, axes=1)
+    return (
+        mu[None, :, None] * w[:, None, :]
+        - mu[:, None, None] * w[None, :, :]
+        - c[:, :, None] * anchor.v0
     )
-    return np.einsum("a,ijab->ijb", anchor.v0, inner)
 
 
 def _rcc_residual(conn: Connection, basis: LieBasis, anchor: AnchorMap) -> float:
     """Largest entry of i*lam_j v0 - v0 D_j over j."""
-    defect = 1j * conn.lambdas[:, None] * anchor.v0[None, :] - np.einsum(
-        "a,jab->jb", anchor.v0, basis.mats
-    )
-    return float(max_norm(defect))
+    return float(max_norm(_connection_on_v0(conn, basis, anchor)))
 
 
 def _rcc_cut(basis: LieBasis, tol: Tolerance) -> float:
@@ -267,7 +269,7 @@ def koszul_residual(
     P = np.outer(v0.conj(), v0)
     dP = mats @ P - P @ mats
     # nabla_i e_j = mu_j w_i with w_i the connection applied to v0
-    w = 1j * conn.lambdas[:, None] * v0[None, :] - v0 @ mats
+    w = _connection_on_v0(conn, pre.basis, anchor)
     c = np.tensordot(mu, f.f, axes=1)
     mumu = np.outer(mu, mu)[:, :, None, None]
     # mu_i times this is the second plus the third term on the right
@@ -282,11 +284,6 @@ def koszul_residual(
         gap -= phi_terms[:, :, None, None] * P
         worst = max(worst, max_norm(gap))
     return abs(x) * worst
-
-
-def _torsion_pair_norms(T: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each torsion vector T[i, j]."""
-    return np.linalg.norm(T, axis=2)
 
 
 def _witness_scale(pre: MetricPreCalculus) -> float:
@@ -304,7 +301,8 @@ def _passes_all_checks(
 ) -> dict:
     """Residuals of the four Levi-Civita checks plus an overall verdict."""
     thr = 100.0 * tol.cut(_witness_scale(pre))
-    t_norm = float(np.max(_torsion_pair_norms(torsion(pre, conn, f, anchor))))
+    # the largest Euclidean norm of a torsion vector T[i, j]
+    t_norm = float(np.max(np.linalg.norm(torsion(pre, conn, f, anchor), axis=2)))
     rcc_res = _rcc_residual(conn, pre.basis, anchor)
     mc = metric_compat_residual(pre, conn)
     kz = koszul_residual(pre, conn, f, anchor)

@@ -19,6 +19,8 @@ formulas (p[k, i], h[i, j], h_inv[k, l]).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_matrix, as_row_vector, max_norm
@@ -107,6 +109,7 @@ def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
     yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), pmax * imax
 
 
+@dataclass(frozen=True)
 class ProjectiveCalculusData:
     """Validated projection/metric/derivation data for the criterion.
 
@@ -116,6 +119,12 @@ class ProjectiveCalculusData:
     and compatibility of the inverse with the projection. The checks are
     block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
     """
+
+    derivs: LieBasis
+    f: StructureConstants
+    p: np.ndarray
+    h: np.ndarray
+    h_inv: np.ndarray
 
     def __init__(self, derivs: LieBasis, f: StructureConstants, p, h, h_inv,
                  tol: Tolerance = DEFAULT_TOL):
@@ -130,11 +139,11 @@ class ProjectiveCalculusData:
             if res > tol.cut(scale):
                 raise InvariantViolation(identity, res)
 
-        self.derivs = derivs
-        self.f = f
-        self.p = _freeze(p)
-        self.h = _freeze(h)
-        self.h_inv = _freeze(h_inv)
+        object.__setattr__(self, "derivs", derivs)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "p", _freeze(p))
+        object.__setattr__(self, "h", _freeze(h))
+        object.__setattr__(self, "h_inv", _freeze(h_inv))
 
     @property
     def n(self) -> int:
@@ -145,8 +154,11 @@ class ProjectiveCalculusData:
         return self.derivs.N
 
 
+@dataclass(frozen=True)
 class LambdaTensor:
     """Christoffel-like coefficients Lam[k, i, j], each an N x N matrix."""
+
+    values: np.ndarray
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
@@ -154,7 +166,7 @@ class LambdaTensor:
             raise ValueError(f"expected shape (n, n, n, N, N), got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("tensor entries must be finite")
-        self.values = _freeze(values)
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def n(self) -> int:

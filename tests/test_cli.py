@@ -199,6 +199,34 @@ class TestErrorPaths:
         assert code == 1
         assert "basis[0].matrix" in err
 
+    @pytest.mark.parametrize(
+        "fixture, path, edit, message",
+        [
+            ("mat2_rank1.json", ["derivations"], "short", "derivations: expected a list of 3 matrices"),
+            ("mat2_rank1.json", ["X"], "short", "X: expected a list of 3 matrices"),
+            ("mat2_rank1.json", ["Y"], "short", "Y: expected a list of 3 matrices"),
+            ("free_trivial.json", ["p"], "short", "p: expected 3 rows of matrices"),
+            ("free_trivial.json", ["p", 0], "short", "p[0]: expected a list of 3 matrices"),
+            ("mat2_rank1.json", ["derivations", 2], "1x1", "derivations[2]: expected 2 rows"),
+            ("mat2_rank1.json", ["Y", 1], "1x1", "Y[1]: expected 2 rows"),
+            ("free_trivial.json", ["h_inv", 2, 1], "1x1", "h_inv[2][1]: expected 2 rows"),
+        ],
+    )
+    def test_matrix_list_errors_are_located(self, capsys, tmp_path, fixture, path, edit, message):
+        # a list one matrix short, or one entry replaced by a 1 x 1 matrix
+        spec = json.loads(fixture_path(fixture).read_text())
+        *outer, last = path
+        parent = spec
+        for key in outer:
+            parent = parent[key]
+        parent[last] = parent[last][:-1] if edit == "short" else [[0]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "projective", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"realcalc: error: {message}\n"
+
     def test_boolean_dimension_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -243,6 +271,20 @@ class TestErrorPaths:
             code, _, err = run(capsys, command, str(bad))
             assert code == 1
             assert "not closed" in err and "(0, 1)" in err
+
+    def test_projective_closure_violation_names_derivations(self, capsys, tmp_path):
+        spec = json.loads(fixture_path("mat2_rank1.json").read_text())
+        spec["n"] = 2
+        spec["derivations"] = [
+            [[[0, 0], [0, 1]], [[0, 1], [0, 0]]],
+            [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]],
+        ]
+        spec["X"], spec["Y"] = spec["X"][:2], spec["Y"][:2]
+        bad = tmp_path / "open_span.json"
+        bad.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "projective", str(bad))
+        assert code == 1
+        assert err == "realcalc: error: derivations are not closed under brackets at pair (0, 1)\n"
 
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -237,6 +237,43 @@ class TestTorsion:
                     )
                     assert max_norm(T[i, j] - direct) < 1e-13
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_closed_form_matches_einsum(self, k):
+        # generic su(k) plus its center in su(k + 1), on the witness and
+        # on random anchors; the witness torsion is round-off, so the
+        # bound there is absolute
+        rng = np.random.default_rng(100 + k)
+        basis = LieBasis(generic_presentation(rng, block_with_center(k + 1, k)))
+        f = structure_constants(basis)
+        pre = MetricPreCalculus(basis, 1.3)
+        report = decide_existence(pre)
+        assert report.status == EXISTS
+        cases = [report.witness]
+        for _ in range(3):
+            v = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
+            anchor = AnchorMap(v / np.linalg.norm(v), rng.standard_normal(basis.n))
+            cases.append((anchor, Connection(rng.standard_normal(basis.n))))
+        for anchor, conn in cases:
+            T = torsion(pre, conn, f, anchor)
+            literal = _torsion_einsum(pre, conn, f, anchor)
+            assert T.shape == literal.shape == (basis.n, basis.n, k + 1)
+            assert max_norm(T - literal) <= 1e-12 * max(1.0, max_norm(literal))
+
+
+def _torsion_einsum(pre, conn, f, anchor):
+    """T[i, j] = v0 (mu_j X_i - mu_i X_j - c_ij 1) through the (n, n, N, N) tensor."""
+    mats = pre.basis.mats
+    mu = anchor.mu
+    eye = np.eye(pre.basis.N)
+    X = np.array([1j * lam * eye - D for lam, D in zip(conn.lambdas, mats)])
+    c = np.einsum("kij,k->ij", f.f, mu)
+    inner = (
+        np.einsum("j,iab->ijab", mu, X)
+        - np.einsum("i,jab->ijab", mu, X)
+        - np.einsum("ij,ab->ijab", c, eye)
+    )
+    return np.einsum("a,ijab->ijb", anchor.v0, inner)
+
 
 class TestRccCheck:
     def test_gc_witness(self, gc_witness):

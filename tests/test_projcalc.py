@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,23 @@ class TestDataValidation:
             ProjectiveCalculusData(
                 su2_basis, su2_f, eye_grid(3, 2), eye_grid(3, 2), h_inv
             )
+
+    def test_fields_cannot_be_reassigned(self, corner_anchor_data, su2_basis, su2_f):
+        # validated data stays validated: no field can be swapped afterwards
+        data = corner_anchor_data
+        lam = lambda_tensor(data)
+        for name, value in [
+            ("p", eye_grid(3, 2)),
+            ("h", eye_grid(3, 2)),
+            ("h_inv", eye_grid(3, 2)),
+            ("derivs", su2_basis),
+            ("f", su2_f),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(data, name, value)
+        with pytest.raises(FrozenInstanceError):
+            lam.values = np.zeros_like(lam.values)
+        assert not data.p.flags.writeable and not lam.values.flags.writeable
 
 
 class TestLambdaTensor:

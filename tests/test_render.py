@@ -1,8 +1,10 @@
-"""The JSON renderer against the per-level reference it replaced.
+"""The JSON renderer and number formatter against the references they replaced.
 
 ``_dump_json_literal`` encodes every list subtree at every depth and
 keeps the result when it fits; ``render_json`` encodes each value once.
-Both must print the same bytes for any tree.
+Both must print the same bytes for any tree. ``_round12`` and
+``_complex_out`` are the per-scalar conversions the commands applied
+before ``_jsonify`` became the only formatter.
 """
 
 import json
@@ -136,3 +138,58 @@ def test_array_rounding_matches_scalar_path(dtype):
     for arr in (values.reshape(4, 5, 4, 5), values[:3], values[0], values[:0]):
         arr = np.asarray(arr, dtype=dtype)
         assert json.dumps(cli._jsonify(arr)) == json.dumps(cli._jsonify(arr.tolist()))
+
+
+def _round12(x: float) -> float:
+    r = float(f"{float(x):.12g}")
+    return 0.0 if r == 0.0 else r
+
+
+def _complex_out(z: complex) -> list[float]:
+    return [_round12(z.real), _round12(z.imag)]
+
+
+def _jsonify_cases():
+    rng = np.random.default_rng(12)
+    floats = rng.standard_normal(6) * 10.0 ** rng.integers(-20, 20, 6)
+    floats[2] = -0.0
+    cplx = np.empty(5, dtype=complex)
+    cplx.real, cplx.imag = floats[:5], np.concatenate([[-0.0], floats[:4]])
+    yield "python float", 1.0 / 3.0, _round12(1.0 / 3.0)
+    yield "minus zero", -0.0, 0.0
+    yield "tiny", -1e-300, _round12(-1e-300)
+    yield "numpy float64", np.float64(2.0 / 3.0), _round12(2.0 / 3.0)
+    yield "numpy float32", np.float32(0.1), _round12(np.float32(0.1))
+    yield "0-d float array", np.array(-0.0), 0.0
+    yield "0-d complex array", np.array(1.0 / 7.0 - 0.0j), _complex_out(1.0 / 7.0)
+    yield "python complex", complex(-0.0, 1.0 / 3.0), [0.0, _round12(1.0 / 3.0)]
+    yield "numpy complex", np.complex128(cplx[1]), _complex_out(cplx[1])
+    yield "float array", floats.reshape(2, 3), [[_round12(v) for v in row] for row in floats.reshape(2, 3)]
+    yield "complex array", cplx, [_complex_out(z) for z in cplx]
+    yield "complex matrix", cplx[:4].reshape(2, 2), [[_complex_out(z) for z in row] for row in cplx[:4].reshape(2, 2)]
+    yield "int", 7, 7
+    yield "numpy int", np.intp(-3), -3
+    yield "int array", np.arange(4).reshape(2, 2), [[0, 1], [2, 3]]
+    yield "bool", True, True
+    yield "numpy bool", np.bool_(False), False
+    yield "bool array", np.array([True, False]), [True, False]
+    yield "None", None, None
+    yield "string", "Exists", "Exists"
+    yield "tuple", (np.int64(1), 2.5, -0.0), [1, 2.5, 0.0]
+    yield "nested", {"a": [np.float64(-0.0), {"b": (cplx[0],)}]}, {"a": [0.0, {"b": [_complex_out(cplx[0])]}]}
+
+
+def _plain(value) -> bool:
+    """Whether only built-in JSON types occur (np.float64 passes json.dumps)."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return type(value) in (float, int, bool, str, type(None))
+
+
+@pytest.mark.parametrize("label, value, expected", list(_jsonify_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_jsonify_matches_scalar_reference(label, value, expected):
+    out = cli._jsonify(value)
+    assert json.dumps(out) == json.dumps(expected)
+    assert _plain(out)
