@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -193,6 +195,8 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
     metric_scale = _parse_number(obj.get("metric_scale", 1.0), "metric_scale")
     if metric_scale == 0.0:
         raise CliError("metric_scale: must be nonzero")
+    if not math.isfinite(metric_scale):
+        raise CliError(f"metric_scale: must be finite, got {metric_scale}")
     tol = _parse_tolerance(obj.get("tolerance"), "tolerance")
     return AlgebraSpecFile(N, names, mats, metric_scale, tol)
 
@@ -367,8 +371,12 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
     ``pretty`` is the value as printed at this depth. ``flat`` is its
     one-line JSON when that may be inlined, i.e. it has at most
     _INLINE_WIDTH characters and no "{"; otherwise None, and then no
-    list holding the value can be inlined either. Each value is encoded
-    once, so rendering is linear in the size of the report.
+    list holding the value can be inlined either.
+
+    Cost: a list that is not a rectangular float array is scanned for
+    rectangularity once at each depth it sits below, O(report size ×
+    array depth) in all; every value is encoded once, and the rest is
+    linear in the report's bytes.
     """
     if isinstance(value, dict):
         if not value:
@@ -384,6 +392,10 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
             flat = _ENCODE(value)
             if len(flat) <= _INLINE_WIDTH and "{" not in flat:
                 return flat, flat
+        else:
+            pretty = _render_float_array(value, indent)
+            if pretty is not None:
+                return (pretty if len(pretty) <= _INLINE_WIDTH else None), pretty
         parts = [_render(v, indent + 1) for v in value]
         flats = [flat for flat, _ in parts]
         # two brackets, and ", " between items
@@ -395,6 +407,54 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
         return None, "[\n" + inner + "\n" + "  " * indent + "]"
     text = _ENCODE(value)
     return (text if len(text) <= _INLINE_WIDTH and "{" not in text else None), text
+
+
+def _render_float_array(value: list, indent: int) -> Optional[str]:
+    """Pretty text of a rectangular nested list of finite floats,
+    exactly as _render's generic path prints it; None for any other
+    list. _render calls it only on lists that hold a list, so on arrays
+    of depth 2 or more, such as coefficient grids.
+
+    The floats are encoded once each, with float.__repr__ as the JSON
+    encoder does, and grouped one axis at a time from the innermost
+    rows up, streaming, so that no level is held in full.
+    """
+    level, axes = [value], []  # every list at the current depth, in order
+    while True:
+        k = len(level[0])
+        if k == 0 or set(map(type, level)) != {list} or set(map(len, level)) != {k}:
+            return None
+        axes.append(k)
+        if type(level[0][0]) is not list:
+            break
+        level = list(chain.from_iterable(level))
+    texts = map(float.__repr__, chain.from_iterable(level))
+    depth = indent + len(axes)
+    for k in reversed(axes):
+        depth -= 1
+        texts = _group_texts(texts, k, depth)
+    try:
+        (text,) = texts
+    except TypeError:  # float.__repr__ met a leaf that is not a float
+        return None
+    # NaN and ±inf print as "nan" and "inf": leave them to the encoder, which raises
+    return None if "n" in text else text
+
+
+def _group_texts(texts, k: int, indent: int):
+    """Yield the text of each run of k consecutive items at the given depth.
+
+    A run prints inline when its one-line form fits _INLINE_WIDTH. For
+    float arrays that length test is the whole of _render's rule: no
+    float text holds "{", and an item printed over several lines is
+    longer than its own one-line form, which was already too wide.
+    """
+    pad, close = "\n" + "  " * (indent + 1), "\n" + "  " * indent + "]"
+    for group in zip(*[iter(texts)] * k):
+        if sum(map(len, group)) + 2 * k <= _INLINE_WIDTH:
+            yield "[" + ", ".join(group) + "]"
+        else:
+            yield "[" + pad + ("," + pad).join(group) + close
 
 
 def render_json(report: dict) -> str:
@@ -487,7 +547,10 @@ def main(argv=None) -> int:
             report = cmd_projective(spec, _effective_tol(spec.tolerance, args.tol), args.file)
         rendered = render_json(report) if args.format == "json" else render_text(report)
         if args.output:
-            Path(args.output).write_text(rendered, encoding="utf-8")
+            try:
+                Path(args.output).write_text(rendered, encoding="utf-8")
+            except OSError as exc:
+                raise CliError(f"{args.output}: {exc}") from exc
         else:
             sys.stdout.write(rendered)
         return 0

@@ -76,7 +76,7 @@ class MetricPreCalculus:
         object.__setattr__(self, "metric_scale", x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorMap:
     """Collinear anchor data: phi(D_j) = mu_j * v0 with unit v0, real mu."""
 
@@ -98,7 +98,7 @@ class AnchorMap:
         object.__setattr__(self, "mu", _freeze(mu))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     """Metric connection nabla_j v = i*lam_j v - v D_j (lambdas real)."""
 

@@ -70,7 +70,7 @@ class SplitInconsistent(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBasis:
     """Ordered basis D_1, ..., D_n of a real Lie algebra in su(N).
 
@@ -109,7 +109,7 @@ class LieBasis:
         return self.mats.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k.
 
@@ -144,7 +144,7 @@ class StructureConstants:
         return self.f.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KillingForm:
     """Symmetric matrix B[i, j] = tr(ad_i ad_j) in the chosen basis."""
 
@@ -163,7 +163,7 @@ class KillingForm:
         return self.B.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeviSplit:
     """Coefficient bases of the center and of the derived subalgebra.
 

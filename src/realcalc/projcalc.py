@@ -109,7 +109,7 @@ def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
     yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), pmax * imax
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveCalculusData:
     """Validated projection/metric/derivation data for the criterion.
 
@@ -154,7 +154,7 @@ class ProjectiveCalculusData:
         return self.derivs.N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaTensor:
     """Christoffel-like coefficients Lam[k, i, j], each an N x N matrix."""
 

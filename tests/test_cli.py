@@ -304,6 +304,24 @@ class TestErrorPaths:
         assert code == 1
         assert "metric_scale" in err
 
+    @pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_non_finite_metric_scale_rejected(self, capsys, tmp_path, literal, shown):
+        # json.load accepts these literals, so the parser has to refuse them
+        spec = json.loads(fixture_path("su2.json").read_text())
+        spec["metric_scale"] = "X"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"X"', literal))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: metric_scale: must be finite, got {shown}\n"
+
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, "analyze", "su2.json", "--output", str(target))
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1
+            assert err.startswith(f"realcalc: error: {target}: [Errno ")
+
     def test_split_inconsistent_is_one_error_line(self, capsys, tmp_path):
         # at 1e-8 the first element's brackets fall under the absolute
         # floor, so the center and the derived algebra no longer add up

@@ -1,10 +1,18 @@
+import copy
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from realcalc import cncalc, projcalc
-from realcalc.liealg import LieBasis, StructureConstants, structure_constants
+from realcalc.liealg import (
+    LieBasis,
+    StructureConstants,
+    derived_subalgebra,
+    killing_form,
+    levi_split_compact,
+    structure_constants,
+)
 from realcalc.matlin import DEFAULT_TOL, max_norm
 from realcalc.projcalc import (
     ConditionFails,
@@ -80,6 +88,27 @@ class TestDataValidation:
         with pytest.raises(FrozenInstanceError):
             lam.values = np.zeros_like(lam.values)
         assert not data.p.flags.writeable and not lam.values.flags.writeable
+
+    def test_value_types_compare_by_identity(self, corner_anchor_data, su2_basis, su2_f):
+        # generated == and hash would reach the array fields and raise
+        der = derived_subalgebra(su2_f)
+        values = [
+            su2_basis,
+            su2_f,
+            killing_form(su2_f),
+            levi_split_compact(su2_f, der),
+            cncalc.AnchorMap([1.0, 0.0], [1.0, 0.0, 0.0]),
+            cncalc.Connection([0.5, 0.0, -0.5]),
+            corner_anchor_data,
+            lambda_tensor(corner_anchor_data),
+        ]
+        for value in values:
+            twin = copy.copy(value)
+            assert value == value and not value != value
+            assert value != twin and not value == twin
+            assert hash(value) == hash(value)
+            assert len({value, twin}) == 2
+        assert LieBasis(su2_mats()) != LieBasis(su2_mats())
 
 
 class TestLambdaTensor:

@@ -193,3 +193,104 @@ def test_jsonify_matches_scalar_reference(label, value, expected):
     out = cli._jsonify(value)
     assert json.dumps(out) == json.dumps(expected)
     assert _plain(out)
+
+
+# Rectangular float arrays: render_json groups the floats' texts one axis
+# at a time instead of rendering each subtree. The properties below build
+# the arrays from a shape and a pool of values whose repr runs from 3 to 24
+# characters, so that rows and blocks fall on both sides of the inline width.
+
+array_values = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 1e-300, -1e-300, 0.1, -2.2250738585072014e-308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+shapes = st.lists(st.integers(1, 6), min_size=2, max_size=5)
+others = st.sampled_from([0, 7, True, False, None, "x", "{", np.float64(0.5)])
+
+
+def _nest(leaves: list, shape: list[int]) -> list:
+    for k in reversed(shape[1:]):
+        leaves = [leaves[i:i + k] for i in range(0, len(leaves), k)]
+    return leaves
+
+
+def _rows(array: list) -> list[list]:
+    """The innermost lists of a nested list, as the same objects."""
+    if array and isinstance(array[0], list):
+        return [row for item in array for row in _rows(item)]
+    return [array]
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(shapes)
+    pool = draw(st.lists(array_values, min_size=1, max_size=12))
+    size = int(np.prod(shape))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size)
+                 | st.randoms(use_true_random=False).map(
+                     lambda r: [r.randrange(len(pool)) for _ in range(size)]))
+    return shape, [pool[i] for i in picks]
+
+
+def _placed(array, depth: int):
+    """The array as the value at the given indent: inside depth nested dicts."""
+    tree = array
+    for level in range(depth):
+        tree = {f"k{level}": tree, "n": level} if level % 2 else {f"k{level}": tree}
+    return tree
+
+
+@given(float_arrays(), st.integers(0, 3))
+def test_float_arrays_match_literal(array, depth):
+    shape, leaves = array
+    nested = _nest(leaves, shape)
+    assert cli._render_float_array(nested, depth) is not None
+    assert_same(_placed(nested, depth))
+
+
+@given(float_arrays(), st.integers(0, 3), others, st.integers(min_value=0))
+def test_float_arrays_with_a_foreign_leaf(array, depth, other, where):
+    shape, leaves = array
+    leaves[where % len(leaves)] = other
+    nested = _nest(leaves, shape)
+    if not isinstance(other, float):
+        assert cli._render_float_array(nested, depth) is None
+    assert_same(_placed(nested, depth))
+
+
+@given(float_arrays(), st.integers(0, 3), st.booleans(), st.integers(min_value=0))
+def test_ragged_float_arrays(array, depth, grow, where):
+    shape, leaves = array
+    nested = _nest(leaves, shape)
+    rows = _rows(nested)
+    row = rows[where % len(rows)]
+    if grow:
+        row.append(leaves[0])
+    else:
+        row.pop()
+    if len(rows) > 1:  # a single row stays rectangular
+        assert cli._render_float_array(nested, depth) is None
+    assert_same(_placed(nested, depth))
+
+
+@pytest.mark.parametrize("tree", [
+    [[], []],
+    [[[]], [[]]],
+    [[1.0], []],
+    [[], [1.0]],
+    [[[1.0, 2.0]], []],
+    {"a": [[], []], "b": [[[], []], [[], []]]},
+])
+def test_float_arrays_with_empty_lists(tree):
+    assert_same(tree)
+
+
+@given(float_arrays(), st.integers(0, 3), st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+       st.integers(min_value=0))
+def test_non_finite_leaf_raises(array, depth, bad, where):
+    shape, leaves = array
+    leaves[where % len(leaves)] = bad
+    tree = _placed(_nest(leaves, shape), depth)
+    with pytest.raises(ValueError):
+        _dump_json_literal(tree, 0)
+    with pytest.raises(ValueError):
+        cli.render_json(tree)
