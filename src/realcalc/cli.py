@@ -51,8 +51,18 @@ def _jsonify(value):
     """Convert a report value, recursively, to plain JSON types in the
     report number format (see the module docstring).
 
-    Floats and complex numbers, scalar or array, are rounded in one pass
-    over their entries; ints and bools become Python ints and bools.
+    Floats and complex numbers, scalar or array, are rounded to
+    ``float(f"{x:.12g}") + 0.0`` per entry (a complex one as its
+    ``[re, im]`` pair); ints and bools become Python ints and bools.
+    A float array of _ROUND12_MIN_SIZE entries or more is rounded by
+    ``_round12``'s numpy kernel, which gives the same bits: it scales
+    each entry by an exact power of ten to a 12-digit integer, rounds
+    that, and scales back in one correctly rounded operation. Zeros
+    stay on that path; non-finite entries, |x| below about 1e-11 or
+    from about 1e34 up, near-ties and exponent misses of log10 keep the
+    per-entry expression, as do scalars and smaller arrays. Cost: O(m)
+    numpy work for an array of m entries, plus per-entry Python work on
+    the entries that fall back only.
     """
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -68,12 +78,62 @@ def _jsonify(value):
             value = np.stack([value.real, value.imag], axis=-1)
         if value.dtype.kind != "f":
             return _jsonify(value.tolist())
-        # adding 0.0 turns -0.0 into 0.0
-        rounded = np.fromiter(
-            (float(f"{x:.12g}") for x in value.ravel().tolist()), float, count=value.size
-        )
-        return (rounded.reshape(value.shape) + 0.0).tolist()
+        return _round12(value).tolist()
     return value
+
+
+_POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is an exact double
+_ROUND12_MIN_SIZE = 32  # below this the numpy pass costs more than the entries
+
+
+def _round12(x: np.ndarray) -> np.ndarray:
+    """``float(f"{v:.12g}") + 0.0`` for every entry v of a float array,
+    bit for bit, as a float64 array of the same shape.
+
+    With k = 11 - floor(log10|v|) and |k| <= 22, the powers 10^|k| are
+    exact, so the scaled value ``prod = v * 10^k`` (a product or a
+    quotient) is within half an ulp of the true product, below 2^-14
+    since |prod| < 1e12. Where 1e11 <= |prod| <= 1e12 - 1 and the
+    fraction of |prod| is more than 1e-3 from one half, ``rint(prod)``
+    is therefore the 12-digit integer that ``.12g`` prints, and
+    ``rint(prod) / 10^k`` is one correctly rounded operation on exact
+    operands: the double nearest to the printed decimal, which is what
+    ``float`` returns for it. Zeros give 0.0 on the same path.
+
+    Every other entry keeps the per-entry expression: non-finite
+    values, |k| > 22 (roughly 0 < |v| < 1e-11 or |v| >= 1e34), a wrong
+    exponent from log10 next to a power of ten (|prod| outside the
+    range) and near-ties. So do arrays of fewer than
+    _ROUND12_MIN_SIZE entries, where the fixed cost of the numpy pass
+    is larger.
+
+    Cost: O(m) numpy work on m entries, plus about a microsecond of
+    Python per entry that falls back.
+    """
+    if x.size < _ROUND12_MIN_SIZE:
+        return _round12_entries(x)
+    x = x.astype(float, copy=False)
+    with np.errstate(all="ignore"):
+        k = 11 - np.floor(np.log10(np.abs(x)))
+        fast = np.abs(k) <= 22
+        k = np.where(fast, k, 0).astype(np.intp)
+        # one of the two is 1, so each line below is one rounded operation
+        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
+        prod = x * up / down
+        mag = np.abs(prod)
+        fast &= (mag >= 1e11) & (mag <= 1e12 - 1) & (np.abs(mag - np.floor(mag) - 0.5) > 1e-3)
+        fast |= x == 0
+        out = np.rint(prod) * down / up + 0.0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out.flat[slow] = _round12_entries(x.flat[slow])
+    return out
+
+
+def _round12_entries(x: np.ndarray) -> np.ndarray:
+    """``_round12`` one entry at a time; adding 0.0 turns -0.0 into 0.0."""
+    rounded = np.fromiter((float(f"{v:.12g}") for v in x.ravel().tolist()), float, count=x.size)
+    return rounded.reshape(x.shape) + 0.0
 
 
 def _parse_number(value, loc: str) -> float:
@@ -94,7 +154,33 @@ def _parse_complex(value, loc: str) -> complex:
     raise CliError(f"{loc}: expected a complex scalar [re, im]")
 
 
+_REAL = {int, float}  # bool is a subclass of int, but its type is not int
+
+
 def _parse_matrix(value, N: int, loc: str) -> np.ndarray:
+    """The N x N complex matrix written as a list of N rows of N entries,
+    every entry a complex scalar (see the module docstring).
+
+    A matrix whose entries are all ``[re, im]`` pairs, or all bare
+    numbers, with no leaf other than an int or a float, is checked by
+    C-level scans and read in one ``np.array`` call. Anything else,
+    including a matrix that mixes the two entry forms, goes through
+    ``_parse_matrix_entries``, which also locates every error.
+    """
+    if type(value) is list and len(value) == N and set(map(type, value)) == {list} \
+            and set(map(len, value)) == {N}:
+        entries = list(chain.from_iterable(value))
+        kinds = set(map(type, entries))
+        if kinds == {list}:
+            if set(map(len, entries)) == {2} and set(map(type, chain.from_iterable(entries))) <= _REAL:
+                # each [re, im] pair is one complex128 in memory
+                return np.array(value, dtype=float).view(complex).reshape(N, N)
+        elif kinds <= _REAL:
+            return np.array(value, dtype=complex)
+    return _parse_matrix_entries(value, N, loc)
+
+
+def _parse_matrix_entries(value, N: int, loc: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != N:
         raise CliError(f"{loc}: expected {N} rows")
     out = np.empty((N, N), dtype=complex)

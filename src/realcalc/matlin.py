@@ -9,6 +9,7 @@ is a stack of orthonormal rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
+        # NaN fails every comparison and an infinite threshold makes every
+        # rank zero, so both would surface later as a verdict on the input
+        for name, value in (("rel", self.rel), ("abs", self.abs)):
+            if not math.isfinite(value):
+                raise ValueError(f"Tolerance.{name} must be finite, got {value}")
         if not self.rel > 0:
             raise ValueError("Tolerance.rel must be positive")
         if self.abs < 0:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from realcalc import liealg
+from realcalc import cli, liealg
 from realcalc.cli import (
     main,
     parse_algebra_spec,
@@ -11,6 +11,8 @@ from realcalc.cli import (
     render_json,
 )
 from realcalc.fixtures import fixture_names, fixture_path
+
+from support import generic_presentation, su_basis, trivial_data
 
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 PROJECTIVE_FIXTURES = {"mat2_rank1.json", "free_trivial.json", "abelian_free.json"}
@@ -336,3 +338,117 @@ class TestErrorPaths:
             assert out == ""
             assert err.count("\n") == 1
             assert err.startswith("realcalc: error: SplitInconsistent")
+
+    @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-inf", "-inf")])
+    def test_non_finite_tol_flag_rejected(self, capsys, value, shown):
+        code, out, err = run(capsys, "analyze", "gc_su4.json", f"--tol={value}")
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: --tol: Tolerance.rel must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("key, literal, shown", [("abs", "NaN", "nan"), ("rel", "Infinity", "inf"),
+                                                     ("abs", "Infinity", "inf")])
+    def test_non_finite_file_tolerance_rejected(self, capsys, tmp_path, key, literal, shown):
+        spec = json.loads(fixture_path("gc_su4.json").read_text())
+        spec["tolerance"] = {"rel": 1e-9, "abs": 1e-12, key: "X"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"X"', literal))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: tolerance: Tolerance.{key} must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize(
+        "fixture, path, value, message",
+        [
+            ("su2.json", ["basis", 0, "matrix", 0, 1], True, "basis[0].matrix[0][1]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 1, "matrix", 1, 0], [0, False], "basis[1].matrix[1][0]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 0, "matrix", 1, 1], [0, 1, 0], "basis[0].matrix[1][1]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 2, "matrix", 0, 0], "0", "basis[2].matrix[0][0]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 0, "matrix", 1], [[0, 1]], "basis[0].matrix[1]: expected 2 entries"),
+            ("su2.json", ["basis", 0, "matrix", 0], 0, "basis[0].matrix[0]: expected 2 entries"),
+            ("free_trivial.json", ["h", 1, 2, 0, 1], True, "h[1][2][0][1]: expected a complex scalar [re, im]"),
+            ("mat2_rank1.json", ["X", 1, 0], {"re": 0}, "X[1][0]: expected 2 entries"),
+        ],
+    )
+    def test_malformed_entries_are_located(self, capsys, tmp_path, fixture, path, value, message):
+        spec = json.loads(fixture_path(fixture).read_text())
+        *outer, last = path
+        parent = spec
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        command = "analyze" if fixture == "su2.json" else "projective"
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: {message}\n"
+
+
+def _matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_matrix", cli._parse_matrix_entries)
+        return parse(raw)
+
+
+def _spec_arrays(spec) -> list[np.ndarray]:
+    arrays = []
+    for value in vars(spec).values():
+        if isinstance(value, list) and value and isinstance(value[0], np.ndarray):
+            arrays += value
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+def assert_same_arrays(fast, slow):
+    assert len(fast) == len(slow) > 0
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _pairs(matrix: np.ndarray) -> list:
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+class TestMatrixParsing:
+    """Well-formed matrices are read in one array call; the result must
+    equal, bit for bit, the entry-by-entry parse that locates errors."""
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRA_FIXTURES | PROJECTIVE_FIXTURES))
+    def test_fixtures_parse_as_entry_by_entry(self, monkeypatch, name):
+        raw = json.loads(fixture_path(name).read_text())
+        parse = parse_algebra_spec if name in ALGEBRA_FIXTURES else parse_projective_spec
+        fast = _spec_arrays(parse(raw))
+        slow = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
+        assert_same_arrays(fast, slow)
+
+    def test_random_trivial_su3_parses_as_entry_by_entry(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        data = trivial_data(rng, liealg.LieBasis(generic_presentation(rng, su_basis(3))))
+        raw = {
+            "N": data.N,
+            "n": data.n,
+            "derivations": [_pairs(m) for m in data.derivs.mats],
+            **{key: [[_pairs(m) for m in row] for row in grid]
+               for key, grid in (("p", data.p), ("h", data.h), ("h_inv", data.h_inv))},
+        }
+        raw = json.loads(json.dumps(raw))
+        fast = _spec_arrays(parse_projective_spec(raw))
+        slow = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse_projective_spec, raw))
+        assert_same_arrays(fast, slow)
+        assert np.array_equal(fast[-1], data.h_inv)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0, 1], [-1, 0.5]],
+            [[[0, 1], 2], [-0.0, [1e300, -1e-300]]],
+            [[[0, -0.0], [1, 2]], [[-0.0, 0], [2**70, -(2**63)]]],
+            [[float("nan"), float("inf")], [-0.0, 5e-324]],
+        ],
+        ids=["bare", "mixed", "pairs", "non-finite"],
+    )
+    def test_entry_forms_parse_as_entry_by_entry(self, matrix):
+        fast = cli._parse_matrix(matrix, 2, "m")
+        assert_same_arrays([fast], [cli._parse_matrix_entries(matrix, 2, "m")])

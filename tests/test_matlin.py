@@ -39,7 +39,10 @@ class TestTolerance:
     def test_cut(self):
         assert Tolerance(1e-6, 1e-9).cut(2.0) == pytest.approx(2e-6 + 1e-9)
 
-    @pytest.mark.parametrize("rel,absolute", [(0.0, 0.0), (-1e-9, 0.0), (1e-9, -1.0)])
+    @pytest.mark.parametrize("rel,absolute", [
+        (0.0, 0.0), (-1e-9, 0.0), (1e-9, -1.0),
+        (float("inf"), 0.0), (float("nan"), 0.0), (1e-9, float("nan")), (1e-9, float("inf")),
+    ])
     def test_rejects_bad_thresholds(self, rel, absolute):
         with pytest.raises(ValueError):
             Tolerance(rel, absolute)

@@ -195,6 +195,82 @@ def test_jsonify_matches_scalar_reference(label, value, expected):
     assert _plain(out)
 
 
+# _round12 rounds float arrays in one numpy pass and sends the entries its
+# exactness argument does not cover back to the per-entry expression. The
+# tests compare the bits of every result, so that -0.0 and NaN count.
+
+
+def _round12_reference(x) -> np.ndarray:
+    x = np.asarray(x)
+    return np.array([float(f"{v:.12g}") + 0.0 for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+finite_or_not = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-308, -1e-308, 5e-324]
+)
+
+
+@given(st.lists(finite_or_not, min_size=cli._ROUND12_MIN_SIZE, max_size=200))
+def test_round12_matches_entries_on_random_floats(values):
+    x = np.array(values)
+    assert_same_bits(cli._round12(x), _round12_reference(x))
+
+
+def _round12_edge_values() -> np.ndarray:
+    values = []
+    for j in range(-13, 24):
+        # exact ties (m + 0.5) and their scaled near-ties, and the
+        # largest and smallest 12-digit integers scaled by 10^j
+        for m in (1.0, 12345678901.0, 99999999999.0, 100000000000.0, 123456789012.0, 999999999999.0):
+            values += [(m + 0.5) / 10.0 ** j, (m + 0.5) * 10.0 ** j, m / 10.0 ** j, m * 10.0 ** j]
+    for j in range(-40, 40):
+        p = 10.0 ** j
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    values += [1e12, 1e12 - 1, 1e12 - 0.5, 1e12 + 0.5, 1e11, 1e11 - 0.5, 1e11 + 0.5, 1e11 - 1]
+    values += [1e-11, 9.99999999999e-12, 1.00000000001e-11, 3e-12, 1e-300, 5e-324, 0.0]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_round12_matches_entries_on_edges():
+    x = _round12_edge_values()
+    assert_same_bits(cli._round12(x), _round12_reference(x))
+
+
+def test_round12_falls_back_rarely(monkeypatch):
+    # on ordinary data the fallback must be the exception, or the kernel
+    # tests above would pass on the per-entry path alone
+    fallbacks = []
+    entries = cli._round12_entries
+    monkeypatch.setattr(cli, "_round12_entries", lambda x: fallbacks.append(x.size) or entries(x))
+    x = np.random.default_rng(4).standard_normal(10_000) * 10.0 ** np.arange(-10, 10).repeat(500)
+    assert_same_bits(cli._round12(x), _round12_reference(x))
+    assert sum(fallbacks) < 0.01 * x.size
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (), (1,), (40,), (2, 3, 2, 3, 2, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+def test_jsonify_arrays_match_entries(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    size = int(np.prod(shape))
+    values = rng.standard_normal(2 * size) * 10.0 ** rng.integers(-14, 14, 2 * size)
+    values[::5] = -0.0
+    x = values[:size].reshape(shape).astype(dtype)
+    if x.dtype.kind == "c":
+        x.imag = values[size:].reshape(shape)
+        want = _round12_reference(np.stack([x.real, x.imag], axis=-1))
+    else:
+        want = _round12_reference(x)
+    out = cli._jsonify(x)
+    assert _plain(out)
+    assert_same_bits(np.array(out, dtype=float).reshape(want.shape), want)
+
+
 # Rectangular float arrays: render_json groups the floats' texts one axis
 # at a time instead of rendering each subtree. The properties below build
 # the arrays from a shape and a pool of values whose repr runs from 3 to 24
@@ -294,3 +370,27 @@ def test_non_finite_leaf_raises(array, depth, bad, where):
         _dump_json_literal(tree, 0)
     with pytest.raises(ValueError):
         cli.render_json(tree)
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    # under the project's warnings-as-errors setting, a failing property
+    # must end in its falsifying example, not in an INTERNALERROR
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
