@@ -22,10 +22,12 @@ with 12 significant digits, -0.0 as 0.0, and a complex value as
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -63,6 +65,10 @@ def _jsonify(value):
     per-entry expression, as do scalars and smaller arrays. Cost: O(m)
     numpy work for an array of m entries, plus per-entry Python work on
     the entries that fall back only.
+
+    The cyclic garbage collector is paused while a float array becomes
+    nested lists: the lists it builds hold only floats, so they form no
+    cycles, but their number alone would set off repeated collections.
     """
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -78,7 +84,14 @@ def _jsonify(value):
             value = np.stack([value.real, value.imag], axis=-1)
         if value.dtype.kind != "f":
             return _jsonify(value.tolist())
-        return _round12(value).tolist()
+        value = _round12(value)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return value.tolist()
+        finally:
+            if enabled:
+                gc.enable()
     return value
 
 
@@ -136,21 +149,32 @@ def _round12_entries(x: np.ndarray) -> np.ndarray:
     return rounded.reshape(x.shape) + 0.0
 
 
+def _too_large(loc: str) -> CliError:
+    # a JSON integer literal can exceed the largest double, about 1.8e308
+    return CliError(f"{loc}: number too large for a double")
+
+
 def _parse_number(value, loc: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"{loc}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(loc) from None
 
 
 def _parse_complex(value, loc: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return complex(value)
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise _too_large(loc) from None
     raise CliError(f"{loc}: expected a complex scalar [re, im]")
 
 
@@ -164,19 +188,23 @@ def _parse_matrix(value, N: int, loc: str) -> np.ndarray:
     A matrix whose entries are all ``[re, im]`` pairs, or all bare
     numbers, with no leaf other than an int or a float, is checked by
     C-level scans and read in one ``np.array`` call. Anything else,
-    including a matrix that mixes the two entry forms, goes through
-    ``_parse_matrix_entries``, which also locates every error.
+    including a matrix that mixes the two entry forms or holds an integer
+    too large for a double, goes through ``_parse_matrix_entries``, which
+    also locates every error.
     """
     if type(value) is list and len(value) == N and set(map(type, value)) == {list} \
             and set(map(len, value)) == {N}:
         entries = list(chain.from_iterable(value))
         kinds = set(map(type, entries))
-        if kinds == {list}:
-            if set(map(len, entries)) == {2} and set(map(type, chain.from_iterable(entries))) <= _REAL:
-                # each [re, im] pair is one complex128 in memory
-                return np.array(value, dtype=float).view(complex).reshape(N, N)
-        elif kinds <= _REAL:
-            return np.array(value, dtype=complex)
+        try:
+            if kinds == {list}:
+                if set(map(len, entries)) == {2} and set(map(type, chain.from_iterable(entries))) <= _REAL:
+                    # each [re, im] pair is one complex128 in memory
+                    return np.array(value, dtype=float).view(complex).reshape(N, N)
+            elif kinds <= _REAL:
+                return np.array(value, dtype=complex)
+        except OverflowError:
+            pass
     return _parse_matrix_entries(value, N, loc)
 
 
@@ -309,6 +337,8 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
     if "structure_constants" in obj:
         try:
             f = np.asarray(obj["structure_constants"], dtype=float)
+        except OverflowError:
+            raise _too_large("structure_constants") from None
         except (TypeError, ValueError):
             raise CliError("structure_constants: expected a real n x n x n tensor")
         if f.shape != (n, n, n):
@@ -495,15 +525,40 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
     return (text if len(text) <= _INLINE_WIDTH and "{" not in text else None), text
 
 
-def _render_float_array(value: list, indent: int) -> Optional[str]:
-    """Pretty text of a rectangular nested list of finite floats,
-    exactly as _render's generic path prints it; None for any other
-    list. _render calls it only on lists that hold a list, so on arrays
-    of depth 2 or more, such as coefficient grids.
+_BULK_MIN_SIZE = 32  # below this _render's generic path is cheaper than the numpy passes
+_SLAB_SIZE = 8192  # floats per bulk pass, unless one slab holds more; at least 17
 
-    The floats are encoded once each, with float.__repr__ as the JSON
-    encoder does, and grouped one axis at a time from the innermost
-    rows up, streaming, so that no level is held in full.
+
+def _render_float_array(value: list, indent: int) -> Optional[str]:
+    """Pretty text of a rectangular nested list of _BULK_MIN_SIZE or more
+    finite floats, exactly as _render's generic path prints it; None for
+    any other list, which that path then prints. _render calls it only
+    on lists that hold a list, so on arrays of depth 2 or more, such as
+    coefficient grids.
+
+    The floats are printed in bulk, a run of slabs of the outermost axis
+    at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
+    least one, so that the per-float temporaries never cover the whole
+    array. For each run,
+
+    1. ``_float_texts`` gives every float its JSON text, float.__repr__,
+       mostly through one C-level "%.12g" format call;
+    2. the one-line length of every group at every level comes from
+       reshape-sums of the text lengths, and decides whether the group
+       prints inline, by _render's rule: when all its items are inline
+       and its one-line form fits _INLINE_WIDTH (no float text holds
+       "{", and an item printed over several lines is longer than its
+       own one-line form, which was already too wide);
+    3. the text between two consecutive floats is looked up in a table
+       (``_separators``) and everything is joined once.
+
+    An array of more than one run holds more than _SLAB_SIZE floats, so
+    it never prints inline: every float adds at least 5 characters to
+    its one-line form (3 for its text, as in "0.0", and 2 for the ", "
+    or brackets around it), and 5 * 18 > _INLINE_WIDTH.
+
+    Cost: O(m) for m floats, in numpy passes and C-level string work
+    plus float.__repr__ on the floats that are not 12-digit values.
     """
     level, axes = [value], []  # every list at the current depth, in order
     while True:
@@ -514,33 +569,127 @@ def _render_float_array(value: list, indent: int) -> Optional[str]:
         if type(level[0][0]) is not list:
             break
         level = list(chain.from_iterable(level))
-    texts = map(float.__repr__, chain.from_iterable(level))
-    depth = indent + len(axes)
-    for k in reversed(axes):
-        depth -= 1
-        texts = _group_texts(texts, k, depth)
-    try:
-        (text,) = texts
-    except TypeError:  # float.__repr__ met a leaf that is not a float
+    size = len(level) * axes[-1]
+    if size < _BULK_MIN_SIZE or not all(
+            issubclass(t, float) for t in set(map(type, chain.from_iterable(level)))):
         return None
-    # NaN and ±inf print as "nan" and "inf": leave them to the encoder, which raises
-    return None if "n" in text else text
+    step = max(1, _SLAB_SIZE * axes[0] // size) * (len(level) // axes[0])  # innermost rows per run
+    whole = step >= len(level)
+    bodies = []
+    for i in range(0, len(level), step):
+        rows = level[i:i + step]
+        x = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * axes[-1])
+        if not np.isfinite(x).all():
+            return None  # NaN and ±inf: leave them to the encoder, which raises
+        bodies.append(_bulk_text(x.reshape(-1, *axes[1:]), indent, whole))
+    if whole:
+        return bodies[0]
+    pad = "\n" + "  " * (indent + 1)
+    return "[" + pad + ("," + pad).join(bodies) + "\n" + "  " * indent + "]"
 
 
-def _group_texts(texts, k: int, indent: int):
-    """Yield the text of each run of k consecutive items at the given depth.
+def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
+    """The text of the finite float array x at the given depth if whole;
+    otherwise x is a run of slabs of a larger array that prints over
+    several lines, and the text is the slabs' texts joined as that
+    array joins its items, without its brackets. Steps 1-3 of
+    _render_float_array.
 
-    A run prints inline when its one-line form fits _INLINE_WIDTH. For
-    float arrays that length test is the whole of _render's rule: no
-    float text holds "{", and an item printed over several lines is
-    longer than its own one-line form, which was already too wide.
+    Cost: O(m d) numpy work for m floats in d dimensions, and the texts.
     """
-    pad, close = "\n" + "  " * (indent + 1), "\n" + "  " * indent + "]"
-    for group in zip(*[iter(texts)] * k):
-        if sum(map(len, group)) + 2 * k <= _INLINE_WIDTH:
-            yield "[" + ", ".join(group) + "]"
-        else:
-            yield "[" + pad + ("," + pad).join(group) + close
+    d, shape, flat = x.ndim, x.shape, x.ravel()
+    texts = _float_texts(flat)
+    # A group's one-line form adds 2 characters for each item inside it,
+    # at every level, to the texts of its floats; when that fits, so does
+    # each item's shorter one-line form, and the whole group is inline.
+    lengths = np.fromiter(map(len, texts), np.intp, count=flat.size).reshape(shape)
+    inline = np.zeros(shape[:-1], np.intp)  # per innermost row, its inline groups
+    items = 0
+    for j in reversed(range(0 if whole else 1, d)):
+        lengths = lengths.sum(axis=-1)
+        items = shape[j] * (items + 1)
+        fits = lengths <= _INLINE_WIDTH - 2 * items
+        inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
+    # depth[i]: the outermost level whose group holding float i is inline (d if none)
+    depth = np.repeat(d - inline.ravel(), shape[-1])
+    # common[i]: the level of the innermost group holding floats i and i + 1
+    common = np.full(shape, d - 1)
+    for j in range(1, d):
+        common[(slice(None),) * j + (0,) * (d - j)] -= 1
+    common = common.ravel()[1:]
+    table, prefix, suffix = _separators(d, indent, 0 if whole else 1)
+    key = (common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]
+    parts = [None] * (2 * flat.size + 1)
+    parts[1::2] = texts
+    parts[0::2] = [prefix[depth[0]], *table[key].tolist(), suffix[depth[-1]]]
+    return "".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _separators(d: int, indent: int, top: int):
+    """The texts around the floats of a d-dimensional array at the given
+    depth whose groups at levels ``top`` and below are printed here.
+
+    A float's inline depth is the outermost level whose group holding it
+    prints inline (d if none). The text between floats a and b, whose
+    innermost common group is at level c, closes a's groups below c,
+    separates the items of c, and opens b's groups below c; which of
+    these break the line follows from c and the two inline depths. So
+    ``table[(c * (d + 1) + depth_a) * (d + 1) + depth_b]`` is that text,
+    ``prefix[depth]`` opens the first float's groups and
+    ``suffix[depth]`` closes the last one's.
+    """
+    def opens(depth, low):
+        return "".join("[" if j >= depth else "[\n" + "  " * (indent + j + 1) for j in range(low, d))
+
+    def closes(depth, low):
+        return "".join("]" if j >= depth else "\n" + "  " * (indent + j) + "]"
+                       for j in reversed(range(low, d)))
+
+    table = np.empty(d * (d + 1) ** 2, dtype=object)
+    for c in range(d):
+        for a in range(d + 1):
+            comma = ", " if c >= a else ",\n" + "  " * (indent + c + 1)
+            for b in range(d + 1):
+                table[(c * (d + 1) + a) * (d + 1) + b] = closes(a, c + 1) + comma + opens(b, c + 1)
+    table.flags.writeable = False  # shared by every call with these arguments
+    return table, tuple(opens(a, top) for a in range(d + 1)), tuple(closes(a, top) for a in range(d + 1))
+
+
+def _float_texts(x: np.ndarray) -> list[str]:
+    """float.__repr__ of every entry of a 1-d finite float array, as the
+    JSON encoder prints it.
+
+    ``"%.12g" % v`` is byte-identical to ``repr(v)`` on every normal,
+    non-integral double v that ``_round12`` leaves unchanged, so all
+    such v are printed in one C-level format call:
+
+    * the digits agree. Such a v is the double nearest to its own
+      12-digit text t, so t reads back as v, and repr, the shortest
+      text that reads back as v, has at most 12 significant digits too.
+      Two different decimals of at most 12 significant digits lie about
+      1e-12 |v| or more apart, while every text that reads back as a
+      normal v lies within 2^-53 |v| of it; so both texts carry the
+      same digits.
+    * the forms agree. Both print positional digits for decimal
+      exponents from -4 up, and "1.5e-05" form, with at least two
+      exponent digits, below -4. Upwards repr switches to that form at
+      exponent 16 and "%.12g" at 12, but a 12-digit value of 1e12 or
+      more is an integer.
+
+    Every other entry keeps float.__repr__: zeros and integral values
+    (repr prints "2.0", "%.12g" prints "2"), subnormals, whose spacing
+    is wider than 2^-52 |v|, so that their shortest text can have fewer
+    digits than their 12-digit one, and values with more than 12
+    significant digits.
+    """
+    values = x.tolist()
+    texts = (("%.12g\n" * len(values)) % tuple(values)).split("\n")
+    texts.pop()  # the empty text after the last newline
+    exact = (x == _round12(x)) & (x != np.floor(x)) & (np.abs(x) >= sys.float_info.min)
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = float.__repr__(values[i])
+    return texts
 
 
 def render_json(report: dict) -> str:
@@ -587,6 +736,8 @@ def _load_json(path: Path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise CliError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

@@ -118,6 +118,10 @@ class ProjectiveCalculusData:
     inverse blocks, the defining inverse relation in coefficient form,
     and compatibility of the inverse with the projection. The checks are
     block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
+
+    The derivatives of the grids, dp[i, k, j] = [D_i, p^k_j] and
+    dh[i, a, b] = [D_i, h_ab], are built here once and read by the
+    criterion, Λ and the coefficients: O(n^3 N^3) time, O(n^3 N^2) memory.
     """
 
     derivs: LieBasis
@@ -125,6 +129,8 @@ class ProjectiveCalculusData:
     p: np.ndarray
     h: np.ndarray
     h_inv: np.ndarray
+    dp: np.ndarray
+    dh: np.ndarray
 
     def __init__(self, derivs: LieBasis, f: StructureConstants, p, h, h_inv,
                  tol: Tolerance = DEFAULT_TOL):
@@ -144,6 +150,8 @@ class ProjectiveCalculusData:
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "h", _freeze(h))
         object.__setattr__(self, "h_inv", _freeze(h_inv))
+        object.__setattr__(self, "dp", _freeze(_commutators(derivs.mats, p)))
+        object.__setattr__(self, "dh", _freeze(_commutators(derivs.mats, h)))
 
     @property
     def n(self) -> int:
@@ -188,8 +196,7 @@ def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
     The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
     over (l, b) is one tensordot, O(n^4 N^3) time. O(n^3 N^2) memory.
     """
-    h = data.h
-    dh = _commutators(data.derivs.mats, h)
+    h, dh = data.h, data.dh
     # hf[x, y, z] = h_xq f^q_yz; six[i, j, l] is the bracketed sum
     hf = np.tensordot(h, data.f.f, axes=([1], [0])).transpose(0, 3, 4, 1, 2)
     six = (
@@ -219,8 +226,7 @@ def lc_condition_check(
     """
     p = data.p
     lam = lambda_tensor(data).values
-    dp = _commutators(data.derivs.mats, p)
-    lhs = np.tensordot(p, dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
+    lhs = np.tensordot(p, data.dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
     residual = lhs - (lam - _times_grid(lam, p))
     per_index = np.max(np.abs(residual), axis=(3, 4))
     worst = float(np.max(per_index)) if per_index.size else 0.0
@@ -245,8 +251,7 @@ def lc_connection_coefficients(
         )
     p = data.p
     gam = _times_grid(lambda_tensor(data).values, p)
-    dp = _commutators(data.derivs.mats, p)
-    return _times_grid(gam, p) + dp.transpose(1, 0, 2, 3, 4)
+    return _times_grid(gam, p) + data.dp.transpose(1, 0, 2, 3, 4)
 
 
 def koszul_verify_projective(

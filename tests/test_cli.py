@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from realcalc import cli, liealg
+from realcalc import cli, liealg, projcalc
 from realcalc.cli import (
     main,
     parse_algebra_spec,
@@ -133,6 +133,16 @@ class TestProjectiveCommand:
         assert report["holds"] is True
         coeffs = np.asarray(report["connection_coefficients"], dtype=float)
         assert not np.any(coeffs)
+
+    @pytest.mark.parametrize("name", ["free_trivial.json", "mat2_rank1.json"])
+    def test_grid_derivatives_built_once(self, capsys, monkeypatch, name):
+        # [D_i, p] and [D_i, h] are built with the data, whether the
+        # criterion holds or not, and every later step reads them
+        calls = []
+        original = projcalc._commutators
+        monkeypatch.setattr(projcalc, "_commutators", lambda *args: calls.append(1) or original(*args))
+        run_json(capsys, "projective", name)
+        assert len(calls) == 2
 
 
 class TestDeterminismAndIO:
@@ -382,6 +392,59 @@ class TestErrorPaths:
         code, out, err = run(capsys, command, str(bad))
         assert (code, out) == (1, "")
         assert err == f"realcalc: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fixture, path, value, loc",
+        [
+            # a pair's part, a bare entry among pairs, and a matrix of bare numbers
+            ("su2.json", ["basis", 0, "matrix", 0, 1, 1], "BIG", "basis[0].matrix[0][1]"),
+            ("su2.json", ["basis", 1, "matrix", 1, 0], "-BIG", "basis[1].matrix[1][0]"),
+            ("su2.json", ["basis", 2, "matrix"], [[0, 1], ["BIG", 0]], "basis[2].matrix[1][0]"),
+            ("su2.json", ["metric_scale"], "BIG", "metric_scale"),
+            ("su2.json", ["tolerance"], {"rel": "BIG"}, "tolerance.rel"),
+            ("su2.json", ["tolerance"], {"abs": "-BIG"}, "tolerance.abs"),
+            ("free_trivial.json", ["p", 0, 2, 1, 0, 1], "BIG", "p[0][2][1][0]"),
+            ("free_trivial.json", ["h_inv", 1, 1, 0, 0], "BIG", "h_inv[1][1][0][0]"),
+            ("free_trivial.json", ["structure_constants"], [[[0] * 3] * 3] * 2 + [[[0, 0, "BIG"]] * 3],
+             "structure_constants"),
+            ("mat2_rank1.json", ["Y", 2, 1, 1, 0], "-BIG", "Y[2][1][1]"),
+        ],
+    )
+    def test_numbers_too_large_for_a_double_are_located(self, capsys, tmp_path, fixture, path, value, loc):
+        # JSON has no bound on integer literals; 10**400 has no double
+        spec = json.loads(fixture_path(fixture).read_text())
+        *outer, last = path
+        parent = spec
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"BIG"', str(10**400)).replace('"-BIG"', str(-10**400)))
+        command = "analyze" if fixture == "su2.json" else "projective"
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: {loc}: number too large for a double\n"
+
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path):
+        # interpreters with an integer digit limit refuse it while reading
+        # the file; the others read it and refuse it as too large
+        spec = json.loads(fixture_path("su2.json").read_text())
+        spec["metric_scale"] = "BIG"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec).replace('"BIG"', "9" * 5000))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"realcalc: error: {bad}: ") or \
+            err == "realcalc: error: metric_scale: number too large for a double\n"
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"N": 2, "name": "\xff"}')
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"realcalc: error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
 
 def _matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw):

@@ -428,6 +428,13 @@ class TestContractionsAgainstLiteral:
             got = projcalc._commutators(mats, grid)
             assert _agree(got, want, max_norm(mats) * max_norm(grid))
 
+    def test_grid_derivatives(self, generic_data):
+        d = generic_data
+        for got, grid in ((d.dp, d.p), (d.dh, d.h)):
+            assert not got.flags.writeable
+            want = _commutators_literal(d.derivs.mats, grid)
+            assert _agree(got, want, max_norm(d.derivs.mats) * max_norm(grid))
+
     def test_invariant_residuals(self, generic_data):
         rng = np.random.default_rng(5)
         d = generic_data

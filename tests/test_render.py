@@ -7,7 +7,9 @@ Both must print the same bytes for any tree. ``_round12`` and
 before ``_jsonify`` became the only formatter.
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,13 +69,18 @@ def test_fixture_reports(label, report):
     assert_same(report)
 
 
-def test_trivial_su3_projective_report():
-    rng = np.random.default_rng(33)
-    data = trivial_data(rng, LieBasis(generic_presentation(rng, su_basis(3))))
+def _trivial_report(k: int, seed: int) -> dict:
+    """The projective report on trivial data over su(k) in a generic presentation."""
+    rng = np.random.default_rng(seed)
+    data = trivial_data(rng, LieBasis(generic_presentation(rng, su_basis(k))))
     spec = cli.ProjectiveSpecFile(
         data.N, data.n, list(data.derivs.mats), None, data.p, data.h, data.h_inv, None, None, None
     )
-    report = cli.cmd_projective(spec, DEFAULT_TOL, "trivial-su3")
+    return cli.cmd_projective(spec, DEFAULT_TOL, f"trivial-su{k}")
+
+
+def test_trivial_su3_projective_report():
+    report = _trivial_report(3, 33)
     assert "connection_coefficients" in report
     assert_same(report)
 
@@ -319,7 +326,8 @@ def _placed(array, depth: int):
 def test_float_arrays_match_literal(array, depth):
     shape, leaves = array
     nested = _nest(leaves, shape)
-    assert cli._render_float_array(nested, depth) is not None
+    # small arrays are left to _render's generic path, which is cheaper there
+    assert (cli._render_float_array(nested, depth) is None) == (len(leaves) < cli._BULK_MIN_SIZE)
     assert_same(_placed(nested, depth))
 
 
@@ -346,6 +354,91 @@ def test_ragged_float_arrays(array, depth, grow, where):
     if len(rows) > 1:  # a single row stays rectangular
         assert cli._render_float_array(nested, depth) is None
     assert_same(_placed(nested, depth))
+
+
+# The bulk path prints most floats with "%.12g"; these compare its text with
+# float.__repr__ on doubles on both sides of every case its argument excludes.
+
+repr_edges = st.sampled_from([
+    0.0, -0.0, 1.0, -2.0, 3e-7, 1e11, 123456789012.0, 999999999999.0, 1e12, -1e12, 1e12 + 1.0,
+    1234567890123.0, 1.5e15, 1e15, 9999999999999998.0, 1e16, 1.5e16, 2.0 ** 53, 1e22,
+    1e-5, -1.5e-5, 9.99999999999e-5, 1e-4, 0.000123456789012, 1.23456789012e-4, 0.1,
+    1e100, -1.5e-100, 1.23456789012e-300, 1.7976931348623157e308,
+    2.2250738585072014e-308, 2.2250738585072009e-308, 2.2250738585e-313, -5e-324, 1e-320,
+])
+# the double nearest to m * 10**e for a 12-digit m, at every decimal exponent
+# from the subnormals to 1e308
+decimals = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-(10**12) + 1, 10**12 - 1),
+                     st.integers(-340, 296))
+doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | decimals | repr_edges
+
+
+@given(st.lists(doubles, min_size=1, max_size=60), st.booleans())
+def test_float_texts_match_repr(values, rounded):
+    if rounded:
+        values = [float(f"{v:.12g}") for v in values]
+    assert cli._float_texts(np.array(values)) == [float.__repr__(v) for v in values]
+
+
+@given(float_arrays(), st.integers(0, 3), st.booleans())
+def test_numpy_float_leaves_match_literal(array, depth, every):
+    shape, leaves = array
+    leaves = [np.float64(v) if every or i % 3 == 0 else v for i, v in enumerate(leaves)]
+    assert_same(_placed(_nest(leaves, shape), depth))
+
+
+@given(float_arrays(), st.integers(0, 3), st.sampled_from([18, 20, 48]))
+def test_float_arrays_in_slabs_match_literal(array, depth, slab):
+    # small slabs split most arrays, and recurse into single slabs too large
+    shape, leaves = array
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_SLAB_SIZE", slab)
+        assert_same(_placed(_nest(leaves, shape), depth))
+
+
+def test_render_peak_memory():
+    # the report's 111,000 floats are printed a slab at a time, so the
+    # per-float texts never exist for all of them at once
+    report = _trivial_report(4, 44)
+    tracemalloc.start()
+    try:
+        text = cli.render_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_500_000
+    assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_jsonify_keeps_the_collector_setting(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        cli._jsonify({"a": np.ones((4, 40)), "b": [np.zeros(3, complex), 1.5]})
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_jsonify_sets_off_no_collection():
+    # turning a coefficient stack into nested lists builds 71,000 lists
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        out = cli._jsonify(np.full((15, 15, 15, 4, 4, 2), 0.5))
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert len(out) == 15 and out[-1][-1][-1][-1][-1] == [0.5, 0.5]
+    assert starts == []
 
 
 @pytest.mark.parametrize("tree", [
