@@ -387,9 +387,7 @@ def _build_basis(spec: AlgebraSpecFile, tol: Tolerance) -> liealg.LieBasis:
 def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
     f = liealg.structure_constants(basis, tol)
-    B = liealg.killing_form(f)
-    der = liealg.derived_subalgebra(f, tol)
-    split = liealg.levi_split_compact(f, der, tol)
+    split = liealg.levi_split_compact(basis, tol)
     return _jsonify({
         "command": "lie",
         "input": source,
@@ -398,12 +396,15 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
         "N": basis.N,
         "names": list(spec.names),
         "structure_constants": f.f,
-        "killing": B.B,
-        "semisimple": liealg.is_semisimple(B, tol),
-        "solvable": liealg.is_solvable(f, der, tol),
+        "killing": liealg.killing_form(f).B,
+        "semisimple": split.radical_dim == 0,
+        "solvable": liealg.is_solvable(split, tol),
         "center_dim": split.radical_dim,
         "derived_dim": split.ss_dim,
-        "levi_split": {"radical": split.radical_basis, "semisimple": split.ss_basis},
+        "levi_split": {
+            "radical": basis.user_rows(split.radical_basis),
+            "semisimple": basis.user_rows(split.ss_basis),
+        },
     })
 
 
@@ -795,7 +796,7 @@ def main(argv=None) -> int:
         message = str(exc)
     except liealg.ClosureViolation as exc:
         message = f"basis is not closed under brackets at pair {exc.pair}: {exc}"
-    except (liealg.SplitInconsistent, cncalc.WitnessVerificationFailed) as exc:
+    except cncalc.WitnessVerificationFailed as exc:
         message = f"{type(exc).__name__}: {exc}"
     print(f"realcalc: error: {message}", file=sys.stderr)
     return 1

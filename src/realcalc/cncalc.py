@@ -18,9 +18,7 @@ from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_row_vector, max_norm
 from .liealg import (
     LieBasis,
     StructureConstants,
-    anchor_solution_space,
     common_left_eigenvector,
-    derived_subalgebra,
     killing_form,
     levi_split_compact,
     structure_constants,
@@ -325,31 +323,40 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     supported on the abelian part -- and re-verified against all four
     checks before being reported.
 
-    Rank and zero decisions, in the order they run: bracket closure and
-    Jacobi; the rank of [g, g], built once (mu_obstruction_dim = n -
-    dim [g, g], since mu solves sum_k mu_k f^k_ij = 0 exactly when it is
-    orthogonal to every bracket vector); Killing nondegeneracy (the
-    semisimple exit); the common left nullspace of [g, g] and its
-    eigenvalue grouping (the no-common-eigenvector exit); the center
-    rank; the anchor nullspace; the witness residuals against 100 times
-    the cutoff. Cost: O(n^5 + n^3 N^2 + n^2 N^3) time (Jacobi check,
-    Koszul check, bracket fit), O(n^3 + n^2 N^2) memory.
+    Rank and zero decisions, in order:
+
+    1. closure: every bracket lies in the span, and Jacobi holds;
+    2. frame rank: the basis is independent (decided when the
+       :class:`LieBasis` was built, on its normalized elements);
+    3. the rank r of M, the frame's bracket tensor as an n x n^2 matrix:
+       one SVD gives semisimplicity (r = n, the semisimple exit), [g, g]
+       and the center, and mu_obstruction_dim = n - r;
+    4. the common left nullspace of [g, g] (the no-common-eigenvector
+       exit);
+    5. eigenvalue grouping in the eigenspace intersection;
+    6. the witness residuals against 100 times the cutoff.
+
+    mu needs no solve: every bracket lies in [g, g], so the anchor
+    system vanishes and any mu that is zero on [g, g] admits a
+    connection. For the first center direction z of the split, mu is 1
+    on z's unit coefficient vector in the user's basis and 0 on z's
+    orthogonal complement, its largest entry made positive. The
+    Killing singular values are reported, not decided on. Cost:
+    O(n^5 + n^3 N^2 + n^2 N^3) time (Jacobi check, Koszul check,
+    brackets), O(n^3 + n^2 N^2) memory.
     """
     basis = pre.basis
     f = structure_constants(basis, tol)
-    B = killing_form(f)
-    svals = np.linalg.svd(B.B, compute_uv=False)
-    der = derived_subalgebra(f, tol)
+    split = levi_split_compact(basis, tol)
     diagnostics = {
-        "killing_singular_values": [float(s) for s in svals],
-        "mu_obstruction_dim": f.n - der.shape[0],
+        "killing_singular_values": np.linalg.svd(killing_form(f).B, compute_uv=False).tolist(),
+        "mu_obstruction_dim": split.radical_dim,
     }
-    # Cartan's criterion, as in liealg.is_semisimple, on the values above
-    if svals[-1] > tol.cut(svals[0]):
+    if split.radical_dim == 0:
         diagnostics["semisimple"] = True
         return ExistenceReport(NONEXISTENT, REASON_SEMISIMPLE, None, diagnostics)
     diagnostics["semisimple"] = False
-    found = common_left_eigenvector(basis, der, tol)
+    found = common_left_eigenvector(basis, split.ss_basis, tol)
     if found is None:
         diagnostics["common_eigenvector"] = False
         return ExistenceReport(
@@ -363,28 +370,28 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
             for D, lam in zip(basis.mats, eigenvalues)
         )
     )
-    split = levi_split_compact(f, der, tol)
-    mu_space = anchor_solution_space(split, f, tol)
-    if mu_space.shape[0] == 0:
-        raise WitnessVerificationFailed(
-            "no admissible mu despite a nontrivial radical; tolerance breakdown"
-        )
-    # First basis vector of the solution space, pushed back to the
-    # original basis coordinates and sign-normalized for reproducibility.
-    S = np.vstack([split.radical_basis, split.ss_basis]).T
-    mu_adapted = mu_space[0] / np.linalg.norm(mu_space[0])
-    mu = mu_adapted @ np.linalg.inv(S)[: split.radical_dim, :]
+    # mu_E = c z with c = |T^T z|, the norm of z's user coefficients
+    z = split.radical_basis[0]
+    mu = basis.T_inv @ z * np.linalg.norm(z @ basis.T)
     lead = int(np.argmax(np.abs(mu) >= np.max(np.abs(mu)) * (1.0 - 1e-8)))
     if mu[lead] < 0:
         mu = -mu
     anchor = AnchorMap(v0, mu, tol)
     conn = Connection(eigenvalues.imag)
-    checks = _passes_all_checks(pre, f, anchor, conn, tol)
+    # The checks are multilinear in the derivations and homogeneous in
+    # mu, so the witness passes them exactly when its frame form does:
+    # on E, with mu_E = T mu scaled to unit norm and lambda_E = T lambda.
+    # There round-off does not grow with the norms of the D_i.
+    mu_E = basis.T @ mu
+    checks = _passes_all_checks(
+        MetricPreCalculus(LieBasis(basis.E, tol), pre.metric_scale),
+        StructureConstants(split.f, tol),
+        AnchorMap(v0, mu_E / np.linalg.norm(mu_E), tol),
+        Connection(basis.T @ conn.lambdas),
+        tol,
+    )
     diagnostics["witness_residuals"] = {
-        "torsion": checks["torsion"],
-        "metric_compatibility": checks["metric_compatibility"],
-        "koszul": checks["koszul"],
-        "rcc": checks["rcc"],
+        key: checks[key] for key in ("torsion", "metric_compatibility", "koszul", "rcc")
     }
     if not checks["ok"]:
         raise WitnessVerificationFailed(

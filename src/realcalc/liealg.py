@@ -1,18 +1,19 @@
 """Lie-algebraic analysis of real matrix Lie algebras inside su(N).
 
-Structure constants, Killing form, semisimplicity and solvability,
-the compact splitting into center plus derived subalgebra, common
-left-eigenvector search, and the coefficient linear systems that
-obstruct or admit metric anchor maps.
+Structure constants, Killing form, solvability, the compact splitting
+into center plus derived subalgebra, common left-eigenvector search,
+and the coefficient linear systems that obstruct or admit metric anchor
+maps.
 
-Coefficient vectors always refer to the ordered basis held by a
-:class:`LieBasis`; subspaces of the coefficient space are stacks of
-orthonormal rows in ``R^n``.
+Coefficient vectors refer to the ordered basis held by a
+:class:`LieBasis` unless they are said to be frame coefficients: those
+refer to its orthonormal frame E (see :class:`LieBasis`). Subspaces of
+a coefficient space are stacks of orthonormal rows in ``R^n``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +32,13 @@ from .matlin import (
 
 __all__ = [
     "ClosureViolation",
-    "SplitInconsistent",
     "LieBasis",
     "StructureConstants",
     "KillingForm",
     "LeviSplit",
     "structure_constants",
     "killing_form",
-    "is_semisimple",
-    "mu_system_matrix",
     "mu_obstruction_space",
-    "derived_subalgebra",
-    "center",
     "levi_split_compact",
     "is_solvable",
     "common_left_eigenvector",
@@ -62,14 +58,6 @@ class ClosureViolation(ValueError):
         )
 
 
-class SplitInconsistent(RuntimeError):
-    """Center and derived subalgebra fail to decompose the algebra.
-
-    For a basis of antihermitian matrices this signals a tolerance
-    failure or invalid input, never genuine mathematics.
-    """
-
-
 @dataclass(frozen=True, eq=False)
 class LieBasis:
     """Ordered basis D_1, ..., D_n of a real Lie algebra in su(N).
@@ -78,9 +66,20 @@ class LieBasis:
     and that the family is linearly independent over the reals. Closure
     under brackets is *not* checked here; :func:`structure_constants`
     raises :class:`ClosureViolation` when the span is not closed.
+
+    It also holds a frame E = T D of its span, orthonormal for
+    <A, B> = Re tr(A^dagger B): with U S V^T the thin SVD of the
+    realified D_i / |D_i|, E is V^T, T = S^-1 U^T diag(1 / |D_i|) and
+    ``T_inv`` = diag(|D_i|) U S. The independence test reads S, so no
+    element norm sways it. Coefficients x have frame coefficients
+    T^-T x; a linear form mu on g has mu(E) = T mu(D). Cost: O(n^2 N^2)
+    time and O(n N^2) memory.
     """
 
     mats: np.ndarray
+    E: np.ndarray
+    T: np.ndarray
+    T_inv: np.ndarray
 
     def __init__(self, mats, tol: Tolerance = DEFAULT_TOL):
         stacked = np.array([as_matrix(m) for m in mats], dtype=complex)
@@ -91,14 +90,20 @@ class LieBasis:
         for idx, m in enumerate(stacked):
             if not is_antihermitian_tracefree(m, tol):
                 raise ValueError(f"basis matrix {idx} is not trace-free antihermitian")
-        n = stacked.shape[0]
-        realified = np.hstack(
-            [stacked.reshape(n, -1).real, stacked.reshape(n, -1).imag]
-        )
-        s = np.linalg.svd(realified, compute_uv=False)
+        n, N = stacked.shape[:2]
+        flat = stacked.reshape(n, -1)
+        norms = np.linalg.norm(flat, axis=1)
+        if not np.all(norms > 0.0):
+            raise ValueError("basis matrices are linearly dependent over R")
+        realified = np.hstack([flat.real, flat.imag]) / norms[:, None]
+        u, s, vh = np.linalg.svd(realified, full_matrices=False)
         if int(np.sum(s > tol.cut(s[0]))) != n:
             raise ValueError("basis matrices are linearly dependent over R")
+        E = (vh[:, : N * N] + 1j * vh[:, N * N :]).reshape(n, N, N)
         object.__setattr__(self, "mats", _freeze(stacked))
+        object.__setattr__(self, "E", _freeze(E))
+        object.__setattr__(self, "T", _freeze((u / norms[:, None]).T / s[:, None]))
+        object.__setattr__(self, "T_inv", _freeze(norms[:, None] * u * s))
 
     @property
     def n(self) -> int:
@@ -107,6 +112,11 @@ class LieBasis:
     @property
     def N(self) -> int:
         return self.mats.shape[1]
+
+    def user_rows(self, frame_rows: np.ndarray) -> np.ndarray:
+        """Orthonormal coefficient rows spanning what frame-coefficient rows span."""
+        q, _ = np.linalg.qr((frame_rows @ self.T).T)
+        return q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,22 +175,27 @@ class KillingForm:
 
 @dataclass(frozen=True, eq=False)
 class LeviSplit:
-    """Coefficient bases of the center and of the derived subalgebra.
+    """A bracket tensor with coefficient bases of its radical and a complement.
 
-    For a compact algebra these are the radical and a semisimple
-    complement, and together they span the whole coefficient space.
+    ``f[k, a, b]`` is the bracket tensor in some coefficients, and the
+    rows of ``radical_basis`` and ``ss_basis`` are in the same
+    coefficients. :func:`levi_split_compact` gives frame coefficients,
+    where for a compact algebra the radical is the center, the
+    complement is [g, g], and the rows of both together are an
+    orthonormal basis of the coefficient space.
     """
 
-    radical_basis: np.ndarray = field()
-    ss_basis: np.ndarray = field()
+    f: np.ndarray
+    radical_basis: np.ndarray
+    ss_basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "radical_basis", _freeze(np.array(self.radical_basis, dtype=float)))
-        object.__setattr__(self, "ss_basis", _freeze(np.array(self.ss_basis, dtype=float)))
+        for name in ("f", "radical_basis", "ss_basis"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), dtype=float)))
 
     @property
     def n(self) -> int:
-        return self.radical_basis.shape[1] if self.radical_basis.size else self.ss_basis.shape[1]
+        return self.f.shape[0]
 
     @property
     def radical_dim(self) -> int:
@@ -192,37 +207,39 @@ class LeviSplit:
 
 
 def _all_brackets(mats: np.ndarray) -> np.ndarray:
-    """All pairwise commutators as an (n, n, N, N) tensor."""
-    prod = np.einsum("iab,jbc->ijac", mats, mats)
+    """All pairwise commutators as an (n, n, N, N) tensor, in one BLAS product."""
+    prod = np.tensordot(mats, mats, axes=([2], [1])).transpose(0, 2, 1, 3)
     return prod - prod.transpose(1, 0, 2, 3)
 
 
-def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
-    """Fit the bracket tensor of a basis by least squares.
+def _frame_coefficients(E: np.ndarray, brackets: np.ndarray) -> np.ndarray:
+    """c[k, i, j] = <E_k, brackets[i, j]> = Re tr(E_k^dagger brackets[i, j])."""
+    # summing the trailing axes of brackets spares tensordot a copy of it
+    return np.tensordot(brackets, E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
 
-    Each commutator [D_i, D_j] is decomposed over the basis in the
-    realified vectorization; a pair whose residual exceeds tolerance
-    raises :class:`ClosureViolation` (the first such pair in row-major
-    order). Antisymmetry is exact on output (enforced by averaging the
-    fitted tensor with its negated swap). Cost: O(n^2 N^3 + n^3 N^2)
-    time, O(n^2 N^2) memory, plus the Jacobi check of
-    :class:`StructureConstants`.
+
+def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
+    """Bracket tensor of a basis, by projection onto its orthonormal frame.
+
+    Each commutator [D_i, D_j] is projected onto the frame E,
+    c_k = <E_k, [D_i, D_j]>, and f[:, i, j] = T^T c. What the projection
+    leaves is the least-squares residual; the first pair (row-major)
+    whose residual exceeds tolerance raises :class:`ClosureViolation`.
+    Antisymmetry is exact on output (enforced by averaging the tensor
+    with its negated swap). Cost: O(n^2 N^3 + n^3 N^2) time, O(n^2 N^2)
+    memory, plus the Jacobi check of :class:`StructureConstants`.
     """
-    mats = basis.mats
     n = basis.n
-    columns = np.hstack([mats.reshape(n, -1).real, mats.reshape(n, -1).imag]).T
-    brackets = _all_brackets(mats)
-    targets = np.hstack(
-        [brackets.reshape(n * n, -1).real, brackets.reshape(n * n, -1).imag]
-    ).T
-    coeffs, _, _, _ = np.linalg.lstsq(columns, targets, rcond=None)
-    residuals = np.linalg.norm(columns @ coeffs - targets, axis=0).reshape(n, n)
+    brackets = _all_brackets(basis.mats)
     scales = np.maximum(1.0, np.linalg.norm(brackets.reshape(n, n, -1), axis=2))
+    c = _frame_coefficients(basis.E, brackets)
+    brackets -= np.tensordot(c, basis.E, axes=([0], [0]))
+    residuals = np.linalg.norm(brackets.reshape(n, n, -1), axis=2)
     open_pairs = np.argwhere(residuals > tol.abs + tol.rel * scales)
     if open_pairs.size:
         i, j = (int(x) for x in open_pairs[0])
         raise ClosureViolation(i, j, float(residuals[i, j]))
-    f = coeffs.reshape(n, n, n)
+    f = np.tensordot(basis.T, c, axes=([0], [0]))
     f = 0.5 * (f - f.transpose(0, 2, 1))
     return StructureConstants(f, tol)
 
@@ -233,80 +250,53 @@ def killing_form(f: StructureConstants) -> KillingForm:
     return KillingForm(0.5 * (B + B.T))
 
 
-def is_semisimple(B: KillingForm, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Cartan's criterion: the Killing form is nondegenerate."""
-    s = np.linalg.svd(B.B, compute_uv=False)
-    return bool(s[-1] > tol.cut(s[0]))
-
-
-def mu_system_matrix(f: StructureConstants) -> np.ndarray:
-    """The stacked n^2 x n real system (i, j) -> sum_k mu_k f^k_ij.
-
-    Row (i, j) (lexicographic, i outermost) holds the coefficients of
-    the equation sum_k mu_k f^k_ij = 0.
-    """
-    n = f.n
-    return f.f.transpose(1, 2, 0).reshape(n * n, n)
-
-
 def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solutions mu of sum_k mu_k f^k_ij = 0 for all i, j (rows of the result).
 
     Empty exactly when the algebra is semisimple (compact case): the
     system says mu is orthogonal to every bracket coefficient vector.
     """
-    return real_nullspace(mu_system_matrix(f), tol)
+    return real_nullspace(f.f.transpose(1, 2, 0).reshape(f.n * f.n, f.n), tol)
 
 
-def derived_subalgebra(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal coefficient basis of the span of all brackets."""
-    n = f.n
-    iu, ju = np.triu_indices(n, k=1)
-    vectors = f.f[:, iu, ju].T if iu.size else np.zeros((0, n))
-    return real_row_space(vectors, tol)
+def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
+    """Split a compact algebra as center (+) [g, g] by one SVD, in frame coefficients.
 
-
-def center(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal coefficient basis of elements commuting with the algebra."""
-    n = f.n
-    system = f.f.transpose(0, 2, 1).reshape(n * n, n)
-    return real_nullspace(system, tol)
-
-
-def levi_split_compact(f: StructureConstants, der: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
-    """Split a compact algebra as center (+) ``der``, its derived subalgebra.
-
-    The direct-sum decomposition with abelian radical is a theorem for
-    subalgebras of su(N); dimensions failing to add up to n therefore
-    signal a tolerance failure or invalid input.
+    Builds f_E[k, a, b] = <E_k, [E_a, E_b]> on the frame E of ``basis``.
+    The inner product is ad-invariant on su(N), so f_E is totally
+    antisymmetric and the frame Killing form is -M M^T for M = f_E
+    reshaped to (n, n^2), whose columns are all brackets. The SVD reads
+    the n(n + 1)/2 columns with a <= b: the same span, since column
+    (b, a) is minus column (a, b), with singular values over sqrt(2).
+    Its rank r is the only rank decision about g: g is semisimple
+    exactly when r = n, the first r left singular vectors are an
+    orthonormal basis of [g, g], and the other n - r span the center,
+    its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
+    all x, y exactly when z is central). The span must be closed, as
+    :func:`structure_constants` checks. Cost: O(n^2 N^3 + n^3 N^2 + n^4)
+    time, O(n^2 N^2 + n^3) memory.
     """
-    n = f.n
-    rad = center(f, tol)
-    if rad.shape[0] + der.shape[0] != n:
-        raise SplitInconsistent(
-            f"center ({rad.shape[0]}) + derived ({der.shape[0]}) != n ({n})"
-        )
-    joint = np.vstack([rad, der])
-    s = np.linalg.svd(joint, compute_uv=False)
-    if int(np.sum(s > tol.cut(s[0]))) != n:
-        raise SplitInconsistent("center and derived subalgebra are not transversal")
-    return LeviSplit(rad, der)
+    f = _frame_coefficients(basis.E, _all_brackets(basis.E))
+    iu, ju = np.triu_indices(basis.n)
+    # the right singular vectors of M^T are the left ones of M
+    _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
+    rank = int(np.sum(s > tol.cut(s[0])))
+    return LeviSplit(f, vh[rank:], vh[:rank])
 
 
-def is_solvable(f: StructureConstants, der: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the derived series reaches zero.
+def is_solvable(split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether the derived series of ``split.f`` reaches zero.
 
-    ``der`` is the first step of the series, the orthonormal basis of
-    [g, g] from :func:`derived_subalgebra`. The series is computed on
-    coefficient vectors: each further step spans the brackets of the
-    current subspace and the iteration stops when the dimension
-    stabilizes.
+    ``split.ss_basis`` is taken as the first step of the series, the
+    orthonormal basis of [g, g] that :func:`levi_split_compact` gives.
+    Each further step spans the brackets of the current subspace, and
+    the iteration stops when the dimension stabilizes.
     """
-    span, dim = der, f.n
+    span, dim = split.ss_basis, split.n
     while 0 < span.shape[0] < dim:
         dim = span.shape[0]
         iu, ju = np.triu_indices(dim, k=1)
-        vectors = np.einsum("kij,pi,pj->pk", f.f, span[iu], span[ju])
+        vectors = np.einsum("kij,pi,pj->pk", split.f, span[iu], span[ju])
         span = real_row_space(vectors, tol)
     return span.shape[0] == 0
 
@@ -327,27 +317,29 @@ def common_left_eigenvector(
     common eigenvector exists, and iterated eigenspace intersection of
     the restrictions finds one.
 
-    The spanning set is ``der``, the orthonormal coefficient basis of
-    :func:`derived_subalgebra`, at most n matrices. Cost: O(n^2 N^2
-    + n N^3) time, O(n N^2) memory.
+    The spanning set is ``der``, an orthonormal frame-coefficient basis
+    of [g, g] (``LeviSplit.ss_basis``), so its matrices are orthonormal.
+    The checks and the intersection run on D_i / |D_i|, whose spectra
+    keep their order under any element norm. Cost: O(n^2 N^2 + n N^3)
+    time, O(n N^2) memory.
     """
     mats = basis.mats
-    span_mats = np.tensordot(der, mats, axes=1)
-    W = left_nullspace(list(span_mats), tol, dim=basis.N)
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    units = mats / norms[:, None, None]
+    W = left_nullspace(list(np.tensordot(der, basis.E, axes=1)), tol, dim=basis.N)
     if W.shape[0] == 0:
         return None
-    scale = max(1.0, max(max_norm(m) for m in mats))
+    cut = 1e3 * tol.cut(1.0)
     # Invariance of W is exact mathematics; a violation here means the
     # nullspace cutoff misjudged the rank.
-    for D in mats:
+    for D in units:
         image = W @ D
-        drift = max_norm(image - (image @ W.conj().T) @ W)
-        if drift > 1e3 * tol.cut(scale):
+        if max_norm(image - (image @ W.conj().T) @ W) > cut:
             raise ArithmeticError(
                 "derived-algebra nullspace is not invariant within tolerance"
             )
     subspaces = [W]
-    for D in mats:
+    for D in units:
         refined = []
         for S in subspaces:
             restricted = S @ D @ S.conj().T
@@ -371,14 +363,14 @@ def common_left_eigenvector(
     v[lead] = magnitude
     lambdas = np.array([1j * (v.conj() @ (v @ D)).imag for D in mats])
     residual = max(
-        max_norm(v @ D - lam * v) for D, lam in zip(mats, lambdas)
+        max_norm(v @ D - lam * v) / norm for D, lam, norm in zip(mats, lambdas, norms)
     )
-    if residual > 1e3 * tol.cut(scale):
+    if residual > cut:
         raise ArithmeticError("eigenspace intersection lost the eigenvector")
     return v, lambdas
 
 
-def _adapted_constants(split: LeviSplit, f: StructureConstants) -> np.ndarray:
+def _adapted_constants(split: LeviSplit) -> np.ndarray:
     """Bracket tensor in the split-adapted basis (radical directions first).
 
     Computes sum_{k,i,j} Sinv[c, k] f[k, i, j] S[i, a] S[j, b] as three
@@ -386,14 +378,12 @@ def _adapted_constants(split: LeviSplit, f: StructureConstants) -> np.ndarray:
     """
     S = np.vstack([split.radical_basis, split.ss_basis]).T
     Sinv = np.linalg.inv(S)
-    fa = np.tensordot(Sinv, f.f, axes=1)  # (c, i, j)
+    fa = np.tensordot(Sinv, split.f, axes=1)  # (c, i, j)
     fa = np.tensordot(fa, S, axes=([1], [0]))  # (c, j, a)
     return np.tensordot(fa, S, axes=([1], [0]))  # (c, a, b)
 
 
-def anchor_solution_space(
-    split: LeviSplit, f: StructureConstants, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+def anchor_solution_space(split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solutions mu over the radical directions of the anchor system.
 
     Stacks the equations sum_k mu_k r^k_ij = 0 (radical-radical
@@ -406,8 +396,8 @@ def anchor_solution_space(
     nr = split.radical_dim
     if nr == 0:
         return np.zeros((0, 0))
-    fa = _adapted_constants(split, f)
-    n = f.n
+    fa = _adapted_constants(split)
+    n = split.n
     rows = []
     for i in range(nr):
         for j in range(nr):

@@ -1,7 +1,9 @@
 """Shared fixtures, random algebra generators and independent oracles.
 
 The oracles here deliberately avoid the library's decision paths: the
-Killing form is rebuilt from adjoint matrices, common eigenvectors are
+Killing form is rebuilt from adjoint matrices, semisimplicity, [g, g]
+and the center come from separate rank decisions on the user-basis
+tensor (not from the frame split), common eigenvectors are
 found by enumerating eigenspace intersections of every basis matrix
 (no derived-algebra reduction), and existence is decided by testing
 candidate witnesses directly against the Koszul identity.
@@ -9,10 +11,13 @@ candidate witnesses directly against the Koszul identity.
 
 from __future__ import annotations
 
+import json
+from functools import lru_cache
+
 import numpy as np
 
 from realcalc import cncalc, liealg
-from realcalc.matlin import DEFAULT_TOL, Tolerance
+from realcalc.matlin import DEFAULT_TOL, Tolerance, real_nullspace, real_row_space
 
 # ---------------------------------------------------------------------------
 # Concrete algebras
@@ -60,6 +65,18 @@ def su_basis(N: int) -> list[np.ndarray]:
         c[k, k], c[k + 1, k + 1] = 1j, -1j
         out.append(c)
     return out
+
+
+ALGEBRA_FIXTURES = ("su2", "abelian1", "ga_su4", "gb_su4", "gc_su4")
+
+
+def fixture_mats(name: str) -> list[np.ndarray]:
+    """The basis matrices of a bundled algebra fixture, by name without '.json'."""
+    from realcalc.cli import parse_algebra_spec
+    from realcalc.fixtures import fixture_path
+
+    spec = parse_algebra_spec(json.loads(fixture_path(f"{name}.json").read_text()))
+    return list(spec.mats)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +187,16 @@ def random_subalgebra(
     return f"{kind}-su{N}", mix_basis(rng, conjugate(mats, U))
 
 
+FAMILY_SEED = 20250808
+
+
+@lru_cache(maxsize=1)
+def family_200() -> tuple:
+    """200 random subalgebras of su(2) to su(5), the acceptance family."""
+    rng = np.random.default_rng(FAMILY_SEED)
+    return tuple(random_subalgebra(rng, sizes=(2, 3, 4, 5)) for _ in range(200))
+
+
 def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
     """Trivial projection over a random subalgebra with a random block metric."""
     label, mats = random_subalgebra(rng, sizes=sizes)
@@ -239,6 +266,42 @@ def killing_by_ad(f: np.ndarray) -> np.ndarray:
         for j in range(n):
             B[i, j] = np.trace(ads[i] @ ads[j]).real
     return B
+
+
+def mu_system_matrix(f: liealg.StructureConstants) -> np.ndarray:
+    """The stacked n^2 x n real system (i, j) -> sum_k mu_k f^k_ij.
+
+    Row (i, j) (lexicographic, i outermost) holds the coefficients of
+    the equation sum_k mu_k f^k_ij = 0.
+    """
+    n = f.n
+    return f.f.transpose(1, 2, 0).reshape(n * n, n)
+
+
+def is_semisimple(B: liealg.KillingForm, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Cartan's criterion: the Killing form is nondegenerate."""
+    s = np.linalg.svd(B.B, compute_uv=False)
+    return bool(s[-1] > tol.cut(s[0]))
+
+
+def derived_subalgebra(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal coefficient basis of the span of all brackets."""
+    n = f.n
+    iu, ju = np.triu_indices(n, k=1)
+    vectors = f.f[:, iu, ju].T if iu.size else np.zeros((0, n))
+    return real_row_space(vectors, tol)
+
+
+def center(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal coefficient basis of elements commuting with the algebra."""
+    n = f.n
+    system = f.f.transpose(0, 2, 1).reshape(n * n, n)
+    return real_nullspace(system, tol)
+
+
+def projector(rows: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal projector of R^n onto the span of orthonormal rows."""
+    return rows.T @ rows if rows.size else np.zeros((n, n))
 
 
 def _left_eigenspaces(D: np.ndarray, tol: Tolerance) -> list[tuple[complex, np.ndarray]]:

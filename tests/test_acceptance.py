@@ -6,7 +6,6 @@ line per criterion.
 
 import json
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,24 +14,23 @@ from realcalc import cncalc, liealg, projcalc
 from realcalc.cli import main as cli_main
 from realcalc.liealg import (
     LieBasis,
-    center,
-    is_semisimple,
     killing_form,
     mu_obstruction_space,
-    mu_system_matrix,
     structure_constants,
 )
 from realcalc.matlin import max_norm
 
 from support import (
+    FAMILY_SEED,
+    center,
+    family_200,
+    is_semisimple,
     killing_by_ad,
+    mu_system_matrix,
     oracle_existence,
-    random_subalgebra,
     random_trivial_data,
     su2_mats,
 )
-
-FAMILY_SEED = 20250808
 
 
 @contextmanager
@@ -50,12 +48,6 @@ def analyze_json(capsys, fixture: str) -> dict:
     out = capsys.readouterr().out
     assert code == 0
     return json.loads(out)
-
-
-@lru_cache(maxsize=1)
-def family_200() -> tuple:
-    rng = np.random.default_rng(FAMILY_SEED)
-    return tuple(random_subalgebra(rng, sizes=(2, 3, 4, 5)) for _ in range(200))
 
 
 def test_criterion_1_su2_obstruction(capsys):
@@ -109,12 +101,13 @@ def test_criterion_3_structure_constants_and_killing():
 
 
 def test_criterion_4_cartan_triple_agreement():
-    with criterion(4, "Cartan-criterion triple agreement on 200 random subalgebras"):
+    with criterion(4, "the split and three Cartan-criterion oracles agree on 200 random subalgebras"):
         disagreements = []
         for label, mats in family_200():
             basis = LieBasis(mats)
             f = structure_constants(basis)
             flags = (
+                liealg.levi_split_compact(basis).radical_dim == 0,
                 is_semisimple(killing_form(f)),
                 mu_obstruction_space(f).shape[0] == 0,
                 center(f).shape[0] == 0,

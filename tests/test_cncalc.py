@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realcalc import cncalc, liealg
+from realcalc import cncalc, liealg, matlin
 from realcalc.cncalc import (
     EXISTS,
     NONEXISTENT,
@@ -24,7 +24,7 @@ from realcalc.cncalc import (
 from realcalc.liealg import (
     LieBasis,
     common_left_eigenvector,
-    derived_subalgebra,
+    levi_split_compact,
     structure_constants,
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
@@ -359,7 +359,7 @@ class TestKoszulResidual:
         basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
         f = structure_constants(basis)
         pre = MetricPreCalculus(basis, 0.8)
-        v_eig, eigenvalues = common_left_eigenvector(basis, derived_subalgebra(f))
+        v_eig, eigenvalues = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
         cases = [(v_eig, eigenvalues.imag)] * 3
         for _ in range(3):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -485,22 +485,34 @@ class TestIntermediatesComputedOnce:
         [("gc", REASON_WITNESS), ("gb", REASON_NO_COMMON_EIGENVECTOR), ("su2", REASON_SEMISIMPLE)],
     )
     def test_derived_once_and_no_mu_obstruction_solve(self, su4, su2_basis, monkeypatch, key, reason):
-        # [g, g] is built once and shared by the obstruction dimension,
-        # the eigenvector search and the split
-        calls = {"derived_subalgebra": 0, "mu_obstruction_space": 0}
-        for name in calls:
-            original = getattr(liealg, name)
+        # [g, g] and the center come from one split, shared by the
+        # obstruction dimension, the eigenvector search and mu; mu is a
+        # closed form, so no linear system is solved for it
+        calls = {
+            (liealg, "levi_split_compact"): 0,
+            (liealg, "mu_obstruction_space"): 0,
+            (liealg, "anchor_solution_space"): 0,
+            (matlin, "real_nullspace"): 0,
+        }
+        for owner, name in calls:
+            original = getattr(owner, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counting(*args, _key=(owner, name), _original=original, **kwargs):
+                calls[_key] += 1
                 return _original(*args, **kwargs)
 
-            for module in (liealg, cncalc):
-                monkeypatch.setattr(module, name, counting, raising=False)
+            for module in (matlin, liealg, cncalc):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         basis = su2_basis if key == "su2" else su4[key]
         report = decide_existence(MetricPreCalculus(basis))
         assert report.reason == reason
-        assert calls == {"derived_subalgebra": 1, "mu_obstruction_space": 0}
+        assert {name: count for (_, name), count in calls.items()} == {
+            "levi_split_compact": 1,
+            "mu_obstruction_space": 0,
+            "anchor_solution_space": 0,
+            "real_nullspace": 0,
+        }
 
 
 class TestDecideExistenceAtScale:

@@ -1,0 +1,104 @@
+"""Verdicts do not depend on how the algebra is presented.
+
+Derandomized properties (the profile in ``conftest.py``) over the algebra
+fixtures and su(k) plus its balancing center inside su(k + 1). Unitary
+conjugation, well-conditioned real mixing, rescaling every basis element
+by its own factor 10^u with u in [-12, 12], and the sign and size of
+``metric_scale`` must leave status and reason unchanged, and every
+witness must keep its residuals under 100 times the cut.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from realcalc import cncalc
+from realcalc.liealg import LieBasis
+from realcalc.matlin import DEFAULT_TOL
+
+from support import (
+    ALGEBRA_FIXTURES,
+    block_with_center,
+    conjugate,
+    fixture_mats,
+    mix_basis,
+    random_unitary,
+)
+
+EXISTS = (cncalc.EXISTS, cncalc.REASON_WITNESS)
+SEMISIMPLE = (cncalc.NONEXISTENT, cncalc.REASON_SEMISIMPLE)
+NO_EIGENVECTOR = (cncalc.NONEXISTENT, cncalc.REASON_NO_COMMON_EIGENVECTOR)
+VERDICTS = {
+    "su2": SEMISIMPLE,
+    "abelian1": EXISTS,
+    "ga_su4": SEMISIMPLE,
+    "gb_su4": NO_EIGENVECTOR,
+    "gc_su4": EXISTS,
+    "su2c-su3": EXISTS,
+    "su3c-su4": EXISTS,
+    "su4c-su5": EXISTS,
+}
+CENTERED = {"su2c-su3": (3, 2), "su3c-su4": (4, 3), "su4c-su5": (5, 4)}
+
+names = st.sampled_from(sorted(VERDICTS))
+seeds = st.integers(0, 2**32 - 1)
+metric_scales = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)).map(
+    lambda pair: pair[0] * 10.0 ** pair[1]
+)
+
+
+def case_mats(name: str) -> list[np.ndarray]:
+    assert set(ALGEBRA_FIXTURES) <= set(VERDICTS)
+    if name in CENTERED:
+        return block_with_center(*CENTERED[name])
+    return fixture_mats(name)
+
+
+def rescaled(data, mats: list[np.ndarray]) -> list[np.ndarray]:
+    exponents = data.draw(
+        st.lists(st.floats(-12.0, 12.0), min_size=len(mats), max_size=len(mats)), label="exponents"
+    )
+    return [10.0**u * m for u, m in zip(exponents, mats)]
+
+
+def verdict(mats: list[np.ndarray], metric_scale: float = 1.0) -> tuple[str, str]:
+    pre = cncalc.MetricPreCalculus(LieBasis(mats), metric_scale)
+    report = cncalc.decide_existence(pre)
+    if report.witness is not None:
+        threshold = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+        residuals = report.diagnostics["witness_residuals"]
+        assert max(residuals.values()) <= threshold, residuals
+    return report.status, report.reason
+
+
+class TestPresentationInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(name=names, seed=seeds)
+    def test_unitary_conjugation(self, name, seed):
+        mats = case_mats(name)
+        U = random_unitary(np.random.default_rng(seed), mats[0].shape[0])
+        assert verdict(conjugate(mats, U)) == VERDICTS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=names, seed=seeds)
+    def test_real_mixing(self, name, seed):
+        mats = mix_basis(np.random.default_rng(seed), case_mats(name))
+        assert verdict(mats) == VERDICTS[name]
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=names, data=st.data())
+    def test_per_element_rescaling(self, name, data):
+        assert verdict(rescaled(data, case_mats(name))) == VERDICTS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=names, metric_scale=metric_scales)
+    def test_metric_scale_sign_and_size(self, name, metric_scale):
+        assert verdict(case_mats(name), metric_scale) == VERDICTS[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=names, seed=seeds, metric_scale=metric_scales, data=st.data())
+    def test_all_transformations_together(self, name, seed, metric_scale, data):
+        rng = np.random.default_rng(seed)
+        mats = case_mats(name)
+        mats = mix_basis(rng, conjugate(mats, random_unitary(rng, mats[0].shape[0])))
+        assert verdict(rescaled(data, mats), metric_scale) == VERDICTS[name]

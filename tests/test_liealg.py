@@ -7,29 +7,38 @@ from realcalc.liealg import (
     LieBasis,
     StructureConstants,
     anchor_solution_space,
-    center,
     common_left_eigenvector,
-    derived_subalgebra,
-    is_semisimple,
     is_solvable,
     killing_form,
     levi_split_compact,
     mu_obstruction_space,
-    mu_system_matrix,
     structure_constants,
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
+    ALGEBRA_FIXTURES,
     block_with_center,
+    center,
+    derived_subalgebra,
+    family_200,
+    fixture_mats,
     generic_presentation,
+    is_semisimple,
     killing_by_ad,
+    mu_system_matrix,
+    projector,
     random_subalgebra,
     su2_mats,
     su4_family,
 )
 
 D1, D2, D3 = su2_mats()
+
+
+def oracle_split(f: StructureConstants) -> liealg.LeviSplit:
+    """A user-coefficient split from the oracle center and [g, g]."""
+    return liealg.LeviSplit(f.f, center(f), derived_subalgebra(f))
 
 
 def abelian_diag(n: int) -> LieBasis:
@@ -58,6 +67,23 @@ class TestLieBasis:
     def test_rejects_dependent_over_reals(self):
         with pytest.raises(ValueError):
             LieBasis([D3, 2 * D3])
+
+    def test_accepts_per_element_rescaled_fixtures(self):
+        # the independence test reads the normalized elements, so element
+        # norms from 1e-12 to 1e12 leave it alone, and the frame stays
+        # orthonormal with E = T D
+        rng = np.random.default_rng(25)
+        for name in ALGEBRA_FIXTURES:
+            mats = np.array(fixture_mats(name))
+            for _ in range(18):
+                scales = 10.0 ** rng.uniform(-12.0, 12.0, size=len(mats))
+                basis = LieBasis(mats * scales[:, None, None])
+                eye = np.eye(basis.n)
+                gram = np.tensordot(basis.E.conj(), basis.E, axes=([1, 2], [1, 2])).real
+                assert max_norm(gram - eye) <= 1e-12, (name, scales)
+                assert max_norm(basis.T @ basis.T_inv - eye) <= 1e-12, (name, scales)
+                rebuilt = np.tensordot(basis.T, basis.mats, axes=1)
+                assert max_norm(rebuilt - basis.E) <= 1e-12, (name, scales)
 
     def test_construction_does_not_require_closure(self):
         # span{D1, D3} is not a subalgebra; only structure_constants
@@ -135,16 +161,20 @@ class TestKillingForm:
 
 
 class TestSemisimple:
-    def test_su2(self, su2_f):
+    # the split decides; the Killing oracle must agree
+    def test_su2(self, su2_basis, su2_f):
+        assert levi_split_compact(su2_basis).radical_dim == 0
         assert is_semisimple(killing_form(su2_f))
 
     def test_gb_not(self, su4):
         f = structure_constants(su4["gb"])
+        assert levi_split_compact(su4["gb"]).radical_dim == 1
         assert not is_semisimple(killing_form(f))
 
     def test_abelian_not(self):
-        f = structure_constants(LieBasis([D3]))
-        assert not is_semisimple(killing_form(f))
+        basis = LieBasis([D3])
+        assert levi_split_compact(basis).radical_dim == 1
+        assert not is_semisimple(killing_form(structure_constants(basis)))
 
 
 class TestMuObstruction:
@@ -173,82 +203,94 @@ class TestMuObstruction:
 
 class TestDerivedAndCenter:
     def test_su2_derived_full(self, su2_basis, su2_f):
-        assert derived_subalgebra(su2_f).shape == (3, 3)
+        assert levi_split_compact(su2_basis).ss_basis.shape == (3, 3)
 
     def test_abelian_derived_empty(self):
-        basis = abelian_diag(2)
-        f = structure_constants(basis)
-        assert derived_subalgebra(f).shape == (0, 2)
+        split = levi_split_compact(abelian_diag(2))
+        assert split.ss_basis.shape == (0, 2)
 
     def test_gc_derived_is_corner_block_span(self, su4):
-        f = structure_constants(su4["gc"])
-        der = derived_subalgebra(f)
+        der = su4["gc"].user_rows(levi_split_compact(su4["gc"]).ss_basis)
         assert der.shape == (3, 4)
         assert max_norm(der[:, 0]) < 1e-12
 
     def test_center_dims(self, su2_basis, su2_f, su4):
-        assert center(su2_f).shape == (0, 3)
-        fgc = structure_constants(su4["gc"])
-        c = center(fgc)
+        assert levi_split_compact(su2_basis).radical_basis.shape == (0, 3)
+        c = su4["gc"].user_rows(levi_split_compact(su4["gc"]).radical_basis)
         assert c.shape == (1, 4)
         assert abs(c[0, 0]) == pytest.approx(1.0)
-        basis2 = abelian_diag(2)
-        f2 = structure_constants(basis2)
-        assert center(f2).shape == (2, 2)
+        assert levi_split_compact(abelian_diag(2)).radical_basis.shape == (2, 2)
 
     def test_radical_vectors_commute(self, su4):
-        fgc = structure_constants(su4["gc"])
-        split = levi_split_compact(fgc, derived_subalgebra(fgc))
+        basis = su4["gc"]
+        fgc = structure_constants(basis)
+        split = levi_split_compact(basis)
+        cut = 10 * DEFAULT_TOL.cut(max(1.0, max_norm(fgc.f)))
         for vec in split.radical_basis:
-            assert max_norm(np.einsum("i,kij->kj", vec, fgc.f)) <= 10 * DEFAULT_TOL.cut(
-                max(1.0, max_norm(fgc.f))
-            )
+            assert max_norm(np.einsum("i,kij->kj", vec, split.f)) <= cut
+        for vec in basis.user_rows(split.radical_basis):
+            assert max_norm(np.einsum("i,kij->kj", vec, fgc.f)) <= cut
 
 
 class TestLeviSplit:
     def test_gc(self, su4):
-        f = structure_constants(su4["gc"])
-        split = levi_split_compact(f, derived_subalgebra(f))
+        split = levi_split_compact(su4["gc"])
         assert (split.radical_dim, split.ss_dim) == (1, 3)
 
     def test_su2(self, su2_basis, su2_f):
-        split = levi_split_compact(su2_f, derived_subalgebra(su2_f))
+        split = levi_split_compact(su2_basis)
         assert (split.radical_dim, split.ss_dim) == (0, 3)
 
     def test_abelian(self):
-        basis = abelian_diag(2)
-        f = structure_constants(basis)
-        split = levi_split_compact(f, derived_subalgebra(f))
+        split = levi_split_compact(abelian_diag(2))
         assert (split.radical_dim, split.ss_dim) == (2, 0)
 
-    def test_inconsistent_dimensions_raise(self, su2_basis, su2_f, monkeypatch):
-        # a rank misjudgement must surface as SplitInconsistent, not as a
-        # silently wrong decomposition
-        monkeypatch.setattr(
-            liealg, "center", lambda *a, **k: np.eye(3)[:1]
-        )
-        with pytest.raises(liealg.SplitInconsistent):
-            levi_split_compact(su2_f, derived_subalgebra(su2_f))
+
+class TestSplitAgainstOracles:
+    """The one frame SVD against separate rank decisions on the user tensor."""
+
+    def test_fixtures_and_random_family(self):
+        cases = [(name, fixture_mats(name)) for name in ALGEBRA_FIXTURES] + list(family_200())
+        for label, mats in cases:
+            basis = LieBasis(mats)
+            f = structure_constants(basis)
+            split = levi_split_compact(basis)
+            n = basis.n
+            der = derived_subalgebra(f)
+            for rows, oracle in ((split.radical_basis, center(f)), (split.ss_basis, der)):
+                got = projector(basis.user_rows(rows), n)
+                assert max_norm(got - projector(oracle, n)) <= 1e-10, label
+            fE = split.f
+            cut = 1e-12 * max(1.0, max_norm(fE))
+            assert max_norm(fE + fE.transpose(0, 2, 1)) <= cut, label
+            assert max_norm(fE - fE.transpose(1, 2, 0)) <= cut, label
+            M = fE.reshape(n, n * n)
+            K = killing_form(f).B
+            congruent = basis.T_inv @ (-M @ M.T) @ basis.T_inv.T
+            assert max_norm(K - congruent) <= 1e-10 * max(1.0, max_norm(K)), label
+            report = cncalc.decide_existence(cncalc.MetricPreCalculus(basis))
+            if report.witness is not None:
+                mu = report.witness[0].mu
+                assert max_norm(der @ mu) <= 1e-10 * np.linalg.norm(mu), label
 
 
 class TestSolvable:
     def test_abelian(self):
-        f = structure_constants(abelian_diag(2))
-        assert is_solvable(f, derived_subalgebra(f))
+        assert is_solvable(levi_split_compact(abelian_diag(2)))
 
-    def test_su2_not(self, su2_f):
-        assert not is_solvable(su2_f, derived_subalgebra(su2_f))
+    def test_su2_not(self, su2_basis):
+        assert not is_solvable(levi_split_compact(su2_basis))
 
     def test_gc_not(self, su4):
-        f = structure_constants(su4["gc"])
-        assert not is_solvable(f, derived_subalgebra(f))
+        assert not is_solvable(levi_split_compact(su4["gc"]))
 
-    def test_consistency_with_semisimple(self, su2_f):
+    def test_consistency_with_semisimple(self, su2_basis, su2_f):
         # a semisimple algebra is never solvable; zero constants always are
-        assert is_semisimple(killing_form(su2_f))
-        assert not is_solvable(su2_f, derived_subalgebra(su2_f))
-        zero = StructureConstants(np.zeros((3, 3, 3)))
-        assert is_solvable(zero, derived_subalgebra(zero))
+        split = levi_split_compact(su2_basis)
+        assert split.radical_dim == 0
+        assert not is_solvable(split)
+        assert not is_solvable(oracle_split(su2_f))
+        assert is_solvable(oracle_split(StructureConstants(np.zeros((3, 3, 3)))))
 
     @pytest.mark.parametrize(
         "units, solvable",
@@ -277,33 +319,29 @@ class TestSolvable:
         n = len(units)
         coeffs = np.linalg.lstsq(basis.T, np.array(brackets).T, rcond=None)[0]
         f = StructureConstants(coeffs.reshape(n, n, n))
-        assert is_solvable(f, derived_subalgebra(f)) is solvable
+        assert is_solvable(oracle_split(f)) is solvable
 
 
 class TestCommonLeftEigenvector:
     def test_gc(self, su4):
-        f = structure_constants(su4["gc"])
-        v0, lambdas = common_left_eigenvector(su4["gc"], derived_subalgebra(f))
+        v0, lambdas = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
         assert np.allclose(v0, [1, 0, 0, 0], atol=1e-12)
         assert np.allclose(lambdas, [1j, 0, 0, 0], atol=1e-12)
 
     def test_gb_has_none(self, su4):
-        f = structure_constants(su4["gb"])
-        assert common_left_eigenvector(su4["gb"], derived_subalgebra(f)) is None
+        assert common_left_eigenvector(su4["gb"], levi_split_compact(su4["gb"]).ss_basis) is None
 
     def test_single_diagonal(self):
         basis = LieBasis([D3])
-        f = structure_constants(basis)
-        v0, lambdas = common_left_eigenvector(basis, derived_subalgebra(f))
+        v0, lambdas = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
         assert np.allclose(v0, [1, 0], atol=1e-12)
         assert lambdas[0] == pytest.approx(1j)
 
     def test_su2_has_none(self, su2_basis, su2_f):
-        assert common_left_eigenvector(su2_basis, derived_subalgebra(su2_f)) is None
+        assert common_left_eigenvector(su2_basis, levi_split_compact(su2_basis).ss_basis) is None
 
     def test_eigen_residuals(self, su4):
-        f = structure_constants(su4["gc"])
-        v0, lambdas = common_left_eigenvector(su4["gc"], derived_subalgebra(f))
+        v0, lambdas = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
         scale = max(max_norm(m) for m in su4["gc"].mats)
         for D, lam in zip(su4["gc"].mats, lambdas):
             assert max_norm(v0 @ D - lam * v0) <= 10 * DEFAULT_TOL.cut(scale)
@@ -312,20 +350,14 @@ class TestCommonLeftEigenvector:
 
 class TestAnchorSolutionSpace:
     def test_gc_central_direction_free(self, su4):
-        f = structure_constants(su4["gc"])
-        split = levi_split_compact(f, derived_subalgebra(f))
-        space = anchor_solution_space(split, f)
-        assert space.shape == (1, 1)
+        assert anchor_solution_space(levi_split_compact(su4["gc"])).shape == (1, 1)
+        assert anchor_solution_space(oracle_split(structure_constants(su4["gc"]))).shape == (1, 1)
 
     def test_semisimple_empty(self, su2_basis, su2_f):
-        split = levi_split_compact(su2_f, derived_subalgebra(su2_f))
-        assert anchor_solution_space(split, su2_f).shape == (0, 0)
+        assert anchor_solution_space(levi_split_compact(su2_basis)).shape == (0, 0)
 
     def test_abelian_full(self):
-        basis = abelian_diag(3)
-        f = structure_constants(basis)
-        split = levi_split_compact(f, derived_subalgebra(f))
-        assert anchor_solution_space(split, f).shape == (3, 3)
+        assert anchor_solution_space(levi_split_compact(abelian_diag(3))).shape == (3, 3)
 
     def test_solvable_radical_bracket_constrains_mu(self):
         # affine line algebra [e1, e2] = e2: the whole algebra is its own
@@ -333,9 +365,8 @@ class TestAnchorSolutionSpace:
         f = np.zeros((2, 2, 2))
         f[1, 0, 1], f[1, 1, 0] = 1.0, -1.0
         fc = StructureConstants(f)
-        assert is_solvable(fc, derived_subalgebra(fc))
-        split = liealg.LeviSplit(np.eye(2), np.zeros((0, 2)))
-        space = anchor_solution_space(split, fc)
+        assert is_solvable(oracle_split(fc))
+        space = anchor_solution_space(liealg.LeviSplit(f, np.eye(2), np.zeros((0, 2))))
         assert space.shape == (1, 2)
         assert abs(space[0] @ np.array([1.0, 0.0])) == pytest.approx(1.0)
 
@@ -358,9 +389,9 @@ class TestAnchorSolutionSpace:
                         semidirect[c, b, 3 + a] = -eps[a, b, c]
                         semidirect[3 + c, 3 + a, 3 + b] = eps[a, b, c]
                         direct[3 + c, 3 + a, 3 + b] = eps[a, b, c]
-        split = liealg.LeviSplit(np.eye(6)[:3], np.eye(6)[3:])
-        assert anchor_solution_space(split, StructureConstants(semidirect)).shape == (0, 3)
-        assert anchor_solution_space(split, StructureConstants(direct)).shape == (3, 3)
+        for tensor, shape in ((semidirect, (0, 3)), (direct, (3, 3))):
+            split = liealg.LeviSplit(StructureConstants(tensor).f, np.eye(6)[:3], np.eye(6)[3:])
+            assert anchor_solution_space(split).shape == shape
 
 
 class TestRandomFamilyProperties:
@@ -384,8 +415,9 @@ class TestRandomFamilyProperties:
             )
             fmax = max(1.0, max_norm(f.f))
             assert max_norm(jac) <= 10 * DEFAULT_TOL.cut(fmax * fmax), label
-            # three independent semisimplicity computations agree
+            # the split and three independent semisimplicity oracles agree
             flags = (
+                levi_split_compact(basis).radical_dim == 0,
                 is_semisimple(killing_form(f)),
                 mu_obstruction_space(f).shape[0] == 0,
                 center(f).shape[0] == 0,
@@ -403,6 +435,7 @@ class TestRandomFamilyProperties:
             basis = LieBasis(mats)
             f = structure_constants(basis)
             expect = kind in semisimple_kinds
+            assert (levi_split_compact(basis).radical_dim == 0) == expect, label
             assert is_semisimple(killing_form(f)) == expect, label
 
     def test_common_eigenvector_matches_bruteforce(self):
@@ -412,8 +445,7 @@ class TestRandomFamilyProperties:
         for _ in range(25):
             label, mats = random_subalgebra(rng, sizes=(2, 3, 4))
             basis = LieBasis(mats)
-            f = structure_constants(basis)
-            fast = common_left_eigenvector(basis, derived_subalgebra(f))
+            fast = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
             slow = eigenspace_chains(mats)
             assert (fast is not None) == bool(slow), label
             if fast is not None:
@@ -435,10 +467,10 @@ class TestKernelEquivalence:
         n = f.n
         assert n >= 8
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        split = liealg.LeviSplit(q[:3], q[3:] * rng.uniform(0.5, 2.0, size=(n - 3, 1)))
+        split = liealg.LeviSplit(f.f, q[:3], q[3:] * rng.uniform(0.5, 2.0, size=(n - 3, 1)))
         S = np.vstack([split.radical_basis, split.ss_basis]).T
         literal = np.einsum("ck,kij,ia,jb->cab", np.linalg.inv(S), f.f, S, S)
-        got = liealg._adapted_constants(split, f)
+        got = liealg._adapted_constants(split)
         assert got.shape == (n, n, n)
         assert max_norm(got - literal) <= 1e-12 * max(1.0, max_norm(literal))
 
@@ -472,7 +504,7 @@ class TestEigenvectorLeadEntry:
         raw = su4_family()["gc"] if kind == "gc_su4" else block_with_center(4, 3)
         rng = np.random.default_rng(seed)
         basis = LieBasis(generic_presentation(rng, raw))
-        v0, _ = common_left_eigenvector(basis, derived_subalgebra(structure_constants(basis)))
+        v0, _ = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
         lead = int(np.argmax(np.abs(v0) > 1e-8 * np.max(np.abs(v0))))
         assert v0[lead].imag == 0.0
         assert v0[lead].real > 0.0
