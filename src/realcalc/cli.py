@@ -743,7 +743,9 @@ def _load_json(path: Path):
         raise CliError(f"{path}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser; ``parse_args`` leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="realcalc",
         description="Decide, construct and verify Levi-Civita connections for real calculi.",

@@ -13,7 +13,8 @@ a coefficient space are stacks of orthonormal rows in ``R^n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .matlin import (
     Tolerance,
     _freeze,
     antihermitian_eigen,
-    as_matrix,
-    is_antihermitian_tracefree,
     left_nullspace,
     max_norm,
     real_nullspace,
@@ -82,14 +81,22 @@ class LieBasis:
     T_inv: np.ndarray
 
     def __init__(self, mats, tol: Tolerance = DEFAULT_TOL):
-        stacked = np.array([as_matrix(m) for m in mats], dtype=complex)
+        stacked = np.array(mats, dtype=complex)
         if stacked.ndim != 3 or stacked.shape[0] == 0:
             raise ValueError("a Lie basis needs at least one square matrix")
         if stacked.shape[1] != stacked.shape[2]:
             raise ValueError("basis matrices must be square")
-        for idx, m in enumerate(stacked):
-            if not is_antihermitian_tracefree(m, tol):
-                raise ValueError(f"basis matrix {idx} is not trace-free antihermitian")
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("matrix entries must be finite")
+        # each matrix against its own threshold, as is_antihermitian_tracefree
+        thresholds = tol.abs + tol.rel * np.max(np.abs(stacked), axis=(1, 2), initial=0.0)
+        defects = np.max(
+            np.abs(stacked + stacked.conj().transpose(0, 2, 1)), axis=(1, 2), initial=0.0
+        )
+        traces = np.abs(np.trace(stacked, axis1=1, axis2=2))
+        failing = np.flatnonzero((defects > thresholds) | (traces > thresholds))
+        if failing.size:
+            raise ValueError(f"basis matrix {failing[0]} is not trace-free antihermitian")
         n, N = stacked.shape[:2]
         flat = stacked.reshape(n, -1)
         norms = np.linalg.norm(flat, axis=1)
@@ -119,20 +126,80 @@ class LieBasis:
         return q.T
 
 
+class _Fitted(NamedTuple):
+    """A bracket tensor fitted to matrix brackets, with a bound on its Jacobi entries."""
+
+    f: np.ndarray
+    jacobi_bound: float
+
+
+def _jacobi_bound(f: np.ndarray, residuals: np.ndarray, norms: np.ndarray, weights: np.ndarray) -> float:
+    """Bound on every entry of the Jacobi tensor of a fitted bracket tensor.
+
+    ``f`` is fitted to the brackets of matrices D_i with ``norms``
+    d_i = |D_i|_F: [D_i, D_j] = sum_k f^k_ij D_k + R_ij with R_ij
+    orthogonal to the span and ``residuals`` r_ij = |R_ij|_F. Matrix
+    brackets satisfy Jacobi exactly and the orthogonal projection P onto
+    the span kills every R_ij, so
+
+        sum_m J^m_ijk D_m = -P(sum_cyc [D_i, R_jk]),
+
+    whose frame coefficients have norm at most
+    2 (d_i r_jk + d_j r_ki + d_k r_ij), as |[A, B]|_F <= 2 |A|_F |B|_F.
+    User coefficients are T^T times frame coefficients, so with
+    ``weights`` w_m = |T[:, m]|_2 (all 1 in the frame itself)
+
+        |J^m_ijk| <= w_m * 2 (d_i r_jk + d_j r_ki + d_k r_ij).
+
+    The bound is the largest right-hand side plus 3 n (n + 2) eps s^2,
+    s = max(1, max |f|): the round-off of the slab check that evaluates
+    J in floating point, three length-n dot products of entries at most
+    s per entry. f and r are computed, not exact; :class:`StructureConstants`
+    leaves their round-off a factor-2 margin below its cut. Cost: O(n^3)
+    time and memory.
+    """
+    n = f.shape[0]
+    s = norms[:, None, None] * residuals[None]
+    cyclic = float(np.max(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1)))
+    scale = max(1.0, max_norm(f))
+    return 2.0 * float(np.max(weights)) * cyclic + 3.0 * n * (n + 2) * np.finfo(float).eps * scale * scale
+
+
+def _check_jacobi(arr: np.ndarray, cut: float) -> None:
+    """Raise ValueError when an entry of the Jacobi tensor of ``arr`` exceeds ``cut``.
+
+    The tensor is built one leading index m at a time, each slab one
+    BLAS contraction plus two cyclic transposes. Cost: O(n^5) time,
+    O(n^3) memory.
+    """
+    for fm in arr:
+        # t[i, j, k] = sum_l f[m, i, l] f[l, j, k]; the two cyclic
+        # shifts of t are the other two Jacobi terms of slab m.
+        t = np.tensordot(fm, arr, axes=([1], [0]))
+        if max_norm(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)) > cut:
+            raise ValueError("structure constants violate the Jacobi identity")
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k.
 
-    Construction checks antisymmetry and the Jacobi identity for every
-    tensor, fitted or user-supplied. The Jacobi tensor is built one
-    leading index m at a time, each slab one BLAS contraction plus two
-    cyclic transposes. Cost: O(n^5) time, O(n^3) memory.
+    Construction checks antisymmetry, in O(n^3), and the Jacobi identity:
+    no entry of J^m_ijk = sum_l (f^m_il f^l_jk + f^m_jl f^l_ki + f^m_kl f^l_ij)
+    may exceed tol.cut(s^2), s = max(1, max |f|). A user-supplied tensor
+    always takes the exact slab check, O(n^5) time and O(n^3) memory. A
+    tensor that :func:`structure_constants` or :meth:`LeviSplit.constants`
+    fitted to matrix brackets arrives with a bound on its Jacobi entries
+    (stated in ``_jacobi_bound``), computed in O(n^3); the slab check
+    then runs only when that bound exceeds half the cut, the other half
+    being the margin for the round-off of the fit itself.
     """
 
     f: np.ndarray
 
     def __init__(self, f, tol: Tolerance = DEFAULT_TOL):
-        arr = np.array(f, dtype=float)
+        fitted = isinstance(f, _Fitted)
+        arr = np.array(f.f if fitted else f, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"structure constants must be n x n x n, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -141,12 +208,8 @@ class StructureConstants:
         if max_norm(arr + arr.transpose(0, 2, 1)) > tol.cut(scale):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
         jacobi_cut = tol.cut(scale * scale)
-        for fm in arr:
-            # t[i, j, k] = sum_l f[m, i, l] f[l, j, k]; the two cyclic
-            # shifts of t are the other two Jacobi terms of slab m.
-            t = np.tensordot(fm, arr, axes=([1], [0]))
-            if max_norm(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)) > jacobi_cut:
-                raise ValueError("structure constants violate the Jacobi identity")
+        if not (fitted and f.jacobi_bound <= 0.5 * jacobi_cut):
+            _check_jacobi(arr, jacobi_cut)
         object.__setattr__(self, "f", _freeze(arr))
 
     @property
@@ -182,12 +245,15 @@ class LeviSplit:
     coefficients. :func:`levi_split_compact` gives frame coefficients,
     where for a compact algebra the radical is the center, the
     complement is [g, g], and the rows of both together are an
-    orthonormal basis of the coefficient space.
+    orthonormal basis of the coefficient space; it also keeps the
+    residuals of the frame brackets' fit, which :meth:`constants` turns
+    into a bound on the Jacobi entries of ``f``.
     """
 
     f: np.ndarray
     radical_basis: np.ndarray
     ss_basis: np.ndarray
+    _fit_residuals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("f", "radical_basis", "ss_basis"):
@@ -205,6 +271,20 @@ class LeviSplit:
     def ss_dim(self) -> int:
         return self.ss_basis.shape[0]
 
+    def constants(self, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
+        """``f`` as :class:`StructureConstants`.
+
+        For a split from :func:`levi_split_compact` the Jacobi check
+        reads the frame fit's bound, with T = 1 and |E_a| = 1, in O(n^3),
+        and the O(n^5) slab check runs only when that bound does not
+        certify; any other split takes the slab check.
+        """
+        if self._fit_residuals is None:
+            return StructureConstants(self.f, tol)
+        ones = np.ones(self.n)
+        bound = _jacobi_bound(self.f, self._fit_residuals, ones, ones)
+        return StructureConstants(_Fitted(self.f, bound), tol)
+
 
 def _all_brackets(mats: np.ndarray) -> np.ndarray:
     """All pairwise commutators as an (n, n, N, N) tensor, in one BLAS product."""
@@ -218,6 +298,30 @@ def _frame_coefficients(E: np.ndarray, brackets: np.ndarray) -> np.ndarray:
     return np.tensordot(brackets, E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
 
 
+def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of the brackets and of what their projection onto E leaves.
+
+    ``c`` holds the frame coefficients of ``brackets``
+    (:func:`_frame_coefficients`). Both (n, n) results are symmetric and
+    zero on the diagonal, as the brackets are antisymmetric, so only the
+    pairs i < j are evaluated, the projection subtracted as two real
+    BLAS products. Cost: O(n^3 N^2) time, O(n^2 N^2) memory.
+    """
+    n = E.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    flat = E.reshape(n, -1)
+    rest = brackets[iu, ju].reshape(len(iu), flat.shape[1])
+    pairs = c[:, iu, ju].T
+    out = np.zeros((2, n, n))
+    parts = rest.view(float)
+    out[0, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    rest.real -= pairs @ np.ascontiguousarray(flat.real)
+    rest.imag -= pairs @ np.ascontiguousarray(flat.imag)
+    out[1, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    out = np.sqrt(out + out.transpose(0, 2, 1))
+    return out[0], out[1]
+
+
 def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
     """Bracket tensor of a basis, by projection onto its orthonormal frame.
 
@@ -226,22 +330,25 @@ def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> Struct
     leaves is the least-squares residual; the first pair (row-major)
     whose residual exceeds tolerance raises :class:`ClosureViolation`.
     Antisymmetry is exact on output (enforced by averaging the tensor
-    with its negated swap). Cost: O(n^2 N^3 + n^3 N^2) time, O(n^2 N^2)
-    memory, plus the Jacobi check of :class:`StructureConstants`.
+    with its negated swap). The residual norms r_ij bound the tensor's
+    Jacobi entries (``_jacobi_bound``, with weights |T[:, m]|_2), so the
+    Jacobi check of :class:`StructureConstants` costs O(n^3) and its
+    O(n^5) slab check runs only when that bound does not certify. Cost:
+    O(n^2 N^3 + n^3 N^2) time, the n^3 N^2 term the BLAS projection onto
+    E, and O(n^2 N^2 + n^3) memory.
     """
-    n = basis.n
     brackets = _all_brackets(basis.mats)
-    scales = np.maximum(1.0, np.linalg.norm(brackets.reshape(n, n, -1), axis=2))
     c = _frame_coefficients(basis.E, brackets)
-    brackets -= np.tensordot(c, basis.E, axes=([0], [0]))
-    residuals = np.linalg.norm(brackets.reshape(n, n, -1), axis=2)
-    open_pairs = np.argwhere(residuals > tol.abs + tol.rel * scales)
+    sizes, residuals = _fit_norms(basis.E, brackets, c)
+    open_pairs = np.argwhere(residuals > tol.abs + tol.rel * np.maximum(1.0, sizes))
     if open_pairs.size:
         i, j = (int(x) for x in open_pairs[0])
         raise ClosureViolation(i, j, float(residuals[i, j]))
     f = np.tensordot(basis.T, c, axes=([0], [0]))
     f = 0.5 * (f - f.transpose(0, 2, 1))
-    return StructureConstants(f, tol)
+    norms = np.linalg.norm(basis.mats, axis=(1, 2))
+    bound = _jacobi_bound(f, residuals, norms, np.linalg.norm(basis.T, axis=0))
+    return StructureConstants(_Fitted(f, bound), tol)
 
 
 def killing_form(f: StructureConstants) -> KillingForm:
@@ -273,15 +380,18 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     orthonormal basis of [g, g], and the other n - r span the center,
     its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
     all x, y exactly when z is central). The span must be closed, as
-    :func:`structure_constants` checks. Cost: O(n^2 N^3 + n^3 N^2 + n^4)
-    time, O(n^2 N^2 + n^3) memory.
+    :func:`structure_constants` checks. The norms of what the projection
+    leaves of each bracket are kept for :meth:`LeviSplit.constants`.
+    Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
+    projection onto E and its subtraction, O(n^2 N^2 + n^3) memory.
     """
-    f = _frame_coefficients(basis.E, _all_brackets(basis.E))
+    brackets = _all_brackets(basis.E)
+    f = _frame_coefficients(basis.E, brackets)
     iu, ju = np.triu_indices(basis.n)
     # the right singular vectors of M^T are the left ones of M
     _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
-    return LeviSplit(f, vh[rank:], vh[:rank])
+    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(_fit_norms(basis.E, brackets, f)[1]))
 
 
 def is_solvable(split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> bool:

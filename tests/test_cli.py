@@ -193,6 +193,25 @@ class TestDeterminismAndIO:
         listed = {line.split("\t")[0] for line in out.strip().splitlines()}
         assert listed == ALGEBRA_FIXTURES | PROJECTIVE_FIXTURES
 
+    def test_consecutive_calls_share_no_state(self, capsys, tmp_path):
+        # one parser serves every call; no flag or subcommand of one call
+        # may reach the next, and a usage error leaves it usable
+        assert cli._build_parser() is cli._build_parser()
+        first = run(capsys, "analyze", "gc_su4.json")
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, "analyze", "gc_su4.json", "--tol", "1e-7", "--format", "json",
+                           "--output", str(target))
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["tolerance"]["rel"] == 1e-7
+        assert run(capsys, "fixtures")[0] == 0
+        assert run(capsys, "lie", "su2.json", "--format", "json")[0] == 0
+        for argv in (["analyze"], ["no-such-command"], ["analyze", "su2.json", "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: realcalc" in capsys.readouterr().err
+        assert run(capsys, "analyze", "gc_su4.json") == first
+
     def test_module_entry_point(self):
         import subprocess
         import sys

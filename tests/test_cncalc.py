@@ -287,8 +287,12 @@ class TestRccCheck:
         assert not rcc_check(Connection([0.0]), basis, anchor)
 
 
-def _koszul_literal(pre, conn, f, anchor):
-    """The Koszul residual from the identity's displayed form, one triple at a time."""
+def _koszul_literal(pre, conn, f, anchor, norm=np.linalg.norm):
+    """The Koszul residual from the identity's displayed form, one triple at a time.
+
+    Each triple's gap LHS - RHS is an N x N matrix; the residual is the
+    largest of their norms, Frobenius unless ``norm`` says otherwise.
+    """
     x = pre.metric_scale
     mats = pre.basis.mats
     n = pre.basis.n
@@ -320,7 +324,7 @@ def _koszul_literal(pre, conn, f, anchor):
                     + h(e[j], phi_bracket(k, i))
                     + h(e[k], phi_bracket(i, j))
                 )
-                worst = max(worst, max_norm(lhs - rhs))
+                worst = max(worst, float(norm(lhs - rhs)))
     return worst
 
 
@@ -371,6 +375,34 @@ class TestKoszulResidual:
             fast = koszul_residual(pre, conn, f, anchor)
             slow = _koszul_literal(pre, conn, f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_literal_on_witnesses(self, k):
+        # at a witness every gap is round-off; the closed form splits the
+        # gap into orthogonal parts and must not lose it to cancellation
+        rng = np.random.default_rng(79 + k)
+        basis = LieBasis(generic_presentation(rng, block_with_center(k + 1, k)))
+        f = structure_constants(basis)
+        pre = MetricPreCalculus(basis, 0.8)
+        anchor, conn = decide_existence(pre).witness
+        fast = koszul_residual(pre, conn, f, anchor)
+        slow = _koszul_literal(pre, conn, f, anchor)
+        assert fast <= 1e-14 and slow <= 1e-14
+        assert fast == pytest.approx(slow, abs=1e-14)
+
+    def test_bounds_the_largest_entry(self, su2_basis, su2_f):
+        # the Frobenius norm of an N x N gap is at least its largest
+        # entry, and at most N times it
+        rng = np.random.default_rng(80)
+        pre = MetricPreCalculus(su2_basis, 1.7)
+        for _ in range(10):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            anchor = AnchorMap(v / np.linalg.norm(v), rng.standard_normal(3))
+            conn = Connection(rng.standard_normal(3))
+            fro = koszul_residual(pre, conn, su2_f, anchor)
+            entry = _koszul_literal(pre, conn, su2_f, anchor, norm=max_norm)
+            assert entry * (1.0 - 1e-12) <= fro <= 2.0 * entry * (1.0 + 1e-12)
 
 
 class TestDecideExistence:
@@ -515,17 +547,27 @@ class TestIntermediatesComputedOnce:
         }
 
 
+def _assert_exists_under_cut(pre):
+    report = decide_existence(pre)
+    assert (report.status, report.reason) == (EXISTS, REASON_WITNESS)
+    thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+    residuals = report.diagnostics["witness_residuals"]
+    assert set(residuals) == {"torsion", "rcc", "metric_compatibility", "koszul"}
+    assert all(value <= thr for value in residuals.values()), residuals
+
+
 class TestDecideExistenceAtScale:
     def test_su7_center_in_su8_exists(self):
         rng = np.random.default_rng(49)
         pre = MetricPreCalculus(LieBasis(generic_presentation(rng, block_with_center(8, 7))))
         assert pre.basis.n == 49
-        report = decide_existence(pre)
-        assert (report.status, report.reason) == (EXISTS, REASON_WITNESS)
-        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
-        residuals = report.diagnostics["witness_residuals"]
-        assert set(residuals) == {"torsion", "rcc", "metric_compatibility", "koszul"}
-        assert all(value <= thr for value in residuals.values()), residuals
+        _assert_exists_under_cut(pre)
+
+    def test_su9_center_in_su10_exists(self):
+        rng = np.random.default_rng(81)
+        pre = MetricPreCalculus(LieBasis(generic_presentation(rng, block_with_center(10, 9))))
+        assert pre.basis.n == 81
+        _assert_exists_under_cut(pre)
 
     def test_doubled_su4_center_in_su8_has_no_common_eigenvector(self):
         rng = np.random.default_rng(16)
@@ -565,6 +607,33 @@ class TestVerifyUniqueness:
         other = Connection(bumped)
         assert not rcc_check(other, pre.basis, anchor)
         assert verify_uniqueness(pre, f, anchor, conn, other)
+
+    def test_rescaled_basis_is_checked_in_its_frame(self, monkeypatch):
+        # su(2) + center in su(3) with two elements scaled by 1e10: torsion
+        # and Koszul terms grow with products of element norms, so in the
+        # user basis even the witness reads a torsion of about 2.8e3
+        # against a cut of about 1e3, and every pair came out vacuously
+        # true; the frame form passes the witness and fails a wrong
+        # connection
+        mats = [m * (1e10 if i < 2 else 1.0) for i, m in enumerate(block_with_center(3, 2))]
+        pre = MetricPreCalculus(LieBasis(mats))
+        f = structure_constants(pre.basis)
+        anchor, conn = decide_existence(pre).witness
+        assert not cncalc._passes_all_checks(pre, f, anchor, conn, DEFAULT_TOL)["ok"]
+        verdicts = []
+        original = cncalc._passes_all_checks
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            verdicts.append(out["ok"])
+            return out
+
+        monkeypatch.setattr(cncalc, "_passes_all_checks", recording)
+        assert verify_uniqueness(pre, f, anchor, conn, conn)
+        assert verdicts == [True, True]
+        verdicts.clear()
+        assert verify_uniqueness(pre, f, anchor, conn, Connection(conn.lambdas + 0.5))
+        assert verdicts == [True, False]
 
     def test_flags_true_violation(self, gc_witness, monkeypatch):
         # force the impossible both-pass scenario to exercise the branch

@@ -64,6 +64,17 @@ class TestLieBasis:
         with pytest.raises(ValueError):
             LieBasis([np.diag([1j, 1j])])
 
+    def test_names_the_first_failing_matrix_against_its_own_scale(self):
+        # a 1e-6 antihermiticity defect is round-off beside an element of
+        # norm 1e6, not beside one of norm 1; a trace is caught the same way
+        off = np.array([[0, 1e-6], [0, 0]], dtype=complex)
+        message = r"^basis matrix 1 is not trace-free antihermitian$"
+        with pytest.raises(ValueError, match=message):
+            LieBasis([1e6 * D1 + off, D2 + off, D3 + off])
+        with pytest.raises(ValueError, match=message):
+            LieBasis([D1, D2 + 1e-6j * np.eye(2), D3])
+        assert LieBasis([1e6 * D1 + off, D2, D3]).n == 3
+
     def test_rejects_dependent_over_reals(self):
         with pytest.raises(ValueError):
             LieBasis([D3, 2 * D3])
@@ -495,6 +506,107 @@ class TestKernelEquivalence:
         assert max_norm(jac[n - 1]) > 1e-3
         with pytest.raises(ValueError, match="Jacobi"):
             StructureConstants(f)
+
+
+def _jacobi_literal(f: np.ndarray) -> float:
+    """The largest entry of the Jacobi tensor, summed term by term."""
+    jac = (
+        np.einsum("mil,ljk->mijk", f, f)
+        + np.einsum("mjl,lki->mijk", f, f)
+        + np.einsum("mkl,lij->mijk", f, f)
+    )
+    return max_norm(jac)
+
+
+def _fit_bounds(basis, tol=DEFAULT_TOL):
+    """The user tensor, the frame tensor and the Jacobi bound each fit gave."""
+    bounds = []
+    original = liealg._jacobi_bound
+
+    def recording(*args):
+        bounds.append(original(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liealg, "_jacobi_bound", recording)
+        f = structure_constants(basis, tol)
+        f_E = levi_split_compact(basis, tol).constants(tol)
+    assert len(bounds) == 2
+    return f, f_E, bounds
+
+
+def _count_slab_checks(monkeypatch) -> list:
+    calls = []
+    original = liealg._check_jacobi
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(liealg, "_check_jacobi", counting)
+    return calls
+
+
+class TestJacobiBound:
+    """The O(n^3) bound of a fitted tensor against the O(n^5) slab defect."""
+
+    def test_dominates_the_defect_on_the_random_family(self):
+        for label, mats in family_200():
+            f, f_E, (bound, bound_E) = _fit_bounds(LieBasis(mats))
+            assert _jacobi_literal(f.f) <= bound, label
+            assert _jacobi_literal(f_E.f) <= bound_E, label
+            # these well-scaled draws are all certified
+            cut = DEFAULT_TOL.cut(max(1.0, max_norm(f.f)) ** 2)
+            assert bound <= 0.5 * cut, label
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5])
+    def test_dominates_the_defect_on_perturbed_brackets(self, delta):
+        # a basis moved off su(3) + center by delta: the span is no longer
+        # closed, its brackets leave residuals of order delta, and the fit
+        # has a true Jacobi defect of order delta^2
+        rng = np.random.default_rng(int(-np.log10(delta)))
+        mats = np.array(generic_presentation(rng, block_with_center(4, 3)))
+        z = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+        z = z - z.conj().transpose(0, 2, 1)
+        z -= np.trace(z, axis1=1, axis2=2)[:, None, None] / 4 * np.eye(4)
+        tol = liealg.Tolerance(rel=1e-3)
+        f, f_E, (bound, bound_E) = _fit_bounds(LieBasis(mats + delta * z, tol), tol)
+        defect, defect_E = _jacobi_literal(f.f), _jacobi_literal(f_E.f)
+        assert defect > 10.0 * delta * delta and defect_E > delta * delta
+        assert defect <= bound and defect_E <= bound_E
+
+    def test_user_tensors_always_take_the_slab_check(self, monkeypatch, su4):
+        calls = _count_slab_checks(monkeypatch)
+        f = structure_constants(su4["gc"])
+        split = levi_split_compact(su4["gc"])
+        split.constants()
+        assert calls == []
+        StructureConstants(f.f)
+        liealg.LeviSplit(split.f, split.radical_basis, split.ss_basis).constants()
+        assert len(calls) == 2
+
+    def test_uncertified_rescaled_basis_takes_the_slab_check(self, monkeypatch):
+        # element norms spread over many decades leave bracket round-off
+        # of order eps |D_i| |D_j|, which the bound, weighted by
+        # |T[:, m]| ~ 1 / |D_m|, cannot tell from a defect when |D_m| is
+        # small; the slab check then decides, and accepts
+        rng = np.random.default_rng(5)
+        base = np.array(fixture_mats("gc_su4"))
+        calls = _count_slab_checks(monkeypatch)
+        for _ in range(30):
+            scales = 10.0 ** rng.uniform(-12.0, 12.0, size=len(base))
+            basis = LieBasis(base * scales[:, None, None])
+            del calls[:]
+            f, _, (bound, _) = _fit_bounds(basis)
+            cut = DEFAULT_TOL.cut(max(1.0, max_norm(f.f)) ** 2)
+            if bound > 0.5 * cut:
+                break
+        else:
+            pytest.fail("no draw left the bound uncertified")
+        assert cut in calls
+        assert _jacobi_literal(f.f) <= cut
+        report = cncalc.decide_existence(cncalc.MetricPreCalculus(basis))
+        assert report.status == cncalc.EXISTS
 
 
 class TestEigenvectorLeadEntry:
