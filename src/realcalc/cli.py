@@ -22,7 +22,6 @@ with 12 significant digits, -0.0 as 0.0, and a complex value as
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import sys
@@ -51,7 +50,9 @@ class CliError(Exception):
 
 def _jsonify(value):
     """Convert a report value, recursively, to plain JSON types in the
-    report number format (see the module docstring).
+    report number format (see the module docstring), except that a
+    rounded float array that _render prints in bulk (``_prints_in_bulk``)
+    stays the float64 ``ndarray`` that ``_round12`` returns.
 
     Floats and complex numbers, scalar or array, are rounded to
     ``float(f"{x:.12g}") + 0.0`` per entry (a complex one as its
@@ -64,11 +65,9 @@ def _jsonify(value):
     from about 1e34 up, near-ties and exponent misses of log10 keep the
     per-entry expression, as do scalars and smaller arrays. Cost: O(m)
     numpy work for an array of m entries, plus per-entry Python work on
-    the entries that fall back only.
-
-    The cyclic garbage collector is paused while a float array becomes
-    nested lists: the lists it builds hold only floats, so they form no
-    cycles, but their number alone would set off repeated collections.
+    the entries that fall back only, and an O(m) ``tolist`` for the
+    arrays that the bulk path does not print: linear in the report's
+    bytes.
     """
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -85,13 +84,7 @@ def _jsonify(value):
         if value.dtype.kind != "f":
             return _jsonify(value.tolist())
         value = _round12(value)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return value.tolist()
-        finally:
-            if enabled:
-                gc.enable()
+        return value if _prints_in_bulk(value) else value.tolist()
     return value
 
 
@@ -479,6 +472,8 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
 
 
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
+# json.dumps, except that the bulk arrays that _jsonify leaves print as their list form
+_TEXT_ENCODE = json.JSONEncoder(default=np.ndarray.tolist).encode
 _INLINE_WIDTH = 88
 
 
@@ -488,13 +483,18 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
     ``pretty`` is the value as printed at this depth. ``flat`` is its
     one-line JSON when that may be inlined, i.e. it has at most
     _INLINE_WIDTH characters and no "{"; otherwise None, and then no
-    list holding the value can be inlined either.
+    list holding the value can be inlined either. An array that
+    ``_prints_in_bulk`` is printed by ``_render_float_array``; any other
+    array as its list form, and lists always by the generic path below.
 
-    Cost: a list that is not a rectangular float array is scanned for
-    rectangularity once at each depth it sits below, O(report size ×
-    array depth) in all; every value is encoded once, and the rest is
-    linear in the report's bytes.
+    Cost: linear in the report's bytes. Every value is encoded once, and
+    its text is copied once into each of the few containers around it.
     """
+    if isinstance(value, np.ndarray):
+        if _prints_in_bulk(value):
+            pretty = _render_float_array(value, indent)
+            return (pretty if len(pretty) <= _INLINE_WIDTH else None), pretty
+        value = value.tolist()
     if isinstance(value, dict):
         if not value:
             return None, "{}"
@@ -504,15 +504,11 @@ def _render(value, indent: int) -> tuple[Optional[str], str]:
         )
         return None, "{\n" + inner + "\n" + "  " * indent + "}"
     if isinstance(value, list):
-        if not any(isinstance(v, (dict, list)) for v in value):
+        if not any(isinstance(v, (dict, list, np.ndarray)) for v in value):
             # a list of scalars, such as a [re, im] pair: one encoder call
             flat = _ENCODE(value)
             if len(flat) <= _INLINE_WIDTH and "{" not in flat:
                 return flat, flat
-        else:
-            pretty = _render_float_array(value, indent)
-            if pretty is not None:
-                return (pretty if len(pretty) <= _INLINE_WIDTH else None), pretty
         parts = [_render(v, indent + 1) for v in value]
         flats = [flat for flat, _ in parts]
         # two brackets, and ", " between items
@@ -530,12 +526,18 @@ _BULK_MIN_SIZE = 32  # below this _render's generic path is cheaper than the num
 _SLAB_SIZE = 8192  # floats per bulk pass, unless one slab holds more; at least 17
 
 
-def _render_float_array(value: list, indent: int) -> Optional[str]:
-    """Pretty text of a rectangular nested list of _BULK_MIN_SIZE or more
-    finite floats, exactly as _render's generic path prints it; None for
-    any other list, which that path then prints. _render calls it only
-    on lists that hold a list, so on arrays of depth 2 or more, such as
-    coefficient grids.
+def _prints_in_bulk(x: np.ndarray) -> bool:
+    """Whether _render prints the array x in bulk: a float64 array of
+    depth 2 or more, such as a coefficient grid, with _BULK_MIN_SIZE
+    entries or more. ``_jsonify`` leaves exactly these arrays as arrays.
+    """
+    return x.dtype == np.float64 and x.ndim >= 2 and x.size >= _BULK_MIN_SIZE
+
+
+def _render_float_array(x: np.ndarray, indent: int) -> str:
+    """Pretty text of a float array that ``_prints_in_bulk``, exactly as
+    _render's generic path prints its list form. A NaN or infinite entry
+    raises ValueError, as the JSON encoder does.
 
     The floats are printed in bulk, a run of slabs of the outermost axis
     at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
@@ -558,33 +560,16 @@ def _render_float_array(value: list, indent: int) -> Optional[str]:
     its one-line form (3 for its text, as in "0.0", and 2 for the ", "
     or brackets around it), and 5 * 18 > _INLINE_WIDTH.
 
-    Cost: O(m) for m floats, in numpy passes and C-level string work
-    plus float.__repr__ on the floats that are not 12-digit values.
+    Cost: O(m d) for m floats in d dimensions, in numpy passes and
+    C-level string work plus float.__repr__ on the floats that are not
+    12-digit values; linear in the bytes printed.
     """
-    level, axes = [value], []  # every list at the current depth, in order
-    while True:
-        k = len(level[0])
-        if k == 0 or set(map(type, level)) != {list} or set(map(len, level)) != {k}:
-            return None
-        axes.append(k)
-        if type(level[0][0]) is not list:
-            break
-        level = list(chain.from_iterable(level))
-    size = len(level) * axes[-1]
-    if size < _BULK_MIN_SIZE or not all(
-            issubclass(t, float) for t in set(map(type, chain.from_iterable(level)))):
-        return None
-    step = max(1, _SLAB_SIZE * axes[0] // size) * (len(level) // axes[0])  # innermost rows per run
-    whole = step >= len(level)
-    bodies = []
-    for i in range(0, len(level), step):
-        rows = level[i:i + step]
-        x = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * axes[-1])
-        if not np.isfinite(x).all():
-            return None  # NaN and ±inf: leave them to the encoder, which raises
-        bodies.append(_bulk_text(x.reshape(-1, *axes[1:]), indent, whole))
-    if whole:
-        return bodies[0]
+    if not np.isfinite(x).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
+    if step >= len(x):
+        return _bulk_text(x, indent, True)
+    bodies = [_bulk_text(x[i:i + step], indent, False) for i in range(0, len(x), step)]
     pad = "\n" + "  " * (indent + 1)
     return "[" + pad + ("," + pad).join(bodies) + "\n" + "  " * indent + "]"
 
@@ -709,7 +694,7 @@ def _render_text_lines(value, key: str, indent: int, lines: list[str]) -> None:
         for idx, v in enumerate(value):
             _render_text_lines(v, f"[{idx}]", indent + 1, lines)
     else:
-        lines.append(f"{pad}{key}: {json.dumps(value)}")
+        lines.append(f"{pad}{key}: {_TEXT_ENCODE(value)}")
 
 
 def render_text(report: dict) -> str:

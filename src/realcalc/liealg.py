@@ -62,9 +62,10 @@ class LieBasis:
     """Ordered basis D_1, ..., D_n of a real Lie algebra in su(N).
 
     Construction checks that every matrix is trace-free antihermitian
-    and that the family is linearly independent over the reals. Closure
-    under brackets is *not* checked here; :func:`structure_constants`
-    raises :class:`ClosureViolation` when the span is not closed.
+    with a Frobenius norm that fits a double, and that the family is
+    linearly independent over the reals. Closure under brackets is *not*
+    checked here; :func:`structure_constants` raises
+    :class:`ClosureViolation` when the span is not closed.
 
     It also holds a frame E = T D of its span, orthonormal for
     <A, B> = Re tr(A^dagger B): with U S V^T the thin SVD of the
@@ -99,7 +100,11 @@ class LieBasis:
             raise ValueError(f"basis matrix {failing[0]} is not trace-free antihermitian")
         n, N = stacked.shape[:2]
         flat = stacked.reshape(n, -1)
-        norms = np.linalg.norm(flat, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(flat, axis=1)
+        too_large = np.flatnonzero(np.isinf(norms))
+        if too_large.size:
+            raise ValueError(f"basis matrix {too_large[0]} is too large for its norm to fit a double")
         if not np.all(norms > 0.0):
             raise ValueError("basis matrices are linearly dependent over R")
         realified = np.hstack([flat.real, flat.imag]) / norms[:, None]

@@ -301,6 +301,25 @@ class TestErrorPaths:
         assert code == 1
         assert "antihermitian" in err
 
+    @pytest.mark.parametrize("command, fixture, key", [
+        ("analyze", "gc_su4.json", "basis"),
+        ("projective", "free_trivial.json", "derivations"),
+    ])
+    def test_basis_too_large_for_its_norm(self, capsys, tmp_path, command, fixture, key):
+        # an independent basis scaled to entries near 1e155: the error names
+        # the first matrix, not a linear dependence
+        spec = json.loads(fixture_path(fixture).read_text())
+        if key == "basis":
+            for entry in spec["basis"]:
+                entry["matrix"] = (1e155 * np.array(entry["matrix"], dtype=float)).tolist()
+        else:
+            spec[key] = (1e155 * np.array(spec[key], dtype=float)).tolist()
+        bad = tmp_path / "large.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"realcalc: error: {key}: basis matrix 0 is too large for its norm to fit a double\n"
+
     def test_closure_violation_names_pair(self, capsys, tmp_path):
         bad = tmp_path / "open_span.json"
         bad.write_text(

@@ -79,6 +79,19 @@ class TestLieBasis:
         with pytest.raises(ValueError):
             LieBasis([D3, 2 * D3])
 
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_names_a_matrix_whose_norm_overflows(self, scale):
+        # the squares of entries near 1e155 overflow, so the norm reads inf and
+        # the normalized element reads zero: independent elements must not be
+        # reported as dependent
+        mats = np.array(fixture_mats("gc_su4"))
+        assert LieBasis(mats * 1e150).n == len(mats)
+        with pytest.raises(ValueError, match=r"^basis matrix 0 is too large for its norm to fit a double$"):
+            LieBasis(mats * scale)
+        mats[2] *= scale
+        with pytest.raises(ValueError, match=r"^basis matrix 2 is too large"):
+            LieBasis(mats)
+
     def test_accepts_per_element_rescaled_fixtures(self):
         # the independence test reads the normalized elements, so element
         # norms from 1e-12 to 1e12 leave it alone, and the frame stays

@@ -1,8 +1,11 @@
 """The JSON renderer and number formatter against the references they replaced.
 
 ``_dump_json_literal`` encodes every list subtree at every depth and
-keeps the result when it fits; ``render_json`` encodes each value once.
-Both must print the same bytes for any tree. ``_round12`` and
+keeps the result when it fits, reading an array as its list form;
+``render_json`` encodes each value once and prints large float arrays in
+bulk. Both must print the same bytes for any tree. ``_text_literal`` is
+``render_text`` with ``json.dumps`` applied to the list form of each
+leaf. ``_round12`` and
 ``_complex_out`` are the per-scalar conversions the commands applied
 before ``_jsonify`` became the only formatter.
 """
@@ -21,12 +24,24 @@ from realcalc.fixtures import fixture_names, fixture_path
 from realcalc.liealg import LieBasis
 from realcalc.matlin import DEFAULT_TOL
 
-from support import generic_presentation, su_basis, trivial_data
+from support import block_with_center, generic_presentation, su_basis, trivial_data
 
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 
 
+def _lists(value):
+    """The tree with every array replaced by its list form."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_lists(v) for v in value]
+    return value
+
+
 def _dump_json_literal(value, indent: int) -> str:
+    value = _lists(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -52,6 +67,27 @@ def assert_same(value):
     assert cli.render_json(value) == _dump_json_literal(value, 0) + "\n"
 
 
+def _text_literal(report: dict) -> str:
+    lines = []
+
+    def walk(value, key, indent):
+        pad = "  " * indent
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            for k, v in value.items():
+                walk(v, k, indent + 1)
+        elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+            lines.append(f"{pad}{key}:")
+            for idx, v in enumerate(value):
+                walk(v, f"[{idx}]", indent + 1)
+        else:
+            lines.append(f"{pad}{key}: {json.dumps(_lists(value))}")
+
+    for k, v in report.items():
+        walk(v, k, 0)
+    return "\n".join(lines) + "\n"
+
+
 def _fixture_reports():
     for name in sorted(fixture_names()):
         raw = json.loads(fixture_path(name).read_text())
@@ -66,6 +102,23 @@ def _fixture_reports():
 
 @pytest.mark.parametrize("label, report", list(_fixture_reports()), ids=lambda x: x if isinstance(x, str) else "")
 def test_fixture_reports(label, report):
+    assert_same(report)
+
+
+@pytest.mark.parametrize("label, report", list(_fixture_reports()), ids=lambda x: x if isinstance(x, str) else "")
+def test_fixture_text_reports(label, report):
+    assert cli.render_text(report) == _text_literal(report)
+
+
+def test_generic_lie_report_arrays():
+    # su(3) plus a center in su(4), n = 9: the structure constants and the
+    # Killing matrix reach both renderers as arrays
+    mats = generic_presentation(np.random.default_rng(39), block_with_center(4, 3))
+    spec = cli.AlgebraSpecFile(4, [f"D{i + 1}" for i in range(len(mats))], mats, 1.0, None)
+    report = cli.cmd_lie(spec, DEFAULT_TOL, "su3c-su4")
+    assert type(report["structure_constants"]) is np.ndarray and report["structure_constants"].shape == (9, 9, 9)
+    assert type(report["killing"]) is np.ndarray and report["killing"].shape == (9, 9)
+    assert cli.render_text(report) == _text_literal(report)
     assert_same(report)
 
 
@@ -144,7 +197,8 @@ def test_array_rounding_matches_scalar_path(dtype):
         assert np.signbit(values.real).any() and np.signbit(values.imag).any()
     for arr in (values.reshape(4, 5, 4, 5), values[:3], values[0], values[:0]):
         arr = np.asarray(arr, dtype=dtype)
-        assert json.dumps(cli._jsonify(arr)) == json.dumps(cli._jsonify(arr.tolist()))
+        assert_same_bits(np.asarray(cli._jsonify(arr), dtype=float),
+                         np.asarray(cli._jsonify(arr.tolist()), dtype=float))
 
 
 def _round12(x: float) -> float:
@@ -274,14 +328,20 @@ def test_jsonify_arrays_match_entries(shape, dtype):
     else:
         want = _round12_reference(x)
     out = cli._jsonify(x)
-    assert _plain(out)
-    assert_same_bits(np.array(out, dtype=float).reshape(want.shape), want)
+    # an array that the renderer prints in bulk stays an array
+    if cli._prints_in_bulk(want):
+        assert type(out) is np.ndarray
+    else:
+        assert _plain(out)
+    assert_same_bits(np.asarray(out, dtype=float).reshape(want.shape), want)
 
 
-# Rectangular float arrays: render_json groups the floats' texts one axis
-# at a time instead of rendering each subtree. The properties below build
-# the arrays from a shape and a pool of values whose repr runs from 3 to 24
-# characters, so that rows and blocks fall on both sides of the inline width.
+# Float arrays: render_json groups the floats' texts one axis at a time
+# instead of rendering each subtree, and prints a nested list of floats
+# by its generic path. The properties below build the arrays from a shape
+# and a pool of values whose repr runs from 3 to 24 characters, so that
+# rows and blocks fall on both sides of the inline width, and render each
+# array both as an ndarray and as its list form.
 
 array_values = st.sampled_from(
     [0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 1e-300, -1e-300, 0.1, -2.2250738585072014e-308]
@@ -327,7 +387,8 @@ def test_float_arrays_match_literal(array, depth):
     shape, leaves = array
     nested = _nest(leaves, shape)
     # small arrays are left to _render's generic path, which is cheaper there
-    assert (cli._render_float_array(nested, depth) is None) == (len(leaves) < cli._BULK_MIN_SIZE)
+    assert cli._prints_in_bulk(np.array(nested)) == (len(leaves) >= cli._BULK_MIN_SIZE)
+    assert_same(_placed(np.array(nested), depth))
     assert_same(_placed(nested, depth))
 
 
@@ -335,10 +396,7 @@ def test_float_arrays_match_literal(array, depth):
 def test_float_arrays_with_a_foreign_leaf(array, depth, other, where):
     shape, leaves = array
     leaves[where % len(leaves)] = other
-    nested = _nest(leaves, shape)
-    if not isinstance(other, float):
-        assert cli._render_float_array(nested, depth) is None
-    assert_same(_placed(nested, depth))
+    assert_same(_placed(_nest(leaves, shape), depth))
 
 
 @given(float_arrays(), st.integers(0, 3), st.booleans(), st.integers(min_value=0))
@@ -351,8 +409,6 @@ def test_ragged_float_arrays(array, depth, grow, where):
         row.append(leaves[0])
     else:
         row.pop()
-    if len(rows) > 1:  # a single row stays rectangular
-        assert cli._render_float_array(nested, depth) is None
     assert_same(_placed(nested, depth))
 
 
@@ -384,7 +440,9 @@ def test_float_texts_match_repr(values, rounded):
 def test_numpy_float_leaves_match_literal(array, depth, every):
     shape, leaves = array
     leaves = [np.float64(v) if every or i % 3 == 0 else v for i, v in enumerate(leaves)]
-    assert_same(_placed(_nest(leaves, shape), depth))
+    nested = _nest(leaves, shape)
+    assert_same(_placed(np.array(nested), depth))
+    assert_same(_placed(nested, depth))
 
 
 @given(float_arrays(), st.integers(0, 3), st.sampled_from([18, 20, 48]))
@@ -393,7 +451,9 @@ def test_float_arrays_in_slabs_match_literal(array, depth, slab):
     shape, leaves = array
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
-        assert_same(_placed(_nest(leaves, shape), depth))
+        nested = _nest(leaves, shape)
+        assert_same(_placed(np.array(nested), depth))
+        assert_same(_placed(nested, depth))
 
 
 def test_render_peak_memory():
@@ -422,7 +482,8 @@ def test_jsonify_keeps_the_collector_setting(enabled):
 
 
 def test_jsonify_sets_off_no_collection():
-    # turning a coefficient stack into nested lists builds 71,000 lists
+    # a coefficient stack stays one rounded array: no nested lists are built
+    x = np.random.default_rng(15).standard_normal((15, 15, 15, 4, 4, 2))
     starts = []
 
     def record(phase, info):
@@ -433,11 +494,12 @@ def test_jsonify_sets_off_no_collection():
     gc.enable()
     gc.callbacks.append(record)
     try:
-        out = cli._jsonify(np.full((15, 15, 15, 4, 4, 2), 0.5))
+        out = cli._jsonify(x)
     finally:
         gc.callbacks.remove(record)
         (gc.enable if was else gc.disable)()
-    assert len(out) == 15 and out[-1][-1][-1][-1][-1] == [0.5, 0.5]
+    assert type(out) is np.ndarray
+    assert_same_bits(out, _round12_reference(x))
     assert starts == []
 
 
@@ -458,11 +520,12 @@ def test_float_arrays_with_empty_lists(tree):
 def test_non_finite_leaf_raises(array, depth, bad, where):
     shape, leaves = array
     leaves[where % len(leaves)] = bad
-    tree = _placed(_nest(leaves, shape), depth)
-    with pytest.raises(ValueError):
-        _dump_json_literal(tree, 0)
-    with pytest.raises(ValueError):
-        cli.render_json(tree)
+    nested = _nest(leaves, shape)
+    for tree in (_placed(nested, depth), _placed(np.array(nested), depth)):
+        with pytest.raises(ValueError):
+            _dump_json_literal(tree, 0)
+        with pytest.raises(ValueError):
+            cli.render_json(tree)
 
 
 def test_failing_property_prints_its_example(tmp_path):
