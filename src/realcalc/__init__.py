@@ -10,7 +10,7 @@ Submodules:
 """
 
 from .matlin import DEFAULT_TOL, Tolerance
-from .liealg import KillingForm, LeviSplit, LieBasis, StructureConstants
+from .liealg import LeviSplit, LieBasis, StructureConstants
 from .cncalc import (
     AnchorMap,
     Connection,
@@ -27,7 +27,6 @@ __all__ = [
     "Tolerance",
     "LieBasis",
     "StructureConstants",
-    "KillingForm",
     "LeviSplit",
     "AnchorMap",
     "Connection",

@@ -389,9 +389,10 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
         "N": basis.N,
         "names": list(spec.names),
         "structure_constants": f.f,
-        "killing": liealg.killing_form(f).B,
+        "killing": liealg.killing_form(basis, split),
         "semisimple": split.radical_dim == 0,
-        "solvable": liealg.is_solvable(split, tol),
+        # g is compact, so it is solvable exactly when [g, g] = 0
+        "solvable": split.ss_dim == 0,
         "center_dim": split.radical_dim,
         "derived_dim": split.ss_dim,
         "levi_split": {

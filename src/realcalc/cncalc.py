@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_row_vector, max_norm
+from .matlin import DEFAULT_TOL, Tolerance, _freeze, _scaled_norm, as_row_vector, max_norm
 from .liealg import (
     LieBasis,
     StructureConstants,
@@ -364,7 +364,7 @@ def _frame_checks(
     return _passes_all_checks(
         MetricPreCalculus(LieBasis(basis.E, tol), pre.metric_scale),
         f_E,
-        AnchorMap(anchor.v0, mu_E / np.linalg.norm(mu_E), tol),
+        AnchorMap(anchor.v0, mu_E / _scaled_norm(mu_E), tol),
         Connection(basis.T @ conn.lambdas),
         tol,
     )
@@ -398,7 +398,8 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     connection. For the first center direction z of the split, mu is 1
     on z's unit coefficient vector in the user's basis and 0 on z's
     orthogonal complement, its largest entry made positive. The
-    Killing singular values are reported, not decided on.
+    Killing singular values are reported, not decided on; the Killing
+    matrix is read off the split (:func:`killing_form`).
 
     The witness is checked in its frame form (``_frame_checks``) against
     the frame tensor of the split; the reported Koszul residual is the
@@ -410,10 +411,11 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     split SVD; the Koszul check is O(n^3 N)), O(n^3 + n^2 N^2) memory.
     """
     basis = pre.basis
-    f = structure_constants(basis, tol)
+    # the closure gate: a bracket outside the span names its user pair
+    structure_constants(basis, tol)
     split = levi_split_compact(basis, tol)
     diagnostics = {
-        "killing_singular_values": np.linalg.svd(killing_form(f).B, compute_uv=False).tolist(),
+        "killing_singular_values": np.linalg.svd(killing_form(basis, split), compute_uv=False).tolist(),
         "mu_obstruction_dim": split.radical_dim,
     }
     if split.radical_dim == 0:
@@ -436,7 +438,7 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     )
     # mu_E = c z with c = |T^T z|, the norm of z's user coefficients
     z = split.radical_basis[0]
-    mu = basis.T_inv @ z * np.linalg.norm(z @ basis.T)
+    mu = basis.T_inv @ z * _scaled_norm(z @ basis.T)
     lead = int(np.argmax(np.abs(mu) >= np.max(np.abs(mu)) * (1.0 - 1e-8)))
     if mu[lead] < 0:
         mu = -mu

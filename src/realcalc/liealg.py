@@ -1,9 +1,9 @@
 """Lie-algebraic analysis of real matrix Lie algebras inside su(N).
 
-Structure constants, Killing form, solvability, the compact splitting
-into center plus derived subalgebra, common left-eigenvector search,
-and the coefficient linear systems that obstruct or admit metric anchor
-maps.
+Structure constants, the compact splitting into center plus derived
+subalgebra with the Killing form read off it, common left-eigenvector
+search, and the coefficient linear systems that obstruct or admit
+metric anchor maps.
 
 Coefficient vectors refer to the ordered basis held by a
 :class:`LieBasis` unless they are said to be frame coefficients: those
@@ -22,27 +22,29 @@ from .matlin import (
     DEFAULT_TOL,
     Tolerance,
     _freeze,
+    _scaled_norm,
     antihermitian_eigen,
     left_nullspace,
     max_norm,
     real_nullspace,
-    real_row_space,
 )
 
 __all__ = [
     "ClosureViolation",
     "LieBasis",
     "StructureConstants",
-    "KillingForm",
     "LeviSplit",
     "structure_constants",
     "killing_form",
     "mu_obstruction_space",
     "levi_split_compact",
-    "is_solvable",
     "common_left_eigenvector",
     "anchor_solution_space",
 ]
+
+
+# LieBasis rejects an element whose squared norm is not a double
+_LARGEST_NORM = float(np.sqrt(np.finfo(float).max))
 
 
 class ClosureViolation(ValueError):
@@ -71,7 +73,10 @@ class LieBasis:
     <A, B> = Re tr(A^dagger B): with U S V^T the thin SVD of the
     realified D_i / |D_i|, E is V^T, T = S^-1 U^T diag(1 / |D_i|) and
     ``T_inv`` = diag(|D_i|) U S. The independence test reads S, so no
-    element norm sways it. Coefficients x have frame coefficients
+    element norm sways it. ``norms`` holds each |D_i|_F, taken after
+    scaling D_i by a power of two near its largest entry so that it
+    neither overflows nor underflows; a norm above sqrt(max double),
+    about 1.34e154, is rejected. Coefficients x have frame coefficients
     T^-T x; a linear form mu on g has mu(E) = T mu(D). Cost: O(n^2 N^2)
     time and O(n N^2) memory.
     """
@@ -80,6 +85,7 @@ class LieBasis:
     E: np.ndarray
     T: np.ndarray
     T_inv: np.ndarray
+    norms: np.ndarray
 
     def __init__(self, mats, tol: Tolerance = DEFAULT_TOL):
         stacked = np.array(mats, dtype=complex)
@@ -89,7 +95,7 @@ class LieBasis:
             raise ValueError("basis matrices must be square")
         if not np.all(np.isfinite(stacked)):
             raise ValueError("matrix entries must be finite")
-        # each matrix against its own threshold, as is_antihermitian_tracefree
+        # each matrix against its own threshold
         thresholds = tol.abs + tol.rel * np.max(np.abs(stacked), axis=(1, 2), initial=0.0)
         defects = np.max(
             np.abs(stacked + stacked.conj().transpose(0, 2, 1)), axis=(1, 2), initial=0.0
@@ -101,8 +107,8 @@ class LieBasis:
         n, N = stacked.shape[:2]
         flat = stacked.reshape(n, -1)
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(flat, axis=1)
-        too_large = np.flatnonzero(np.isinf(norms))
+            norms = _scaled_norm(flat, axis=1)
+        too_large = np.flatnonzero(norms > _LARGEST_NORM)
         if too_large.size:
             raise ValueError(f"basis matrix {too_large[0]} is too large for its norm to fit a double")
         if not np.all(norms > 0.0):
@@ -116,6 +122,7 @@ class LieBasis:
         object.__setattr__(self, "E", _freeze(E))
         object.__setattr__(self, "T", _freeze((u / norms[:, None]).T / s[:, None]))
         object.__setattr__(self, "T_inv", _freeze(norms[:, None] * u * s))
+        object.__setattr__(self, "norms", _freeze(norms))
 
     @property
     def n(self) -> int:
@@ -220,25 +227,6 @@ class StructureConstants:
     @property
     def n(self) -> int:
         return self.f.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class KillingForm:
-    """Symmetric matrix B[i, j] = tr(ad_i ad_j) in the chosen basis."""
-
-    B: np.ndarray
-
-    def __init__(self, B):
-        arr = np.array(B, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"Killing matrix must be square, got {arr.shape}")
-        if max_norm(arr - arr.T) > DEFAULT_TOL.cut(max(1.0, max_norm(arr))):
-            raise ValueError("Killing matrix must be symmetric")
-        object.__setattr__(self, "B", _freeze(0.5 * (arr + arr.T)))
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +339,21 @@ def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> Struct
         raise ClosureViolation(i, j, float(residuals[i, j]))
     f = np.tensordot(basis.T, c, axes=([0], [0]))
     f = 0.5 * (f - f.transpose(0, 2, 1))
-    norms = np.linalg.norm(basis.mats, axis=(1, 2))
-    bound = _jacobi_bound(f, residuals, norms, np.linalg.norm(basis.T, axis=0))
+    bound = _jacobi_bound(f, residuals, basis.norms, _scaled_norm(basis.T, axis=0))
     return StructureConstants(_Fitted(f, bound), tol)
 
 
-def killing_form(f: StructureConstants) -> KillingForm:
-    """Killing matrix B_ij = sum_{k,l} f^l_ik f^k_jl."""
-    B = np.einsum("lik,kjl->ij", f.f, f.f)
-    return KillingForm(0.5 * (B + B.T))
+def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
+    """Killing matrix B_ij = tr(ad D_i ad D_j) of ``basis``, read off its split.
+
+    ``split`` is ``levi_split_compact(basis)``. Its tensor f_E is totally
+    antisymmetric, so with M = f_E reshaped to (n, n^2) the frame
+    Killing form is sum_{k,l} f^l_ak f^k_bl = -M M^T, and D = T_inv E
+    carries it to B = -G G^T with G = T_inv M: two BLAS products,
+    symmetric by construction. Cost: O(n^4) time, O(n^3) memory.
+    """
+    G = basis.T_inv @ split.f.reshape(split.n, -1)
+    return -(G @ G.T)
 
 
 def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -399,23 +393,6 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     return LeviSplit(f, vh[rank:], vh[:rank], _freeze(_fit_norms(basis.E, brackets, f)[1]))
 
 
-def is_solvable(split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the derived series of ``split.f`` reaches zero.
-
-    ``split.ss_basis`` is taken as the first step of the series, the
-    orthonormal basis of [g, g] that :func:`levi_split_compact` gives.
-    Each further step spans the brackets of the current subspace, and
-    the iteration stops when the dimension stabilizes.
-    """
-    span, dim = split.ss_basis, split.n
-    while 0 < span.shape[0] < dim:
-        dim = span.shape[0]
-        iu, ju = np.triu_indices(dim, k=1)
-        vectors = np.einsum("kij,pi,pj->pk", split.f, span[iu], span[ju])
-        span = real_row_space(vectors, tol)
-    return span.shape[0] == 0
-
-
 def common_left_eigenvector(
     basis: LieBasis, der: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -438,8 +415,7 @@ def common_left_eigenvector(
     keep their order under any element norm. Cost: O(n^2 N^2 + n N^3)
     time, O(n N^2) memory.
     """
-    mats = basis.mats
-    norms = np.linalg.norm(mats, axis=(1, 2))
+    mats, norms = basis.mats, basis.norms
     units = mats / norms[:, None, None]
     W = left_nullspace(list(np.tensordot(der, basis.E, axes=1)), tol, dim=basis.N)
     if W.shape[0] == 0:

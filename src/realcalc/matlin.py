@@ -20,12 +20,9 @@ __all__ = [
     "as_matrix",
     "as_row_vector",
     "max_norm",
-    "bracket",
-    "is_antihermitian_tracefree",
     "left_nullspace",
     "antihermitian_eigen",
     "real_nullspace",
-    "real_row_space",
 ]
 
 
@@ -95,27 +92,27 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _scaled_norm(a: np.ndarray, axis=None):
+    """Euclidean norm of ``a`` over ``axis``, taken after scaling by its largest entry.
+
+    ``np.linalg.norm`` squares the entries, so it overflows to inf for
+    norms above sqrt(max double), about 1.34e154, and reads 0 once the
+    squares fall below the smallest subnormal, near 1e-162. Here each
+    slice is first divided by a power of two within a factor 2 of its
+    largest magnitude, so every square is below 4 and only a norm that
+    is itself beyond the largest double overflows. Division by a power
+    of two is exact, so wherever ``np.linalg.norm`` neither overflows nor
+    underflows the two agree bit for bit. An all-zero slice reads 0.
+    """
+    big = np.abs(a).max(axis=axis, keepdims=True, initial=0.0)
+    # big < 2^e, so 2^(e - 1) <= big: finite even for the largest double
+    step = np.ldexp(0.5, np.frexp(big)[1])
+    return np.squeeze(step, axis=axis) * np.linalg.norm(a / step, axis=axis)
+
+
 def _require_square(a: np.ndarray, name: str = "matrix") -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-
-
-def bracket(a, b) -> np.ndarray:
-    """Commutator ``a @ b - b @ a`` of two square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_square(a)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def is_antihermitian_tracefree(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether ``a + a^dagger`` and ``tr a`` both vanish within tolerance."""
-    a = as_matrix(a)
-    _require_square(a)
-    thr = tol.cut(max_norm(a))
-    return max_norm(a + a.conj().T) <= thr and abs(np.trace(a)) <= thr
 
 
 def left_nullspace(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> np.ndarray:
@@ -197,16 +194,3 @@ def real_nullspace(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     cutoff = tol.cut(s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:]
-
-
-def real_row_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of a real matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d real matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return np.zeros((0, m.shape[1]))
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol.cut(s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[:rank]

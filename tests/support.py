@@ -1,9 +1,10 @@
 """Shared fixtures, random algebra generators and independent oracles.
 
 The oracles here deliberately avoid the library's decision paths: the
-Killing form is rebuilt from adjoint matrices, semisimplicity, [g, g]
-and the center come from separate rank decisions on the user-basis
-tensor (not from the frame split), common eigenvectors are
+Killing form is rebuilt from adjoint matrices, semisimplicity, [g, g],
+the center and solvability (the derived series) come from separate
+rank decisions on the user-basis tensor (not from the frame split),
+common eigenvectors are
 found by enumerating eigenspace intersections of every basis matrix
 (no derived-algebra reduction), and existence is decided by testing
 candidate witnesses directly against the Koszul identity.
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from realcalc import cncalc, liealg
-from realcalc.matlin import DEFAULT_TOL, Tolerance, real_nullspace, real_row_space
+from realcalc.matlin import DEFAULT_TOL, Tolerance, real_nullspace
 
 # ---------------------------------------------------------------------------
 # Concrete algebras
@@ -278,10 +279,23 @@ def mu_system_matrix(f: liealg.StructureConstants) -> np.ndarray:
     return f.f.transpose(1, 2, 0).reshape(n * n, n)
 
 
-def is_semisimple(B: liealg.KillingForm, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Cartan's criterion: the Killing form is nondegenerate."""
-    s = np.linalg.svd(B.B, compute_uv=False)
+def is_semisimple(B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Cartan's criterion: the Killing matrix ``B`` is nondegenerate."""
+    s = np.linalg.svd(B, compute_uv=False)
     return bool(s[-1] > tol.cut(s[0]))
+
+
+def real_row_space(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space of a real matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d real matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        return np.zeros((0, m.shape[1]))
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    cutoff = tol.cut(s[0] if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    return vh[:rank]
 
 
 def derived_subalgebra(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -290,6 +304,23 @@ def derived_subalgebra(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TO
     iu, ju = np.triu_indices(n, k=1)
     vectors = f.f[:, iu, ju].T if iu.size else np.zeros((0, n))
     return real_row_space(vectors, tol)
+
+
+def is_solvable_by_series(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether the derived series of ``f`` reaches zero.
+
+    Starts from [g, g] (:func:`derived_subalgebra`); each further step
+    spans the brackets of the current subspace, one rank decision each,
+    and the iteration stops when the dimension stabilizes. Holds for any
+    real Lie algebra, compact or not.
+    """
+    span, dim = derived_subalgebra(f, tol), f.n
+    while 0 < span.shape[0] < dim:
+        dim = span.shape[0]
+        iu, ju = np.triu_indices(dim, k=1)
+        vectors = np.einsum("kij,pi,pj->pk", f.f, span[iu], span[ju])
+        span = real_row_space(vectors, tol)
+    return span.shape[0] == 0
 
 
 def center(f: liealg.StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

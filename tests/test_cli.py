@@ -111,23 +111,23 @@ class TestLieCommand:
         assert report["semisimple"] is False
         assert report["solvable"] is True
 
-    @pytest.mark.parametrize("name, spans", [("gc_su4.json", 2), ("su2.json", 1)])
-    def test_derived_algebra_built_once(self, capsys, monkeypatch, name, spans):
-        # one split gives [g, g] and the center; the derived series
-        # starts from the split's [g, g], so is_solvable spans only the
-        # later steps (one for gc, where [g, g] = su(2) is perfect)
-        calls = []
-        for attr in ("levi_split_compact", "real_row_space"):
+    @pytest.mark.parametrize("name, runs", [("gc_su4.json", 2), ("su2.json", 1)])
+    def test_derived_algebra_built_once(self, capsys, monkeypatch, name, runs):
+        # one split gives [g, g], the center, solvability and the Killing
+        # matrix: each lie call splits once and reads the Killing form once
+        calls = {"levi_split_compact": 0, "killing_form": 0}
+        for attr in calls:
             original = getattr(liealg, attr)
 
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(liealg, attr, counting)
-        report = run_json(capsys, "lie", name)
-        assert report["solvable"] is False
-        assert len(calls) == spans
+        for _ in range(runs):
+            report = run_json(capsys, "lie", name)
+            assert report["solvable"] is False
+        assert calls == {"levi_split_compact": runs, "killing_form": runs}
 
 
 class TestProjectiveCommand:
@@ -319,6 +319,37 @@ class TestErrorPaths:
         code, out, err = run(capsys, command, str(bad))
         assert (code, out) == (1, "")
         assert err == f"realcalc: error: {key}: basis matrix 0 is too large for its norm to fit a double\n"
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    @pytest.mark.parametrize("command, fields", [
+        ("lie", ("semisimple", "solvable", "center_dim", "derived_dim")),
+        ("analyze", ("status", "reason", "diagnostics")),
+    ], ids=["lie", "analyze"])
+    def test_tiny_basis_keeps_its_verdict(self, capsys, tmp_path, command, fields, scale):
+        # entries near 1e-160 give the frame matrix T entries near 1e160 and
+        # norm squares that overflow; near 1e-170 the squares of the entries
+        # underflow to 0. Neither may warn (pytest turns warnings into errors)
+        # or change the verdict.
+        spec = json.loads(fixture_path("gc_su4.json").read_text())
+        for entry in spec["basis"]:
+            entry["matrix"] = (scale * np.array(entry["matrix"], dtype=float)).tolist()
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(spec))
+        got = run_json(capsys, command, str(tiny))
+        want = run_json(capsys, command, "gc_su4.json")
+        if command == "analyze":
+            for key in ("killing_singular_values", "eigenvector_residual"):
+                del got["diagnostics"][key], want["diagnostics"][key]
+        assert {k: got[k] for k in fields} == {k: want[k] for k in fields}
+
+    def test_tiny_derivations_print_no_warning(self, capsys, tmp_path):
+        spec = json.loads(fixture_path("free_trivial.json").read_text())
+        spec["derivations"] = (1e-160 * np.array(spec["derivations"], dtype=float)).tolist()
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "projective", str(tiny), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["holds"] is run_json(capsys, "projective", "free_trivial.json")["holds"]
 
     def test_closure_violation_names_pair(self, capsys, tmp_path):
         bad = tmp_path / "open_span.json"

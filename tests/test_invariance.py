@@ -5,22 +5,27 @@ fixtures and su(k) plus its balancing center inside su(k + 1). Unitary
 conjugation, well-conditioned real mixing, rescaling every basis element
 by its own factor 10^u with u in [-12, 12], and the sign and size of
 ``metric_scale`` must leave status and reason unchanged, and every
-witness must keep its residuals under 100 times the cut.
+witness must keep its residuals under 100 times the cut. On the same
+presentations the Killing matrix and the solvability read off the split
+match their oracles.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcalc import cncalc
-from realcalc.liealg import LieBasis
-from realcalc.matlin import DEFAULT_TOL
+from realcalc.liealg import LieBasis, killing_form, levi_split_compact, structure_constants
+from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
     ALGEBRA_FIXTURES,
     block_with_center,
     conjugate,
     fixture_mats,
+    is_solvable_by_series,
+    killing_by_ad,
     mix_basis,
     random_unitary,
 )
@@ -102,3 +107,34 @@ class TestPresentationInvariance:
         mats = case_mats(name)
         mats = mix_basis(rng, conjugate(mats, random_unitary(rng, mats[0].shape[0])))
         assert verdict(rescaled(data, mats), metric_scale) == VERDICTS[name]
+
+
+def presented(rng: np.random.Generator, mats: list[np.ndarray], how: str) -> list[np.ndarray]:
+    """``mats`` conjugated, mixed, rescaled per element by 10^u, u in [-12, 12], or all three."""
+    if how in ("conjugated", "all"):
+        mats = conjugate(mats, random_unitary(rng, mats[0].shape[0]))
+    if how in ("mixed", "all"):
+        mats = mix_basis(rng, mats)
+    if how in ("rescaled", "all"):
+        mats = [10.0 ** rng.uniform(-12.0, 12.0) * m for m in mats]
+    return mats
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
+    @pytest.mark.parametrize("name", sorted(VERDICTS))
+    def test_killing_and_solvability_match_oracles(self, name, how):
+        rng = np.random.default_rng(sorted(VERDICTS).index(name))
+        for _ in range(4):
+            mats = presented(rng, case_mats(name), how)
+            basis = LieBasis(mats)
+            split = levi_split_compact(basis)
+            # B_ij scales with |D_i| |D_j|, so both sides are compared on unit elements
+            scale = np.outer(basis.norms, basis.norms)
+            oracle = killing_by_ad(structure_constants(basis).f) / scale
+            got = killing_form(basis, split) / scale
+            assert max_norm(got - oracle) <= 1e-10 * max(1.0, max_norm(oracle)), (name, how)
+            # the oracle's rank decisions read user coefficients, which per-element
+            # scales of 1e24 apart would sway; its unit elements span the same algebra
+            units = LieBasis([m / np.linalg.norm(m) for m in mats])
+            assert (split.ss_dim == 0) == is_solvable_by_series(structure_constants(units)), (name, how)

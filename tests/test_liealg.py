@@ -8,7 +8,6 @@ from realcalc.liealg import (
     StructureConstants,
     anchor_solution_space,
     common_left_eigenvector,
-    is_solvable,
     killing_form,
     levi_split_compact,
     mu_obstruction_space,
@@ -25,6 +24,7 @@ from support import (
     fixture_mats,
     generic_presentation,
     is_semisimple,
+    is_solvable_by_series,
     killing_by_ad,
     mu_system_matrix,
     projector,
@@ -61,8 +61,9 @@ class TestLieBasis:
             LieBasis([np.array([[0, 1], [1, 0]], dtype=complex)])
 
     def test_rejects_traceful(self):
-        with pytest.raises(ValueError):
-            LieBasis([np.diag([1j, 1j])])
+        for traceful in (np.diag([1j, 1j]), np.eye(2)):
+            with pytest.raises(ValueError):
+                LieBasis([traceful])
 
     def test_names_the_first_failing_matrix_against_its_own_scale(self):
         # a 1e-6 antihermiticity defect is round-off beside an element of
@@ -91,6 +92,17 @@ class TestLieBasis:
         mats[2] *= scale
         with pytest.raises(ValueError, match=r"^basis matrix 2 is too large"):
             LieBasis(mats)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e150])
+    def test_norms_neither_overflow_nor_underflow(self, scale):
+        # near 1e-170 the squares of the entries underflow to 0, near 1e150
+        # the norm of a 16-entry stack still fits: both read the true norm
+        mats = np.array(fixture_mats("gc_su4"))
+        basis = LieBasis(mats * scale)
+        want = scale * np.linalg.norm(mats, axis=(1, 2))
+        assert max_norm(basis.norms / want - 1.0) <= 1e-15
+        assert max_norm(basis.T @ basis.T_inv - np.eye(basis.n)) <= 1e-14
+        assert max_norm(np.tensordot(basis.T, basis.mats, axes=1) - basis.E) <= 1e-14
 
     def test_accepts_per_element_rescaled_fixtures(self):
         # the independence test reads the normalized elements, so element
@@ -162,22 +174,24 @@ class TestStructureConstants:
             StructureConstants(f)
 
 
-class TestKillingForm:
-    def test_su2_is_minus_eight_identity(self, su2_f):
-        B = killing_form(su2_f)
-        assert max_norm(B.B + 8 * np.eye(3)) < 1e-9
+def split_killing(basis: LieBasis) -> np.ndarray:
+    return killing_form(basis, levi_split_compact(basis))
 
-    def test_matches_adjoint_oracle(self, su2_f):
-        assert max_norm(killing_form(su2_f).B - killing_by_ad(su2_f.f)) < 1e-12
+
+class TestKillingForm:
+    def test_su2_is_minus_eight_identity(self, su2_basis):
+        B = split_killing(su2_basis)
+        assert max_norm(B + 8 * np.eye(3)) < 1e-9
+        assert np.array_equal(B, B.T)
+
+    def test_matches_adjoint_oracle(self, su2_basis, su2_f):
+        assert max_norm(split_killing(su2_basis) - killing_by_ad(su2_f.f)) < 1e-12
 
     def test_abelian_vanishes(self):
-        basis = abelian_diag(2)
-        f = structure_constants(basis)
-        assert max_norm(killing_form(f).B) == 0.0
+        assert max_norm(split_killing(abelian_diag(2))) == 0.0
 
     def test_gc_has_one_null_direction(self, su4):
-        f = structure_constants(su4["gc"])
-        B = killing_form(f).B
+        B = split_killing(su4["gc"])
         # the central direction comes first in the gc basis
         assert max_norm(B[0, :]) < 1e-9
         assert max_norm(B[:, 0]) < 1e-9
@@ -188,17 +202,17 @@ class TestSemisimple:
     # the split decides; the Killing oracle must agree
     def test_su2(self, su2_basis, su2_f):
         assert levi_split_compact(su2_basis).radical_dim == 0
-        assert is_semisimple(killing_form(su2_f))
+        assert is_semisimple(killing_by_ad(su2_f.f))
 
     def test_gb_not(self, su4):
         f = structure_constants(su4["gb"])
         assert levi_split_compact(su4["gb"]).radical_dim == 1
-        assert not is_semisimple(killing_form(f))
+        assert not is_semisimple(killing_by_ad(f.f))
 
     def test_abelian_not(self):
         basis = LieBasis([D3])
         assert levi_split_compact(basis).radical_dim == 1
-        assert not is_semisimple(killing_form(structure_constants(basis)))
+        assert not is_semisimple(killing_by_ad(structure_constants(basis).f))
 
 
 class TestMuObstruction:
@@ -288,10 +302,8 @@ class TestSplitAgainstOracles:
             cut = 1e-12 * max(1.0, max_norm(fE))
             assert max_norm(fE + fE.transpose(0, 2, 1)) <= cut, label
             assert max_norm(fE - fE.transpose(1, 2, 0)) <= cut, label
-            M = fE.reshape(n, n * n)
-            K = killing_form(f).B
-            congruent = basis.T_inv @ (-M @ M.T) @ basis.T_inv.T
-            assert max_norm(K - congruent) <= 1e-10 * max(1.0, max_norm(K)), label
+            K = killing_by_ad(f.f)
+            assert max_norm(killing_form(basis, split) - K) <= 1e-10 * max(1.0, max_norm(K)), label
             report = cncalc.decide_existence(cncalc.MetricPreCalculus(basis))
             if report.witness is not None:
                 mu = report.witness[0].mu
@@ -299,22 +311,27 @@ class TestSplitAgainstOracles:
 
 
 class TestSolvable:
+    # a compact algebra is solvable exactly when [g, g] = 0, which the split
+    # reads; the derived-series oracle must agree
     def test_abelian(self):
-        assert is_solvable(levi_split_compact(abelian_diag(2)))
+        basis = abelian_diag(2)
+        assert levi_split_compact(basis).ss_dim == 0
+        assert is_solvable_by_series(structure_constants(basis))
 
-    def test_su2_not(self, su2_basis):
-        assert not is_solvable(levi_split_compact(su2_basis))
+    def test_su2_not(self, su2_basis, su2_f):
+        assert levi_split_compact(su2_basis).ss_dim == 3
+        assert not is_solvable_by_series(su2_f)
 
     def test_gc_not(self, su4):
-        assert not is_solvable(levi_split_compact(su4["gc"]))
+        assert levi_split_compact(su4["gc"]).ss_dim == 3
+        assert not is_solvable_by_series(structure_constants(su4["gc"]))
 
     def test_consistency_with_semisimple(self, su2_basis, su2_f):
         # a semisimple algebra is never solvable; zero constants always are
         split = levi_split_compact(su2_basis)
-        assert split.radical_dim == 0
-        assert not is_solvable(split)
-        assert not is_solvable(oracle_split(su2_f))
-        assert is_solvable(oracle_split(StructureConstants(np.zeros((3, 3, 3)))))
+        assert split.radical_dim == 0 and split.ss_dim == split.n
+        assert not is_solvable_by_series(su2_f)
+        assert is_solvable_by_series(StructureConstants(np.zeros((3, 3, 3))))
 
     @pytest.mark.parametrize(
         "units, solvable",
@@ -328,7 +345,7 @@ class TestSolvable:
         ],
     )
     def test_real_matrix_algebras(self, units, solvable):
-        # each further step of the derived series after [g, g] is taken
+        # non-compact algebras, where solvability needs the whole derived series
         mats = []
         for a, b in units:
             m = np.zeros((3, 3))
@@ -343,7 +360,7 @@ class TestSolvable:
         n = len(units)
         coeffs = np.linalg.lstsq(basis.T, np.array(brackets).T, rcond=None)[0]
         f = StructureConstants(coeffs.reshape(n, n, n))
-        assert is_solvable(oracle_split(f)) is solvable
+        assert is_solvable_by_series(f) is solvable
 
 
 class TestCommonLeftEigenvector:
@@ -389,7 +406,7 @@ class TestAnchorSolutionSpace:
         f = np.zeros((2, 2, 2))
         f[1, 0, 1], f[1, 1, 0] = 1.0, -1.0
         fc = StructureConstants(f)
-        assert is_solvable(oracle_split(fc))
+        assert is_solvable_by_series(fc)
         space = anchor_solution_space(liealg.LeviSplit(f, np.eye(2), np.zeros((0, 2))))
         assert space.shape == (1, 2)
         assert abs(space[0] @ np.array([1.0, 0.0])) == pytest.approx(1.0)
@@ -442,7 +459,7 @@ class TestRandomFamilyProperties:
             # the split and three independent semisimplicity oracles agree
             flags = (
                 levi_split_compact(basis).radical_dim == 0,
-                is_semisimple(killing_form(f)),
+                is_semisimple(killing_by_ad(f.f)),
                 mu_obstruction_space(f).shape[0] == 0,
                 center(f).shape[0] == 0,
             )
@@ -457,10 +474,9 @@ class TestRandomFamilyProperties:
             label, mats = random_subalgebra(rng)
             kind = label.split("-")[0]
             basis = LieBasis(mats)
-            f = structure_constants(basis)
             expect = kind in semisimple_kinds
             assert (levi_split_compact(basis).radical_dim == 0) == expect, label
-            assert is_semisimple(killing_form(f)) == expect, label
+            assert is_semisimple(split_killing(basis)) == expect, label
 
     def test_common_eigenvector_matches_bruteforce(self):
         from support import eigenspace_chains

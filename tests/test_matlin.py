@@ -9,15 +9,12 @@ from realcalc.matlin import (
     Tolerance,
     antihermitian_eigen,
     as_matrix,
-    bracket,
-    is_antihermitian_tracefree,
     left_nullspace,
     max_norm,
     real_nullspace,
-    real_row_space,
 )
 
-from support import su2_mats, su4_family
+from support import real_row_space, su2_mats, su4_family
 
 D1, D2, D3 = su2_mats()
 
@@ -46,42 +43,6 @@ class TestTolerance:
     def test_rejects_bad_thresholds(self, rel, absolute):
         with pytest.raises(ValueError):
             Tolerance(rel, absolute)
-
-
-class TestBracket:
-    def test_su2_pair(self):
-        # [D1, D2] = -2 D3 in the standard spin basis
-        assert max_norm(bracket(D1, D2) + 2 * D3) == 0.0
-
-    def test_identity_commutes(self):
-        for a in (D1, D2, D3, D1 + 2 * D2):
-            assert max_norm(bracket(np.eye(2), a)) == 0.0
-
-    def test_self_commutator(self):
-        assert max_norm(bracket(D3, D3)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            bracket(D1, np.eye(3))
-
-    @settings(max_examples=50, deadline=None)
-    @given(a=complex_matrices(3), b=complex_matrices(3))
-    def test_antisymmetry_exact(self, a, b):
-        assert np.array_equal(bracket(a, b), -bracket(b, a))
-
-
-class TestAntihermitianTracefree:
-    def test_diag_su2(self):
-        assert is_antihermitian_tracefree(D3)
-
-    def test_identity_fails_on_trace(self):
-        assert not is_antihermitian_tracefree(np.eye(2))
-
-    def test_nonzero_trace_fails(self):
-        assert not is_antihermitian_tracefree(np.diag([1j, 1j]))
-
-    def test_hermitian_fails(self):
-        assert not is_antihermitian_tracefree(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 class TestLeftNullspace:

@@ -8,7 +8,6 @@ from realcalc import cncalc, projcalc
 from realcalc.liealg import (
     LieBasis,
     StructureConstants,
-    killing_form,
     levi_split_compact,
     structure_constants,
 )
@@ -93,7 +92,6 @@ class TestDataValidation:
         values = [
             su2_basis,
             su2_f,
-            killing_form(su2_f),
             levi_split_compact(su2_basis),
             cncalc.AnchorMap([1.0, 0.0], [1.0, 0.0, 0.0]),
             cncalc.Connection([0.5, 0.0, -0.5]),
