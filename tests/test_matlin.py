@@ -13,6 +13,7 @@ from realcalc.matlin import (
     max_norm,
     real_nullspace,
 )
+from realcalc.liealg import LieBasis
 
 from support import real_row_space, su2_mats, su4_family
 
@@ -43,6 +44,26 @@ class TestTolerance:
     def test_rejects_bad_thresholds(self, rel, absolute):
         with pytest.raises(ValueError):
             Tolerance(rel, absolute)
+
+
+class TestAntihermitianTracefree:
+    # the trace-free antihermitian gate lives in LieBasis's constructor
+    NOT_SU = r"^basis matrix 0 is not trace-free antihermitian$"
+
+    def test_diag_su2(self):
+        assert LieBasis([D3]).n == 1
+
+    def test_identity_fails_on_trace(self):
+        with pytest.raises(ValueError, match=self.NOT_SU):
+            LieBasis([np.eye(2)])
+
+    def test_nonzero_trace_fails(self):
+        with pytest.raises(ValueError, match=self.NOT_SU):
+            LieBasis([np.diag([1j, 1j])])
+
+    def test_hermitian_fails(self):
+        with pytest.raises(ValueError, match=self.NOT_SU):
+            LieBasis([np.array([[0, 1], [1, 0]], dtype=complex)])
 
 
 class TestLeftNullspace:
