@@ -379,8 +379,8 @@ def _build_basis(spec: AlgebraSpecFile, tol: Tolerance) -> liealg.LieBasis:
 
 def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
-    f = liealg.structure_constants(basis, tol)
     split = liealg.levi_split_compact(basis, tol)
+    f = liealg.structure_constants(basis, split, tol)
     return _jsonify({
         "command": "lie",
         "input": source,
@@ -434,7 +434,7 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         if spec.structure_constants is not None:
             f = liealg.StructureConstants(spec.structure_constants, tol)
         else:
-            f = liealg.structure_constants(derivs, tol)
+            f = liealg.structure_constants(derivs, liealg.levi_split_compact(derivs, tol), tol)
     except liealg.ClosureViolation as exc:
         raise CliError(f"derivations are not closed under brackets at pair {exc.pair}") from exc
     except ValueError as exc:

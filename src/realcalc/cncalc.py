@@ -18,10 +18,10 @@ from .matlin import DEFAULT_TOL, Tolerance, _freeze, _scaled_norm, as_row_vector
 from .liealg import (
     LieBasis,
     StructureConstants,
+    _transport,
     common_left_eigenvector,
     killing_form,
     levi_split_compact,
-    structure_constants,
 )
 
 __all__ = [
@@ -356,13 +356,12 @@ def _frame_checks(
     the basis E with its bracket tensor ``f_E``, mu_E = T mu scaled to
     unit norm and lambda_E = T lambda. There round-off does not grow
     with the norms of the D_i, and the cut does not grow with products
-    of them. Cost: O(n^3 N + n^2 N^2), the Koszul check and the frame's
-    :class:`LieBasis`.
+    of them. Cost: O(n^3 N + n N^2), the Koszul check.
     """
     basis = pre.basis
     mu_E = basis.T @ anchor.mu
     return _passes_all_checks(
-        MetricPreCalculus(LieBasis(basis.E, tol), pre.metric_scale),
+        MetricPreCalculus(basis.frame(), pre.metric_scale),
         f_E,
         AnchorMap(anchor.v0, mu_E / _scaled_norm(mu_E), tol),
         Connection(basis.T @ conn.lambdas),
@@ -382,7 +381,7 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
 
     Rank and zero decisions, in order:
 
-    1. closure: every bracket lies in the span, and Jacobi holds;
+    1. closure of the frame brackets, by a cut free of the D_i's norms;
     2. frame rank: the basis is independent (decided when the
        :class:`LieBasis` was built, on its normalized elements);
     3. the rank r of M, the frame's bracket tensor as an n x n^2 matrix:
@@ -403,16 +402,13 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
 
     The witness is checked in its frame form (``_frame_checks``) against
     the frame tensor of the split; the reported Koszul residual is the
-    largest per-triple Frobenius norm of :func:`koszul_residual`. The
-    Jacobi checks of the user tensor and of the frame tensor read the
-    bounds their fits give, so the O(n^5) slab check runs only where a
-    bound does not certify. Cost: O(n^2 N^3 + n^3 N^2 + n^4) time (the
-    brackets, their BLAS projections onto E, the Killing form and the
-    split SVD; the Koszul check is O(n^3 N)), O(n^3 + n^2 N^2) memory.
+    largest per-triple Frobenius norm of :func:`koszul_residual`; the
+    frame tensor's Jacobi check reads the bound its fit gives. Cost:
+    O(n^2 N^3 + n^3 N^2 + n^4) time (the frame brackets, their BLAS
+    projection onto E, the Killing form and the split SVD; the Koszul
+    check is O(n^3 N)), O(n^3 + n^2 N^2) memory.
     """
     basis = pre.basis
-    # the closure gate: a bracket outside the span names its user pair
-    structure_constants(basis, tol)
     split = levi_split_compact(basis, tol)
     diagnostics = {
         "killing_singular_values": np.linalg.svd(killing_form(basis, split), compute_uv=False).tolist(),
@@ -469,16 +465,13 @@ def verify_uniqueness(
     for the given anchor; false only on a genuine uniqueness violation,
     which would falsify the at-most-one theorem and is treated as a
     fatal diagnostic by callers. The checks run on the frame form, as
-    in :func:`decide_existence`, with f_E[k, a, b] =
-    sum_m T_inv[m, k] sum_ij T[a, i] T[b, j] f[m, i, j] from ``f``, so
+    in :func:`decide_existence`, with f_E = ``_transport(f, T, T_inv)``, so
     the verdict does not depend on the norms of the basis elements.
     Cost: O(n^4) for f_E, plus its O(n^5) Jacobi check as a tensor given
     from outside, plus two runs of the checks.
     """
     basis = pre.basis
-    f_E = np.tensordot(basis.T_inv, f.f, axes=([0], [0]))
-    f_E = np.tensordot(np.tensordot(f_E, basis.T, axes=([1], [1])), basis.T, axes=([1], [1]))
-    f_E = StructureConstants(f_E, tol)
+    f_E = StructureConstants(_transport(f.f, basis.T, basis.T_inv), tol)
     ok1 = _frame_checks(pre, f_E, anchor, conn1, tol)["ok"]
     ok2 = _frame_checks(pre, f_E, anchor, conn2, tol)["ok"]
     if not (ok1 and ok2):

@@ -48,7 +48,7 @@ _LARGEST_NORM = float(np.sqrt(np.finfo(float).max))
 
 
 class ClosureViolation(ValueError):
-    """A bracket left the real span of the basis."""
+    """[D_i, D_j] left the real span by R_ij; ``residual`` is |R_ij|_F / (|D_i|_F |D_j|_F)."""
 
     def __init__(self, i: int, j: int, residual: float):
         self.pair = (i, j)
@@ -66,7 +66,7 @@ class LieBasis:
     Construction checks that every matrix is trace-free antihermitian
     with a Frobenius norm that fits a double, and that the family is
     linearly independent over the reals. Closure under brackets is *not*
-    checked here; :func:`structure_constants` raises
+    checked here; :func:`levi_split_compact` raises
     :class:`ClosureViolation` when the span is not closed.
 
     It also holds a frame E = T D of its span, orthonormal for
@@ -131,6 +131,12 @@ class LieBasis:
     @property
     def N(self) -> int:
         return self.mats.shape[1]
+
+    def frame(self) -> "LieBasis":
+        """E as a basis of its own (T = T_inv = 1), with no second validation or SVD."""
+        frame, eye = object.__new__(LieBasis), _freeze(np.eye(self.n))
+        frame.__dict__.update(mats=self.E, E=self.E, T=eye, T_inv=eye, norms=_freeze(np.ones(self.n)))
+        return frame
 
     def user_rows(self, frame_rows: np.ndarray) -> np.ndarray:
         """Orthonormal coefficient rows spanning what frame-coefficient rows span."""
@@ -239,8 +245,8 @@ class LeviSplit:
     where for a compact algebra the radical is the center, the
     complement is [g, g], and the rows of both together are an
     orthonormal basis of the coefficient space; it also keeps the
-    residuals of the frame brackets' fit, which :meth:`constants` turns
-    into a bound on the Jacobi entries of ``f``.
+    residuals of the frame brackets' fit, which :meth:`constants` and
+    :func:`structure_constants` turn into Jacobi bounds.
     """
 
     f: np.ndarray
@@ -285,18 +291,11 @@ def _all_brackets(mats: np.ndarray) -> np.ndarray:
     return prod - prod.transpose(1, 0, 2, 3)
 
 
-def _frame_coefficients(E: np.ndarray, brackets: np.ndarray) -> np.ndarray:
-    """c[k, i, j] = <E_k, brackets[i, j]> = Re tr(E_k^dagger brackets[i, j])."""
-    # summing the trailing axes of brackets spares tensordot a copy of it
-    return np.tensordot(brackets, E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
-
-
 def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norms of the brackets and of what their projection onto E leaves.
 
-    ``c`` holds the frame coefficients of ``brackets``
-    (:func:`_frame_coefficients`). Both (n, n) results are symmetric and
-    zero on the diagonal, as the brackets are antisymmetric, so only the
+    ``c`` holds the frame coefficients of ``brackets``. Both (n, n)
+    results are symmetric and zero on the diagonal, as the brackets are antisymmetric, so only the
     pairs i < j are evaluated, the projection subtracted as two real
     BLAS products. Cost: O(n^3 N^2) time, O(n^2 N^2) memory.
     """
@@ -315,30 +314,26 @@ def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.n
     return out[0], out[1]
 
 
-def structure_constants(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
-    """Bracket tensor of a basis, by projection onto its orthonormal frame.
+def _transport(h: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """out[k, i, j] = sum_{c,a,b} Q[c, k] P[i, a] P[j, b] h[c, a, b], over c first; O(n^4)."""
+    out = np.tensordot(np.tensordot(Q, h, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
+    return np.tensordot(out, P, axes=([1], [1]))
 
-    Each commutator [D_i, D_j] is projected onto the frame E,
-    c_k = <E_k, [D_i, D_j]>, and f[:, i, j] = T^T c. What the projection
-    leaves is the least-squares residual; the first pair (row-major)
-    whose residual exceeds tolerance raises :class:`ClosureViolation`.
-    Antisymmetry is exact on output (enforced by averaging the tensor
-    with its negated swap). The residual norms r_ij bound the tensor's
-    Jacobi entries (``_jacobi_bound``, with weights |T[:, m]|_2), so the
-    Jacobi check of :class:`StructureConstants` costs O(n^3) and its
-    O(n^5) slab check runs only when that bound does not certify. Cost:
-    O(n^2 N^3 + n^3 N^2) time, the n^3 N^2 term the BLAS projection onto
-    E, and O(n^2 N^2 + n^3) memory.
+
+def structure_constants(basis: LieBasis, split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
+    """Bracket tensor of a basis, carried back from the frame tensor of its split.
+
+    ``split`` is ``levi_split_compact(basis)``, which formed the brackets
+    and decided closure. As D = T_inv E and E = T D, f is
+    ``_transport(f_E, T_inv, T)``: T meets f_E before T_inv, so tiny
+    bases do not underflow. Antisymmetry is exact on output. The user
+    residuals R_ij = sum_ab T_inv[i, a] T_inv[j, b] R^E_ab have norms at
+    most (|T_inv| r^E |T_inv|^T)_ij, which feed ``_jacobi_bound``
+    (weights |T[:, m]|_2). Cost: O(n^4) time, O(n^3) memory.
     """
-    brackets = _all_brackets(basis.mats)
-    c = _frame_coefficients(basis.E, brackets)
-    sizes, residuals = _fit_norms(basis.E, brackets, c)
-    open_pairs = np.argwhere(residuals > tol.abs + tol.rel * np.maximum(1.0, sizes))
-    if open_pairs.size:
-        i, j = (int(x) for x in open_pairs[0])
-        raise ClosureViolation(i, j, float(residuals[i, j]))
-    f = np.tensordot(basis.T, c, axes=([0], [0]))
+    f = _transport(split.f, basis.T_inv, basis.T)
     f = 0.5 * (f - f.transpose(0, 2, 1))
+    residuals = np.abs(basis.T_inv) @ split._fit_residuals @ np.abs(basis.T_inv).T
     bound = _jacobi_bound(f, residuals, basis.norms, _scaled_norm(basis.T, axis=0))
     return StructureConstants(_Fitted(f, bound), tol)
 
@@ -368,7 +363,11 @@ def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) ->
 def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
     """Split a compact algebra as center (+) [g, g] by one SVD, in frame coefficients.
 
-    Builds f_E[k, a, b] = <E_k, [E_a, E_b]> on the frame E of ``basis``.
+    Builds f_E[k, a, b] = <E_k, [E_a, E_b]> on the frame E of ``basis``,
+    the only brackets formed. The span is closed when no residual norm
+    r^E_ab exceeds tol.abs + tol.rel * max(1, |[E_a, E_b]|), a cut free of
+    the norms of the D_i; else :class:`ClosureViolation` names the user
+    pair i < j with the largest |R_ij| / (|D_i| |D_j|), first on ties.
     The inner product is ad-invariant on su(N), so f_E is totally
     antisymmetric and the frame Killing form is -M M^T for M = f_E
     reshaped to (n, n^2), whose columns are all brackets. The SVD reads
@@ -378,19 +377,27 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     exactly when r = n, the first r left singular vectors are an
     orthonormal basis of [g, g], and the other n - r span the center,
     its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
-    all x, y exactly when z is central). The span must be closed, as
-    :func:`structure_constants` checks. The norms of what the projection
-    leaves of each bracket are kept for :meth:`LeviSplit.constants`.
+    all x, y exactly when z is central). The residual norms r^E are kept
+    for :meth:`LeviSplit.constants` and :func:`structure_constants`.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
     projection onto E and its subtraction, O(n^2 N^2 + n^3) memory.
     """
     brackets = _all_brackets(basis.E)
-    f = _frame_coefficients(basis.E, brackets)
+    # summing the trailing axes of brackets spares tensordot a copy of it
+    f = np.tensordot(brackets, basis.E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
+    sizes, residuals = _fit_norms(basis.E, brackets, f)
+    if np.any(residuals > tol.abs + tol.rel * np.maximum(1.0, sizes)):
+        # R_ij / (|D_i| |D_j|) = sum_ab W[i, a] W[j, b] R^E_ab
+        W = basis.T_inv / basis.norms[:, None]
+        R = np.tensordot(W, brackets - np.tensordot(f, basis.E, axes=([0], [0])), axes=([1], [0]))
+        R = np.linalg.norm(np.tensordot(W, R, axes=([1], [1])).reshape(basis.n, basis.n, -1), axis=2)
+        i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)
+        raise ClosureViolation(int(i), int(j), float(R[j, i]))
     iu, ju = np.triu_indices(basis.n)
     # the right singular vectors of M^T are the left ones of M
     _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
-    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(_fit_norms(basis.E, brackets, f)[1]))
+    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(residuals))
 
 
 def common_left_eigenvector(

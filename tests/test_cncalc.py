@@ -25,7 +25,6 @@ from realcalc.liealg import (
     LieBasis,
     common_left_eigenvector,
     levi_split_compact,
-    structure_constants,
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
@@ -38,6 +37,7 @@ from support import (
     random_unitary,
     su2_mats,
     su_basis,
+    user_constants,
 )
 
 D1, D2, D3 = su2_mats()
@@ -200,7 +200,7 @@ class TestTorsion:
 
     def test_abelian_annihilating_anchor(self):
         basis = LieBasis([D3])
-        f = structure_constants(basis)
+        f = user_constants(basis)
         pre = MetricPreCalculus(basis)
         anchor = AnchorMap(np.array([1.0, 0]), np.array([1.0]))
         conn = Connection([1.0])  # v0 D3 = i v0
@@ -244,7 +244,7 @@ class TestTorsion:
         # bound there is absolute
         rng = np.random.default_rng(100 + k)
         basis = LieBasis(generic_presentation(rng, block_with_center(k + 1, k)))
-        f = structure_constants(basis)
+        f = user_constants(basis)
         pre = MetricPreCalculus(basis, 1.3)
         report = decide_existence(pre)
         assert report.status == EXISTS
@@ -361,7 +361,7 @@ class TestKoszulResidual:
         # those terms cancel.
         rng = np.random.default_rng(78)
         basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
-        f = structure_constants(basis)
+        f = user_constants(basis)
         pre = MetricPreCalculus(basis, 0.8)
         v_eig, eigenvalues = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
         cases = [(v_eig, eigenvalues.imag)] * 3
@@ -383,7 +383,7 @@ class TestKoszulResidual:
         # gap into orthogonal parts and must not lose it to cancellation
         rng = np.random.default_rng(79 + k)
         basis = LieBasis(generic_presentation(rng, block_with_center(k + 1, k)))
-        f = structure_constants(basis)
+        f = user_constants(basis)
         pre = MetricPreCalculus(basis, 0.8)
         anchor, conn = decide_existence(pre).witness
         fast = koszul_residual(pre, conn, f, anchor)
@@ -610,16 +610,13 @@ class TestVerifyUniqueness:
 
     def test_rescaled_basis_is_checked_in_its_frame(self, monkeypatch):
         # su(2) + center in su(3) with two elements scaled by 1e10: torsion
-        # and Koszul terms grow with products of element norms, so in the
-        # user basis even the witness reads a torsion of about 2.8e3
-        # against a cut of about 1e3, and every pair came out vacuously
-        # true; the frame form passes the witness and fails a wrong
-        # connection
+        # and Koszul terms and their cut grow with products of element
+        # norms, so both checks of verify_uniqueness run on the frame
+        # form, which passes the witness and fails a wrong connection
         mats = [m * (1e10 if i < 2 else 1.0) for i, m in enumerate(block_with_center(3, 2))]
         pre = MetricPreCalculus(LieBasis(mats))
-        f = structure_constants(pre.basis)
+        f = user_constants(pre.basis)
         anchor, conn = decide_existence(pre).witness
-        assert not cncalc._passes_all_checks(pre, f, anchor, conn, DEFAULT_TOL)["ok"]
         verdicts = []
         original = cncalc._passes_all_checks
 

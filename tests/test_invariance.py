@@ -1,7 +1,9 @@
 """Verdicts do not depend on how the algebra is presented.
 
 Derandomized properties (the profile in ``conftest.py``) over the algebra
-fixtures and su(k) plus its balancing center inside su(k + 1). Unitary
+fixtures, su(k) plus its balancing center inside su(k + 1), and Cartan
+subalgebras of su(3) and su(4), conjugated and scaled by 1e8 or 1e10,
+whose brackets are pure round-off of order eps |D_i| |D_j|. Unitary
 conjugation, well-conditioned real mixing, rescaling every basis element
 by its own factor 10^u with u in [-12, 12], and the sign and size of
 ``metric_scale`` must leave status and reason unchanged, and every
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcalc import cncalc
-from realcalc.liealg import LieBasis, killing_form, levi_split_compact, structure_constants
+from realcalc.liealg import LieBasis, killing_form, levi_split_compact
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
@@ -28,6 +30,7 @@ from support import (
     killing_by_ad,
     mix_basis,
     random_unitary,
+    user_constants,
 )
 
 EXISTS = (cncalc.EXISTS, cncalc.REASON_WITNESS)
@@ -42,8 +45,18 @@ VERDICTS = {
     "su2c-su3": EXISTS,
     "su3c-su4": EXISTS,
     "su4c-su5": EXISTS,
+    "cartan-su3-1e8": EXISTS,
+    "cartan-su3-1e10": EXISTS,
+    "cartan-su4-1e8": EXISTS,
+    "cartan-su4-1e10": EXISTS,
 }
 CENTERED = {"su2c-su3": (3, 2), "su3c-su4": (4, 3), "su4c-su5": (5, 4)}
+CARTAN = {
+    "cartan-su3-1e8": (3, 1e8),
+    "cartan-su3-1e10": (3, 1e10),
+    "cartan-su4-1e8": (4, 1e8),
+    "cartan-su4-1e10": (4, 1e10),
+}
 
 names = st.sampled_from(sorted(VERDICTS))
 seeds = st.integers(0, 2**32 - 1)
@@ -56,6 +69,10 @@ def case_mats(name: str) -> list[np.ndarray]:
     assert set(ALGEBRA_FIXTURES) <= set(VERDICTS)
     if name in CENTERED:
         return block_with_center(*CENTERED[name])
+    if name in CARTAN:
+        N, scale = CARTAN[name]
+        diagonal = [1j * np.diag(np.eye(N)[k] - np.eye(N)[k + 1]) for k in range(N - 1)]
+        return conjugate([scale * D for D in diagonal], random_unitary(np.random.default_rng(N), N))
     return fixture_mats(name)
 
 
@@ -120,21 +137,28 @@ def presented(rng: np.random.Generator, mats: list[np.ndarray], how: str) -> lis
     return mats
 
 
+# The oracles read the user tensor. For a scaled Cartan subalgebra it is
+# round-off whose entries can exceed 1, and its Jacobi check, relative to
+# the largest entry, can then read that round-off as a violation; so the
+# Cartan cases check verdicts only.
+ORACLE_CASES = sorted(set(VERDICTS) - set(CARTAN))
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
-    @pytest.mark.parametrize("name", sorted(VERDICTS))
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_killing_and_solvability_match_oracles(self, name, how):
-        rng = np.random.default_rng(sorted(VERDICTS).index(name))
+        rng = np.random.default_rng(ORACLE_CASES.index(name))
         for _ in range(4):
             mats = presented(rng, case_mats(name), how)
             basis = LieBasis(mats)
             split = levi_split_compact(basis)
             # B_ij scales with |D_i| |D_j|, so both sides are compared on unit elements
             scale = np.outer(basis.norms, basis.norms)
-            oracle = killing_by_ad(structure_constants(basis).f) / scale
+            oracle = killing_by_ad(user_constants(basis).f) / scale
             got = killing_form(basis, split) / scale
             assert max_norm(got - oracle) <= 1e-10 * max(1.0, max_norm(oracle)), (name, how)
             # the oracle's rank decisions read user coefficients, which per-element
             # scales of 1e24 apart would sway; its unit elements span the same algebra
             units = LieBasis([m / np.linalg.norm(m) for m in mats])
-            assert (split.ss_dim == 0) == is_solvable_by_series(structure_constants(units)), (name, how)
+            assert (split.ss_dim == 0) == is_solvable_by_series(user_constants(units)), (name, how)

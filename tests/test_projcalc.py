@@ -9,7 +9,6 @@ from realcalc.liealg import (
     LieBasis,
     StructureConstants,
     levi_split_compact,
-    structure_constants,
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
 from realcalc.projcalc import (
@@ -32,6 +31,7 @@ from support import (
     su2_mats,
     su_basis,
     trivial_data,
+    user_constants,
 )
 
 D1, D2, D3 = su2_mats()
@@ -244,7 +244,7 @@ class TestFromModuleGenerators:
         # the one-generator free case: X = Y = identity produces the
         # full (trivial) projection and the criterion holds
         basis = LieBasis([D3])
-        f = structure_constants(basis)
+        f = user_constants(basis)
         data = from_module_generators([I2], [I2], basis, f)
         assert max_norm(data.p - eye_grid(1, 2)) == 0.0
         holds, worst, _ = lc_condition_check(data)
@@ -294,7 +294,7 @@ class TestRankOneCrossCheck:
             assert not holds
 
     def test_gc_witness_agrees_with_existence(self, su4):
-        f = structure_constants(su4["gc"])
+        f = user_constants(su4["gc"])
         pre = cncalc.MetricPreCalculus(su4["gc"], 1.0)
         report = cncalc.decide_existence(pre)
         anchor, _ = report.witness
@@ -305,7 +305,7 @@ class TestRankOneCrossCheck:
         assert koszul_verify_projective(data, coeffs) <= 1e-9
 
     def test_gb_anchors_fail(self, su4):
-        f = structure_constants(su4["gb"])
+        f = user_constants(su4["gb"])
         rng = np.random.default_rng(15)
         for _ in range(5):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -316,7 +316,7 @@ class TestRankOneCrossCheck:
             assert not holds
 
     def test_metric_scale_cancels(self, su4):
-        f = structure_constants(su4["gc"])
+        f = user_constants(su4["gc"])
         v0 = np.array([1.0, 0, 0, 0])
         mu = np.array([1.0, 0, 0, 0])
         for x in (0.5, -3.0):
