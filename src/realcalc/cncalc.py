@@ -403,7 +403,7 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     The witness is checked in its frame form (``_frame_checks``) against
     the frame tensor of the split; the reported Koszul residual is the
     largest per-triple Frobenius norm of :func:`koszul_residual`; the
-    frame tensor's Jacobi check reads the bound its fit gives. Cost:
+    frame tensor carries the algebra's one Jacobi certificate. Cost:
     O(n^2 N^3 + n^3 N^2 + n^4) time (the frame brackets, their BLAS
     projection onto E, the Killing form and the split SVD; the Koszul
     check is O(n^3 N)), O(n^3 + n^2 N^2) memory.
@@ -466,12 +466,12 @@ def verify_uniqueness(
     which would falsify the at-most-one theorem and is treated as a
     fatal diagnostic by callers. The checks run on the frame form, as
     in :func:`decide_existence`, with f_E = ``_transport(f, T, T_inv)``, so
-    the verdict does not depend on the norms of the basis elements.
-    Cost: O(n^4) for f_E, plus its O(n^5) Jacobi check as a tensor given
-    from outside, plus two runs of the checks.
+    the verdict does not depend on the norms of the basis elements; f_E
+    inherits f's Jacobi check. Cost: O(n^4) for f_E plus two runs of the
+    checks.
     """
     basis = pre.basis
-    f_E = StructureConstants(_transport(f.f, basis.T, basis.T_inv), tol)
+    f_E = _transport(f, basis.T, basis.T_inv)
     ok1 = _frame_checks(pre, f_E, anchor, conn1, tol)["ok"]
     ok2 = _frame_checks(pre, f_E, anchor, conn2, tol)["ok"]
     if not (ok1 and ok2):

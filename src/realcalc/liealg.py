@@ -144,43 +144,36 @@ class LieBasis:
         return q.T
 
 
-class _Fitted(NamedTuple):
-    """A bracket tensor fitted to matrix brackets, with a bound on its Jacobi entries."""
+class _Checked(NamedTuple):
+    """A bracket tensor whose Jacobi identity is already decided."""
 
     f: np.ndarray
-    jacobi_bound: float
 
 
-def _jacobi_bound(f: np.ndarray, residuals: np.ndarray, norms: np.ndarray, weights: np.ndarray) -> float:
-    """Bound on every entry of the Jacobi tensor of a fitted bracket tensor.
+def _jacobi_bound(f: np.ndarray, residuals: np.ndarray) -> float:
+    """Bound on every entry of the Jacobi tensor of a frame tensor.
 
-    ``f`` is fitted to the brackets of matrices D_i with ``norms``
-    d_i = |D_i|_F: [D_i, D_j] = sum_k f^k_ij D_k + R_ij with R_ij
-    orthogonal to the span and ``residuals`` r_ij = |R_ij|_F. Matrix
-    brackets satisfy Jacobi exactly and the orthogonal projection P onto
-    the span kills every R_ij, so
+    ``f`` is fitted to the brackets of an orthonormal frame E:
+    [E_a, E_b] = sum_c f^c_ab E_c + R_ab with R_ab orthogonal to the
+    span and ``residuals`` r_ab = |R_ab|_F. Matrix brackets satisfy
+    Jacobi exactly and the orthogonal projection P onto the span kills
+    every R_ab, so sum_m J^m_abc E_m = -P(sum_cyc [E_a, R_bc]), and as
+    |E_a|_F = 1 and |[A, B]|_F <= 2 |A|_F |B|_F,
 
-        sum_m J^m_ijk D_m = -P(sum_cyc [D_i, R_jk]),
-
-    whose frame coefficients have norm at most
-    2 (d_i r_jk + d_j r_ki + d_k r_ij), as |[A, B]|_F <= 2 |A|_F |B|_F.
-    User coefficients are T^T times frame coefficients, so with
-    ``weights`` w_m = |T[:, m]|_2 (all 1 in the frame itself)
-
-        |J^m_ijk| <= w_m * 2 (d_i r_jk + d_j r_ki + d_k r_ij).
+        |J^m_abc| <= 2 (r_bc + r_ca + r_ab).
 
     The bound is the largest right-hand side plus 3 n (n + 2) eps s^2,
     s = max(1, max |f|): the round-off of the slab check that evaluates
     J in floating point, three length-n dot products of entries at most
-    s per entry. f and r are computed, not exact; :class:`StructureConstants`
-    leaves their round-off a factor-2 margin below its cut. Cost: O(n^3)
+    s per entry. f and r are computed, not exact; :meth:`LeviSplit.constants`
+    leaves their round-off a factor-2 margin below the cut. Cost: O(n^3)
     time and memory.
     """
     n = f.shape[0]
-    s = norms[:, None, None] * residuals[None]
-    cyclic = float(np.max(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1)))
+    # r is symmetric, so r_ca = r_ac
+    cyclic = float(np.max(residuals[None] + residuals[:, None] + residuals[:, :, None]))
     scale = max(1.0, max_norm(f))
-    return 2.0 * float(np.max(weights)) * cyclic + 3.0 * n * (n + 2) * np.finfo(float).eps * scale * scale
+    return 2.0 * cyclic + 3.0 * n * (n + 2) * np.finfo(float).eps * scale * scale
 
 
 def _check_jacobi(arr: np.ndarray, cut: float) -> None:
@@ -202,22 +195,20 @@ def _check_jacobi(arr: np.ndarray, cut: float) -> None:
 class StructureConstants:
     """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k.
 
-    Construction checks antisymmetry, in O(n^3), and the Jacobi identity:
-    no entry of J^m_ijk = sum_l (f^m_il f^l_jk + f^m_jl f^l_ki + f^m_kl f^l_ij)
-    may exceed tol.cut(s^2), s = max(1, max |f|). A user-supplied tensor
-    always takes the exact slab check, O(n^5) time and O(n^3) memory. A
-    tensor that :func:`structure_constants` or :meth:`LeviSplit.constants`
-    fitted to matrix brackets arrives with a bound on its Jacobi entries
-    (stated in ``_jacobi_bound``), computed in O(n^3); the slab check
-    then runs only when that bound exceeds half the cut, the other half
-    being the margin for the round-off of the fit itself.
+    Construction checks antisymmetry, in O(n^3). The Jacobi identity, no
+    entry of J^m_ijk = sum_l (f^m_il f^l_jk + f^m_jl f^l_ki + f^m_kl f^l_ij)
+    above tol.cut(s^2), s = max(1, max |f|), is decided once, where the
+    tensor arises: one given from outside takes the exact slab check
+    here, O(n^5) time and O(n^3) memory; a split's frame tensor takes
+    the certificate of :meth:`LeviSplit.constants`; a tensor carried to
+    another basis by ``_transport`` inherits its source's check.
     """
 
     f: np.ndarray
 
     def __init__(self, f, tol: Tolerance = DEFAULT_TOL):
-        fitted = isinstance(f, _Fitted)
-        arr = np.array(f.f if fitted else f, dtype=float)
+        checked = isinstance(f, _Checked)
+        arr = np.array(f.f if checked else f, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"structure constants must be n x n x n, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -225,9 +216,8 @@ class StructureConstants:
         scale = max(1.0, max_norm(arr))
         if max_norm(arr + arr.transpose(0, 2, 1)) > tol.cut(scale):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
-        jacobi_cut = tol.cut(scale * scale)
-        if not (fitted and f.jacobi_bound <= 0.5 * jacobi_cut):
-            _check_jacobi(arr, jacobi_cut)
+        if not checked:
+            _check_jacobi(arr, tol.cut(scale * scale))
         object.__setattr__(self, "f", _freeze(arr))
 
     @property
@@ -245,8 +235,8 @@ class LeviSplit:
     where for a compact algebra the radical is the center, the
     complement is [g, g], and the rows of both together are an
     orthonormal basis of the coefficient space; it also keeps the
-    residuals of the frame brackets' fit, which :meth:`constants` and
-    :func:`structure_constants` turn into Jacobi bounds.
+    residuals of the frame brackets' fit, which :meth:`constants` turns
+    into the algebra's Jacobi certificate.
     """
 
     f: np.ndarray
@@ -271,18 +261,18 @@ class LeviSplit:
         return self.ss_basis.shape[0]
 
     def constants(self, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
-        """``f`` as :class:`StructureConstants`.
+        """``f`` as :class:`StructureConstants`, with the algebra's one Jacobi certificate.
 
-        For a split from :func:`levi_split_compact` the Jacobi check
-        reads the frame fit's bound, with T = 1 and |E_a| = 1, in O(n^3),
-        and the O(n^5) slab check runs only when that bound does not
-        certify; any other split takes the slab check.
+        For a split from :func:`levi_split_compact`, the O(n^3) bound of
+        ``_jacobi_bound`` certifies f when it is at most half the cut, the
+        other half being the margin for the fit's round-off. Otherwise,
+        and for any other split, the O(n^5) slab check decides.
         """
-        if self._fit_residuals is None:
-            return StructureConstants(self.f, tol)
-        ones = np.ones(self.n)
-        bound = _jacobi_bound(self.f, self._fit_residuals, ones, ones)
-        return StructureConstants(_Fitted(self.f, bound), tol)
+        if self._fit_residuals is not None:
+            scale = max(1.0, max_norm(self.f))
+            if _jacobi_bound(self.f, self._fit_residuals) <= 0.5 * tol.cut(scale * scale):
+                return StructureConstants(_Checked(self.f), tol)
+        return StructureConstants(self.f, tol)
 
 
 def _all_brackets(mats: np.ndarray) -> np.ndarray:
@@ -314,10 +304,18 @@ def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.n
     return out[0], out[1]
 
 
-def _transport(h: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """out[k, i, j] = sum_{c,a,b} Q[c, k] P[i, a] P[j, b] h[c, a, b], over c first; O(n^4)."""
-    out = np.tensordot(np.tensordot(Q, h, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
-    return np.tensordot(out, P, axes=([1], [1]))
+def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> StructureConstants:
+    """``f`` carried from a basis A to B = P A, A = Q B, inheriting f's Jacobi check.
+
+    out[k, i, j] = sum_{c,a,b} Q[c, k] P[i, a] P[j, b] f[c, a, b], summed
+    over c first and averaged to exact antisymmetry. J(out) is J(f)
+    carried by the same P and Q, so Jacobi holds in both bases or in
+    neither; out's own residual against its largest entry would measure
+    how P is conditioned, not the algebra. Cost: O(n^4) time, O(n^3) memory.
+    """
+    out = np.tensordot(np.tensordot(Q, f.f, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
+    out = np.tensordot(out, P, axes=([1], [1]))
+    return StructureConstants(_Checked(0.5 * (out - out.transpose(0, 2, 1))))
 
 
 def structure_constants(basis: LieBasis, split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
@@ -325,17 +323,11 @@ def structure_constants(basis: LieBasis, split: LeviSplit, tol: Tolerance = DEFA
 
     ``split`` is ``levi_split_compact(basis)``, which formed the brackets
     and decided closure. As D = T_inv E and E = T D, f is
-    ``_transport(f_E, T_inv, T)``: T meets f_E before T_inv, so tiny
-    bases do not underflow. Antisymmetry is exact on output. The user
-    residuals R_ij = sum_ab T_inv[i, a] T_inv[j, b] R^E_ab have norms at
-    most (|T_inv| r^E |T_inv|^T)_ij, which feed ``_jacobi_bound``
-    (weights |T[:, m]|_2). Cost: O(n^4) time, O(n^3) memory.
+    ``_transport(split.constants(tol), T_inv, T)``: T meets f_E before
+    T_inv, so tiny bases do not underflow, and f inherits the split's
+    Jacobi certificate. Cost: O(n^4) time, O(n^3) memory.
     """
-    f = _transport(split.f, basis.T_inv, basis.T)
-    f = 0.5 * (f - f.transpose(0, 2, 1))
-    residuals = np.abs(basis.T_inv) @ split._fit_residuals @ np.abs(basis.T_inv).T
-    bound = _jacobi_bound(f, residuals, basis.norms, _scaled_norm(basis.T, axis=0))
-    return StructureConstants(_Fitted(f, bound), tol)
+    return _transport(split.constants(tol), basis.T_inv, basis.T)
 
 
 def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
@@ -378,7 +370,7 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     orthonormal basis of [g, g], and the other n - r span the center,
     its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
     all x, y exactly when z is central). The residual norms r^E are kept
-    for :meth:`LeviSplit.constants` and :func:`structure_constants`.
+    for the Jacobi certificate of :meth:`LeviSplit.constants`.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
     projection onto E and its subtraction, O(n^2 N^2 + n^3) memory.
     """

@@ -14,6 +14,7 @@ from realcalc.fixtures import fixture_names, fixture_path
 from realcalc.matlin import max_norm
 
 from support import generic_presentation, su_basis, trivial_data
+from test_invariance import case_mats, presented
 
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 PROJECTIVE_FIXTURES = {"mat2_rank1.json", "free_trivial.json", "abelian_free.json"}
@@ -137,13 +138,14 @@ class TestLieCommand:
         # one split gives [g, g], the center, solvability, the Killing
         # matrix and the structure constants: each lie and each analyze
         # call builds one basis, forms the brackets once, splits once and
-        # reads the Killing form once
-        calls = count_calls(monkeypatch, "levi_split_compact", "killing_form")
+        # reads the Killing form once; the split's frame certificate
+        # decides Jacobi, so no slab check runs
+        calls = count_calls(monkeypatch, "levi_split_compact", "killing_form", "_check_jacobi")
         for _ in range(runs):
             report = run_json(capsys, "lie", name)
             assert report["solvable"] is False
             run_json(capsys, "analyze", name)
-        assert calls == dict.fromkeys(calls, 2 * runs)
+        assert calls == {**dict.fromkeys(calls, 2 * runs), "_check_jacobi": 0}
 
 
 class TestProjectiveCommand:
@@ -170,15 +172,16 @@ class TestProjectiveCommand:
     def test_grid_derivatives_built_once(self, capsys, monkeypatch, name):
         # [D_i, p] and [D_i, h] are built with the data, whether the
         # criterion holds or not, and every later step reads them; a spec
-        # without structure constants has them read off one split
+        # without structure constants has them read off one split, with
+        # its Jacobi certificate and no slab check
         assert "structure_constants" not in json.loads(fixture_path(name).read_text())
         calls = []
         original = projcalc._commutators
         monkeypatch.setattr(projcalc, "_commutators", lambda *args: calls.append(1) or original(*args))
-        counts = count_calls(monkeypatch, "levi_split_compact")
+        counts = count_calls(monkeypatch, "levi_split_compact", "_check_jacobi")
         run_json(capsys, "projective", name)
         assert len(calls) == 2
-        assert counts == dict.fromkeys(counts, 1)
+        assert counts == {**dict.fromkeys(counts, 1), "_check_jacobi": 0}
 
 
 class TestDeterminismAndIO:
@@ -374,6 +377,32 @@ class TestErrorPaths:
         code, out, err = run(capsys, "projective", str(tiny), "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["holds"] is run_json(capsys, "projective", "free_trivial.json")["holds"]
+
+    def test_rescaled_cartan_presentation_is_accepted(self, capsys, monkeypatch, tmp_path):
+        # a conjugated Cartan subalgebra of su(4) scaled by 1e8, mixed and
+        # rescaled per element: its user-basis structure constants are
+        # round-off far above 1, whose own Jacobi residual reads as a
+        # violation; they inherit the frame's certificate instead, and
+        # projective, on the same derivations with identity grids, agrees
+        mats = presented(np.random.default_rng(12), case_mats("cartan-su4-1e8"), "all")
+        n, N = len(mats), mats[0].shape[0]
+        eye = [[_pairs(np.eye(N) * (a == b)) for b in range(n)] for a in range(n)]
+        lie_spec, proj_spec = tmp_path / "cartan.json", tmp_path / "cartan_proj.json"
+        lie_spec.write_text(json.dumps({"N": N, "basis": [
+            {"name": f"D{i + 1}", "matrix": _pairs(m)} for i, m in enumerate(mats)
+        ]}))
+        proj_spec.write_text(json.dumps({
+            "N": N, "n": n, "derivations": [_pairs(m) for m in mats], "p": eye, "h": eye, "h_inv": eye,
+        }))
+        calls = count_calls(monkeypatch, "_check_jacobi")
+        reports = {}
+        for command, spec in (("lie", lie_spec), ("analyze", lie_spec), ("projective", proj_spec)):
+            code, out, err = run(capsys, command, str(spec), "--format", "json")
+            assert (code, err) == (0, ""), command
+            reports[command] = json.loads(out)
+        assert reports["analyze"]["status"] == "Exists"
+        assert reports["projective"]["holds"] is True
+        assert calls["_check_jacobi"] == 0
 
     def test_closure_violation_names_pair(self, capsys, tmp_path):
         # span{D1, D2} of su(2) is open at every scale: the residual is

@@ -137,11 +137,7 @@ def presented(rng: np.random.Generator, mats: list[np.ndarray], how: str) -> lis
     return mats
 
 
-# The oracles read the user tensor. For a scaled Cartan subalgebra it is
-# round-off whose entries can exceed 1, and its Jacobi check, relative to
-# the largest entry, can then read that round-off as a violation; so the
-# Cartan cases check verdicts only.
-ORACLE_CASES = sorted(set(VERDICTS) - set(CARTAN))
+ORACLE_CASES = sorted(VERDICTS)
 
 
 class TestClosedForms:
