@@ -380,7 +380,10 @@ def _build_basis(spec: AlgebraSpecFile, tol: Tolerance) -> liealg.LieBasis:
 def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
     split = liealg.levi_split_compact(basis, tol)
-    f = liealg.structure_constants(basis, split, tol)
+    try:
+        f = liealg.structure_constants(basis, split, tol)
+    except ValueError as exc:
+        raise CliError(f"basis: {exc}") from exc
     return _jsonify({
         "command": "lie",
         "input": source,
@@ -428,25 +431,25 @@ def cmd_analyze(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
 def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dict:
     try:
         derivs = liealg.LieBasis(spec.derivations, tol)
-    except ValueError as exc:
-        raise CliError(f"derivations: {exc}") from exc
-    try:
-        if spec.structure_constants is not None:
-            f = liealg.StructureConstants(spec.structure_constants, tol)
-        else:
+        if spec.structure_constants is None:
             f = liealg.structure_constants(derivs, liealg.levi_split_compact(derivs, tol), tol)
     except liealg.ClosureViolation as exc:
         raise CliError(f"derivations are not closed under brackets at pair {exc.pair}") from exc
     except ValueError as exc:
-        raise CliError(f"structure_constants: {exc}") from exc
+        raise CliError(f"derivations: {exc}") from exc
+    if spec.structure_constants is not None:
+        try:
+            f = liealg.StructureConstants(spec.structure_constants, tol)
+        except ValueError as exc:
+            raise CliError(f"structure_constants: {exc}") from exc
     try:
         if spec.p is not None:
             data = projcalc.ProjectiveCalculusData(derivs, f, spec.p, spec.h, spec.h_inv, tol)
         else:
             data = projcalc.from_module_generators(spec.X, spec.Y, derivs, f, tol)
-    except (projcalc.InvariantViolation, projcalc.NotGenerating, ValueError) as exc:
+        holds, worst, residuals = projcalc.lc_condition_check(data, tol)
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
-    holds, worst, residuals = projcalc.lc_condition_check(data, tol)
     lam = projcalc.lambda_tensor(data).values
     worst_idx = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
     out = {

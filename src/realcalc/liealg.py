@@ -304,6 +304,7 @@ def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.n
     return out[0], out[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> StructureConstants:
     """``f`` carried from a basis A to B = P A, A = Q B, inheriting f's Jacobi check.
 
@@ -311,11 +312,15 @@ def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> Structure
     over c first and averaged to exact antisymmetry. J(out) is J(f)
     carried by the same P and Q, so Jacobi holds in both bases or in
     neither; out's own residual against its largest entry would measure
-    how P is conditioned, not the algebra. Cost: O(n^4) time, O(n^3) memory.
+    how P is conditioned, not the algebra. An entry of out beyond the
+    largest double raises ValueError. Cost: O(n^4) time, O(n^3) memory.
     """
     out = np.tensordot(np.tensordot(Q, f.f, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
     out = np.tensordot(out, P, axes=([1], [1]))
-    return StructureConstants(_Checked(0.5 * (out - out.transpose(0, 2, 1))))
+    out = 0.5 * (out - out.transpose(0, 2, 1))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("structure constants overflow a double in this basis")
+    return StructureConstants(_Checked(out))
 
 
 def structure_constants(basis: LieBasis, split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
@@ -405,38 +410,32 @@ def common_left_eigenvector(
     derived algebra. W is invariant under every D_i (because [g, [g, g]]
     lies in [g, g]) and the restricted actions commute on W (w D_i D_j -
     w D_j D_i = w [D_i, D_j] = 0), hence W is nonzero exactly when a
-    common eigenvector exists, and iterated eigenspace intersection of
-    the restrictions finds one.
+    common eigenvector exists. The search follows one joint eigenspace S
+    from W: each D_i in basis order cuts S to the first eigenspace of its
+    restriction, at most n eigenproblems and none once S is a line.
 
     The spanning set is ``der``, an orthonormal frame-coefficient basis
     of [g, g] (``LeviSplit.ss_basis``), so its matrices are orthonormal.
-    The checks and the intersection run on D_i / |D_i|, whose spectra
+    The checks and the eigenspaces use D_i / |D_i|, whose spectra
     keep their order under any element norm. Cost: O(n^2 N^2 + n N^3)
     time, O(n N^2) memory.
     """
     mats, norms = basis.mats, basis.norms
     units = mats / norms[:, None, None]
-    W = left_nullspace(list(np.tensordot(der, basis.E, axes=1)), tol, dim=basis.N)
+    W = left_nullspace(np.tensordot(der, basis.E, axes=1), tol)
     if W.shape[0] == 0:
         return None
     cut = 1e3 * tol.cut(1.0)
     # Invariance of W is exact mathematics; a violation here means the
     # nullspace cutoff misjudged the rank.
+    image = W @ units
+    if max_norm(image - (image @ W.conj().T) @ W) > cut:
+        raise ArithmeticError("derived-algebra nullspace is not invariant within tolerance")
+    final = W
     for D in units:
-        image = W @ D
-        if max_norm(image - (image @ W.conj().T) @ W) > cut:
-            raise ArithmeticError(
-                "derived-algebra nullspace is not invariant within tolerance"
-            )
-    subspaces = [W]
-    for D in units:
-        refined = []
-        for S in subspaces:
-            restricted = S @ D @ S.conj().T
-            for _, rows in antihermitian_eigen(restricted, tol):
-                refined.append(rows @ S)
-        subspaces = refined
-    final = subspaces[0]
+        if final.shape[0] == 1:
+            break
+        final = antihermitian_eigen(final @ D @ final.conj().T, tol)[0][1] @ final
     # Deterministic representative: project the standard basis direction
     # with the largest footprint in the subspace (first index on ties),
     # then make the first nonzero entry real positive. The phase rotation
@@ -456,7 +455,7 @@ def common_left_eigenvector(
         max_norm(v @ D - lam * v) / norm for D, lam, norm in zip(mats, lambdas, norms)
     )
     if residual > cut:
-        raise ArithmeticError("eigenspace intersection lost the eigenvector")
+        raise ArithmeticError("joint eigenspace search lost the eigenvector")
     return v, lambdas
 
 

@@ -56,8 +56,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # Eigenvalues closer than this fraction of (spectral diameter + 1) merge
-# into a single eigenspace; over-splitting starves the eigenspace
-# intersections performed downstream.
+# into a single eigenspace; over-splitting cuts a joint eigenspace into
+# pieces that the other commuting matrices do not preserve.
 EIGEN_GROUP_REL = 1e-6
 
 
@@ -110,36 +110,25 @@ def _scaled_norm(a: np.ndarray, axis=None):
     return np.squeeze(step, axis=axis) * np.linalg.norm(a / step, axis=axis)
 
 
-def _require_square(a: np.ndarray, name: str = "matrix") -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-
-
-def left_nullspace(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> np.ndarray:
+def left_nullspace(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ``{v : v @ M = 0 for every M in mats}``.
 
-    The basis is returned as rows of a (m, N) array. Works via one thin
-    SVD of the horizontally stacked N x N*m system; singular values
+    ``mats`` is an (m, N, N) stack, or a sequence of m equal N x N
+    matrices, checked once; the basis is the rows of a (k, N) array. One
+    thin SVD of the N x N*m system ``np.hstack(mats)``; singular values
     below ``rel * s_max + abs`` count as zero. Only U is read, and it is
     N x N because m >= 1. Cost: O(m N^3) time, O(m N^2) memory (the
-    stack itself). An empty input list yields the full space, in which
-    case ``dim`` must supply N.
+    stack itself). An empty stack of shape (0, N, N) yields the full space.
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        if dim is None:
-            raise ValueError("dim is required to take the nullspace of an empty family")
-        return np.eye(dim, dtype=complex)
-    n = mats[0].shape[0]
-    for m in mats:
-        _require_square(m)
-        if m.shape[0] != n:
-            raise ValueError("all matrices must share one dimension")
-    stacked = np.hstack(mats)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol.cut(s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    # v @ stacked = 0 exactly when v is spanned by the trailing left
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
+        raise ValueError(f"expected a finite stack of square matrices, got shape {stack.shape}")
+    m, N = stack.shape[:2]
+    if m == 0:
+        return np.eye(N, dtype=complex)
+    u, s, _ = np.linalg.svd(stack.transpose(1, 0, 2).reshape(N, m * N), full_matrices=False)
+    rank = int(np.sum(s > tol.cut(s[0] if s.size else 0.0)))
+    # v annihilates every matrix exactly when it is spanned by the trailing left
     # singular directions; conjugation turns columns into row vectors.
     return u[:, rank:].conj().T
 
@@ -156,7 +145,8 @@ def antihermitian_eigen(a, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, 
     back by ``-i``; nearby eigenvalues merge into one eigenspace.
     """
     a = as_matrix(a)
-    _require_square(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     if max_norm(a + a.conj().T) > tol.cut(max_norm(a)):
         raise ValueError("matrix is not antihermitian within tolerance")
     herm = 1j * a

@@ -189,12 +189,14 @@ def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.tensordot(t, grid, axes=([2, 4], [0, 2])).transpose(0, 1, 3, 2, 4)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
     """Assemble Lam^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij
     - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij).
 
     The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
     over (l, b) is one tensordot, O(n^4 N^3) time. O(n^3 N^2) memory.
+    A term that overflows a double raises ValueError, even if Λ fits.
     """
     h, dh = data.h, data.dh
     # hf[x, y, z] = h_xq f^q_yz; six[i, j, l] is the bracketed sum
@@ -208,6 +210,8 @@ def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
         + hf.transpose(1, 2, 0, 3, 4)
     )
     values = np.tensordot(data.h_inv, six, axes=([1, 3], [2, 3]))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("h is too large for Lambda: its terms h_jq f^q_il or [D_i, h_jl] overflow a double")
     return LambdaTensor(0.5 * values.transpose(0, 2, 3, 1, 4))
 
 

@@ -397,6 +397,27 @@ def eigenspace_chains(mats: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> l
     return spaces
 
 
+def first_joint_eigenspace(mats: list[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """The first joint eigenspace of the unit D_i on the common left nullspace of all brackets.
+
+    Refines every joint eigenspace, matrix by matrix in basis order, each
+    split into the eigenspaces of the restriction in ascending order of
+    i * eigenvalue, and returns the first of them. The restrictions'
+    spectra do not depend on the basis of a subspace, so neither does the
+    result. The nullspace is read off all user-basis brackets, not a
+    derived basis. None when it is zero.
+    """
+    units = [D / np.linalg.norm(D) for D in mats]
+    brackets = np.hstack([x @ y - y @ x for x in units for y in units])
+    u, s, _ = np.linalg.svd(brackets, full_matrices=True)
+    spaces = [u[:, int(np.sum(s > tol.cut(s[0]))) :].conj().T]
+    if spaces[0].shape[0] == 0:
+        return None
+    for D in units:
+        spaces = [rows @ S for S in spaces for _, rows in _left_eigenspaces(S @ D @ S.conj().T, tol)]
+    return spaces[0]
+
+
 def oracle_existence(mats: list[np.ndarray], x: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> str:
     """Desk-scale existence decision by exhaustive witness testing.
 

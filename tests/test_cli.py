@@ -13,7 +13,7 @@ from realcalc.cli import (
 from realcalc.fixtures import fixture_names, fixture_path
 from realcalc.matlin import max_norm
 
-from support import generic_presentation, su_basis, trivial_data
+from support import conjugate, generic_presentation, random_unitary, su_basis, trivial_data
 from test_invariance import case_mats, presented
 
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
@@ -436,6 +436,47 @@ class TestErrorPaths:
             code, _, err = run(capsys, "projective", str(bad))
             assert code == 1, scale
             assert err == "realcalc: error: derivations are not closed under brackets at pair (0, 1)\n", scale
+
+    def test_overflowing_structure_constants_are_located(self, capsys, tmp_path):
+        # unit Cartan elements of su(4), conjugated, then scaled by 1e150,
+        # 1e150 and 1e-150: their brackets are round-off, which the norm
+        # ratio 1e450 carries past the largest double in the user basis
+        units = [m / np.linalg.norm(m) for m in case_mats("cartan-su4-1e8")]
+        units = conjugate(units, random_unitary(np.random.default_rng(0), 4))
+        mats = [c * m for c, m in zip((1e150, 1e150, 1e-150), units)]
+        n, N = len(mats), mats[0].shape[0]
+        eye = [[_pairs(np.eye(N) * (a == b)) for b in range(n)] for a in range(n)]
+        lie_spec, proj_spec = tmp_path / "cartan.json", tmp_path / "cartan_proj.json"
+        lie_spec.write_text(json.dumps({"N": N, "basis": [
+            {"name": f"D{i + 1}", "matrix": _pairs(m)} for i, m in enumerate(mats)
+        ]}))
+        proj = {"N": N, "n": n, "derivations": [_pairs(m) for m in mats], "p": eye, "h": eye, "h_inv": eye}
+        proj_spec.write_text(json.dumps(proj))
+        overflow = "structure constants overflow a double in this basis"
+        assert run(capsys, "lie", str(lie_spec)) == (1, "", f"realcalc: error: basis: {overflow}\n")
+        assert run(capsys, "projective", str(proj_spec)) == (1, "", f"realcalc: error: derivations: {overflow}\n")
+        assert run_json(capsys, "analyze", str(lie_spec))["status"] == "Exists"
+        # a tensor the spec gives keeps its own field's name
+        proj["structure_constants"] = np.ones((n, n, n)).tolist()
+        proj_spec.write_text(json.dumps(proj))
+        code, out, err = run(capsys, "projective", str(proj_spec))
+        assert (code, out) == (1, "")
+        assert err == (
+            "realcalc: error: structure_constants: "
+            "structure constants are not antisymmetric in the lower indices\n"
+        )
+
+    def test_lambda_overflow_is_located(self, capsys, tmp_path):
+        # Λ does not change under h -> c h, h_inv -> h_inv / c, but at
+        # c = 1e306 its term h f overflows; the invariant checks pass
+        spec = json.loads(fixture_path("free_trivial.json").read_text())
+        spec["h"] = (1e306 * np.array(spec["h"])).tolist()
+        spec["h_inv"] = (1e-306 * np.array(spec["h_inv"])).tolist()
+        spec["derivations"] = (1e2 * np.array(spec["derivations"])).tolist()
+        bad = tmp_path / "big_h.json"
+        bad.write_text(json.dumps(spec))
+        message = "h is too large for Lambda: its terms h_jq f^q_il or [D_i, h_jl] overflow a double"
+        assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

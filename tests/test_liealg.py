@@ -12,7 +12,7 @@ from realcalc.liealg import (
     levi_split_compact,
     mu_obstruction_space,
 )
-from realcalc.matlin import DEFAULT_TOL, max_norm
+from realcalc.matlin import DEFAULT_TOL, antihermitian_eigen, max_norm
 
 from support import (
     ALGEBRA_FIXTURES,
@@ -382,6 +382,32 @@ class TestCommonLeftEigenvector:
     def test_su2_has_none(self, su2_basis, su2_f):
         assert common_left_eigenvector(su2_basis, levi_split_compact(su2_basis).ss_basis) is None
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("su2-center-su3", 0), ("cartan-su3", 1), ("gc_su4", 4)],
+    )
+    def test_restricted_eigenproblems(self, monkeypatch, case, expected):
+        # a line is already a joint eigenspace: su(2) plus its center in
+        # su(3) leaves one, a generic Cartan subalgebra of su(3) one after
+        # its first element, and gc's two-dimensional space never splits
+        rng = np.random.default_rng(3)
+        if case == "gc_su4":
+            mats = su4_family()["gc"]
+        else:
+            raw = block_with_center(3, 2) if case == "su2-center-su3" else su_basis(3)[-2:]
+            mats = generic_presentation(rng, raw)
+        basis = LieBasis(mats)
+        split = levi_split_compact(basis)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return antihermitian_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "antihermitian_eigen", counting)
+        assert common_left_eigenvector(basis, split.ss_basis) is not None
+        assert len(calls) == expected, calls
+
     def test_eigen_residuals(self, su4):
         v0, lambdas = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
         scale = max(max_norm(m) for m in su4["gc"].mats)
@@ -480,15 +506,16 @@ class TestRandomFamilyProperties:
             assert is_semisimple(split_killing(basis)) == expect, label
 
     def test_common_eigenvector_matches_bruteforce(self):
-        from support import eigenspace_chains
+        from support import eigenspace_chains, first_joint_eigenspace
 
         rng = np.random.default_rng(99)
-        for _ in range(25):
+        for _ in range(120):
             label, mats = random_subalgebra(rng, sizes=(2, 3, 4))
             basis = LieBasis(mats)
             fast = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
             slow = eigenspace_chains(mats)
-            assert (fast is not None) == bool(slow), label
+            followed = first_joint_eigenspace(mats)
+            assert (fast is not None) == bool(slow) == (followed is not None), label
             if fast is not None:
                 v0, lambdas = fast
                 scale = max(1.0, max(max_norm(m) for m in mats))
@@ -496,6 +523,8 @@ class TestRandomFamilyProperties:
                     max_norm(v0 @ D - lam * v0) for D, lam in zip(mats, lambdas)
                 )
                 assert residual <= 10 * DEFAULT_TOL.cut(scale), label
+                # the search follows the first joint eigenspace only
+                assert max_norm(v0 - (v0 @ followed.conj().T) @ followed) <= 1e-12, label
 
 
 class TestKernelEquivalence:

@@ -76,9 +76,25 @@ class TestLeftNullspace:
         assert np.allclose(basis @ basis.conj().T, np.eye(2))
 
     def test_empty_family_needs_dim(self):
+        # an empty list has no N; an empty (0, N, N) stack carries it
         with pytest.raises(ValueError):
             left_nullspace([])
-        assert left_nullspace([], dim=3).shape == (3, 3)
+        assert np.array_equal(left_nullspace(np.zeros((0, 3, 3))), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "stack",
+        [np.zeros((2, 3, 4)), np.zeros((3, 3)), [np.zeros((2, 2)), np.zeros((3, 3))]],
+        ids=["non-square", "one-matrix", "unequal"],
+    )
+    def test_rejects_a_stack_of_unequal_or_non_square_matrices(self, stack):
+        with pytest.raises(ValueError):
+            left_nullspace(stack)
+
+    def test_rejects_non_finite_entries(self):
+        stack = np.zeros((2, 3, 3), dtype=complex)
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            left_nullspace(stack)
 
     def test_corner_su2_blocks(self):
         # Common left nullspace of the cornered su(2) blocks is the
@@ -219,6 +235,8 @@ class TestNullspacesMatchFullSvd:
         want = _full_svd_left_nullspace(mats)
         assert got.shape == want.shape == (N - rank, N)
         assert max_norm(got.conj().T @ got - want.conj().T @ want) < 1e-10
+        # the (m, N, N) stack holds the list's numbers in np.hstack order
+        assert np.array_equal(left_nullspace(np.array(mats)), got)
 
     @pytest.mark.parametrize(
         "rows, cols, rank",
