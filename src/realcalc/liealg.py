@@ -34,6 +34,7 @@ __all__ = [
     "LieBasis",
     "StructureConstants",
     "LeviSplit",
+    "CommonEigenvector",
     "structure_constants",
     "killing_form",
     "mu_obstruction_space",
@@ -236,13 +237,15 @@ class LeviSplit:
     complement is [g, g], and the rows of both together are an
     orthonormal basis of the coefficient space; it also keeps the
     residuals of the frame brackets' fit, which :meth:`constants` turns
-    into the algebra's Jacobi certificate.
+    into the algebra's Jacobi certificate, and the singular values of
+    its SVD, which :func:`killing_form` reads.
     """
 
     f: np.ndarray
     radical_basis: np.ndarray
     ss_basis: np.ndarray
     _fit_residuals: Optional[np.ndarray] = field(default=None, repr=False)
+    _singular_values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("f", "radical_basis", "ss_basis"):
@@ -340,11 +343,17 @@ def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
 
     ``split`` is ``levi_split_compact(basis)``. Its tensor f_E is totally
     antisymmetric, so with M = f_E reshaped to (n, n^2) the frame
-    Killing form is sum_{k,l} f^l_ak f^k_bl = -M M^T, and D = T_inv E
-    carries it to B = -G G^T with G = T_inv M: two BLAS products,
-    symmetric by construction. Cost: O(n^4) time, O(n^3) memory.
+    Killing form is sum_{k,l} f^l_ak f^k_bl = -M M^T. The split's SVD
+    K^T = U diag(s) V^T of the columns a <= b already factors it: column
+    (b, a) of M is minus column (a, b) and the columns (a, a) vanish, so
+    M M^T = 2 K K^T = 2 V diag(s^2) V^T, where the columns of V are
+    ``ss_basis`` then ``radical_basis``. D = T_inv E carries it to
+    B = -G G^T with the n x n factor G = sqrt(2) T_inv V diag(s), and
+    numpy forms G G^T as one symmetric rank-n update, so B is exactly
+    symmetric. Cost: O(n^3) time, O(n^2) memory.
     """
-    G = basis.T_inv @ split.f.reshape(split.n, -1)
+    V = np.vstack([split.ss_basis, split.radical_basis]).T
+    G = basis.T_inv @ (V * (np.sqrt(2.0) * split._singular_values))
     return -(G @ G.T)
 
 
@@ -375,7 +384,8 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     orthonormal basis of [g, g], and the other n - r span the center,
     its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
     all x, y exactly when z is central). The residual norms r^E are kept
-    for the Jacobi certificate of :meth:`LeviSplit.constants`.
+    for the Jacobi certificate of :meth:`LeviSplit.constants`, and the
+    singular values for :func:`killing_form`.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
     projection onto E and its subtraction, O(n^2 N^2 + n^3) memory.
     """
@@ -394,16 +404,32 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     # the right singular vectors of M^T are the left ones of M
     _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
-    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(residuals))
+    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(residuals), _freeze(s))
+
+
+@dataclass(frozen=True, eq=False)
+class CommonEigenvector:
+    """A unit row vector v with v D_i = lambdas_i v; it unpacks as ``(v, lambdas)``.
+
+    ``residual`` is max_i |v D_i - lambdas_i v|, the largest entry.
+    """
+
+    v: np.ndarray
+    lambdas: np.ndarray
+    residual: float
+
+    def __iter__(self):
+        return iter((self.v, self.lambdas))
 
 
 def common_left_eigenvector(
     basis: LieBasis, der: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> Optional[CommonEigenvector]:
     """Find a unit vector v with v D_i = lam_i v for every basis matrix.
 
-    Returns ``(v, lambdas)`` with purely imaginary ``lambdas``, or
-    ``None`` when no common eigenvector exists.
+    Returns a :class:`CommonEigenvector`, which unpacks as
+    ``(v, lambdas)`` with purely imaginary ``lambdas``, or ``None`` when
+    no common eigenvector exists.
 
     Any common eigenvector satisfies v [D_i, D_j] = 0, so the search
     restricts to W, the common left nullspace of a spanning set of the
@@ -417,8 +443,9 @@ def common_left_eigenvector(
     The spanning set is ``der``, an orthonormal frame-coefficient basis
     of [g, g] (``LeviSplit.ss_basis``), so its matrices are orthonormal.
     The checks and the eigenspaces use D_i / |D_i|, whose spectra
-    keep their order under any element norm. Cost: O(n^2 N^2 + n N^3)
-    time, O(n N^2) memory.
+    keep their order under any element norm. The lambdas, the final
+    check and ``residual`` are read off one batched product v D. Cost:
+    O(n^2 N^2 + n N^3) time, O(n N^2) memory.
     """
     mats, norms = basis.mats, basis.norms
     units = mats / norms[:, None, None]
@@ -450,13 +477,12 @@ def common_left_eigenvector(
     magnitude = abs(v[lead])
     v = v * (v[lead].conjugate() / magnitude)
     v[lead] = magnitude
-    lambdas = np.array([1j * (v.conj() @ (v @ D)).imag for D in mats])
-    residual = max(
-        max_norm(v @ D - lam * v) / norm for D, lam, norm in zip(mats, lambdas, norms)
-    )
-    if residual > cut:
+    images = v @ mats
+    lambdas = 1j * (images @ v.conj()).imag
+    residuals = np.max(np.abs(images - lambdas[:, None] * v), axis=1)
+    if np.max(residuals / norms) > cut:
         raise ArithmeticError("joint eigenspace search lost the eigenvector")
-    return v, lambdas
+    return CommonEigenvector(v, lambdas, float(np.max(residuals)))
 
 
 def _adapted_constants(split: LeviSplit) -> np.ndarray:

@@ -67,9 +67,11 @@ def _grid(value, n: int, N: int, name: str) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _commutators(mats: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """d_i applied to every grid entry: out[i, a, b] = [D_i, grid[a, b]].
 
+    An entry that overflows comes back non-finite, without a warning.
     Two broadcast matrix products: O(n^3 N^3) time, O(n^3 N^2) memory.
     """
     m = mats[:, None, None]
@@ -122,6 +124,7 @@ class ProjectiveCalculusData:
     The derivatives of the grids, dp[i, k, j] = [D_i, p^k_j] and
     dh[i, a, b] = [D_i, h_ab], are built here once and read by the
     criterion, Λ and the coefficients: O(n^3 N^3) time, O(n^3 N^2) memory.
+    A derivative that overflows a double raises ValueError.
     """
 
     derivs: LieBasis
@@ -150,8 +153,11 @@ class ProjectiveCalculusData:
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "h", _freeze(h))
         object.__setattr__(self, "h_inv", _freeze(h_inv))
-        object.__setattr__(self, "dp", _freeze(_commutators(derivs.mats, p)))
-        object.__setattr__(self, "dh", _freeze(_commutators(derivs.mats, h)))
+        for name, grid, entry in (("p", p, "p^k_j"), ("h", h, "h_ab")):
+            derivative = _commutators(derivs.mats, grid)
+            if not np.all(np.isfinite(derivative)):
+                raise ValueError(f"{name} is too large for its derivatives: [D_i, {entry}] overflows a double")
+            object.__setattr__(self, "d" + name, _freeze(derivative))
 
     @property
     def n(self) -> int:

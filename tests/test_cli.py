@@ -478,6 +478,18 @@ class TestErrorPaths:
         message = "h is too large for Lambda: its terms h_jq f^q_il or [D_i, h_jl] overflow a double"
         assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
+    def test_derivative_overflow_is_located(self, capsys, tmp_path):
+        # with the derivations x1e4, [D_i, h_ab] itself overflows, which
+        # the data's construction rejects before Λ, with no numpy warning
+        spec = json.loads(fixture_path("free_trivial.json").read_text())
+        spec["h"] = (1e306 * np.array(spec["h"])).tolist()
+        spec["h_inv"] = (1e-306 * np.array(spec["h_inv"])).tolist()
+        spec["derivations"] = (1e4 * np.array(spec["derivations"])).tolist()
+        bad = tmp_path / "big_dh.json"
+        bad.write_text(json.dumps(spec))
+        message = "h is too large for its derivatives: [D_i, h_ab] overflows a double"
+        assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
+
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         spec = json.loads(fixture_path("mat2_rank1.json").read_text())

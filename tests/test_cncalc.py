@@ -351,6 +351,7 @@ class TestKoszulResidual:
             fast = koszul_residual(pre, conn, su2_f, anchor)
             slow = _koszul_literal(pre, conn, su2_f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            assert cncalc._koszul_bound(pre, conn, su2_f, anchor) >= slow * (1.0 - 1e-12)
 
     def test_matches_literal_on_su3_center_random_anchors(self):
         # n = 9 and N = 4 keep the index roles apart, and random mu make
@@ -375,6 +376,7 @@ class TestKoszulResidual:
             fast = koszul_residual(pre, conn, f, anchor)
             slow = _koszul_literal(pre, conn, f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+            assert cncalc._koszul_bound(pre, conn, f, anchor) >= slow * (1.0 - 1e-12)
 
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -390,6 +392,9 @@ class TestKoszulResidual:
         slow = _koszul_literal(pre, conn, f, anchor)
         assert fast <= 1e-14 and slow <= 1e-14
         assert fast == pytest.approx(slow, abs=1e-14)
+        # the closed-form bound certifies the witness on its own
+        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+        assert cncalc._koszul_bound(pre, conn, f, anchor) <= 0.5 * thr
 
     def test_bounds_the_largest_entry(self, su2_basis, su2_f):
         # the Frobenius norm of an N x N gap is at least its largest
@@ -403,6 +408,58 @@ class TestKoszulResidual:
             fro = koszul_residual(pre, conn, su2_f, anchor)
             entry = _koszul_literal(pre, conn, su2_f, anchor, norm=max_norm)
             assert entry * (1.0 - 1e-12) <= fro <= 2.0 * entry * (1.0 + 1e-12)
+
+
+class TestKoszulCertificate:
+    def test_bound_covers_the_residual_across_scales(self, su2_basis):
+        # mu and lambda entries spread over six decades make each term of
+        # the triangle inequality dominate somewhere, so the bound is
+        # nearly tight on some draws and must still not fall below
+        rng = np.random.default_rng(83)
+        bases = [su2_basis, LieBasis(block_with_center(4, 3))]
+        bases.append(LieBasis(generic_presentation(rng, block_with_center(3, 2))))
+        for basis in bases:
+            f = user_constants(basis)
+            pre = MetricPreCalculus(basis, -0.8)
+            for _ in range(60):
+                v = rng.standard_normal(basis.N) + 1j * rng.standard_normal(basis.N)
+                mu = rng.standard_normal(basis.n) * 10.0 ** rng.uniform(-3, 3, basis.n)
+                lambdas = rng.standard_normal(basis.n) * 10.0 ** rng.uniform(-3, 3, basis.n)
+                anchor, conn = AnchorMap(v / np.linalg.norm(v), mu), Connection(lambdas)
+                exact = koszul_residual(pre, conn, f, anchor)
+                assert cncalc._koszul_bound(pre, conn, f, anchor) >= exact * (1.0 - 1e-12)
+
+    def test_off_witness_anchor_takes_the_exact_check(self, su2_basis, su2_f):
+        # su(2) is semisimple, so no anchor is a witness: the bound
+        # exceeds half the cut and the exact residual decides
+        rng = np.random.default_rng(81)
+        pre = MetricPreCalculus(su2_basis)
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        anchor = AnchorMap(v / np.linalg.norm(v), rng.standard_normal(3))
+        conn = Connection(rng.standard_normal(3))
+        checks = cncalc._passes_all_checks(pre, su2_f, anchor, conn, DEFAULT_TOL)
+        assert checks["koszul_certificate"] == "exact"
+        assert checks["koszul"] == koszul_residual(pre, conn, su2_f, anchor)
+        assert not checks["ok"]
+
+    def test_exact_loop_not_entered_at_witnesses(self, su4, monkeypatch):
+        # the O(n^3 N) loop runs only when the bound cannot certify, so a
+        # witness, whose Koszul gap is round-off, never enters it
+        calls = []
+        original = cncalc.koszul_residual
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cncalc, "koszul_residual", counting)
+        rng = np.random.default_rng(82)
+        bases = [su4["gc"]]
+        bases += [LieBasis(generic_presentation(rng, block_with_center(k + 1, k))) for k in (2, 3, 5)]
+        for basis in bases:
+            report = decide_existence(MetricPreCalculus(basis, 0.8))
+            assert report.diagnostics["koszul_certificate"] == "bound"
+        assert calls == []
 
 
 class TestDecideExistence:
@@ -554,6 +611,7 @@ def _assert_exists_under_cut(pre):
     residuals = report.diagnostics["witness_residuals"]
     assert set(residuals) == {"torsion", "rcc", "metric_compatibility", "koszul"}
     assert all(value <= thr for value in residuals.values()), residuals
+    assert report.diagnostics["koszul_certificate"] == "bound"
 
 
 class TestDecideExistenceAtScale:
@@ -567,6 +625,12 @@ class TestDecideExistenceAtScale:
         rng = np.random.default_rng(81)
         pre = MetricPreCalculus(LieBasis(generic_presentation(rng, block_with_center(10, 9))))
         assert pre.basis.n == 81
+        _assert_exists_under_cut(pre)
+
+    def test_su11_center_in_su12_exists(self):
+        rng = np.random.default_rng(121)
+        pre = MetricPreCalculus(LieBasis(generic_presentation(rng, block_with_center(12, 11))))
+        assert pre.basis.n == 121
         _assert_exists_under_cut(pre)
 
     def test_doubled_su4_center_in_su8_has_no_common_eigenvector(self):

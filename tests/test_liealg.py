@@ -304,7 +304,9 @@ class TestSplitAgainstOracles:
             assert max_norm(fE + fE.transpose(0, 2, 1)) <= cut, label
             assert max_norm(fE - fE.transpose(1, 2, 0)) <= cut, label
             K = killing_by_ad(f.f)
-            assert max_norm(killing_form(basis, split) - K) <= 1e-10 * max(1.0, max_norm(K)), label
+            B = killing_form(basis, split)
+            assert max_norm(B - K) <= 1e-10 * max(1.0, max_norm(K)), label
+            assert np.array_equal(B, B.T), label
             report = cncalc.decide_existence(cncalc.MetricPreCalculus(basis))
             if report.witness is not None:
                 mu = report.witness[0].mu
@@ -523,6 +525,8 @@ class TestRandomFamilyProperties:
                     max_norm(v0 @ D - lam * v0) for D, lam in zip(mats, lambdas)
                 )
                 assert residual <= 10 * DEFAULT_TOL.cut(scale), label
+                # the same residual, read off one batched product v D
+                assert abs(fast.residual - residual) <= 1e-13 * scale, label
                 # the search follows the first joint eigenspace only
                 assert max_norm(v0 - (v0 @ followed.conj().T) @ followed) <= 1e-12, label
 
