@@ -174,31 +174,41 @@ def _parse_complex(value, loc: str) -> complex:
 _REAL = {int, float}  # bool is a subclass of int, but its type is not int
 
 
+def _fast_stack(value, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The complex array of ``shape`` written as nested lists whose leaves
+    are all ``[re, im]`` pairs or all bare ints and floats; else None.
+
+    C-level scans check the types and lengths of every nesting level and
+    leave the flat list of leaves, which one ``np.fromiter`` call reads
+    (``np.array`` on the nested lists would also keep state per sublist).
+    None also covers mixed leaf forms and integers too large for a
+    double; callers then read a stack a matrix at a time and a matrix an
+    entry at a time, which locates every error.
+    """
+    level = [value]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
+    try:
+        if kinds == {list}:
+            if set(map(len, level)) == {2} and set(map(type, chain.from_iterable(level))) <= _REAL:
+                # each [re, im] pair is one complex128 in memory
+                flat = np.fromiter(chain.from_iterable(level), float, count=2 * len(level))
+                return flat.view(complex).reshape(shape)
+        elif kinds <= _REAL:
+            return np.fromiter(level, complex, count=len(level)).reshape(shape)
+    except OverflowError:
+        pass
+    return None
+
+
 def _parse_matrix(value, N: int, loc: str) -> np.ndarray:
     """The N x N complex matrix written as a list of N rows of N entries,
-    every entry a complex scalar (see the module docstring).
-
-    A matrix whose entries are all ``[re, im]`` pairs, or all bare
-    numbers, with no leaf other than an int or a float, is checked by
-    C-level scans and read in one ``np.array`` call. Anything else,
-    including a matrix that mixes the two entry forms or holds an integer
-    too large for a double, goes through ``_parse_matrix_entries``, which
-    also locates every error.
-    """
-    if type(value) is list and len(value) == N and set(map(type, value)) == {list} \
-            and set(map(len, value)) == {N}:
-        entries = list(chain.from_iterable(value))
-        kinds = set(map(type, entries))
-        try:
-            if kinds == {list}:
-                if set(map(len, entries)) == {2} and set(map(type, chain.from_iterable(entries))) <= _REAL:
-                    # each [re, im] pair is one complex128 in memory
-                    return np.array(value, dtype=float).view(complex).reshape(N, N)
-            elif kinds <= _REAL:
-                return np.array(value, dtype=complex)
-        except OverflowError:
-            pass
-    return _parse_matrix_entries(value, N, loc)
+    every entry a complex scalar (see the module docstring)."""
+    out = _fast_stack(value, (N, N))
+    return _parse_matrix_entries(value, N, loc) if out is None else out
 
 
 def _parse_matrix_entries(value, N: int, loc: str) -> np.ndarray:
@@ -289,6 +299,8 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
     basis = obj.get("basis")
     if not isinstance(basis, list) or not basis:
         raise CliError("basis: expected a nonempty list of named matrices")
+    stack = _fast_stack([entry.get("matrix") if isinstance(entry, dict) else None for entry in basis],
+                        (len(basis), N, N))
     names, mats = [], []
     for idx, entry in enumerate(basis):
         loc = f"basis[{idx}]"
@@ -298,7 +310,7 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
         if not isinstance(name, str):
             raise CliError(f"{loc}.name: expected a string")
         names.append(name)
-        mats.append(_parse_matrix(entry["matrix"], N, f"{loc}.matrix"))
+        mats.append(_parse_matrix(entry["matrix"], N, f"{loc}.matrix") if stack is None else stack[idx])
     metric_scale = _parse_number(obj.get("metric_scale", 1.0), "metric_scale")
     if metric_scale == 0.0:
         raise CliError("metric_scale: must be nonzero")
@@ -311,12 +323,18 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
 def _parse_matrices(value, count: int, N: int, loc: str) -> list[np.ndarray]:
     if not isinstance(value, list) or len(value) != count:
         raise CliError(f"{loc}: expected a list of {count} matrices")
+    stack = _fast_stack(value, (count, N, N))
+    if stack is not None:
+        return list(stack)
     return [_parse_matrix(m, N, f"{loc}[{i}]") for i, m in enumerate(value)]
 
 
 def _parse_grid(value, n: int, N: int, loc: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise CliError(f"{loc}: expected {n} rows of matrices")
+    stack = _fast_stack(value, (n, n, N, N))
+    if stack is not None:
+        return stack
     return np.array([_parse_matrices(row, n, N, f"{loc}[{k}]") for k, row in enumerate(value)])
 
 

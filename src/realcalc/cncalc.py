@@ -376,9 +376,7 @@ def _koszul_bound(
 
 
 def _witness_scale(pre: MetricPreCalculus) -> float:
-    return max(1.0, max(max_norm(D) for D in pre.basis.mats)) * max(
-        1.0, abs(pre.metric_scale)
-    )
+    return max(1.0, max_norm(pre.basis.mats)) * max(1.0, abs(pre.metric_scale))
 
 
 def _passes_all_checks(

@@ -344,9 +344,10 @@ def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
     ``split`` is ``levi_split_compact(basis)``. Its tensor f_E is totally
     antisymmetric, so with M = f_E reshaped to (n, n^2) the frame
     Killing form is sum_{k,l} f^l_ak f^k_bl = -M M^T. The split's SVD
-    K^T = U diag(s) V^T of the columns a <= b already factors it: column
-    (b, a) of M is minus column (a, b) and the columns (a, a) vanish, so
-    M M^T = 2 K K^T = 2 V diag(s^2) V^T, where the columns of V are
+    K = U diag(s) V^T, K holding the columns a <= b of M as rows, already
+    factors it (U is never formed): column (b, a) of M is minus column
+    (a, b) and the columns (a, a) vanish, so
+    M M^T = 2 K^T K = 2 V diag(s^2) V^T, where the columns of V are
     ``ss_basis`` then ``radical_basis``. D = T_inv E carries it to
     B = -G G^T with the n x n factor G = sqrt(2) T_inv V diag(s), and
     numpy forms G G^T as one symmetric rank-n update, so B is exactly
@@ -367,7 +368,7 @@ def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
-    """Split a compact algebra as center (+) [g, g] by one SVD, in frame coefficients.
+    """Split a compact algebra as center (+) [g, g] by one R-SVD, in frame coefficients.
 
     Builds f_E[k, a, b] = <E_k, [E_a, E_b]> on the frame E of ``basis``,
     the only brackets formed. The span is closed when no residual norm
@@ -379,6 +380,10 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     reshaped to (n, n^2), whose columns are all brackets. The SVD reads
     the n(n + 1)/2 columns with a <= b: the same span, since column
     (b, a) is minus column (a, b), with singular values over sqrt(2).
+    It is an R-SVD (Golub and Van Loan, Matrix Computations, 5.4): one QR
+    of the n(n + 1)/2 x n bracket-coefficient matrix K, those columns as
+    rows, then the SVD of its n x n R, which has the singular values and
+    right singular vectors of K; no U factor is formed.
     Its rank r is the only rank decision about g: g is semisimple
     exactly when r = n, the first r left singular vectors are an
     orthonormal basis of [g, g], and the other n - r span the center,
@@ -387,7 +392,8 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     for the Jacobi certificate of :meth:`LeviSplit.constants`, and the
     singular values for :func:`killing_form`.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
-    projection onto E and its subtraction, O(n^2 N^2 + n^3) memory.
+    projection onto E and its subtraction and the n^4 term the QR,
+    O(n^2 N^2 + n^3) memory.
     """
     brackets = _all_brackets(basis.E)
     # summing the trailing axes of brackets spares tensordot a copy of it
@@ -401,8 +407,8 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
         i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)
         raise ClosureViolation(int(i), int(j), float(R[j, i]))
     iu, ju = np.triu_indices(basis.n)
-    # the right singular vectors of M^T are the left ones of M
-    _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
+    # the right singular vectors of K are the left ones of M
+    _, s, vh = np.linalg.svd(np.linalg.qr(f[:, iu, ju].T, mode="r"), full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
     return LeviSplit(f, vh[rank:], vh[:rank], _freeze(residuals), _freeze(s))
 

@@ -340,6 +340,18 @@ def projector(rows: np.ndarray, n: int) -> np.ndarray:
     return rows.T @ rows if rows.size else np.zeros((n, n))
 
 
+def direct_svd_split(f: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, ss_basis, radical_basis)`` from the SVD of K itself, U factor included.
+
+    ``f`` is a frame bracket tensor (``LeviSplit.f``) and K holds its
+    columns a <= b as rows, n(n + 1)/2 x n; the rank cut is the split's.
+    """
+    iu, ju = np.triu_indices(f.shape[0])
+    _, s, vh = np.linalg.svd(f[:, iu, ju].T, full_matrices=False)
+    rank = int(np.sum(s > tol.cut(s[0])))
+    return s, vh[:rank], vh[rank:]
+
+
 def _left_eigenspaces(D: np.ndarray, tol: Tolerance) -> list[tuple[complex, np.ndarray]]:
     """Left eigenspaces of an antihermitian matrix via the hermitian solver."""
     herm = 1j * D

@@ -626,8 +626,45 @@ class TestErrorPaths:
 
 def _matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw):
     with monkeypatch.context() as m:
+        m.setattr(cli, "_fast_stack", lambda value, shape: None)
         m.setattr(cli, "_parse_matrix", cli._parse_matrix_entries)
         return parse(raw)
+
+
+def _matrices_parsed_one_matrix_at_a_time(monkeypatch, parse, raw):
+    fast_stack = cli._fast_stack
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_fast_stack", lambda value, shape: fast_stack(value, shape) if len(shape) == 2 else None)
+        return parse(raw)
+
+
+def _matrix_parses(monkeypatch) -> list:
+    """Live record of the locations that ``_parse_matrix`` is called with."""
+    locs, parse_matrix = [], cli._parse_matrix
+
+    def recording(value, N, loc):
+        locs.append(loc)
+        return parse_matrix(value, N, loc)
+
+    monkeypatch.setattr(cli, "_parse_matrix", recording)
+    return locs
+
+
+# list levels above the complex entries of each matrix-valued field
+_MATRIX_DEPTHS = {"derivations": 3, "X": 3, "Y": 3, "p": 4, "h": 4, "h_inv": 4}
+
+
+def _bare(value, depth: int):
+    """``value`` with each [re, im] pair ``depth`` list levels down replaced by the bare number re + im."""
+    return value[0] + value[1] if depth == 0 else [_bare(v, depth - 1) for v in value]
+
+
+def _in_bare_form(raw: dict) -> dict:
+    out = {key: _bare(value, _MATRIX_DEPTHS[key]) if key in _MATRIX_DEPTHS else value
+           for key, value in raw.items()}
+    if "basis" in raw:
+        out["basis"] = [{**entry, "matrix": _bare(entry["matrix"], 2)} for entry in raw["basis"]]
+    return out
 
 
 def _spec_arrays(spec) -> list[np.ndarray]:
@@ -692,3 +729,75 @@ class TestMatrixParsing:
     def test_entry_forms_parse_as_entry_by_entry(self, matrix):
         fast = cli._parse_matrix(matrix, 2, "m")
         assert_same_arrays([fast], [cli._parse_matrix_entries(matrix, 2, "m")])
+
+    @pytest.mark.parametrize("form", ["pairs", "bare"])
+    @pytest.mark.parametrize("name", sorted(ALGEBRA_FIXTURES | PROJECTIVE_FIXTURES))
+    def test_stacks_parse_as_matrix_by_matrix(self, monkeypatch, name, form):
+        raw = json.loads(fixture_path(name).read_text())
+        raw = _in_bare_form(raw) if form == "bare" else raw
+        parse = parse_algebra_spec if name in ALGEBRA_FIXTURES else parse_projective_spec
+        by_matrix = _spec_arrays(_matrices_parsed_one_matrix_at_a_time(monkeypatch, parse, raw))
+        by_entry = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
+        locs = _matrix_parses(monkeypatch)
+        fast = _spec_arrays(parse(raw))
+        assert locs == []
+        assert_same_arrays(fast, by_matrix)
+        assert_same_arrays(fast, by_entry)
+
+    @pytest.mark.parametrize(
+        "name, field, bare",
+        [("su2.json", "basis", "basis[0].matrix"), ("mat2_rank1.json", "derivations", "derivations[1]")],
+    )
+    def test_matrices_mixing_entry_forms(self, monkeypatch, name, field, bare):
+        raw = json.loads(fixture_path(name).read_text())
+        if field == "basis":
+            raw["basis"][0]["matrix"] = _bare(raw["basis"][0]["matrix"], 2)
+            parse = parse_algebra_spec
+        else:
+            raw["derivations"][1] = _bare(raw["derivations"][1], 2)
+            parse = parse_projective_spec
+        by_entry = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
+        locs = _matrix_parses(monkeypatch)
+        fast = _spec_arrays(parse(raw))
+        # the stack falls back to one matrix at a time, each of which is regular
+        assert bare in locs and len(locs) == 3
+        assert_same_arrays(fast, by_entry)
+
+    @pytest.mark.parametrize(
+        "name, path, value, message",
+        [
+            ("su2.json", ["basis", 1, "matrix", 0, 1], True,
+             "basis[1].matrix[0][1]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 2, "matrix", 1, 0, 1], "1",
+             "basis[2].matrix[1][0]: expected a complex scalar [re, im]"),
+            ("su2.json", ["basis", 1, "matrix", 1], [[0, 1]], "basis[1].matrix[1]: expected 2 entries"),
+            ("su2.json", ["basis", 2, "matrix", 0, 0, 0], 10**400,
+             "basis[2].matrix[0][0]: number too large for a double"),
+            ("free_trivial.json", ["derivations", 2, 1, 1, 1], False,
+             "derivations[2][1][1]: expected a complex scalar [re, im]"),
+            ("free_trivial.json", ["derivations", 1, 0, 0], "0",
+             "derivations[1][0][0]: expected a complex scalar [re, im]"),
+            ("free_trivial.json", ["derivations", 1, 0], [[0, 0], [0, 1], [1, 0]],
+             "derivations[1][0]: expected 2 entries"),
+            ("free_trivial.json", ["derivations", 0, 1, 0], -(10**400),
+             "derivations[0][1][0]: number too large for a double"),
+            ("free_trivial.json", ["h", 2, 1, 0, 0, 0], True,
+             "h[2][1][0][0]: expected a complex scalar [re, im]"),
+            ("free_trivial.json", ["h", 0, 2, 1, 1], "x", "h[0][2][1][1]: expected a complex scalar [re, im]"),
+            ("free_trivial.json", ["h", 1, 0], [[[0, 0], [1, 0]]] * 3, "h[1][0]: expected 2 rows"),
+            ("free_trivial.json", ["h", 1, 1, 1, 0, 1], 10**400, "h[1][1][1][0]: number too large for a double"),
+        ],
+        ids=[f"{field}-{kind}" for field in ("basis", "derivations", "grid")
+             for kind in ("bool", "string", "ragged", "oversize")],
+    )
+    def test_irregular_stacks_keep_their_errors(self, name, path, value, message):
+        raw = json.loads(fixture_path(name).read_text())
+        *outer, last = path
+        parent = raw
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+        parse = parse_algebra_spec if name in ALGEBRA_FIXTURES else parse_projective_spec
+        with pytest.raises(cli.CliError) as exc:
+            parse(raw)
+        assert str(exc.value) == message

@@ -25,10 +25,12 @@ from support import (
     ALGEBRA_FIXTURES,
     block_with_center,
     conjugate,
+    direct_svd_split,
     fixture_mats,
     is_solvable_by_series,
     killing_by_ad,
     mix_basis,
+    projector,
     random_unitary,
     user_constants,
 )
@@ -140,6 +142,17 @@ def presented(rng: np.random.Generator, mats: list[np.ndarray], how: str) -> lis
 ORACLE_CASES = sorted(VERDICTS)
 
 
+def assert_split_matches_direct_svd(split, label) -> None:
+    """The split's R-SVD against the SVD of K itself: the same rank, the
+    singular values within 1e-12 of the largest, the same [g, g] and center
+    projectors within 1e-10."""
+    s, ss_basis, radical_basis = direct_svd_split(split.f)
+    assert split.ss_dim == ss_basis.shape[0], label
+    assert max_norm(split._singular_values - s) <= 1e-12 * s[0], label
+    for got, want in ((split.ss_basis, ss_basis), (split.radical_basis, radical_basis)):
+        assert max_norm(projector(got, split.n) - projector(want, split.n)) <= 1e-10, label
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
     @pytest.mark.parametrize("name", ORACLE_CASES)
@@ -158,3 +171,11 @@ class TestClosedForms:
             # scales of 1e24 apart would sway; its unit elements span the same algebra
             units = LieBasis([m / np.linalg.norm(m) for m in mats])
             assert (split.ss_dim == 0) == is_solvable_by_series(user_constants(units)), (name, how)
+
+    @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_split_matches_direct_svd(self, name, how):
+        rng = np.random.default_rng(ORACLE_CASES.index(name))
+        for _ in range(4):
+            split = levi_split_compact(LieBasis(presented(rng, case_mats(name), how)))
+            assert_split_matches_direct_svd(split, (name, how))

@@ -34,6 +34,8 @@ from support import (
     user_constants,
 )
 
+from test_invariance import assert_split_matches_direct_svd
+
 D1, D2, D3 = su2_mats()
 
 
@@ -284,6 +286,20 @@ class TestLeviSplit:
         split = levi_split_compact(abelian_diag(2))
         assert (split.radical_dim, split.ss_dim) == (2, 0)
 
+    def test_no_svd_gets_more_than_n_rows(self, monkeypatch):
+        # K has n(n + 1)/2 = 1176 rows on su(7); only its 48 x 48 R is factored
+        basis = LieBasis(generic_presentation(np.random.default_rng(7), su_basis(7)))
+        rows, svd = [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        split = levi_split_compact(basis)
+        assert (basis.n, split.ss_dim) == (48, 48)
+        assert rows and max(rows) <= basis.n
+
 
 class TestSplitAgainstOracles:
     """The one frame SVD against separate rank decisions on the user tensor."""
@@ -303,6 +319,7 @@ class TestSplitAgainstOracles:
             cut = 1e-12 * max(1.0, max_norm(fE))
             assert max_norm(fE + fE.transpose(0, 2, 1)) <= cut, label
             assert max_norm(fE - fE.transpose(1, 2, 0)) <= cut, label
+            assert_split_matches_direct_svd(split, label)
             K = killing_by_ad(f.f)
             B = killing_form(basis, split)
             assert max_norm(B - K) <= 1e-10 * max(1.0, max_norm(K)), label
