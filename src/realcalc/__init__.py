@@ -18,7 +18,7 @@ from .cncalc import (
     MetricPreCalculus,
     decide_existence,
 )
-from .projcalc import LambdaTensor, ProjectiveCalculusData
+from .projcalc import ProjectiveCalculusData
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "ExistenceReport",
     "MetricPreCalculus",
     "decide_existence",
-    "LambdaTensor",
     "ProjectiveCalculusData",
     "__version__",
 ]

@@ -468,7 +468,7 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         holds, worst, residuals = projcalc.lc_condition_check(data, tol)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    lam = projcalc.lambda_tensor(data).values
+    lam = projcalc.lambda_tensor(data)
     worst_idx = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
     out = {
         "command": "projective",

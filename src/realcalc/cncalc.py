@@ -2,9 +2,10 @@
 
 The module carries the metric h(u, v) = x * u^dagger v, anchor maps of
 the collinear form phi(D_j) = mu_j * v0, and connections
-nabla_j v = i*lam_j v - v D_j. It verifies torsion, metric
-compatibility, the real-connection-calculus condition and the Koszul
-identity, and decides Levi-Civita existence with an explicit witness.
+nabla_j v = i*lam_j v - v D_j. It evaluates torsion, metric
+compatibility and the Koszul identity, finds the one Levi-Civita
+connection an anchor map can have (:func:`levi_civita_connection`), and
+decides Levi-Civita existence with an explicit witness.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .matlin import DEFAULT_TOL, Tolerance, _freeze, _scaled_norm, as_row_vector, max_norm
 from .liealg import (
     LieBasis,
+    LeviSplit,
     StructureConstants,
-    _transport,
     common_left_eigenvector,
     killing_form,
     levi_split_compact,
@@ -35,14 +36,11 @@ __all__ = [
     "AnchorMap",
     "Connection",
     "ExistenceReport",
-    "is_metric_anchor",
-    "apply_connection",
     "metric_compat_residual",
     "torsion",
-    "rcc_check",
     "koszul_residual",
+    "levi_civita_connection",
     "decide_existence",
-    "verify_uniqueness",
 ]
 
 EXISTS = "Exists"
@@ -111,7 +109,7 @@ class Connection:
         object.__setattr__(self, "lambdas", _freeze(arr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistenceReport:
     """Outcome of the existence decision, with witness or obstruction."""
 
@@ -125,44 +123,6 @@ class ExistenceReport:
             raise ValueError(f"unknown status {self.status!r}")
         if (self.status == EXISTS) != (self.witness is not None):
             raise ValueError("status and witness presence disagree")
-
-
-def is_metric_anchor(
-    pre: MetricPreCalculus, phi, tol: Tolerance = DEFAULT_TOL
-) -> Optional[AnchorMap]:
-    """Recognize a metric anchor map among candidate images phi(D_j).
-
-    Returns the normalized (v0, mu) when every phi_j is a *real*
-    multiple of one unit vector and not all of them vanish; absence
-    means the family is not a metric anchor map. Hermiticity of
-    h(phi_i, phi_j) = x mu_i mu_j v0^dagger v0 then holds automatically.
-    """
-    vectors = [as_row_vector(p) for p in phi]
-    if len(vectors) != pre.basis.n:
-        raise ValueError(f"expected {pre.basis.n} images, got {len(vectors)}")
-    norms = [np.linalg.norm(v) for v in vectors]
-    scale = max(norms)
-    if scale <= tol.cut(1.0):
-        return None
-    ref = vectors[int(np.argmax(norms))]
-    v0 = ref / np.linalg.norm(ref)
-    mu = np.empty(len(vectors))
-    for j, vec in enumerate(vectors):
-        coeff = vec @ v0.conj()
-        if max_norm(vec - coeff * v0) > tol.cut(scale):
-            return None
-        if abs(coeff.imag) > tol.cut(scale):
-            return None
-        mu[j] = coeff.real
-    return AnchorMap(v0, mu, tol)
-
-
-def apply_connection(conn: Connection, basis: LieBasis, j: int, v) -> np.ndarray:
-    """Evaluate nabla_j v = i*lam_j v - v D_j."""
-    if not 0 <= j < basis.n:
-        raise IndexError(f"derivation index {j} out of range for n={basis.n}")
-    v = as_row_vector(v)
-    return 1j * conn.lambdas[j] * v - v @ basis.mats[j]
 
 
 def _metric_compat_supremum(x: float, mats: np.ndarray, ts: np.ndarray) -> float:
@@ -226,20 +186,6 @@ def _rcc_residual(conn: Connection, basis: LieBasis, anchor: AnchorMap) -> float
 
 def _rcc_cut(basis: LieBasis, tol: Tolerance) -> float:
     return tol.cut(max(1.0, max_norm(basis.mats)))
-
-
-def rcc_check(
-    conn: Connection,
-    basis: LieBasis,
-    anchor: AnchorMap,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Real-connection-calculus condition: nabla annihilates v0.
-
-    Equivalently v0 is a common left eigenvector with eigenvalues
-    i*lam_j.
-    """
-    return _rcc_residual(conn, basis, anchor) <= _rcc_cut(basis, tol)
 
 
 def _koszul_parts(
@@ -415,32 +361,42 @@ def _passes_all_checks(
     }
 
 
-def _frame_checks(
+def levi_civita_connection(
     pre: MetricPreCalculus,
-    f_E: StructureConstants,
+    split: LeviSplit,
     anchor: AnchorMap,
-    conn: Connection,
-    tol: Tolerance,
-) -> dict:
-    """The four checks of (anchor, conn) on the frame E of ``pre.basis``.
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[Optional[Connection], dict]:
+    """The Levi-Civita connection of ``anchor``, or ``None``, with the checks that decided.
 
-    The checks are multilinear in the derivations and homogeneous in
-    mu, so a connection passes them exactly when its frame form does:
-    the basis E with its bracket tensor ``f_E``, mu_E = T mu scaled to
-    unit norm and lambda_E = T lambda. There round-off does not grow
-    with the norms of the D_i, and the cut does not grow with products
-    of them. Cost: O(n^2 N + n^3 + n N^2) when the Koszul bound
-    certifies, O(n^3 N + n N^2) when the exact Koszul check decides.
+    The real-connection-calculus condition nabla_j v0 = 0 reads
+    v0 D_j = i lam_j v0, so lam_j = Im(v0 D_j v0^dagger) for unit v0 is
+    the only candidate: an anchor map has at most one Levi-Civita
+    connection, and no second one needs comparing. The four checks run
+    on the candidate's frame form, against ``split.constants(tol)``, the
+    frame tensor of ``split = levi_split_compact(pre.basis)`` with the
+    algebra's one Jacobi certificate. The checks are multilinear in the
+    derivations and homogeneous in mu, so a connection passes them
+    exactly when its frame form does: the frame E with mu_E = T mu
+    scaled to unit norm and lambda_E = T lambda. There round-off does
+    not grow with the norms of the D_i, and the cut does not grow with
+    products of them. Returns the connection when ``checks["ok"]`` holds,
+    else ``None``, and the checks of ``_passes_all_checks``. Cost:
+    O(n N^2) for lambda, plus O(n^2 N + n^3 + n N^2) when the Koszul
+    bound certifies and O(n^3 N + n N^2) when the exact Koszul check
+    decides.
     """
     basis = pre.basis
+    conn = Connection(((anchor.v0 @ basis.mats) @ anchor.v0.conj()).imag)
     mu_E = basis.T @ anchor.mu
-    return _passes_all_checks(
+    checks = _passes_all_checks(
         MetricPreCalculus(basis.frame(), pre.metric_scale),
-        f_E,
+        split.constants(tol),
         AnchorMap(anchor.v0, mu_E / _scaled_norm(mu_E), tol),
         Connection(basis.T @ conn.lambdas),
         tol,
     )
+    return (conn if checks["ok"] else None), checks
 
 
 def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> ExistenceReport:
@@ -476,9 +432,11 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     Killing singular values are reported, not decided on; the Killing
     matrix is read off the split (:func:`killing_form`).
 
-    The witness is checked in its frame form (``_frame_checks``) against
-    the frame tensor of the split, which carries the algebra's one
-    Jacobi certificate. The reported Koszul residual is the value that
+    The witness connection is the one that
+    :func:`levi_civita_connection` finds for the anchor and checks in
+    its frame form against the frame tensor of the split, which carries
+    the algebra's one Jacobi certificate; its lambda is the common
+    eigenvector's. The reported Koszul residual is the value that
     decided: the bound of ``_koszul_bound`` or the largest per-triple
     Frobenius norm of :func:`koszul_residual`, both upper bounds on the
     largest gap entry; ``diagnostics["koszul_certificate"]`` says which,
@@ -503,7 +461,6 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
         return ExistenceReport(
             NONEXISTENT, REASON_NO_COMMON_EIGENVECTOR, None, diagnostics
         )
-    v0, eigenvalues = found
     diagnostics["common_eigenvector"] = True
     diagnostics["eigenvector_residual"] = found.residual
     # mu_E = c z with c = |T^T z|, the norm of z's user coefficients
@@ -512,43 +469,14 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     lead = int(np.argmax(np.abs(mu) >= np.max(np.abs(mu)) * (1.0 - 1e-8)))
     if mu[lead] < 0:
         mu = -mu
-    anchor = AnchorMap(v0, mu, tol)
-    conn = Connection(eigenvalues.imag)
-    checks = _frame_checks(pre, split.constants(tol), anchor, conn, tol)
+    anchor = AnchorMap(found.v, mu, tol)
+    conn, checks = levi_civita_connection(pre, split, anchor, tol)
     diagnostics["witness_residuals"] = {
         key: checks[key] for key in ("torsion", "metric_compatibility", "koszul", "rcc")
     }
     diagnostics["koszul_certificate"] = checks["koszul_certificate"]
-    if not checks["ok"]:
+    if conn is None:
         raise WitnessVerificationFailed(
             f"constructed witness failed verification: {diagnostics['witness_residuals']}"
         )
     return ExistenceReport(EXISTS, REASON_WITNESS, (anchor, conn), diagnostics)
-
-
-def verify_uniqueness(
-    pre: MetricPreCalculus,
-    f: StructureConstants,
-    anchor: AnchorMap,
-    conn1: Connection,
-    conn2: Connection,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Check that two fully verified connections coincide.
-
-    Vacuously true when either connection fails the Levi-Civita checks
-    for the given anchor; false only on a genuine uniqueness violation,
-    which would falsify the at-most-one theorem and is treated as a
-    fatal diagnostic by callers. The checks run on the frame form, as
-    in :func:`decide_existence`, with f_E = ``_transport(f, T, T_inv)``, so
-    the verdict does not depend on the norms of the basis elements; f_E
-    inherits f's Jacobi check. Cost: O(n^4) for f_E plus two runs of the
-    checks.
-    """
-    basis = pre.basis
-    f_E = _transport(f, basis.T, basis.T_inv)
-    ok1 = _frame_checks(pre, f_E, anchor, conn1, tol)["ok"]
-    ok2 = _frame_checks(pre, f_E, anchor, conn2, tol)["ok"]
-    if not (ok1 and ok2):
-        return True
-    return bool(max_norm(conn1.lambdas - conn2.lambdas) <= tol.cut(1.0 + max_norm(conn1.lambdas)))

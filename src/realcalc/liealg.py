@@ -315,8 +315,11 @@ def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> Structure
     over c first and averaged to exact antisymmetry. J(out) is J(f)
     carried by the same P and Q, so Jacobi holds in both bases or in
     neither; out's own residual against its largest entry would measure
-    how P is conditioned, not the algebra. An entry of out beyond the
-    largest double raises ValueError. Cost: O(n^4) time, O(n^3) memory.
+    how P is conditioned, not the algebra. Its one caller is
+    :func:`structure_constants`, which carries a split's frame tensor
+    back to the user's basis; the witness checks read the frame tensor
+    itself. An entry of out beyond the largest double raises ValueError.
+    Cost: O(n^4) time, O(n^3) memory.
     """
     out = np.tensordot(np.tensordot(Q, f.f, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
     out = np.tensordot(out, P, axes=([1], [1]))

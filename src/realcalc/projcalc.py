@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_matrix, as_row_vector, max_norm
+from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_matrix, max_norm
 from .liealg import LieBasis, StructureConstants
 
 __all__ = [
@@ -31,13 +31,11 @@ __all__ = [
     "NotGenerating",
     "ConditionFails",
     "ProjectiveCalculusData",
-    "LambdaTensor",
     "lambda_tensor",
     "lc_condition_check",
     "lc_connection_coefficients",
     "koszul_verify_projective",
     "from_module_generators",
-    "rank_one_calculus",
 ]
 
 
@@ -168,25 +166,6 @@ class ProjectiveCalculusData:
         return self.derivs.N
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaTensor:
-    """Christoffel-like coefficients Lam[k, i, j], each an N x N matrix."""
-
-    values: np.ndarray
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 5 or not (values.shape[0] == values.shape[1] == values.shape[2]):
-            raise ValueError(f"expected shape (n, n, n, N, N), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tensor entries must be finite")
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """out[x, y, j] = sum_l t[x, y, l] grid[l, j] for an (n, n, n, N, N) t.
 
@@ -196,11 +175,12 @@ def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
+def lambda_tensor(data: ProjectiveCalculusData) -> np.ndarray:
     """Assemble Lam^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij
     - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij).
 
-    The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
+    Returns the read-only (n, n, n, N, N) array Lam[k, i, j], each entry
+    an N x N matrix. The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
     over (l, b) is one tensordot, O(n^4 N^3) time. O(n^3 N^2) memory.
     A term that overflows a double raises ValueError, even if Λ fits.
     """
@@ -218,7 +198,7 @@ def lambda_tensor(data: ProjectiveCalculusData) -> LambdaTensor:
     values = np.tensordot(data.h_inv, six, axes=([1, 3], [2, 3]))
     if not np.all(np.isfinite(values)):
         raise ValueError("h is too large for Lambda: its terms h_jq f^q_il or [D_i, h_jl] overflow a double")
-    return LambdaTensor(0.5 * values.transpose(0, 2, 3, 1, 4))
+    return _freeze(0.5 * values.transpose(0, 2, 3, 1, 4))
 
 
 def lc_condition_check(
@@ -235,7 +215,7 @@ def lc_condition_check(
     over (l, b): O(n^4 N^3) time, O(n^3 N^2) memory.
     """
     p = data.p
-    lam = lambda_tensor(data).values
+    lam = lambda_tensor(data)
     lhs = np.tensordot(p, data.dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
     residual = lhs - (lam - _times_grid(lam, p))
     per_index = np.max(np.abs(residual), axis=(3, 4))
@@ -260,7 +240,7 @@ def lc_connection_coefficients(
             f"criterion fails (max residual {worst:.3e}); no Levi-Civita connection"
         )
     p = data.p
-    gam = _times_grid(lambda_tensor(data).values, p)
+    gam = _times_grid(lambda_tensor(data), p)
     return _times_grid(gam, p) + data.dp.transpose(1, 0, 2, 3, 4)
 
 
@@ -279,7 +259,7 @@ def koszul_verify_projective(
     n, N = data.n, data.N
     if coeffs.shape != (n, n, n, N, N):
         raise ValueError(f"coefficients must have shape ({n}, {n}, {n}, {N}, {N})")
-    lam = lambda_tensor(data).values
+    lam = lambda_tensor(data)
     return float(max_norm(np.tensordot(data.h, coeffs - lam, axes=([1, 3], [0, 3]))))
 
 
@@ -304,38 +284,4 @@ def from_module_generators(
     p = np.einsum("kab,ibc->kiac", Ys, Xs)
     h = np.einsum("iba,jbc->ijac", Xs.conj(), Xs)
     h_inv = np.einsum("iab,jcb->ijac", Ys, Ys.conj())
-    return ProjectiveCalculusData(derivs, f, p, h, h_inv, tol)
-
-
-def rank_one_calculus(
-    derivs: LieBasis,
-    f: StructureConstants,
-    v0,
-    mu,
-    metric_scale: float = 1.0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ProjectiveCalculusData:
-    """Encode the row-module calculus of an anchor map as projective data.
-
-    The generators e_i = mu_i v0 of the simple row module give the
-    rank-one projection p^k_i = (mu_k mu_i / |mu|^2) P with
-    P = v0^dagger v0, metric blocks h_ij = x mu_i mu_j P and inverse
-    blocks h^{kl} = mu_k mu_l P / (x |mu|^4). The criterion on this data
-    matches the direct existence analysis for the same anchor map.
-    """
-    v0 = as_row_vector(v0)
-    mu = np.asarray(mu, dtype=float)
-    if abs(np.linalg.norm(v0) - 1.0) > tol.cut(1.0):
-        raise ValueError("v0 must have unit norm")
-    x = float(metric_scale)
-    if x == 0.0:
-        raise ValueError("metric_scale must be nonzero")
-    weight = float(mu @ mu)
-    if weight <= tol.cut(1.0):
-        raise ValueError("mu must not vanish")
-    P = np.outer(v0.conj(), v0)
-    outer_mu = np.outer(mu, mu)
-    p = np.einsum("ki,ab->kiab", outer_mu / weight, P)
-    h = np.einsum("ij,ab->ijab", x * outer_mu, P)
-    h_inv = np.einsum("kl,ab->klab", outer_mu / (x * weight * weight), P)
     return ProjectiveCalculusData(derivs, f, p, h, h_inv, tol)

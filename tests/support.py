@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from realcalc import cncalc, liealg
-from realcalc.matlin import DEFAULT_TOL, Tolerance, real_nullspace
+from realcalc.matlin import DEFAULT_TOL, Tolerance, as_row_vector, max_norm, real_nullspace
 
 # ---------------------------------------------------------------------------
 # Concrete algebras
@@ -259,6 +259,42 @@ def generator_data(rng: np.random.Generator, basis: liealg.LieBasis):
     return projcalc.from_module_generators(xs, ys, basis, f)
 
 
+def rank_one_calculus(
+    derivs: liealg.LieBasis,
+    f: liealg.StructureConstants,
+    v0,
+    mu,
+    metric_scale: float = 1.0,
+    tol: Tolerance = DEFAULT_TOL,
+):
+    """Encode the row-module calculus of an anchor map as projective data.
+
+    The generators e_i = mu_i v0 of the simple row module give the
+    rank-one projection p^k_i = (mu_k mu_i / |mu|^2) P with
+    P = v0^dagger v0, metric blocks h_ij = x mu_i mu_j P and inverse
+    blocks h^{kl} = mu_k mu_l P / (x |mu|^4). The criterion on this data
+    matches the direct existence analysis for the same anchor map.
+    """
+    from realcalc import projcalc
+
+    v0 = as_row_vector(v0)
+    mu = np.asarray(mu, dtype=float)
+    if abs(np.linalg.norm(v0) - 1.0) > tol.cut(1.0):
+        raise ValueError("v0 must have unit norm")
+    x = float(metric_scale)
+    if x == 0.0:
+        raise ValueError("metric_scale must be nonzero")
+    weight = float(mu @ mu)
+    if weight <= tol.cut(1.0):
+        raise ValueError("mu must not vanish")
+    P = np.outer(v0.conj(), v0)
+    outer_mu = np.outer(mu, mu)
+    p = np.einsum("ki,ab->kiab", outer_mu / weight, P)
+    h = np.einsum("ij,ab->ijab", x * outer_mu, P)
+    h_inv = np.einsum("kl,ab->klab", outer_mu / (x * weight * weight), P)
+    return projcalc.ProjectiveCalculusData(derivs, f, p, h, h_inv, tol)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 
@@ -466,7 +502,9 @@ def oracle_existence(mats: list[np.ndarray], x: float = 1.0, tol: Tolerance = DE
             )
             if torsion_norm > thr:
                 continue
-            if not cncalc.rcc_check(conn, basis, anchor, tol):
+            # the connection-calculus condition: nabla_j v0 = i lam_j v0 - v0 D_j = 0
+            rcc = max_norm(1j * lambdas[:, None] * v0 - v0 @ basis.mats)
+            if rcc > tol.cut(max(1.0, max_norm(basis.mats))):
                 continue
             if cncalc.metric_compat_residual(pre, conn) > thr:
                 continue

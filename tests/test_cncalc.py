@@ -12,14 +12,11 @@ from realcalc.cncalc import (
     Connection,
     ExistenceReport,
     MetricPreCalculus,
-    apply_connection,
     decide_existence,
-    is_metric_anchor,
     koszul_residual,
+    levi_civita_connection,
     metric_compat_residual,
-    rcc_check,
     torsion,
-    verify_uniqueness,
 )
 from realcalc.liealg import (
     LieBasis,
@@ -67,58 +64,6 @@ class TestTypes:
         conn = Connection([1.0])
         with pytest.raises(ValueError):
             ExistenceReport(NONEXISTENT, REASON_SEMISIMPLE, (anchor, conn), {})
-
-
-class TestIsMetricAnchor:
-    def test_real_collinear(self, su2_basis):
-        pre = MetricPreCalculus(su2_basis)
-        anchor = is_metric_anchor(pre, [(1, 0), (2, 0), (0, 0)])
-        assert anchor is not None
-        assert np.allclose(anchor.v0, [1, 0])
-        assert np.allclose(anchor.mu, [1, 2, 0])
-
-    def test_non_collinear_rejected(self, su2_basis):
-        pre = MetricPreCalculus(su2_basis)
-        assert is_metric_anchor(pre, [(1, 0), (0, 1), (0, 0)]) is None
-
-    def test_common_phase_is_accepted(self, su2_basis):
-        # (i, 0) and (2i, 0) are collinear with real ratios; the metric
-        # values x mu_i mu_j |v0|^2 are real symmetric
-        pre = MetricPreCalculus(su2_basis)
-        anchor = is_metric_anchor(pre, [(1j, 0), (2j, 0), (0, 0)])
-        assert anchor is not None
-        assert np.allclose(anchor.v0, [1j, 0])
-        assert np.allclose(anchor.mu, [1, 2, 0])
-
-    def test_relative_phase_rejected(self, su2_basis):
-        pre = MetricPreCalculus(su2_basis)
-        assert is_metric_anchor(pre, [(1, 0), (1j, 0), (0, 0)]) is None
-
-    def test_all_zero_rejected(self, su2_basis):
-        pre = MetricPreCalculus(su2_basis)
-        assert is_metric_anchor(pre, [(0, 0), (0, 0), (0, 0)]) is None
-
-
-class TestApplyConnection:
-    def test_eigenvector_annihilation(self, su2_basis):
-        conn = Connection([1.0, 1.0, 1.0])
-        out = apply_connection(conn, su2_basis, 2, np.array([1.0, 0.0]))
-        assert max_norm(out) < 1e-15
-
-    def test_pure_transport(self, su2_basis):
-        conn = Connection([0.0, 0.0, 0.0])
-        out = apply_connection(conn, su2_basis, 0, np.array([1.0, 0.0]))
-        assert np.allclose(out, [0.0, -1j])
-
-    def test_zero_vector(self, su2_basis):
-        conn = Connection([0.0, 0.0, 0.0])
-        out = apply_connection(conn, su2_basis, 1, np.zeros(2))
-        assert max_norm(out) == 0.0
-
-    def test_index_range(self, su2_basis):
-        conn = Connection([0.0, 0.0, 0.0])
-        with pytest.raises(IndexError):
-            apply_connection(conn, su2_basis, 3, np.zeros(2))
 
 
 def _unit_pairs(N, trials=16):
@@ -228,11 +173,15 @@ class TestTorsion:
             conn = Connection(rng.standard_normal(3))
             T = torsion(pre, conn, su2_f, anchor)
             e = [m * anchor.v0 for m in anchor.mu]
+
+            def nabla(i, v):
+                return 1j * conn.lambdas[i] * v - v @ su2_basis.mats[i]
+
             for i in range(3):
                 for j in range(3):
                     direct = (
-                        apply_connection(conn, su2_basis, i, e[j])
-                        - apply_connection(conn, su2_basis, j, e[i])
+                        nabla(i, e[j])
+                        - nabla(j, e[i])
                         - float(su2_f.f[:, i, j] @ anchor.mu) * anchor.v0
                     )
                     assert max_norm(T[i, j] - direct) < 1e-13
@@ -273,18 +222,6 @@ def _torsion_einsum(pre, conn, f, anchor):
         - np.einsum("ij,ab->ijab", c, eye)
     )
     return np.einsum("a,ijab->ijb", anchor.v0, inner)
-
-
-class TestRccCheck:
-    def test_gc_witness(self, gc_witness):
-        pre, f, anchor, conn = gc_witness
-        assert rcc_check(conn, pre.basis, anchor)
-
-    def test_single_diagonal(self):
-        basis = LieBasis([D3])
-        anchor = AnchorMap(np.array([1.0, 0]), np.array([1.0]))
-        assert rcc_check(Connection([1.0]), basis, anchor)
-        assert not rcc_check(Connection([0.0]), basis, anchor)
 
 
 def _koszul_literal(pre, conn, f, anchor, norm=np.linalg.norm):
@@ -659,48 +596,60 @@ class TestSemisimpleTorsionBound:
             assert float(np.max(pair_norms)) > 0.0
 
 
-class TestVerifyUniqueness:
-    def test_witness_vs_itself(self, gc_witness):
-        pre, f, anchor, conn = gc_witness
-        assert verify_uniqueness(pre, f, anchor, conn, conn)
+def _rescaled_su2_center() -> LieBasis:
+    """su(2) + center in su(3) with the two su(2) elements scaled by 1e10."""
+    return LieBasis([m * (1e10 if i < 2 else 1.0) for i, m in enumerate(block_with_center(3, 2))])
 
-    def test_perturbed_connection_is_vacuous(self, gc_witness):
-        pre, f, anchor, conn = gc_witness
-        bumped = np.array(conn.lambdas)
-        bumped[0] += 0.1  # v0 D0 = i v0 forces lambda_0 = 1
-        other = Connection(bumped)
-        assert not rcc_check(other, pre.basis, anchor)
-        assert verify_uniqueness(pre, f, anchor, conn, other)
 
-    def test_rescaled_basis_is_checked_in_its_frame(self, monkeypatch):
-        # su(2) + center in su(3) with two elements scaled by 1e10: torsion
-        # and Koszul terms and their cut grow with products of element
-        # norms, so both checks of verify_uniqueness run on the frame
-        # form, which passes the witness and fails a wrong connection
-        mats = [m * (1e10 if i < 2 else 1.0) for i, m in enumerate(block_with_center(3, 2))]
-        pre = MetricPreCalculus(LieBasis(mats))
-        f = user_constants(pre.basis)
-        anchor, conn = decide_existence(pre).witness
-        verdicts = []
-        original = cncalc._passes_all_checks
+class TestLeviCivitaConnection:
+    @pytest.mark.parametrize("case", ["gc_su4", "su2c-su3-1e10"])
+    def test_gives_the_witness(self, su4, case):
+        # the one candidate lambda_j = Im(v0 D_j v0^dagger) is, bit for
+        # bit, the common eigenvector's eigenvalues, and it passes
+        basis = su4["gc"] if case == "gc_su4" else _rescaled_su2_center()
+        pre = MetricPreCalculus(basis)
+        split = levi_split_compact(basis)
+        anchor, witness = decide_existence(pre).witness
+        conn, checks = levi_civita_connection(pre, split, anchor)
+        assert checks["ok"]
+        assert np.array_equal(conn.lambdas, witness.lambdas)
+        found = common_left_eigenvector(basis, split.ss_basis)
+        assert np.array_equal(conn.lambdas, found.lambdas.imag)
 
-        def recording(*args, **kwargs):
-            out = original(*args, **kwargs)
-            verdicts.append(out["ok"])
-            return out
+    def test_rescaled_basis_is_checked_in_its_frame(self):
+        # torsion and Koszul terms and their cut grow with products of
+        # element norms, so the checks run on the frame form, where the
+        # witness reads round-off against the unit-scale cut and a mu
+        # that is not zero on [g, g] fails
+        pre = MetricPreCalculus(_rescaled_su2_center())
+        split = levi_split_compact(pre.basis)
+        anchor, _ = decide_existence(pre).witness
+        conn, checks = levi_civita_connection(pre, split, anchor)
+        assert conn is not None
+        frame = MetricPreCalculus(pre.basis.frame(), pre.metric_scale)
+        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(frame))
+        assert thr < 1e-6
+        assert max(checks[key] for key in ("torsion", "metric_compatibility", "koszul")) <= thr
+        bumped = AnchorMap(anchor.v0, anchor.mu + pre.basis.T_inv @ split.ss_basis[0])
+        conn, checks = levi_civita_connection(pre, split, bumped)
+        assert conn is None and checks["torsion"] > thr
 
-        monkeypatch.setattr(cncalc, "_passes_all_checks", recording)
-        assert verify_uniqueness(pre, f, anchor, conn, conn)
-        assert verdicts == [True, True]
-        verdicts.clear()
-        assert verify_uniqueness(pre, f, anchor, conn, Connection(conn.lambdas + 0.5))
-        assert verdicts == [True, False]
+    def test_single_diagonal(self):
+        basis = LieBasis([D3])
+        pre = MetricPreCalculus(basis)
+        anchor = AnchorMap(np.array([1.0, 0]), np.array([1.0]))
+        conn, checks = levi_civita_connection(pre, levi_split_compact(basis), anchor)
+        assert checks["ok"]
+        assert np.array_equal(conn.lambdas, [1.0])
 
-    def test_flags_true_violation(self, gc_witness, monkeypatch):
-        # force the impossible both-pass scenario to exercise the branch
-        pre, f, anchor, conn = gc_witness
-        other = Connection(np.array(conn.lambdas) + 1.0)
-        monkeypatch.setattr(
-            cncalc, "_passes_all_checks", lambda *a, **k: {"ok": True}
-        )
-        assert not verify_uniqueness(pre, f, anchor, conn, other)
+    def test_random_v0_fails_rcc(self, gc_witness):
+        # v0 D0 = i v0 holds only on the common eigenspace, so a random
+        # v0 has no connection that annihilates it
+        pre, _, witness, _ = gc_witness
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        anchor = AnchorMap(v / np.linalg.norm(v), witness.mu)
+        conn, checks = levi_civita_connection(pre, levi_split_compact(pre.basis), anchor)
+        assert conn is None
+        assert checks["rcc"] > cncalc._rcc_cut(pre.basis, DEFAULT_TOL)
+        assert not checks["ok"]

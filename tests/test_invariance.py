@@ -9,7 +9,9 @@ by its own factor 10^u with u in [-12, 12], and the sign and size of
 ``metric_scale`` must leave status and reason unchanged, and every
 witness must keep its residuals under 100 times the cut. On the same
 presentations the Killing matrix and the solvability read off the split
-match their oracles.
+match their oracles, and an anchor map has a Levi-Civita connection over
+the row module exactly when its rank-one projective calculus meets the
+projective criterion.
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcalc import cncalc
-from realcalc.liealg import LieBasis, killing_form, levi_split_compact
+from realcalc import cncalc, projcalc
+from realcalc.liealg import LieBasis, killing_form, levi_split_compact, structure_constants
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
@@ -32,6 +34,7 @@ from support import (
     mix_basis,
     projector,
     random_unitary,
+    rank_one_calculus,
     user_constants,
 )
 
@@ -140,6 +143,7 @@ def presented(rng: np.random.Generator, mats: list[np.ndarray], how: str) -> lis
 
 
 ORACLE_CASES = sorted(VERDICTS)
+PRESENTATIONS = ["given", "conjugated", "mixed", "rescaled", "all"]
 
 
 def assert_split_matches_direct_svd(split, label) -> None:
@@ -154,7 +158,7 @@ def assert_split_matches_direct_svd(split, label) -> None:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
+    @pytest.mark.parametrize("how", PRESENTATIONS)
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_killing_and_solvability_match_oracles(self, name, how):
         rng = np.random.default_rng(ORACLE_CASES.index(name))
@@ -172,10 +176,87 @@ class TestClosedForms:
             units = LieBasis([m / np.linalg.norm(m) for m in mats])
             assert (split.ss_dim == 0) == is_solvable_by_series(user_constants(units)), (name, how)
 
-    @pytest.mark.parametrize("how", ["given", "conjugated", "mixed", "rescaled", "all"])
+    @pytest.mark.parametrize("how", PRESENTATIONS)
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_split_matches_direct_svd(self, name, how):
         rng = np.random.default_rng(ORACLE_CASES.index(name))
         for _ in range(4):
             split = levi_split_compact(LieBasis(presented(rng, case_mats(name), how)))
             assert_split_matches_direct_svd(split, (name, how))
+
+
+# Presentations on which the projective criterion of the rank-one
+# calculus disagrees with the row module. The row module decides on the
+# frame; lc_condition_check compares its residual with
+# tol.cut(max(1, |p|, |Lambda|)), which does not scale with the
+# derivations, so round-off that grows with their norms fails witnesses
+# of the scaled Cartan algebras and of rescaled presentations, and on
+# gc_su4 rescaled a mu that is not zero on [g, g] passes.
+PROJECTIVE_CUT_DEFECT = {(name, how) for name in CARTAN for how in PRESENTATIONS} | {
+    ("abelian1", "all"),
+    ("gc_su4", "rescaled"),
+    ("gc_su4", "all"),
+    ("su2c-su3", "all"),
+    ("su3c-su4", "rescaled"),
+    ("su3c-su4", "all"),
+    ("su4c-su5", "rescaled"),
+    ("su4c-su5", "all"),
+}
+PROJECTIVE_CUT_REASON = "the projective cut tol.cut(max(1, |p|, |Lambda|)) does not scale with the derivations"
+CROSS_SETTING = [
+    pytest.param(
+        name,
+        how,
+        id=f"{name}-{how}",
+        marks=[pytest.mark.xfail(strict=True, raises=AssertionError, reason=PROJECTIVE_CUT_REASON)]
+        if (name, how) in PROJECTIVE_CUT_DEFECT
+        else [],
+    )
+    for how in PRESENTATIONS
+    for name in ORACLE_CASES
+]
+
+
+def cross_setting_anchors(rng, report, basis, split) -> list[tuple[str, cncalc.AnchorMap]]:
+    """The witness, mu x 3, mu plus a [g, g] row, a random v0 and a random mu.
+
+    Without a witness, one anchor with a random v0 and a random mu.
+    """
+    v = rng.standard_normal(basis.N) + 1j * rng.standard_normal(basis.N)
+    v0, mu = v / np.linalg.norm(v), rng.standard_normal(basis.n)
+    if report.witness is None:
+        return [("random", cncalc.AnchorMap(v0, mu))]
+    witness, _ = report.witness
+    anchors = [
+        ("witness", witness),
+        ("mu x 3", cncalc.AnchorMap(witness.v0, 3.0 * witness.mu)),
+        ("random v0", cncalc.AnchorMap(v0, witness.mu)),
+        ("random mu", cncalc.AnchorMap(witness.v0, mu)),
+    ]
+    if split.ss_dim:
+        # a [g, g] direction of the frame, as large as mu's frame form
+        mu_E = basis.T @ witness.mu
+        bumped = basis.T_inv @ (mu_E + np.linalg.norm(mu_E) * split.ss_basis[0])
+        anchors.append(("mu + [g, g]", cncalc.AnchorMap(witness.v0, bumped)))
+    return anchors
+
+
+class TestRowAndProjectiveAgree:
+    @pytest.mark.parametrize("name, how", CROSS_SETTING)
+    def test_levi_civita_connection_matches_rank_one_criterion(self, name, how):
+        rng = np.random.default_rng(ORACLE_CASES.index(name))
+        for _ in range(3):
+            basis = LieBasis(presented(rng, case_mats(name), how))
+            pre = cncalc.MetricPreCalculus(basis)
+            split = levi_split_compact(basis)
+            f = structure_constants(basis, split)
+            report = cncalc.decide_existence(pre)
+            for label, anchor in cross_setting_anchors(rng, report, basis, split):
+                conn, _ = cncalc.levi_civita_connection(pre, split, anchor)
+                data = rank_one_calculus(basis, f, anchor.v0, anchor.mu)
+                holds, worst, _ = projcalc.lc_condition_check(data)
+                assert (conn is not None) == holds, (label, worst)
+                if label == "witness":
+                    coeffs = projcalc.lc_connection_coefficients(data)
+                    scale = max(1.0, max_norm(data.h) * max(1.0, max_norm(projcalc.lambda_tensor(data))))
+                    assert projcalc.koszul_verify_projective(data, coeffs) <= 100.0 * DEFAULT_TOL.cut(scale)

@@ -653,17 +653,17 @@ class TestJacobiBound:
 
     def test_user_tensors_always_take_the_slab_check(self, monkeypatch, su4):
         # a tensor given from outside is checked once, in its own basis;
-        # the split's frame tensor holds the algebra's certificate, and
-        # the tensors carried from it to the user's basis and back, in
-        # verify_uniqueness, inherit it
+        # the split's frame tensor holds the algebra's certificate, which
+        # the witness checks of levi_civita_connection read, and the
+        # tensor carried from it to the user's basis inherits it
         calls = _count_slab_checks(monkeypatch)
         basis = su4["gc"]
         split = levi_split_compact(basis)
         f = liealg.structure_constants(basis, split)
-        split.constants()
         pre = cncalc.MetricPreCalculus(basis)
-        anchor, conn = cncalc.decide_existence(pre).witness
-        assert cncalc.verify_uniqueness(pre, f, anchor, conn, conn)
+        anchor, _ = cncalc.decide_existence(pre).witness
+        conn, _ = cncalc.levi_civita_connection(pre, split, anchor)
+        assert conn is not None
         assert calls == []
         StructureConstants(f.f)
         assert len(calls) == 1
