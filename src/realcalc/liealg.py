@@ -278,30 +278,41 @@ class LeviSplit:
         return StructureConstants(self.f, tol)
 
 
-def _all_brackets(mats: np.ndarray) -> np.ndarray:
-    """All pairwise commutators as an (n, n, N, N) tensor, in one BLAS product."""
-    prod = np.tensordot(mats, mats, axes=([2], [1])).transpose(0, 2, 1, 3)
-    return prod - prod.transpose(1, 0, 2, 3)
+def _bracket_pairs(E: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """The commutators [E_a, E_b] for the P index pairs (a, b) of ``iu``, ``ju``, as (P, N, N).
+
+    One BLAS product forms every E_a E_b; each bracket is gathered from
+    it and completed in place, so no bracket outside the P pairs, such
+    as the negation [E_b, E_a] of one inside, is formed. Cost: O(n^2 N^3)
+    time, O(n^2 N^2) memory.
+    """
+    prod = np.tensordot(E, E, axes=([2], [1])).transpose(0, 2, 1, 3)
+    pairs = prod[iu, ju]
+    pairs -= prod[ju, iu]
+    return pairs
 
 
-def _fit_norms(E: np.ndarray, brackets: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_norms(
+    E: np.ndarray, pairs: np.ndarray, fp: np.ndarray, iu: np.ndarray, ju: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Norms of the brackets and of what their projection onto E leaves.
 
-    ``c`` holds the frame coefficients of ``brackets``. Both (n, n)
-    results are symmetric and zero on the diagonal, as the brackets are antisymmetric, so only the
-    pairs i < j are evaluated, the projection subtracted as two real
-    BLAS products. Cost: O(n^3 N^2) time, O(n^2 N^2) memory.
+    ``pairs`` holds the brackets of the pairs a < b in ``iu``, ``ju``
+    (:func:`_bracket_pairs`) and ``fp`` their frame coefficients, one row
+    per pair. Both (n, n) results are symmetric and zero on the diagonal,
+    as the brackets are antisymmetric. The projection is subtracted as two real BLAS
+    products, in place: ``pairs`` is left holding the residual matrices.
+    Cost: O(n^3 N^2) time and O(n^2 N^2) memory: no copy of ``pairs``,
+    one real (P, N^2) product at a time.
     """
     n = E.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
     flat = E.reshape(n, -1)
-    rest = brackets[iu, ju].reshape(len(iu), flat.shape[1])
-    pairs = c[:, iu, ju].T
+    rest = pairs.reshape(len(iu), flat.shape[1])
     out = np.zeros((2, n, n))
     parts = rest.view(float)
     out[0, iu, ju] = np.einsum("pq,pq->p", parts, parts)
-    rest.real -= pairs @ np.ascontiguousarray(flat.real)
-    rest.imag -= pairs @ np.ascontiguousarray(flat.imag)
+    rest.real -= fp @ np.ascontiguousarray(flat.real)
+    rest.imag -= fp @ np.ascontiguousarray(flat.imag)
     out[1, iu, ju] = np.einsum("pq,pq->p", parts, parts)
     out = np.sqrt(out + out.transpose(0, 2, 1))
     return out[0], out[1]
@@ -370,11 +381,34 @@ def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) ->
     return real_nullspace(f.f.transpose(1, 2, 0).reshape(f.n * f.n, f.n), tol)
 
 
+def _closure_violation(basis: LieBasis, f: np.ndarray) -> ClosureViolation:
+    """The user pair i < j whose bracket leaves the span the most, relative to |D_i| |D_j|.
+
+    Runs only once closure has failed. A fresh :func:`_bracket_pairs` and
+    its negation fill the antisymmetric (n, n, N, N) bracket tensor, whose
+    residuals against the frame tensor ``f`` are carried to the user basis
+    as R_ij / (|D_i| |D_j|) = sum_ab W[i, a] W[j, b] R^E_ab. The first
+    largest pair wins. Cost: O(n^2 N^3 + n^3 N^2) time, O(n^2 N^2) memory.
+    """
+    n = basis.n
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = _bracket_pairs(basis.E, iu, ju)
+    brackets = np.zeros((n, n) + pairs.shape[1:], dtype=complex)
+    brackets[iu, ju] = pairs
+    brackets[ju, iu] = -pairs
+    W = basis.T_inv / basis.norms[:, None]
+    R = np.tensordot(W, brackets - np.tensordot(f, basis.E, axes=([0], [0])), axes=([1], [0]))
+    R = np.linalg.norm(np.tensordot(W, R, axes=([1], [1])).reshape(n, n, -1), axis=2)
+    i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)
+    return ClosureViolation(int(i), int(j), float(R[j, i]))
+
+
 def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSplit:
     """Split a compact algebra as center (+) [g, g] by one R-SVD, in frame coefficients.
 
     Builds f_E[k, a, b] = <E_k, [E_a, E_b]> on the frame E of ``basis``,
-    the only brackets formed. The span is closed when no residual norm
+    the only brackets formed, and those only for a < b: their projections
+    fill f_E by antisymmetry. The span is closed when no residual norm
     r^E_ab exceeds tol.abs + tol.rel * max(1, |[E_a, E_b]|), a cut free of
     the norms of the D_i; else :class:`ClosureViolation` names the user
     pair i < j with the largest |R_ij| / (|D_i| |D_j|), first on ties.
@@ -396,20 +430,32 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     singular values for :func:`killing_form`.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
     projection onto E and its subtraction and the n^4 term the QR,
-    O(n^2 N^2 + n^3) memory.
+    O(n^2 N^2 + n^3) memory: the n^2 products E_a E_b and the n(n - 1)/2
+    brackets a < b, and no tensor of all n^2 brackets (that is formed
+    only to name a :class:`ClosureViolation`).
     """
-    brackets = _all_brackets(basis.E)
-    # summing the trailing axes of brackets spares tensordot a copy of it
-    f = np.tensordot(brackets, basis.E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
-    sizes, residuals = _fit_norms(basis.E, brackets, f)
+    n, E = basis.n, basis.E
+    iu, ju = np.triu_indices(n, k=1)
+    # the pairs a < b, then (0, 0), an exact zero bracket: its coefficients
+    # are the diagonal of f_E, with the signs gemm gives their zeros, which
+    # the QR of K reads first; and the product has two rows at n = 2, where
+    # one row would go to gemv, whose sums round unlike gemm's
+    pairs = _bracket_pairs(E, np.append(iu, 0), np.append(ju, 0))
+    # summing the trailing axes of pairs spares tensordot a copy of it
+    fp = np.ascontiguousarray(np.tensordot(pairs, E.conj(), axes=([1, 2], [1, 2])).real)
+    sizes, residuals = _fit_norms(E, pairs[:-1], fp[:-1], iu, ju)
+    del pairs  # the residual matrices now, which nothing reads
+    # f_E sits in (a, b, k) memory order, whose strides the rounding of the
+    # BLAS products downstream follows
+    f = np.empty((n, n, n))
+    f[iu, ju] = fp[:-1]
+    f[ju, iu] = -fp[:-1]
+    diagonal = np.arange(n)
+    f[diagonal, diagonal] = fp[-1]
+    f = f.transpose(2, 0, 1)
     if np.any(residuals > tol.abs + tol.rel * np.maximum(1.0, sizes)):
-        # R_ij / (|D_i| |D_j|) = sum_ab W[i, a] W[j, b] R^E_ab
-        W = basis.T_inv / basis.norms[:, None]
-        R = np.tensordot(W, brackets - np.tensordot(f, basis.E, axes=([0], [0])), axes=([1], [0]))
-        R = np.linalg.norm(np.tensordot(W, R, axes=([1], [1])).reshape(basis.n, basis.n, -1), axis=2)
-        i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)
-        raise ClosureViolation(int(i), int(j), float(R[j, i]))
-    iu, ju = np.triu_indices(basis.n)
+        raise _closure_violation(basis, f)
+    iu, ju = np.triu_indices(n)
     # the right singular vectors of K are the left ones of M
     _, s, vh = np.linalg.svd(np.linalg.qr(f[:, iu, ju].T, mode="r"), full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))

@@ -388,6 +388,62 @@ def direct_svd_split(f: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.nd
     return s, vh[:rank], vh[rank:]
 
 
+def _all_pairs_brackets(E: np.ndarray) -> np.ndarray:
+    """Every commutator [E_a, E_b], diagonal and b > a included, as an (n, n, N, N) tensor."""
+    prod = np.tensordot(E, E, axes=([2], [1])).transpose(0, 2, 1, 3)
+    return prod - prod.transpose(1, 0, 2, 3)
+
+
+def all_pairs_frame_tensor(E: np.ndarray) -> np.ndarray:
+    """f_E[k, a, b] = Re <E_k, [E_a, E_b]> projected from all n^2 brackets.
+
+    The split's reference: one complex tensordot of the full bracket
+    tensor, with no use of antisymmetry, so ``LeviSplit.f`` must equal
+    it bit for bit.
+    """
+    return np.tensordot(_all_pairs_brackets(E), E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
+
+
+def all_pairs_fit_norms(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, residuals)``: |[E_a, E_b]|_F and what f leaves of it, read off all n^2 brackets.
+
+    ``f`` is :func:`all_pairs_frame_tensor`; the pairs a < b are copied
+    out of the full tensor and the projection subtracted by the split's
+    two real BLAS products, so the residuals must equal the split's
+    ``_fit_residuals`` bit for bit.
+    """
+    n = E.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    flat = E.reshape(n, -1)
+    rest = _all_pairs_brackets(E)[iu, ju].reshape(len(iu), flat.shape[1])
+    coeffs = f[:, iu, ju].T
+    out = np.zeros((2, n, n))
+    parts = rest.view(float)
+    out[0, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    rest.real -= coeffs @ np.ascontiguousarray(flat.real)
+    rest.imag -= coeffs @ np.ascontiguousarray(flat.imag)
+    out[1, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    out = np.sqrt(out + out.transpose(0, 2, 1))
+    return out[0], out[1]
+
+
+def all_pairs_closure_violation(basis: liealg.LieBasis, f: np.ndarray) -> tuple[tuple[int, int], float]:
+    """``(pair, residual)`` of the worst user pair i < j, from all n^2 frame brackets.
+
+    R_ij / (|D_i| |D_j|) = sum_ab W[i, a] W[j, b] R^E_ab with
+    W = T_inv / |D_i| and R^E the full bracket tensor minus its
+    projection by ``f`` (:func:`all_pairs_frame_tensor`); the first
+    largest pair wins, as in :class:`ClosureViolation`.
+    """
+    n = basis.n
+    W = basis.T_inv / basis.norms[:, None]
+    R_E = _all_pairs_brackets(basis.E) - np.tensordot(f, basis.E, axes=([0], [0]))
+    R = np.tensordot(W, R_E, axes=([1], [0]))
+    R = np.linalg.norm(np.tensordot(W, R, axes=([1], [1])).reshape(n, n, -1), axis=2)
+    i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)
+    return (int(i), int(j)), float(R[j, i])
+
+
 def _left_eigenspaces(D: np.ndarray, tol: Tolerance) -> list[tuple[complex, np.ndarray]]:
     """Left eigenspaces of an antihermitian matrix via the hermitian solver."""
     herm = 1j * D

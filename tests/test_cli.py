@@ -34,7 +34,7 @@ def run_json(capsys, *argv):
 
 def count_calls(monkeypatch, *names) -> dict:
     """Live counts of LieBasis constructions, bracket builds and the named liealg functions."""
-    calls = dict.fromkeys(("LieBasis", "_all_brackets", *names), 0)
+    calls = dict.fromkeys(("LieBasis", "_bracket_pairs", *names), 0)
 
     def counting(key, original):
         def wrapper(*args, **kwargs):

@@ -9,7 +9,8 @@ by its own factor 10^u with u in [-12, 12], and the sign and size of
 ``metric_scale`` must leave status and reason unchanged, and every
 witness must keep its residuals under 100 times the cut. On the same
 presentations the Killing matrix and the solvability read off the split
-match their oracles, and an anchor map has a Levi-Civita connection over
+match their oracles, its frame tensor equals bit for bit the one projected
+from all n^2 brackets, and an anchor map has a Levi-Civita connection over
 the row module exactly when its rank-one projective calculus meets the
 projective criterion.
 """
@@ -25,6 +26,8 @@ from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
     ALGEBRA_FIXTURES,
+    all_pairs_fit_norms,
+    all_pairs_frame_tensor,
     block_with_center,
     conjugate,
     direct_svd_split,
@@ -146,10 +149,21 @@ ORACLE_CASES = sorted(VERDICTS)
 PRESENTATIONS = ["given", "conjugated", "mixed", "rescaled", "all"]
 
 
-def assert_split_matches_direct_svd(split, label) -> None:
-    """The split's R-SVD against the SVD of K itself: the same rank, the
-    singular values within 1e-12 of the largest, the same [g, g] and center
-    projectors within 1e-10."""
+def assert_split_matches_oracles(basis, split, label) -> None:
+    """The split of ``basis`` against its references.
+
+    Its frame tensor and fit residuals, from the brackets a < b, equal
+    those read off all n^2 brackets bit for bit; the rows a <= b of K,
+    which its QR reads, keep even the signs of their zeros. Its R-SVD
+    against the SVD of K itself: the same rank, the singular values
+    within 1e-12 of the largest, the same [g, g] and center projectors
+    within 1e-10.
+    """
+    f = all_pairs_frame_tensor(basis.E)
+    assert np.array_equal(split.f, f), label
+    iu, ju = np.triu_indices(basis.n)
+    assert split.f[:, iu, ju].tobytes() == f[:, iu, ju].tobytes(), label
+    assert np.array_equal(split._fit_residuals, all_pairs_fit_norms(basis.E, f)[1]), label
     s, ss_basis, radical_basis = direct_svd_split(split.f)
     assert split.ss_dim == ss_basis.shape[0], label
     assert max_norm(split._singular_values - s) <= 1e-12 * s[0], label
@@ -181,8 +195,8 @@ class TestClosedForms:
     def test_split_matches_direct_svd(self, name, how):
         rng = np.random.default_rng(ORACLE_CASES.index(name))
         for _ in range(4):
-            split = levi_split_compact(LieBasis(presented(rng, case_mats(name), how)))
-            assert_split_matches_direct_svd(split, (name, how))
+            basis = LieBasis(presented(rng, case_mats(name), how))
+            assert_split_matches_oracles(basis, levi_split_compact(basis), (name, how))
 
 
 # Presentations on which the projective criterion of the rank-one

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from realcalc.matlin import DEFAULT_TOL, antihermitian_eigen, max_norm
 
 from support import (
     ALGEBRA_FIXTURES,
+    all_pairs_closure_violation,
+    all_pairs_fit_norms,
+    all_pairs_frame_tensor,
     block_with_center,
     center,
     derived_subalgebra,
@@ -34,7 +39,7 @@ from support import (
     user_constants,
 )
 
-from test_invariance import assert_split_matches_direct_svd
+from test_invariance import assert_split_matches_oracles
 
 D1, D2, D3 = su2_mats()
 
@@ -300,6 +305,42 @@ class TestLeviSplit:
         assert (basis.n, split.ss_dim) == (48, 48)
         assert rows and max(rows) <= basis.n
 
+    def test_peak_memory_is_two_bracket_tensors(self):
+        # only the brackets a < b are formed: the products E_a E_b, one
+        # (n, n, N, N) tensor, and the pairs beside them; an all-pairs
+        # bracket tensor next to the products read 3.0 tensors
+        basis = LieBasis(generic_presentation(np.random.default_rng(7), su_basis(7)))
+        levi_split_compact(basis)
+        tracemalloc.start()
+        try:
+            levi_split_compact(basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * basis.n**2 * basis.N**2 * np.dtype(complex).itemsize
+
+    def test_closure_violation_matches_all_pairs_formula(self):
+        # random subsets of su(3) .. su(6) bases in a generic presentation,
+        # each element scaled by its own 10^u, u in [-6, 6]: the violated
+        # pair and its residual are the all-pairs formula's, bit for bit,
+        # and a closed draw passes where the all-pairs fit passes
+        rng = np.random.default_rng(19)
+        violated = 0
+        for draw in range(60):
+            full = generic_presentation(rng, su_basis(int(rng.integers(3, 7))))
+            keep = np.sort(rng.choice(len(full), size=int(rng.integers(1, len(full))), replace=False))
+            basis = LieBasis([10.0 ** rng.uniform(-6.0, 6.0) * full[k] for k in keep])
+            f = all_pairs_frame_tensor(basis.E)
+            sizes, residuals = all_pairs_fit_norms(basis.E, f)
+            if np.any(residuals > DEFAULT_TOL.abs + DEFAULT_TOL.rel * np.maximum(1.0, sizes)):
+                violated += 1
+                with pytest.raises(ClosureViolation) as err:
+                    levi_split_compact(basis)
+                assert (err.value.pair, err.value.residual) == all_pairs_closure_violation(basis, f), draw
+            else:
+                assert np.array_equal(levi_split_compact(basis).f, f), draw
+        assert violated >= 50
+
 
 class TestSplitAgainstOracles:
     """The one frame SVD against separate rank decisions on the user tensor."""
@@ -319,7 +360,7 @@ class TestSplitAgainstOracles:
             cut = 1e-12 * max(1.0, max_norm(fE))
             assert max_norm(fE + fE.transpose(0, 2, 1)) <= cut, label
             assert max_norm(fE - fE.transpose(1, 2, 0)) <= cut, label
-            assert_split_matches_direct_svd(split, label)
+            assert_split_matches_oracles(basis, split, label)
             K = killing_by_ad(f.f)
             B = killing_form(basis, split)
             assert max_norm(B - K) <= 1e-10 * max(1.0, max_norm(K)), label
