@@ -264,7 +264,6 @@ class ProjectiveSpecFile:
     N: int
     n: int
     derivations: list[np.ndarray]
-    structure_constants: Optional[np.ndarray]
     p: Optional[np.ndarray]
     h: Optional[np.ndarray]
     h_inv: Optional[np.ndarray]
@@ -274,8 +273,6 @@ class ProjectiveSpecFile:
 
     def canonical(self) -> dict:
         out = {"N": self.N, "n": self.n, "derivations": self.derivations}
-        if self.structure_constants is not None:
-            out["structure_constants"] = self.structure_constants
         if self.p is not None:
             out.update(p=self.p, h=self.h, h_inv=self.h_inv)
         else:
@@ -344,16 +341,8 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
     N = _parse_positive_int(obj, "N")
     n = _parse_positive_int(obj, "n")
     derivations = _parse_matrices(obj.get("derivations"), n, N, "derivations")
-    f = None
     if "structure_constants" in obj:
-        try:
-            f = np.asarray(obj["structure_constants"], dtype=float)
-        except OverflowError:
-            raise _too_large("structure_constants") from None
-        except (TypeError, ValueError):
-            raise CliError("structure_constants: expected a real n x n x n tensor")
-        if f.shape != (n, n, n):
-            raise CliError(f"structure_constants: expected shape ({n}, {n}, {n})")
+        raise CliError("structure_constants: not accepted; the structure constants are read off the derivations")
     grid_keys = [k for k in ("p", "h", "h_inv") if k in obj]
     gen_keys = [k for k in ("X", "Y") if k in obj]
     if grid_keys and gen_keys:
@@ -371,7 +360,7 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
     else:
         raise CliError("exactly one of {p, h, h_inv} or {X, Y} must be present")
     tol = _parse_tolerance(obj.get("tolerance"), "tolerance")
-    return ProjectiveSpecFile(N, n, derivations, f, p, h, h_inv, X, Y, tol)
+    return ProjectiveSpecFile(N, n, derivations, p, h, h_inv, X, Y, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +438,16 @@ def cmd_analyze(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
 def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dict:
     try:
         derivs = liealg.LieBasis(spec.derivations, tol)
-        if spec.structure_constants is None:
-            f = liealg.structure_constants(derivs, liealg.levi_split_compact(derivs, tol), tol)
-    except liealg.ClosureViolation as exc:
-        raise CliError(f"derivations are not closed under brackets at pair {exc.pair}") from exc
     except ValueError as exc:
         raise CliError(f"derivations: {exc}") from exc
-    if spec.structure_constants is not None:
-        try:
-            f = liealg.StructureConstants(spec.structure_constants, tol)
-        except ValueError as exc:
-            raise CliError(f"structure_constants: {exc}") from exc
     try:
         if spec.p is not None:
-            data = projcalc.ProjectiveCalculusData(derivs, f, spec.p, spec.h, spec.h_inv, tol)
+            data = projcalc.ProjectiveCalculusData(derivs, spec.p, spec.h, spec.h_inv, tol)
         else:
-            data = projcalc.from_module_generators(spec.X, spec.Y, derivs, f, tol)
+            data = projcalc.from_module_generators(spec.X, spec.Y, derivs, tol)
         holds, worst, residuals = projcalc.lc_condition_check(data, tol)
+    except liealg.ClosureViolation as exc:
+        raise CliError(f"derivations are not closed under brackets at pair {exc.pair}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     lam = projcalc.lambda_tensor(data)
@@ -485,7 +467,7 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
     if holds:
         coeffs = projcalc.lc_connection_coefficients(data, tol)
         out["connection_coefficients"] = coeffs
-        out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs, tol)
+        out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs)
     return _jsonify(out)
 
 

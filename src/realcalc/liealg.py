@@ -199,10 +199,11 @@ class StructureConstants:
     Construction checks antisymmetry, in O(n^3). The Jacobi identity, no
     entry of J^m_ijk = sum_l (f^m_il f^l_jk + f^m_jl f^l_ki + f^m_kl f^l_ij)
     above tol.cut(s^2), s = max(1, max |f|), is decided once, where the
-    tensor arises: one given from outside takes the exact slab check
-    here, O(n^5) time and O(n^3) memory; a split's frame tensor takes
-    the certificate of :meth:`LeviSplit.constants`; a tensor carried to
-    another basis by ``_transport`` inherits its source's check.
+    tensor arises: a split's frame tensor takes the certificate of
+    :meth:`LeviSplit.constants`, whose fallback is the package's only
+    raw tensor and takes the exact slab check here, O(n^5) time, O(n^3)
+    memory; a tensor carried to another basis by ``_transport`` inherits
+    its source's check. No structure constants come from outside.
     """
 
     f: np.ndarray
@@ -248,8 +249,9 @@ class LeviSplit:
     _singular_values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
+        # no copy: the split hands over a fresh f_E in the memory order it rounds by
         for name in ("f", "radical_basis", "ss_basis"):
-            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def n(self) -> int:

@@ -4,7 +4,10 @@ A finitely generated projective module with generators e_1, ..., e_n is
 described here through matrix-valued data over the free module of rank
 n: projection coefficients p^k_i, metric components h_ij and inverse
 components h^kl, with derivations acting as commutators with the
-matrices of a :class:`~realcalc.liealg.LieBasis`. The criterion
+matrices of a :class:`~realcalc.liealg.LieBasis`. The structure
+constants f are not an input: ad is injective on su(N), so the
+derivations fix them, and they are read off the derivations' split.
+The criterion
 
     p^k_l d_i(p^l_j) = Lam^k_il (delta^l_j 1 - p^l_j)
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import DEFAULT_TOL, Tolerance, _freeze, as_matrix, max_norm
-from .liealg import LieBasis, StructureConstants
+from .liealg import LieBasis, StructureConstants, levi_split_compact, structure_constants
 
 __all__ = [
     "InvariantViolation",
@@ -113,7 +116,10 @@ def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
 class ProjectiveCalculusData:
     """Validated projection/metric/derivation data for the criterion.
 
-    Checks, each within tolerance: idempotence of p, hermiticity and
+    ``f`` is read off the derivations' split before the grids are read;
+    a span that is not closed raises :class:`~realcalc.liealg.ClosureViolation`,
+    any other failure to form f a ValueError that begins ``derivations:``.
+    Then it checks, each within tolerance: idempotence of p, hermiticity and
     index symmetry of the metric blocks, conjugate symmetry of the
     inverse blocks, the defining inverse relation in coefficient form,
     and compatibility of the inverse with the projection. The checks are
@@ -133,11 +139,13 @@ class ProjectiveCalculusData:
     dp: np.ndarray
     dh: np.ndarray
 
-    def __init__(self, derivs: LieBasis, f: StructureConstants, p, h, h_inv,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, derivs: LieBasis, p, h, h_inv, tol: Tolerance = DEFAULT_TOL):
         n, N = derivs.n, derivs.N
-        if f.n != n:
-            raise ValueError("structure constants and derivations disagree on n")
+        split = levi_split_compact(derivs, tol)
+        try:
+            f = structure_constants(derivs, split, tol)
+        except ValueError as exc:
+            raise ValueError(f"derivations: {exc}") from exc
         p = _grid(p, n, N, "p")
         h = _grid(h, n, N, "h")
         h_inv = _grid(h_inv, n, N, "h_inv")
@@ -244,9 +252,7 @@ def lc_connection_coefficients(
     return _times_grid(gam, p) + data.dp.transpose(1, 0, 2, 3, 4)
 
 
-def koszul_verify_projective(
-    data: ProjectiveCalculusData, coeffs, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
     """Coefficient form of the Koszul identity for candidate coefficients.
 
     Returns the largest entry of sum_l h_ml C^l_ij - sum_k h_mk Lam^k_ij
@@ -263,13 +269,12 @@ def koszul_verify_projective(
     return float(max_norm(np.tensordot(data.h, coeffs - lam, axes=([1, 3], [0, 3]))))
 
 
-def from_module_generators(
-    X, Y, derivs: LieBasis, f: StructureConstants, tol: Tolerance = DEFAULT_TOL
-) -> ProjectiveCalculusData:
+def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL) -> ProjectiveCalculusData:
     """Build the coefficient data from generators X_i with right inverse Y^k.
 
     Requires sum_k X_k Y^k = 1; then p^k_i = Y^k X_i, h_ij = X_i^dagger X_j
-    and h^{ij} = Y^i (Y^j)^dagger, all validated before returning.
+    and h^{ij} = Y^i (Y^j)^dagger, all validated before returning. The
+    generators are checked before f is read off the derivations.
     """
     n, N = derivs.n, derivs.N
     Xs = np.array([as_matrix(x) for x in X])
@@ -284,4 +289,4 @@ def from_module_generators(
     p = np.einsum("kab,ibc->kiac", Ys, Xs)
     h = np.einsum("iba,jbc->ijac", Xs.conj(), Xs)
     h_inv = np.einsum("iab,jcb->ijac", Ys, Ys.conj())
-    return ProjectiveCalculusData(derivs, f, p, h, h_inv, tol)
+    return ProjectiveCalculusData(derivs, p, h, h_inv, tol)

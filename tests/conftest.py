@@ -48,7 +48,6 @@ def abelian_block_data():
     from realcalc import projcalc
 
     basis = liealg.LieBasis([np.diag([1j, -1j, 0]), np.diag([0, 1j, -1j])])
-    f = user_constants(basis)
     p = np.zeros((2, 2, 3, 3), dtype=complex)
     p[0, 0] = np.eye(3)
-    return projcalc.ProjectiveCalculusData(basis, f, p, p.copy(), p.copy())
+    return projcalc.ProjectiveCalculusData(basis, p, p.copy(), p.copy())

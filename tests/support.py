@@ -218,7 +218,6 @@ def trivial_data(rng: np.random.Generator, basis: liealg.LieBasis):
     """
     from realcalc import projcalc
 
-    f = user_constants(basis)
     n, N = basis.n, basis.N
     big = np.zeros((n * N, n * N), dtype=complex)
     for i in range(n):
@@ -232,7 +231,7 @@ def trivial_data(rng: np.random.Generator, basis: liealg.LieBasis):
     h = big.reshape(n, N, n, N).transpose(0, 2, 1, 3)
     h_inv = inv.reshape(n, N, n, N).transpose(0, 2, 1, 3)
     p = np.einsum("ki,ab->kiab", np.eye(n), np.eye(N, dtype=complex))
-    return projcalc.ProjectiveCalculusData(basis, f, p, h, h_inv)
+    return projcalc.ProjectiveCalculusData(basis, p, h, h_inv)
 
 
 def generator_data(rng: np.random.Generator, basis: liealg.LieBasis):
@@ -255,13 +254,11 @@ def generator_data(rng: np.random.Generator, basis: liealg.LieBasis):
     rest = np.eye(N) - sum(q @ w for q, w in zip(qs[1:], ws))
     xs = [q @ V for q in qs]
     ys = [V.conj().T @ np.linalg.inv(qs[0]) @ rest] + [V.conj().T @ w for w in ws]
-    f = user_constants(basis)
-    return projcalc.from_module_generators(xs, ys, basis, f)
+    return projcalc.from_module_generators(xs, ys, basis)
 
 
 def rank_one_calculus(
     derivs: liealg.LieBasis,
-    f: liealg.StructureConstants,
     v0,
     mu,
     metric_scale: float = 1.0,
@@ -292,7 +289,7 @@ def rank_one_calculus(
     p = np.einsum("ki,ab->kiab", outer_mu / weight, P)
     h = np.einsum("ij,ab->ijab", x * outer_mu, P)
     h_inv = np.einsum("kl,ab->klab", outer_mu / (x * weight * weight), P)
-    return projcalc.ProjectiveCalculusData(derivs, f, p, h, h_inv, tol)
+    return projcalc.ProjectiveCalculusData(derivs, p, h, h_inv, tol)
 
 
 # ---------------------------------------------------------------------------

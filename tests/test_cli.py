@@ -46,7 +46,7 @@ def count_calls(monkeypatch, *names) -> dict:
     monkeypatch.setattr(liealg.LieBasis, "__init__", counting("LieBasis", liealg.LieBasis.__init__))
     for name in calls.keys() - {"LieBasis"}:
         wrapper = counting(name, getattr(liealg, name))
-        for module in (liealg, cncalc):
+        for module in (liealg, cncalc, projcalc):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -171,10 +171,9 @@ class TestProjectiveCommand:
     @pytest.mark.parametrize("name", ["free_trivial.json", "mat2_rank1.json"])
     def test_grid_derivatives_built_once(self, capsys, monkeypatch, name):
         # [D_i, p] and [D_i, h] are built with the data, whether the
-        # criterion holds or not, and every later step reads them; a spec
-        # without structure constants has them read off one split, with
-        # its Jacobi certificate and no slab check
-        assert "structure_constants" not in json.loads(fixture_path(name).read_text())
+        # criterion holds or not, and every later step reads them; the
+        # structure constants are read off one split, with its Jacobi
+        # certificate and no slab check
         calls = []
         original = projcalc._commutators
         monkeypatch.setattr(projcalc, "_commutators", lambda *args: calls.append(1) or original(*args))
@@ -456,14 +455,20 @@ class TestErrorPaths:
         assert run(capsys, "lie", str(lie_spec)) == (1, "", f"realcalc: error: basis: {overflow}\n")
         assert run(capsys, "projective", str(proj_spec)) == (1, "", f"realcalc: error: derivations: {overflow}\n")
         assert run_json(capsys, "analyze", str(lie_spec))["status"] == "Exists"
-        # a tensor the spec gives keeps its own field's name
-        proj["structure_constants"] = np.ones((n, n, n)).tolist()
-        proj_spec.write_text(json.dumps(proj))
-        code, out, err = run(capsys, "projective", str(proj_spec))
+
+    @pytest.mark.parametrize("value", ["zeros", "BIG"])
+    def test_structure_constants_are_not_accepted(self, capsys, tmp_path, value):
+        # the derivations fix f; a second tensor, even all zeros on data
+        # whose criterion fails, or one no double holds, is refused by name
+        spec = json.loads(fixture_path("mat2_rank1.json").read_text())
+        spec["structure_constants"] = [[[0.0] * 3] * 3] * 3 if value == "zeros" else "BIG"
+        bad = tmp_path / "with_f.json"
+        bad.write_text(json.dumps(spec).replace('"BIG"', str(10**400)))
+        code, out, err = run(capsys, "projective", str(bad))
         assert (code, out) == (1, "")
         assert err == (
-            "realcalc: error: structure_constants: "
-            "structure constants are not antisymmetric in the lower indices\n"
+            "realcalc: error: structure_constants: not accepted; "
+            "the structure constants are read off the derivations\n"
         )
 
     def test_lambda_overflow_is_located(self, capsys, tmp_path):
@@ -582,8 +587,6 @@ class TestErrorPaths:
             ("su2.json", ["tolerance"], {"abs": "-BIG"}, "tolerance.abs"),
             ("free_trivial.json", ["p", 0, 2, 1, 0, 1], "BIG", "p[0][2][1][0]"),
             ("free_trivial.json", ["h_inv", 1, 1, 0, 0], "BIG", "h_inv[1][1][0][0]"),
-            ("free_trivial.json", ["structure_constants"], [[[0] * 3] * 3] * 2 + [[[0, 0, "BIG"]] * 3],
-             "structure_constants"),
             ("mat2_rank1.json", ["Y", 2, 1, 1, 0], "-BIG", "Y[2][1][1]"),
         ],
     )

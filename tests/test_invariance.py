@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcalc import cncalc, projcalc
-from realcalc.liealg import LieBasis, killing_form, levi_split_compact, structure_constants
+from realcalc.liealg import LieBasis, killing_form, levi_split_compact
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import (
@@ -263,11 +263,10 @@ class TestRowAndProjectiveAgree:
             basis = LieBasis(presented(rng, case_mats(name), how))
             pre = cncalc.MetricPreCalculus(basis)
             split = levi_split_compact(basis)
-            f = structure_constants(basis, split)
             report = cncalc.decide_existence(pre)
             for label, anchor in cross_setting_anchors(rng, report, basis, split):
                 conn, _ = cncalc.levi_civita_connection(pre, split, anchor)
-                data = rank_one_calculus(basis, f, anchor.v0, anchor.mu)
+                data = rank_one_calculus(basis, anchor.v0, anchor.mu)
                 holds, worst, _ = projcalc.lc_condition_check(data)
                 assert (conn is not None) == holds, (label, worst)
                 if label == "witness":

@@ -319,6 +319,16 @@ class TestLeviSplit:
             tracemalloc.stop()
         assert peak <= 2.3 * basis.n**2 * basis.N**2 * np.dtype(complex).itemsize
 
+    def test_frame_tensor_is_not_copied(self, monkeypatch):
+        # LeviSplit freezes the fresh f_E it is handed, in its (a, b, k)
+        # memory order; a copy would hold a second n^3 tensor
+        given = []
+        init = liealg.LeviSplit.__init__
+        monkeypatch.setattr(liealg.LeviSplit, "__init__", lambda self, f, *rest: given.append(f) or init(self, f, *rest))
+        split = levi_split_compact(LieBasis(generic_presentation(np.random.default_rng(7), su_basis(4))))
+        assert split.f is given[0] and not split.f.flags.writeable
+        assert split.f.transpose(1, 2, 0).flags.c_contiguous
+
     def test_closure_violation_matches_all_pairs_formula(self):
         # random subsets of su(3) .. su(6) bases in a generic presentation,
         # each element scaled by its own 10^u, u in [-6, 6]: the violated

@@ -1,14 +1,17 @@
 import copy
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from realcalc import cncalc, projcalc
+from realcalc import cli, cncalc, projcalc
+from realcalc.fixtures import fixture_path
 from realcalc.liealg import (
+    ClosureViolation,
     LieBasis,
-    StructureConstants,
     levi_split_compact,
+    structure_constants,
 )
 from realcalc.matlin import DEFAULT_TOL, max_norm
 from realcalc.projcalc import (
@@ -31,12 +34,12 @@ from support import (
     su2_mats,
     su_basis,
     trivial_data,
-    user_constants,
 )
 
 D1, D2, D3 = su2_mats()
 I2 = np.eye(2, dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
+CARTAN_SU3 = LieBasis([np.diag([1j, -1j, 0]), np.diag([0, 1j, -1j])])
 
 
 def eye_grid(n: int, N: int) -> np.ndarray:
@@ -44,31 +47,54 @@ def eye_grid(n: int, N: int) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def corner_anchor_data(su2_basis, su2_f):
+def corner_anchor_data(su2_basis):
     """Rank-one anchor on the free module over Mat(2): X1 = 1, X2 = X3 = 0."""
-    return from_module_generators([I2, Z2, Z2], [I2, Z2, Z2], su2_basis, su2_f)
+    return from_module_generators([I2, Z2, Z2], [I2, Z2, Z2], su2_basis)
 
 
 class TestDataValidation:
-    def test_rejects_nonidempotent_projection(self, su2_basis, su2_f):
+    def test_rejects_nonidempotent_projection(self, su2_basis):
         p = eye_grid(3, 2)
         p = p.copy()
         p[0, 1] = 0.5 * I2
         with pytest.raises(InvariantViolation, match="idempotence"):
-            ProjectiveCalculusData(su2_basis, su2_f, p, eye_grid(3, 2), eye_grid(3, 2))
+            ProjectiveCalculusData(su2_basis, p, eye_grid(3, 2), eye_grid(3, 2))
 
-    def test_rejects_nonhermitian_metric(self, su2_basis, su2_f):
+    def test_rejects_nonhermitian_metric(self, su2_basis):
         h = eye_grid(3, 2).copy()
         h[0, 0] = np.array([[1, 1j], [2j, 1]])
         with pytest.raises(InvariantViolation, match="hermiticity|symmetry"):
-            ProjectiveCalculusData(su2_basis, su2_f, eye_grid(3, 2), h, eye_grid(3, 2))
+            ProjectiveCalculusData(su2_basis, eye_grid(3, 2), h, eye_grid(3, 2))
 
-    def test_rejects_wrong_inverse(self, su2_basis, su2_f):
+    def test_rejects_wrong_inverse(self, su2_basis):
         h_inv = eye_grid(3, 2) * 2.0
         with pytest.raises(InvariantViolation, match="inverse relation"):
-            ProjectiveCalculusData(
-                su2_basis, su2_f, eye_grid(3, 2), eye_grid(3, 2), h_inv
-            )
+            ProjectiveCalculusData(su2_basis, eye_grid(3, 2), eye_grid(3, 2), h_inv)
+
+    def test_rejects_open_derivations_before_the_grids(self):
+        # f is read off the derivations first: two su(2) elements bracket
+        # out of their span, and the grids (here of the wrong shape) are
+        # never read
+        with pytest.raises(ClosureViolation) as info:
+            ProjectiveCalculusData(LieBasis([D1, D2]), eye_grid(3, 2), eye_grid(3, 2), eye_grid(3, 2))
+        assert info.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("name", ["free_trivial.json", "mat2_rank1.json", "abelian_free.json"])
+    def test_structure_constants_are_read_off_the_derivations(self, name):
+        spec = cli.parse_projective_spec(json.loads(fixture_path(name).read_text()))
+        derivs = LieBasis(spec.derivations)
+        if spec.p is not None:
+            data = ProjectiveCalculusData(derivs, spec.p, spec.h, spec.h_inv)
+        else:
+            data = from_module_generators(spec.X, spec.Y, derivs)
+        assert np.array_equal(data.f.f, structure_constants(derivs, levi_split_compact(derivs)).f)
+
+    @pytest.mark.parametrize("build", [trivial_data, generator_data])
+    def test_structure_constants_of_generic_data(self, build):
+        rng = np.random.default_rng(2024)
+        derivs = LieBasis(generic_presentation(rng, su_basis(3)))
+        data = build(rng, derivs)
+        assert np.array_equal(data.f.f, structure_constants(derivs, levi_split_compact(derivs)).f)
 
     def test_fields_cannot_be_reassigned(self, corner_anchor_data, su2_basis, su2_f):
         # validated data stays validated: no field can be swapped afterwards
@@ -110,12 +136,11 @@ class TestLambdaTensor:
         lam = lambda_tensor(corner_anchor_data)
         assert max_norm(lam[0, 1, 2] + I2) < 1e-12
 
-    def test_constant_metric_zero_constants(self, su2_basis):
-        # zero structure constants and a constant metric kill every term
-        f0 = StructureConstants(np.zeros((3, 3, 3)))
-        data = ProjectiveCalculusData(
-            su2_basis, f0, eye_grid(3, 2), eye_grid(3, 2), eye_grid(3, 2)
-        )
+    def test_constant_metric_zero_constants(self):
+        # a Cartan subalgebra has zero structure constants, and with a
+        # constant metric that kills every term
+        data = ProjectiveCalculusData(CARTAN_SU3, eye_grid(2, 3), eye_grid(2, 3), eye_grid(2, 3))
+        assert max_norm(data.f.f) == 0.0
         assert max_norm(lambda_tensor(data)) == 0.0
 
     def test_abelian_block_vanishes(self, abelian_block_data):
@@ -182,11 +207,8 @@ class TestConnectionCoefficients:
         coeffs = lc_connection_coefficients(data)
         assert max_norm(coeffs - lambda_tensor(data)) < 1e-12
 
-    def test_constant_metric_zero_connection(self, su2_basis):
-        f0 = StructureConstants(np.zeros((3, 3, 3)))
-        data = ProjectiveCalculusData(
-            su2_basis, f0, eye_grid(3, 2), eye_grid(3, 2), eye_grid(3, 2)
-        )
+    def test_constant_metric_zero_connection(self):
+        data = ProjectiveCalculusData(CARTAN_SU3, eye_grid(2, 3), eye_grid(2, 3), eye_grid(2, 3))
         assert max_norm(lc_connection_coefficients(data)) == 0.0
 
     def test_abelian_block_zero_connection(self, abelian_block_data):
@@ -230,8 +252,8 @@ class TestKoszulVerify:
 
 
 class TestFromModuleGenerators:
-    def test_corner_anchor_projection_support(self, su2_basis, su2_f):
-        data = from_module_generators([I2, Z2, Z2], [I2, Z2, Z2], su2_basis, su2_f)
+    def test_corner_anchor_projection_support(self, su2_basis):
+        data = from_module_generators([I2, Z2, Z2], [I2, Z2, Z2], su2_basis)
         assert max_norm(data.p[0, 0] - I2) < 1e-15
         mask = np.ones((3, 3), dtype=bool)
         mask[0, 0] = False
@@ -241,18 +263,16 @@ class TestFromModuleGenerators:
     def test_single_generator_gives_trivial_projection(self):
         # the one-generator free case: X = Y = identity produces the
         # full (trivial) projection and the criterion holds
-        basis = LieBasis([D3])
-        f = user_constants(basis)
-        data = from_module_generators([I2], [I2], basis, f)
+        data = from_module_generators([I2], [I2], LieBasis([D3]))
         assert max_norm(data.p - eye_grid(1, 2)) == 0.0
         holds, worst, _ = lc_condition_check(data)
         assert holds and worst == 0.0
 
-    def test_not_generating(self, su2_basis, su2_f):
+    def test_not_generating(self, su2_basis):
         with pytest.raises(NotGenerating):
-            from_module_generators([I2, Z2, Z2], [Z2, I2, Z2], su2_basis, su2_f)
+            from_module_generators([I2, Z2, Z2], [Z2, I2, Z2], su2_basis)
 
-    def test_idempotence_preserved_for_generic_generators(self, su2_basis, su2_f):
+    def test_idempotence_preserved_for_generic_generators(self, su2_basis):
         # X_i from a commuting hermitian pencil times a common unitary,
         # so every X_i^dagger X_j is hermitian (the real-metric condition);
         # the right inverse absorbs two free matrices
@@ -273,7 +293,7 @@ class TestFromModuleGenerators:
                 V.conj().T @ w2,
                 V.conj().T @ w3,
             ]
-            data = from_module_generators(xs, ys, su2_basis, su2_f)
+            data = from_module_generators(xs, ys, su2_basis)
             res = max_norm(
                 np.einsum("klab,ljbc->kjac", data.p, data.p) - data.p
             )
@@ -281,44 +301,37 @@ class TestFromModuleGenerators:
 
 
 class TestRankOneCrossCheck:
-    def test_su2_anchor_agrees_with_nonexistence(self, su2_basis, su2_f):
+    def test_su2_anchor_agrees_with_nonexistence(self, su2_basis):
         rng = np.random.default_rng(14)
         for _ in range(5):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            data = rank_one_calculus(
-                su2_basis, su2_f, v / np.linalg.norm(v), rng.standard_normal(3)
-            )
+            data = rank_one_calculus(su2_basis, v / np.linalg.norm(v), rng.standard_normal(3))
             holds, _, _ = lc_condition_check(data)
             assert not holds
 
     def test_gc_witness_agrees_with_existence(self, su4):
-        f = user_constants(su4["gc"])
         pre = cncalc.MetricPreCalculus(su4["gc"], 1.0)
         report = cncalc.decide_existence(pre)
         anchor, _ = report.witness
-        data = rank_one_calculus(su4["gc"], f, anchor.v0, anchor.mu)
+        data = rank_one_calculus(su4["gc"], anchor.v0, anchor.mu)
         holds, worst, _ = lc_condition_check(data)
         assert holds, worst
         coeffs = lc_connection_coefficients(data)
         assert koszul_verify_projective(data, coeffs) <= 1e-9
 
     def test_gb_anchors_fail(self, su4):
-        f = user_constants(su4["gb"])
         rng = np.random.default_rng(15)
         for _ in range(5):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            data = rank_one_calculus(
-                su4["gb"], f, v / np.linalg.norm(v), rng.standard_normal(4)
-            )
+            data = rank_one_calculus(su4["gb"], v / np.linalg.norm(v), rng.standard_normal(4))
             holds, _, _ = lc_condition_check(data)
             assert not holds
 
     def test_metric_scale_cancels(self, su4):
-        f = user_constants(su4["gc"])
         v0 = np.array([1.0, 0, 0, 0])
         mu = np.array([1.0, 0, 0, 0])
         for x in (0.5, -3.0):
-            data = rank_one_calculus(su4["gc"], f, v0, mu, metric_scale=x)
+            data = rank_one_calculus(su4["gc"], v0, mu, metric_scale=x)
             holds, _, _ = lc_condition_check(data)
             assert holds
 
@@ -523,6 +536,6 @@ class TestInvariantViolationNames:
         )
         assert first[0] == identity
         with pytest.raises(InvariantViolation) as info:
-            ProjectiveCalculusData(basis, d.f, grids["p"], grids["h"], grids["h_inv"])
+            ProjectiveCalculusData(basis, grids["p"], grids["h"], grids["h_inv"])
         assert info.value.identity == identity
         assert info.value.residual == pytest.approx(first[1], rel=1e-9)

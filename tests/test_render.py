@@ -127,7 +127,7 @@ def _trivial_report(k: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     data = trivial_data(rng, LieBasis(generic_presentation(rng, su_basis(k))))
     spec = cli.ProjectiveSpecFile(
-        data.N, data.n, list(data.derivs.mats), None, data.p, data.h, data.h_inv, None, None, None
+        data.N, data.n, list(data.derivs.mats), data.p, data.h, data.h_inv, None, None, None
     )
     return cli.cmd_projective(spec, DEFAULT_TOL, f"trivial-su{k}")
 
