@@ -57,8 +57,10 @@ def _jsonify(value):
     Floats and complex numbers, scalar or array, are rounded to
     ``float(f"{x:.12g}") + 0.0`` per entry (a complex one as its
     ``[re, im]`` pair); ints and bools become Python ints and bools.
-    A float array of _ROUND12_MIN_SIZE entries or more is rounded by
-    ``_round12``'s numpy kernel, which gives the same bits: it scales
+    A float or complex scalar (np.float64 and np.complex128 too) is
+    rounded by ``_round12_scalar``; other numpy scalars are read as 0-d
+    arrays. A float array of _ROUND12_MIN_SIZE entries or more is
+    rounded by ``_round12``'s numpy kernel, which gives the same bits: it scales
     each entry by an exact power of ten to a 12-digit integer, rounds
     that, and scales back in one correctly rounded operation. Zeros
     stay on that path; non-finite entries, |x| below about 1e-11 or
@@ -77,7 +79,11 @@ def _jsonify(value):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, complex, np.number, np.ndarray)):
+    if isinstance(value, float):  # np.float64 too
+        return _round12_scalar(value)
+    if isinstance(value, complex):  # np.complex128 too
+        return [_round12_scalar(value.real), _round12_scalar(value.imag)]
+    if isinstance(value, (np.number, np.ndarray)):
         value = np.asarray(value)
         if value.dtype.kind == "c":
             value = np.stack([value.real, value.imag], axis=-1)
@@ -136,10 +142,14 @@ def _round12(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _round12_scalar(v: float) -> float:
+    """The report number format of one float; adding 0.0 turns -0.0 into 0.0."""
+    return float(f"{v:.12g}") + 0.0
+
+
 def _round12_entries(x: np.ndarray) -> np.ndarray:
-    """``_round12`` one entry at a time; adding 0.0 turns -0.0 into 0.0."""
-    rounded = np.fromiter((float(f"{v:.12g}") for v in x.ravel().tolist()), float, count=x.size)
-    return rounded.reshape(x.shape) + 0.0
+    """``_round12`` one entry at a time."""
+    return np.fromiter(map(_round12_scalar, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def _too_large(loc: str) -> CliError:
@@ -602,17 +612,43 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
         inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
     # depth[i]: the outermost level whose group holding float i is inline (d if none)
     depth = np.repeat(d - inline.ravel(), shape[-1])
+    return _joined(texts, shape, depth, indent, 0 if whole else 1)
+
+
+def _joined(texts: list[str], shape: tuple[int, ...], depth: np.ndarray, indent: int, top: int) -> str:
+    """The floats' texts joined with the texts between and around them
+    (``_separators``), given each float's inline depth: step 3 of
+    _render_float_array. Cost: O(m d) for m floats in d dimensions.
+    """
+    d = len(shape)
     # common[i]: the level of the innermost group holding floats i and i + 1
     common = np.full(shape, d - 1)
     for j in range(1, d):
         common[(slice(None),) * j + (0,) * (d - j)] -= 1
     common = common.ravel()[1:]
-    table, prefix, suffix = _separators(d, indent, 0 if whole else 1)
+    table, prefix, suffix = _separators(d, indent, top)
     key = (common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]
-    parts = [None] * (2 * flat.size + 1)
+    parts = [None] * (2 * len(texts) + 1)
     parts[1::2] = texts
     parts[0::2] = [prefix[depth[0]], *table[key].tolist(), suffix[depth[-1]]]
     return "".join(parts)
+
+
+def _inline_float_array(x: np.ndarray) -> str:
+    """One-line text of a finite float array that ``_prints_in_bulk``,
+    exactly as ``json.dumps`` prints its list form.
+
+    It is _render_float_array with every group inline: the floats'
+    texts come from ``_float_texts`` and are joined a run of slabs at a
+    time, so the per-float temporaries never cover the whole array.
+    Cost: O(m d) for m floats in d dimensions; linear in the bytes printed.
+    """
+    step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
+    bodies = []
+    for i in range(0, len(x), step):
+        run = x[i:i + step]
+        bodies.append(_joined(_float_texts(run.ravel()), run.shape, np.zeros(run.size, np.intp), 0, 1))
+    return "[" + ", ".join(bodies) + "]"
 
 
 @lru_cache(maxsize=None)
@@ -697,11 +733,15 @@ def _render_text_lines(value, key: str, indent: int, lines: list[str]) -> None:
         lines.append(f"{pad}{key}:")
         for idx, v in enumerate(value):
             _render_text_lines(v, f"[{idx}]", indent + 1, lines)
+    elif isinstance(value, np.ndarray) and _prints_in_bulk(value) and np.isfinite(value).all():
+        lines.append(f"{pad}{key}: {_inline_float_array(value)}")
     else:
         lines.append(f"{pad}{key}: {_TEXT_ENCODE(value)}")
 
 
 def render_text(report: dict) -> str:
+    """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
+    its list form; a finite bulk float array through ``_inline_float_array``."""
     lines: list[str] = []
     for k, v in report.items():
         _render_text_lines(v, k, 0, lines)

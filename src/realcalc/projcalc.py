@@ -23,6 +23,7 @@ formulas (p[k, i], h[i, j], h_inv[k, l]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,11 @@ class ProjectiveCalculusData:
     dh[i, a, b] = [D_i, h_ab], are built here once and read by the
     criterion, Λ and the coefficients: O(n^3 N^3) time, O(n^3 N^2) memory.
     A derivative that overflows a double raises ValueError.
+
+    Λ and the criterion residual are formed on first read, through
+    :func:`lambda_tensor` and :func:`lc_condition_check`, and kept on the
+    data: their O(n^4 N^3) contractions are paid once per data, however
+    often the criterion, the coefficients and the certificate read them.
     """
 
     derivs: LieBasis
@@ -173,6 +179,14 @@ class ProjectiveCalculusData:
     def N(self) -> int:
         return self.derivs.N
 
+    @cached_property
+    def _lambda(self) -> np.ndarray:
+        return _form_lambda(self)
+
+    @cached_property
+    def _criterion(self) -> tuple[float, np.ndarray, float]:
+        return _criterion_residual(self)
+
 
 def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """out[x, y, j] = sum_l t[x, y, l] grid[l, j] for an (n, n, n, N, N) t.
@@ -182,15 +196,24 @@ def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.tensordot(t, grid, axes=([2, 4], [0, 2])).transpose(0, 1, 3, 2, 4)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def lambda_tensor(data: ProjectiveCalculusData) -> np.ndarray:
-    """Assemble Lam^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij
+    """Lam^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij
     - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij).
 
     Returns the read-only (n, n, n, N, N) array Lam[k, i, j], each entry
-    an N x N matrix. The bracketed sum is O(n^4 N^2) time; the contraction with h^{kl}
-    over (l, b) is one tensordot, O(n^4 N^3) time. O(n^3 N^2) memory.
-    A term that overflows a double raises ValueError, even if Λ fits.
+    an N x N matrix. It is formed on the first call for the data, in
+    O(n^4 N^3) time and O(n^3 N^2) memory, and kept on it; later calls
+    return the same array. A term that overflows a double raises
+    ValueError, even if Λ fits.
+    """
+    return data._lambda
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _form_lambda(data: ProjectiveCalculusData) -> np.ndarray:
+    """Λ of :func:`lambda_tensor`. The bracketed sum is O(n^4 N^2) time;
+    the contraction with h^{kl} over (l, b) is one tensordot, O(n^4 N^3)
+    time. O(n^3 N^2) memory.
     """
     h, dh = data.h, data.dh
     # hf[x, y, z] = h_xq f^q_yz; six[i, j, l] is the bracketed sum
@@ -219,17 +242,27 @@ def lc_condition_check(
 
         sum_l p^k_l [D_i, p^l_j] - sum_l Lam^k_il (delta^l_j 1 - p^l_j)
 
-    so failures localize to their index triple. Both sums are tensordots
-    over (l, b): O(n^4 N^3) time, O(n^3 N^2) memory.
+    so failures localize to their index triple; the grid is read-only.
+    The residual does not depend on ``tol``: it is formed on the first
+    check of the data, in O(n^4 N^3) time and O(n^3 N^2) memory, and
+    kept on it, so a later check, under any tolerance, only compares.
     """
-    p = data.p
-    lam = lambda_tensor(data)
+    lambda_tensor(data)  # Λ is formed, or its overflow raised, under lambda_tensor's name
+    worst, per_index, scale = data._criterion
+    return worst <= tol.cut(scale), worst, per_index
+
+
+def _criterion_residual(data: ProjectiveCalculusData) -> tuple[float, np.ndarray, float]:
+    """``(max_residual, residuals, scale)`` of :func:`lc_condition_check`,
+    with scale = max(1, |p|, |Λ|). Both sums are tensordots over (l, b):
+    O(n^4 N^3) time, O(n^3 N^2) memory.
+    """
+    p, lam = data.p, data._lambda
     lhs = np.tensordot(p, data.dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
     residual = lhs - (lam - _times_grid(lam, p))
     per_index = np.max(np.abs(residual), axis=(3, 4))
     worst = float(np.max(per_index)) if per_index.size else 0.0
-    scale = max(1.0, max_norm(p), max_norm(lam))
-    return worst <= tol.cut(scale), worst, per_index
+    return worst, _freeze(per_index), max(1.0, max_norm(p), max_norm(lam))
 
 
 def lc_connection_coefficients(

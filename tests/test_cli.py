@@ -15,6 +15,7 @@ from realcalc.matlin import max_norm
 
 from support import conjugate, generic_presentation, random_unitary, su_basis, trivial_data
 from test_invariance import case_mats, presented
+from test_projcalc import FORMATIONS, count_projcalc_calls
 
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 PROJECTIVE_FIXTURES = {"mat2_rank1.json", "free_trivial.json", "abelian_free.json"}
@@ -181,6 +182,16 @@ class TestProjectiveCommand:
         run_json(capsys, "projective", name)
         assert len(calls) == 2
         assert counts == {**dict.fromkeys(counts, 1), "_check_jacobi": 0}
+
+    @pytest.mark.parametrize("name, entries", [("free_trivial.json", 5), ("mat2_rank1.json", 2)])
+    def test_lambda_and_residual_formed_once(self, capsys, monkeypatch, name, entries):
+        # a call reads Λ through lambda_tensor at every step (criterion,
+        # report, coefficients and certificate when the criterion holds),
+        # but Λ and the criterion residual are each formed once per data
+        counts = count_projcalc_calls(monkeypatch, "lambda_tensor", *FORMATIONS)
+        report = run_json(capsys, "projective", name)
+        assert report["holds"] is (entries == 5)
+        assert counts == {"lambda_tensor": entries, "_form_lambda": 1, "_criterion_residual": 1}
 
 
 class TestDeterminismAndIO:

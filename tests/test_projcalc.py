@@ -13,7 +13,7 @@ from realcalc.liealg import (
     levi_split_compact,
     structure_constants,
 )
-from realcalc.matlin import DEFAULT_TOL, max_norm
+from realcalc.matlin import DEFAULT_TOL, Tolerance, max_norm
 from realcalc.projcalc import (
     ConditionFails,
     InvariantViolation,
@@ -198,6 +198,76 @@ class TestConditionCheck:
         holds, worst, _ = lc_condition_check(abelian_block_data)
         assert holds
         assert worst == 0.0
+
+
+FORMATIONS = ("_form_lambda", "_criterion_residual")
+
+
+def count_projcalc_calls(monkeypatch, *names) -> dict:
+    """Live counts of calls to the named one-argument projcalc functions."""
+    counts = dict.fromkeys(names, 0)
+    for key in counts:
+        original = getattr(projcalc, key)
+        monkeypatch.setattr(projcalc, key, lambda data, key=key, original=original:
+                            counts.__setitem__(key, counts[key] + 1) or original(data))
+    return counts
+
+
+class TestCachedIntermediates:
+    """Λ and the criterion residual are formed once per data and kept on it."""
+
+    def test_formed_once_per_data(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        data = generator_data(rng, LieBasis(generic_presentation(rng, su_basis(3))))
+        counts = count_projcalc_calls(monkeypatch, *FORMATIONS)
+        lam = lambda_tensor(data)
+        first = lc_condition_check(data)
+        assert lambda_tensor(data) is lam
+        again = lc_condition_check(data)
+        assert again[1:] == first[1:] and again[2] is first[2]
+        assert koszul_verify_projective(data, lam) == 0.0
+        assert counts == {"_form_lambda": 1, "_criterion_residual": 1}
+        # the kept Λ is the one a fresh formation gives, bit for bit
+        assert np.array_equal(lam, projcalc._form_lambda(data))
+
+    def test_data_objects_share_no_cache(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        derivs = LieBasis(generic_presentation(rng, su_basis(2)))
+        a, b = trivial_data(rng, derivs), trivial_data(rng, derivs)
+        counts = count_projcalc_calls(monkeypatch, *FORMATIONS)
+        lam_a = lambda_tensor(a)
+        lc_condition_check(a)
+        assert counts == {"_form_lambda": 1, "_criterion_residual": 1}
+        lam_b = lambda_tensor(b)
+        _, _, res_b = lc_condition_check(b)
+        assert counts == {"_form_lambda": 2, "_criterion_residual": 2}
+        assert lam_b is not lam_a and not np.array_equal(lam_a, lam_b)
+        assert res_b is not lc_condition_check(a)[2]
+
+    def test_cached_arrays_are_read_only(self, corner_anchor_data):
+        lam = lambda_tensor(corner_anchor_data)
+        _, _, residuals = lc_condition_check(corner_anchor_data)
+        for arr in (lam, residuals):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        assert max_norm(lam[0, 1, 2] + I2) < 1e-12 and residuals[0, 1, 2] == pytest.approx(1.0)
+
+    def test_each_tolerance_gets_its_own_verdict(self, monkeypatch, su2_basis):
+        # the residual of the corner anchor is 1.0: the default tolerance
+        # rejects it and an absolute cut of 2 accepts it, in either order
+        loose = Tolerance(abs=2.0)
+        for order in ((DEFAULT_TOL, loose, DEFAULT_TOL), (loose, DEFAULT_TOL, loose)):
+            data = from_module_generators([I2, Z2, Z2], [I2, Z2, Z2], su2_basis)
+            counts = count_projcalc_calls(monkeypatch, *FORMATIONS)
+            verdicts = [lc_condition_check(data, tol) for tol in order]
+            assert [holds for holds, _, _ in verdicts] == [tol is loose for tol in order]
+            assert [worst for _, worst, _ in verdicts] == [pytest.approx(1.0)] * 3
+            assert counts == {"_form_lambda": 1, "_criterion_residual": 1}
+            monkeypatch.undo()
+        assert lc_connection_coefficients(data, loose).shape == (3, 3, 3, 2, 2)
+        with pytest.raises(ConditionFails):
+            lc_connection_coefficients(data)
 
 
 class TestConnectionCoefficients:

@@ -88,6 +88,15 @@ def _text_literal(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(report: dict):
+    """render_text against _text_literal; a mismatch names its first offset
+    instead of diffing reports of megabytes."""
+    got, want = cli.render_text(report), _text_literal(report)
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    same = got == want
+    assert same, f"texts differ at offset {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}"
+
+
 def _fixture_reports():
     for name in sorted(fixture_names()):
         raw = json.loads(fixture_path(name).read_text())
@@ -136,6 +145,14 @@ def test_trivial_su3_projective_report():
     report = _trivial_report(3, 33)
     assert "connection_coefficients" in report
     assert_same(report)
+
+
+@pytest.mark.parametrize("k, seed", [(3, 33), (4, 44)])
+def test_trivial_projective_text_reports(k, seed):
+    # the coefficient grid reaches render_text as an array and prints in bulk
+    report = _trivial_report(k, seed)
+    assert type(report["connection_coefficients"]) is np.ndarray
+    assert_same_text(report)
 
 
 @pytest.mark.parametrize("width", [87, 88, 89])
@@ -303,6 +320,21 @@ def test_round12_matches_entries_on_edges():
     assert_same_bits(cli._round12(x), _round12_reference(x))
 
 
+def test_jsonify_scalars_match_reference(monkeypatch):
+    # a float or complex scalar is rounded directly, never as a 0-d array
+    monkeypatch.setattr(cli, "_round12", None)
+    x = _round12_edge_values()
+    want = _round12_reference(x)
+    for convert in (float, np.float64):
+        got = [cli._jsonify(convert(v)) for v in x.tolist()]
+        assert {type(v) for v in got} == {float}
+        assert_same_bits(np.array(got), want)
+    for convert in (complex, np.complex128):
+        got = [cli._jsonify(convert(complex(re, im))) for re, im in zip(x.tolist(), x[::-1].tolist())]
+        assert {type(v) for pair in got for v in pair} == {float}
+        assert_same_bits(np.array(got), np.stack([want, want[::-1]], axis=-1))
+
+
 def test_round12_falls_back_rarely(monkeypatch):
     # on ordinary data the fallback must be the exception, or the kernel
     # tests above would pass on the per-entry path alone
@@ -468,6 +500,37 @@ def test_render_peak_memory():
         tracemalloc.stop()
     assert len(text) > 2_500_000
     assert peak <= 12 * 2**20
+
+
+def test_render_text_peak_memory():
+    # text prints the bulk arrays a slab at a time too, on one line each
+    report = _trivial_report(4, 44)
+    tracemalloc.start()
+    try:
+        text = cli.render_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_900_000
+    assert peak <= 8 * 2**20
+
+
+@given(float_arrays(), st.integers(0, 3), st.sampled_from([18, 20, 48, cli._SLAB_SIZE]))
+def test_float_arrays_match_text_literal(array, depth, slab):
+    shape, leaves = array
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_SLAB_SIZE", slab)
+        nested = _nest(leaves, shape)
+        for grid in (np.array(nested), nested):
+            assert_same_text({"grid": _placed(grid, depth), "n": 1})
+
+
+@given(float_arrays(), st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.integers(min_value=0))
+def test_non_finite_text_leaf_prints_as_json_dumps(array, bad, where):
+    # text keeps json.dumps' NaN and Infinity, where render_json raises
+    shape, leaves = array
+    leaves[where % len(leaves)] = bad
+    assert_same_text({"grid": np.array(_nest(leaves, shape))})
 
 
 @pytest.mark.parametrize("enabled", [True, False])
