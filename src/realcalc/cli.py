@@ -491,49 +491,60 @@ _TEXT_ENCODE = json.JSONEncoder(default=np.ndarray.tolist).encode
 _INLINE_WIDTH = 88
 
 
-def _render(value, indent: int) -> tuple[Optional[str], str]:
+def _render(value, indent: int) -> tuple[Optional[str], list[str]]:
     """``(flat, pretty)`` text of one report value at the given depth.
 
-    ``pretty`` is the value as printed at this depth. ``flat`` is its
-    one-line JSON when that may be inlined, i.e. it has at most
-    _INLINE_WIDTH characters and no "{"; otherwise None, and then no
-    list holding the value can be inlined either. An array that
-    ``_prints_in_bulk`` is printed by ``_render_float_array``; any other
-    array as its list form, and lists always by the generic path below.
+    ``pretty`` is the value as printed at this depth, as a list of pieces
+    whose concatenation is the text. ``flat`` is its one-line JSON when
+    that may be inlined, i.e. it has at most _INLINE_WIDTH characters and
+    no "{"; otherwise None, and then no list holding the value can be
+    inlined either. An array that ``_prints_in_bulk`` is printed by
+    ``_render_float_array``; any other array as its list form, and lists
+    always by the generic path below.
 
-    Cost: linear in the report's bytes. Every value is encoded once, and
-    its text is copied once into each of the few containers around it.
+    Cost: linear in the report's bytes. Every value is encoded once;
+    containers extend their pieces lists with their items' pieces, so
+    no text is copied into the containers around it.
     """
     if isinstance(value, np.ndarray):
         if _prints_in_bulk(value):
             pretty = _render_float_array(value, indent)
-            return (pretty if len(pretty) <= _INLINE_WIDTH else None), pretty
+            inline = len(pretty) == 1 and len(pretty[0]) <= _INLINE_WIDTH
+            return (pretty[0] if inline else None), pretty
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
-            return None, "{}"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(
-            pad + _ENCODE(k) + ": " + _render(v, indent + 1)[1] for k, v in value.items()
-        )
-        return None, "{\n" + inner + "\n" + "  " * indent + "}"
+            return None, ["{}"]
+        pad = "\n" + "  " * (indent + 1)
+        pretty, sep = [], "{"
+        for k, v in value.items():
+            pretty.append(sep + pad + _ENCODE(k) + ": ")
+            pretty += _render(v, indent + 1)[1]
+            sep = ","
+        pretty.append("\n" + "  " * indent + "}")
+        return None, pretty
     if isinstance(value, list):
         if not any(isinstance(v, (dict, list, np.ndarray)) for v in value):
             # a list of scalars, such as a [re, im] pair: one encoder call
             flat = _ENCODE(value)
             if len(flat) <= _INLINE_WIDTH and "{" not in flat:
-                return flat, flat
+                return flat, [flat]
         parts = [_render(v, indent + 1) for v in value]
         flats = [flat for flat, _ in parts]
         # two brackets, and ", " between items
         if None not in flats and sum(len(f) + 2 for f in flats) <= _INLINE_WIDTH:
             flat = "[" + ", ".join(flats) + "]"
-            return flat, flat
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(pad + pretty for _, pretty in parts)
-        return None, "[\n" + inner + "\n" + "  " * indent + "]"
+            return flat, [flat]
+        pad = "\n" + "  " * (indent + 1)
+        pretty, sep = [], "["
+        for _, item in parts:
+            pretty.append(sep + pad)
+            pretty += item
+            sep = ","
+        pretty.append("\n" + "  " * indent + "]")
+        return None, pretty
     text = _ENCODE(value)
-    return (text if len(text) <= _INLINE_WIDTH and "{" not in text else None), text
+    return (text if len(text) <= _INLINE_WIDTH and "{" not in text else None), [text]
 
 
 _BULK_MIN_SIZE = 32  # below this _render's generic path is cheaper than the numpy passes
@@ -548,44 +559,47 @@ def _prints_in_bulk(x: np.ndarray) -> bool:
     return x.dtype == np.float64 and x.ndim >= 2 and x.size >= _BULK_MIN_SIZE
 
 
-def _render_float_array(x: np.ndarray, indent: int) -> str:
-    """Pretty text of a float array that ``_prints_in_bulk``, exactly as
-    _render's generic path prints its list form. A NaN or infinite entry
-    raises ValueError, as the JSON encoder does.
+def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
+    """Pretty text of a float array that ``_prints_in_bulk``, as pieces,
+    exactly as _render's generic path prints its list form. A NaN or
+    infinite entry raises ValueError, as the JSON encoder does.
 
     The floats are printed in bulk, a run of slabs of the outermost axis
     at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
     least one, so that the per-float temporaries never cover the whole
     array. For each run,
 
-    1. ``_float_texts`` gives every float its JSON text, float.__repr__,
-       mostly through one C-level "%.12g" format call;
+    1. ``_text_lengths`` gives the length of every float's JSON text,
+       float.__repr__, from one numpy pass, without forming the texts;
     2. the one-line length of every group at every level comes from
        reshape-sums of the text lengths, and decides whether the group
        prints inline, by _render's rule: when all its items are inline
        and its one-line form fits _INLINE_WIDTH (no float text holds
        "{", and an item printed over several lines is longer than its
        own one-line form, which was already too wide);
-    3. the text between two consecutive floats is looked up in a table
-       (``_separators``) and everything is joined once.
+    3. ``_printed`` prints the run with one format call.
 
-    An array of more than one run holds more than _SLAB_SIZE floats, so
-    it never prints inline: every float adds at least 5 characters to
-    its one-line form (3 for its text, as in "0.0", and 2 for the ", "
-    or brackets around it), and 5 * 18 > _INLINE_WIDTH.
+    Each run is one piece; the text between two runs is another. An
+    array of more than one run holds more than _SLAB_SIZE floats, so it
+    never prints inline: every float adds at least 5 characters to its
+    one-line form (3 for its text, as in "0.0", and 2 for the ", " or
+    brackets around it), and 5 * 18 > _INLINE_WIDTH.
 
-    Cost: O(m d) for m floats in d dimensions, in numpy passes and
-    C-level string work plus float.__repr__ on the floats that are not
-    12-digit values; linear in the bytes printed.
+    Cost: O(m d) for m floats in d dimensions, in numpy passes and one
+    C-level format call per run, plus float.__repr__'s length on the
+    floats that are not 12-digit values; linear in the bytes printed.
     """
     if not np.isfinite(x).all():
         raise ValueError("Out of range float values are not JSON compliant")
     step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
     if step >= len(x):
-        return _bulk_text(x, indent, True)
-    bodies = [_bulk_text(x[i:i + step], indent, False) for i in range(0, len(x), step)]
+        return [_bulk_text(x, indent, True)]
     pad = "\n" + "  " * (indent + 1)
-    return "[" + pad + ("," + pad).join(bodies) + "\n" + "  " * indent + "]"
+    pieces = []
+    for i in range(0, len(x), step):
+        pieces += ("," if i else "[") + pad, _bulk_text(x[i:i + step], indent, False)
+    pieces.append("\n" + "  " * indent + "]")
+    return pieces
 
 
 def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
@@ -595,14 +609,15 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
     array joins its items, without its brackets. Steps 1-3 of
     _render_float_array.
 
-    Cost: O(m d) numpy work for m floats in d dimensions, and the texts.
+    Cost: O(m d) numpy work for m floats in d dimensions, and one
+    format call.
     """
     d, shape, flat = x.ndim, x.shape, x.ravel()
-    texts = _float_texts(flat)
+    exact, lengths = _text_lengths(flat)
     # A group's one-line form adds 2 characters for each item inside it,
     # at every level, to the texts of its floats; when that fits, so does
     # each item's shorter one-line form, and the whole group is inline.
-    lengths = np.fromiter(map(len, texts), np.intp, count=flat.size).reshape(shape)
+    lengths = lengths.reshape(shape)
     inline = np.zeros(shape[:-1], np.intp)  # per innermost row, its inline groups
     items = 0
     for j in reversed(range(0 if whole else 1, d)):
@@ -612,13 +627,87 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
         inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
     # depth[i]: the outermost level whose group holding float i is inline (d if none)
     depth = np.repeat(d - inline.ravel(), shape[-1])
-    return _joined(texts, shape, depth, indent, 0 if whole else 1)
+    return _printed(flat, exact, shape, depth, indent, 0 if whole else 1)
 
 
-def _joined(texts: list[str], shape: tuple[int, ...], depth: np.ndarray, indent: int, top: int) -> str:
-    """The floats' texts joined with the texts between and around them
-    (``_separators``), given each float's inline depth: step 3 of
-    _render_float_array. Cost: O(m d) for m floats in d dimensions.
+def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a 1-d finite float array: which entries "%.12g" prints exactly
+    as float.__repr__ (the JSON encoder's format) does, and the length
+    of every entry's float.__repr__ text.
+
+    An entry v is exact when ``_round12``'s scale-and-rint steps give a
+    12-digit integer M (1e11 <= M <= 1e12 - 1) and a scale k, |k| <= 22,
+    with v == M / 10^k, and v is not an integer. Then ``"%.12g" % v``
+    is byte-identical to ``repr(v)``:
+
+    * the digits agree. v is the double nearest to M / 10^k (one
+      correctly rounded operation on exact operands), so the 12-digit
+      text t of v reads back as v, and repr, the shortest text that
+      reads back as v, has at most 12 significant digits too. Two
+      different decimals of at most 12 significant digits lie about
+      1e-12 |v| or more apart, while every text that reads back as a
+      normal v lies within 2^-53 |v| of it; so both texts carry the
+      same digits. v is normal, since |v| >= 1e11 / 10^22.
+    * the forms agree. Both print positional digits for decimal
+      exponents from -4 up, and "1.5e-05" form, with at least two
+      exponent digits, below -4. Upwards repr switches to that form at
+      exponent 16 and "%.12g" at 12, but a 12-digit value of 1e12 or
+      more is an integer.
+
+    So with e = 11 - k the decimal exponent and L = 12 minus the
+    trailing zeros of M the significant digits, the text is L + 1
+    characters when e >= 0 (a point, as v is not an integer), L + 1 - e
+    when -4 <= e < 0 ("0." and -e - 1 zeros), and L + (L > 1) + 4 below
+    ("e-05" to "e-11"), with one more for a minus sign.
+
+    Every other entry keeps the length of its float.__repr__: zeros and
+    integral values (repr prints "2.0", "%.12g" prints "2"), values
+    with more than 12 significant digits, and those whose log10 misses
+    the exponent next to a power of ten or whose |k| > 22 (subnormals
+    among them, whose shortest text can have fewer digits than their
+    12-digit one).
+
+    Cost: O(m) numpy work on m entries, plus a float.__repr__ per entry
+    that is not exact.
+    """
+    with np.errstate(all="ignore"):
+        mag = np.abs(x)
+        k = 11 - np.floor(np.log10(mag))
+        exact = np.abs(k) <= 22
+        k = np.where(exact, k, 0).astype(np.intp)
+        # one of the two is 1, so each line below is one rounded operation
+        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
+        digits = np.rint(mag * up / down)
+        exact &= (digits >= 1e11) & (digits <= 1e12 - 1) & (digits * down / up == mag)
+    zeros = np.zeros(x.size, np.intp)  # trailing zeros of M, up to 11
+    at = np.flatnonzero(exact)
+    m = digits[at].astype(np.int64)
+    while at.size:
+        whole = m % 10 == 0
+        at, m = at[whole], m[whole] // 10
+        zeros[at] += 1
+    exact &= k > zeros  # not an integer
+    sig, e = 12 - zeros, 11 - k
+    lengths = np.where(e >= 0, sig + 1, np.where(e >= -4, sig + 1 - e, sig + (sig > 1) + 4)) + (x < 0)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        lengths[slow] = list(map(len, map(float.__repr__, x[slow].tolist())))
+    return exact, lengths
+
+
+def _printed(x: np.ndarray, exact: np.ndarray, shape: tuple[int, ...], depth: np.ndarray,
+             indent: int, top: int) -> str:
+    """The floats of x, a run of an array of ``shape``, printed with the
+    texts between and around them (``_separators``), given each float's
+    inline depth and whether "%.12g" prints it as float.__repr__ does
+    (``_text_lengths``): step 3 of _render_float_array.
+
+    The format string is the prefix, then for each float its format,
+    "%.12g" or "%r", followed by the text after it, then the suffix;
+    none of these texts holds "%". ``_separators`` keeps each text with
+    the format of the float after it, so the string is one join of
+    table entries, and one C-level ``%`` call prints every float.
+    Cost: O(m d) for m floats in d dimensions.
     """
     d = len(shape)
     # common[i]: the level of the innermost group holding floats i and i + 1
@@ -627,43 +716,50 @@ def _joined(texts: list[str], shape: tuple[int, ...], depth: np.ndarray, indent:
         common[(slice(None),) * j + (0,) * (d - j)] -= 1
     common = common.ravel()[1:]
     table, prefix, suffix = _separators(d, indent, top)
-    key = (common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]
-    parts = [None] * (2 * len(texts) + 1)
-    parts[1::2] = texts
-    parts[0::2] = [prefix[depth[0]], *table[key].tolist(), suffix[depth[-1]]]
-    return "".join(parts)
+    key = ((common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]) * 2 + exact[1:]
+    fmt = "".join([prefix[2 * depth[0] + exact[0]], *table[key].tolist(), suffix[depth[-1]]])
+    return fmt % tuple(x.tolist())
 
 
-def _inline_float_array(x: np.ndarray) -> str:
+def _inline_float_array(x: np.ndarray) -> list[str]:
     """One-line text of a finite float array that ``_prints_in_bulk``,
-    exactly as ``json.dumps`` prints its list form.
+    as pieces, exactly as ``json.dumps`` prints its list form.
 
-    It is _render_float_array with every group inline: the floats'
-    texts come from ``_float_texts`` and are joined a run of slabs at a
-    time, so the per-float temporaries never cover the whole array.
-    Cost: O(m d) for m floats in d dimensions; linear in the bytes printed.
+    It is _render_float_array with every group inline: each run of slabs
+    is printed by ``_printed`` with one format call, so the per-float
+    temporaries never cover the whole array. Cost: O(m d) for m floats
+    in d dimensions; linear in the bytes printed.
     """
     step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
-    bodies = []
+    pieces = []
     for i in range(0, len(x), step):
         run = x[i:i + step]
-        bodies.append(_joined(_float_texts(run.ravel()), run.shape, np.zeros(run.size, np.intp), 0, 1))
-    return "[" + ", ".join(bodies) + "]"
+        flat = run.ravel()
+        exact = _text_lengths(flat)[0]
+        pieces += ", " if i else "[", _printed(flat, exact, run.shape, np.zeros(run.size, np.intp), 0, 1)
+    pieces.append("]")
+    return pieces
+
+
+_SPECS = ("%r", "%.12g")  # a float's format, by whether "%.12g" prints it as repr does
 
 
 @lru_cache(maxsize=None)
 def _separators(d: int, indent: int, top: int):
-    """The texts around the floats of a d-dimensional array at the given
-    depth whose groups at levels ``top`` and below are printed here.
+    """The format texts around the floats of a d-dimensional array at
+    the given depth whose groups at levels ``top`` and below are printed
+    here.
 
     A float's inline depth is the outermost level whose group holding it
     prints inline (d if none). The text between floats a and b, whose
     innermost common group is at level c, closes a's groups below c,
     separates the items of c, and opens b's groups below c; which of
-    these break the line follows from c and the two inline depths. So
-    ``table[(c * (d + 1) + depth_a) * (d + 1) + depth_b]`` is that text,
-    ``prefix[depth]`` opens the first float's groups and
-    ``suffix[depth]`` closes the last one's.
+    these break the line follows from c and the two inline depths. That
+    text is followed by b's format, "%.12g" if e else "%r" (``_printed``).
+    So ``table[((c * (d + 1) + depth_a) * (d + 1) + depth_b) * 2 + e]``
+    is that text and format, ``prefix[2 * depth + e]`` opens the first
+    float's groups and holds its format, and ``suffix[depth]`` closes
+    the last one's.
     """
     def opens(depth, low):
         return "".join("[" if j >= depth else "[\n" + "  " * (indent + j + 1) for j in range(low, d))
@@ -672,80 +768,61 @@ def _separators(d: int, indent: int, top: int):
         return "".join("]" if j >= depth else "\n" + "  " * (indent + j) + "]"
                        for j in reversed(range(low, d)))
 
-    table = np.empty(d * (d + 1) ** 2, dtype=object)
+    table = np.empty(2 * d * (d + 1) ** 2, dtype=object)
     for c in range(d):
         for a in range(d + 1):
             comma = ", " if c >= a else ",\n" + "  " * (indent + c + 1)
             for b in range(d + 1):
-                table[(c * (d + 1) + a) * (d + 1) + b] = closes(a, c + 1) + comma + opens(b, c + 1)
+                key = ((c * (d + 1) + a) * (d + 1) + b) * 2
+                table[key:key + 2] = [closes(a, c + 1) + comma + opens(b, c + 1) + spec for spec in _SPECS]
     table.flags.writeable = False  # shared by every call with these arguments
-    return table, tuple(opens(a, top) for a in range(d + 1)), tuple(closes(a, top) for a in range(d + 1))
+    prefix = tuple(opens(a, top) + spec for a in range(d + 1) for spec in _SPECS)
+    return table, prefix, tuple(closes(a, top) for a in range(d + 1))
 
 
-def _float_texts(x: np.ndarray) -> list[str]:
-    """float.__repr__ of every entry of a 1-d finite float array, as the
-    JSON encoder prints it.
-
-    ``"%.12g" % v`` is byte-identical to ``repr(v)`` on every normal,
-    non-integral double v that ``_round12`` leaves unchanged, so all
-    such v are printed in one C-level format call:
-
-    * the digits agree. Such a v is the double nearest to its own
-      12-digit text t, so t reads back as v, and repr, the shortest
-      text that reads back as v, has at most 12 significant digits too.
-      Two different decimals of at most 12 significant digits lie about
-      1e-12 |v| or more apart, while every text that reads back as a
-      normal v lies within 2^-53 |v| of it; so both texts carry the
-      same digits.
-    * the forms agree. Both print positional digits for decimal
-      exponents from -4 up, and "1.5e-05" form, with at least two
-      exponent digits, below -4. Upwards repr switches to that form at
-      exponent 16 and "%.12g" at 12, but a 12-digit value of 1e12 or
-      more is an integer.
-
-    Every other entry keeps float.__repr__: zeros and integral values
-    (repr prints "2.0", "%.12g" prints "2"), subnormals, whose spacing
-    is wider than 2^-52 |v|, so that their shortest text can have fewer
-    digits than their 12-digit one, and values with more than 12
-    significant digits.
-    """
-    values = x.tolist()
-    texts = (("%.12g\n" * len(values)) % tuple(values)).split("\n")
-    texts.pop()  # the empty text after the last newline
-    exact = (x == _round12(x)) & (x != np.floor(x)) & (np.abs(x) >= sys.float_info.min)
-    for i in np.flatnonzero(~exact).tolist():
-        texts[i] = float.__repr__(values[i])
-    return texts
+def _json_pieces(report: dict) -> list[str]:
+    """``render_json``'s text as pieces."""
+    pieces = _render(report, 0)[1]
+    pieces.append("\n")
+    return pieces
 
 
 def render_json(report: dict) -> str:
-    """Deterministic JSON: fixed key order, short numeric lists inline."""
-    return _render(report, 0)[1] + "\n"
+    """Deterministic JSON: fixed key order, short numeric lists inline.
+    The pieces that ``_render`` prints are joined once."""
+    return "".join(_json_pieces(report))
 
 
-def _render_text_lines(value, key: str, indent: int, lines: list[str]) -> None:
+def _render_text_lines(value, key: str, indent: int, pieces: list[str]) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
-        lines.append(f"{pad}{key}:")
+        pieces.append(f"{pad}{key}:\n")
         for k, v in value.items():
-            _render_text_lines(v, k, indent + 1, lines)
+            _render_text_lines(v, k, indent + 1, pieces)
     elif isinstance(value, list) and any(isinstance(v, (dict,)) for v in value):
-        lines.append(f"{pad}{key}:")
+        pieces.append(f"{pad}{key}:\n")
         for idx, v in enumerate(value):
-            _render_text_lines(v, f"[{idx}]", indent + 1, lines)
+            _render_text_lines(v, f"[{idx}]", indent + 1, pieces)
     elif isinstance(value, np.ndarray) and _prints_in_bulk(value) and np.isfinite(value).all():
-        lines.append(f"{pad}{key}: {_inline_float_array(value)}")
+        pieces.append(f"{pad}{key}: ")
+        pieces += _inline_float_array(value)
+        pieces.append("\n")
     else:
-        lines.append(f"{pad}{key}: {_TEXT_ENCODE(value)}")
+        pieces.append(f"{pad}{key}: {_TEXT_ENCODE(value)}\n")
+
+
+def _text_pieces(report: dict) -> list[str]:
+    """``render_text``'s text as pieces."""
+    pieces: list[str] = []
+    for k, v in report.items():
+        _render_text_lines(v, k, 0, pieces)
+    return pieces
 
 
 def render_text(report: dict) -> str:
     """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
     its list form; a finite bulk float array through ``_inline_float_array``."""
-    lines: list[str] = []
-    for k, v in report.items():
-        _render_text_lines(v, k, 0, lines)
-    return "\n".join(lines) + "\n"
+    return "".join(_text_pieces(report))
 
 
 def _resolve_input(arg: str) -> Path:
@@ -814,14 +891,17 @@ def main(argv=None) -> int:
         else:
             spec = parse_projective_spec(raw)
             report = cmd_projective(spec, _effective_tol(spec.tolerance, args.tol), args.file)
-        rendered = render_json(report) if args.format == "json" else render_text(report)
+        # every piece is printed before anything is written, so a report
+        # that fails to render leaves stdout and the output file untouched
+        pieces = _json_pieces(report) if args.format == "json" else _text_pieces(report)
         if args.output:
             try:
-                Path(args.output).write_text(rendered, encoding="utf-8")
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.writelines(pieces)
             except OSError as exc:
                 raise CliError(f"{args.output}: {exc}") from exc
         else:
-            sys.stdout.write(rendered)
+            sys.stdout.writelines(pieces)
         return 0
     except CliError as exc:
         message = str(exc)

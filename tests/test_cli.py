@@ -11,7 +11,7 @@ from realcalc.cli import (
     render_json,
 )
 from realcalc.fixtures import fixture_names, fixture_path
-from realcalc.matlin import max_norm
+from realcalc.matlin import DEFAULT_TOL, max_norm
 
 from support import conjugate, generic_presentation, random_unitary, su_basis, trivial_data
 from test_invariance import case_mats, presented
@@ -194,6 +194,19 @@ class TestProjectiveCommand:
         assert counts == {"lambda_tensor": entries, "_form_lambda": 1, "_criterion_residual": 1}
 
 
+@pytest.fixture(scope="module")
+def trivial_su4_spec(tmp_path_factory):
+    """A spec file of trivial data over su(4), whose JSON report of about
+    3 MB prints its coefficient grid in several runs of slabs."""
+    rng = np.random.default_rng(44)
+    data = trivial_data(rng, liealg.LieBasis(generic_presentation(rng, su_basis(4))))
+    spec = cli.ProjectiveSpecFile(data.N, data.n, list(data.derivs.mats), data.p, data.h, data.h_inv,
+                                  None, None, None)
+    path = tmp_path_factory.mktemp("spec") / "trivial_su4.json"
+    path.write_text(render_json(spec.canonical()))
+    return path
+
+
 class TestDeterminismAndIO:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_reports_are_byte_identical(self, capsys, fmt):
@@ -210,6 +223,41 @@ class TestDeterminismAndIO:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["status"] == "Nonexistent"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_file_and_stdout_get_the_rendered_bytes(self, capsysbinary, tmp_path, trivial_su4_spec, fmt):
+        # main writes the report as pieces, to a file or to stdout; both
+        # get the bytes of the one text the renderer joins
+        path = str(trivial_su4_spec)
+        target = tmp_path / "report.out"
+        assert main(["projective", path, "--format", fmt, "--output", str(target)]) == 0
+        assert main(["projective", path, "--format", fmt]) == 0
+        captured = capsysbinary.readouterr()
+        report = cli.cmd_projective(parse_projective_spec(json.loads(trivial_su4_spec.read_text())),
+                                    DEFAULT_TOL, path)
+        assert report["connection_coefficients"].size > 2 * cli._SLAB_SIZE
+        want = (render_json if fmt == "json" else cli.render_text)(report).encode()
+        same = (target.read_bytes(), captured.out, captured.err) == (want, want, b"")
+        assert same
+
+    def test_render_error_writes_nothing(self, capsys, monkeypatch, tmp_path, trivial_su4_spec):
+        # the JSON renderer refuses a NaN in the coefficient grid after
+        # the keys before it are printed; neither the file nor stdout gets any
+        original = cli.cmd_projective
+
+        def with_nan(*args):
+            report = original(*args)
+            report["connection_coefficients"].flat[-1] = np.nan
+            return report
+
+        monkeypatch.setattr(cli, "cmd_projective", with_nan)
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
+        for output in (["--output", str(target)], []):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                main(["projective", str(trivial_su4_spec), "--format", "json", *output])
+        assert target.read_bytes() == b"an earlier report\n"
+        assert capsys.readouterr().out == ""
 
     def test_explicit_path_also_resolves(self, capsys):
         path = str(fixture_path("su2.json"))

@@ -63,8 +63,18 @@ def _dump_json_literal(value, indent: int) -> str:
     return json.dumps(value, allow_nan=False)
 
 
+def _first_difference(got: str, want: str) -> str:
+    """Where two texts part, named by offset instead of diffing reports of megabytes."""
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    near = slice(max(at - 30, 0), at + 30)
+    return f"texts differ at offset {at}: {got[near]!r} != {want[near]!r}"
+
+
 def assert_same(value):
-    assert cli.render_json(value) == _dump_json_literal(value, 0) + "\n"
+    """render_json against _dump_json_literal."""
+    got, want = cli.render_json(value), _dump_json_literal(value, 0) + "\n"
+    same = got == want
+    assert same, _first_difference(got, want)
 
 
 def _text_literal(report: dict) -> str:
@@ -89,12 +99,10 @@ def _text_literal(report: dict) -> str:
 
 
 def assert_same_text(report: dict):
-    """render_text against _text_literal; a mismatch names its first offset
-    instead of diffing reports of megabytes."""
+    """render_text against _text_literal."""
     got, want = cli.render_text(report), _text_literal(report)
-    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     same = got == want
-    assert same, f"texts differ at offset {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}"
+    assert same, _first_difference(got, want)
 
 
 def _fixture_reports():
@@ -116,7 +124,7 @@ def test_fixture_reports(label, report):
 
 @pytest.mark.parametrize("label, report", list(_fixture_reports()), ids=lambda x: x if isinstance(x, str) else "")
 def test_fixture_text_reports(label, report):
-    assert cli.render_text(report) == _text_literal(report)
+    assert_same_text(report)
 
 
 def test_generic_lie_report_arrays():
@@ -127,7 +135,7 @@ def test_generic_lie_report_arrays():
     report = cli.cmd_lie(spec, DEFAULT_TOL, "su3c-su4")
     assert type(report["structure_constants"]) is np.ndarray and report["structure_constants"].shape == (9, 9, 9)
     assert type(report["killing"]) is np.ndarray and report["killing"].shape == (9, 9)
-    assert cli.render_text(report) == _text_literal(report)
+    assert_same_text(report)
     assert_same(report)
 
 
@@ -461,11 +469,30 @@ decimals = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-(10**12) + 1, 
 doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | decimals | repr_edges
 
 
-@given(st.lists(doubles, min_size=1, max_size=60), st.booleans())
-def test_float_texts_match_repr(values, rounded):
+@given(st.lists(doubles, min_size=1, max_size=60), st.booleans(), st.sampled_from([18, 20, cli._SLAB_SIZE]))
+def test_printed_floats_match_repr(values, rounded, slab):
+    # every computed length is that of float.__repr__, every float marked
+    # exact prints the same under "%.12g", and the one-call printer gives
+    # each float its repr, a run of slabs at a time
     if rounded:
         values = [float(f"{v:.12g}") for v in values]
-    assert cli._float_texts(np.array(values)) == [float.__repr__(v) for v in values]
+    want = [float.__repr__(v) for v in values]
+    exact, lengths = cli._text_lengths(np.array(values))
+    assert lengths.tolist() == list(map(len, want))
+    marked = np.flatnonzero(exact).tolist()
+    assert ["%.12g" % values[i] for i in marked] == [want[i] for i in marked]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_SLAB_SIZE", slab)
+        text = "".join(cli._inline_float_array(np.array(values)[:, None]))
+    assert text[2:-2].split("], [") == want
+
+
+def test_printed_floats_fall_back_rarely():
+    # on rounded report data "%.12g" prints nearly every float, or the
+    # property above would pass on float.__repr__ alone
+    x = np.random.default_rng(5).standard_normal(10_000) * 10.0 ** np.arange(-10, 10).repeat(500)
+    exact, _ = cli._text_lengths(cli._round12(x))
+    assert exact.mean() > 0.99
 
 
 @given(float_arrays(), st.integers(0, 3), st.booleans())
@@ -500,6 +527,21 @@ def test_render_peak_memory():
         tracemalloc.stop()
     assert len(text) > 2_500_000
     assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("pieces", [cli._json_pieces, cli._text_pieces], ids=["json", "text"])
+def test_report_pieces_peak_memory(pieces):
+    # the report is kept as pieces, one per run of slabs: beside its text
+    # only one run's temporaries are live, and no text is joined
+    report = _trivial_report(4, 44)
+    tracemalloc.start()
+    try:
+        printed = pieces(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, printed)) > 1_900_000
+    assert peak <= 4.5 * 2**20
 
 
 def test_render_text_peak_memory():
