@@ -126,12 +126,7 @@ def _round12(x: np.ndarray) -> np.ndarray:
         return _round12_entries(x)
     x = x.astype(float, copy=False)
     with np.errstate(all="ignore"):
-        k = 11 - np.floor(np.log10(np.abs(x)))
-        fast = np.abs(k) <= 22
-        k = np.where(fast, k, 0).astype(np.intp)
-        # one of the two is 1, so each line below is one rounded operation
-        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
-        prod = x * up / down
+        fast, k, up, down, prod = _scaled12(x)
         mag = np.abs(prod)
         fast &= (mag >= 1e11) & (mag <= 1e12 - 1) & (np.abs(mag - np.floor(mag) - 0.5) > 1e-3)
         fast |= x == 0
@@ -140,6 +135,18 @@ def _round12(x: np.ndarray) -> np.ndarray:
     if slow.size:
         out.flat[slow] = _round12_entries(x.flat[slow])
     return out
+
+
+def _scaled12(x: np.ndarray):
+    """``(fast, k, up, down, prod)`` for a float array x, under
+    ``np.errstate(all="ignore")``: k = 11 - floor(log10|x|) where
+    fast = |k| <= 22 (0 elsewhere), 10^|k| as ``up`` or ``down`` (the
+    other is 1), and prod = x * 10^k in one rounded operation."""
+    k = 11 - np.floor(np.log10(np.abs(x)))
+    fast = np.abs(k) <= 22
+    k = np.where(fast, k, 0).astype(np.intp)
+    up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
+    return fast, k, up, down, x * up / down
 
 
 def _round12_scalar(v: float) -> float:
@@ -671,14 +678,10 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that is not exact.
     """
     with np.errstate(all="ignore"):
-        mag = np.abs(x)
-        k = 11 - np.floor(np.log10(mag))
-        exact = np.abs(k) <= 22
-        k = np.where(exact, k, 0).astype(np.intp)
-        # one of the two is 1, so each line below is one rounded operation
-        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
-        digits = np.rint(mag * up / down)
-        exact &= (digits >= 1e11) & (digits <= 1e12 - 1) & (digits * down / up == mag)
+        exact, k, up, down, prod = _scaled12(x)
+        digits = np.rint(np.abs(prod))
+        # the quotient is one rounded operation: the double nearest to M / 10^k
+        exact &= (digits >= 1e11) & (digits <= 1e12 - 1) & (digits * down / up == np.abs(x))
     zeros = np.zeros(x.size, np.intp)  # trailing zeros of M, up to 11
     at = np.flatnonzero(exact)
     m = digits[at].astype(np.int64)
