@@ -24,12 +24,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -876,6 +878,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_over(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` over the file at ``path`` and cut it to their length.
+
+    On some filesystems (ext4 mounted with ``discard``) emptying a file
+    costs more than writing a report, so the file is opened without
+    O_TRUNC, with the mode that ``open(path, "w")`` gives under the same
+    umask. After the write, even a failed one, the file is cut to the
+    bytes written, so no old byte is left past them. Only a regular file
+    is cut: ``ftruncate`` refuses devices such as /dev/null. The pieces
+    are written one at a time, never joined.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(pieces)
+        finally:
+            try:
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -895,12 +920,12 @@ def main(argv=None) -> int:
             spec = parse_projective_spec(raw)
             report = cmd_projective(spec, _effective_tol(spec.tolerance, args.tol), args.file)
         # every piece is printed before anything is written, so a report
-        # that fails to render leaves stdout and the output file untouched
+        # that fails to render leaves stdout and the output file untouched;
+        # the output file is then written over in place, not emptied first
         pieces = _json_pieces(report) if args.format == "json" else _text_pieces(report)
         if args.output:
             try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.writelines(pieces)
+                _write_over(args.output, pieces)
             except OSError as exc:
                 raise CliError(f"{args.output}: {exc}") from exc
         else:

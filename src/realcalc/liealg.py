@@ -46,6 +46,10 @@ __all__ = [
 
 # LieBasis rejects an element whose squared norm is not a double
 _LARGEST_NORM = float(np.sqrt(np.finfo(float).max))
+# _bracket_pairs subtracts the products E_b E_a in blocks of about this
+# many bytes: small enough for a block and its pairs to stay in cache,
+# large enough that su(5) and anything smaller take one block
+_PAIR_BLOCK_BYTES = 1 << 17
 
 
 class ClosureViolation(ValueError):
@@ -283,14 +287,20 @@ class LeviSplit:
 def _bracket_pairs(E: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
     """The commutators [E_a, E_b] for the P index pairs (a, b) of ``iu``, ``ju``, as (P, N, N).
 
-    One BLAS product forms every E_a E_b; each bracket is gathered from
-    it and completed in place, so no bracket outside the P pairs, such
-    as the negation [E_b, E_a] of one inside, is formed. Cost: O(n^2 N^3)
-    time, O(n^2 N^2) memory.
+    One BLAS product forms every E_a E_b, in the (a, r, b, s) order that
+    tensordot writes; each bracket is gathered from it and completed in
+    place, so no bracket outside the P pairs, such as the negation
+    [E_b, E_a] of one inside, is formed. The products E_b E_a are
+    gathered and subtracted one block of about ``_PAIR_BLOCK_BYTES`` at a
+    time, so beside the products and the pairs only one block is held.
+    Cost: O(n^2 N^3) time, O(n^2 N^2) memory.
     """
-    prod = np.tensordot(E, E, axes=([2], [1])).transpose(0, 2, 1, 3)
-    pairs = prod[iu, ju]
-    pairs -= prod[ju, iu]
+    prod = np.tensordot(E, E, axes=([2], [1]))
+    pairs = prod[iu, :, ju, :]
+    step = max(1, _PAIR_BLOCK_BYTES // (prod.itemsize * E.shape[1] * E.shape[2]))
+    for start in range(0, len(pairs), step):
+        block = slice(start, start + step)
+        pairs[block] -= prod[ju[block], :, iu[block], :]
     return pairs
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -258,6 +260,69 @@ class TestDeterminismAndIO:
                 main(["projective", str(trivial_su4_spec), "--format", "json", *output])
         assert target.read_bytes() == b"an earlier report\n"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("first, second", [("free_trivial.json", "mat2_rank1.json"),
+                                               ("mat2_rank1.json", "free_trivial.json")],
+                             ids=["long-then-short", "short-then-long"])
+    def test_output_is_overwritten_to_the_new_length(self, capsysbinary, tmp_path, first, second):
+        # the file is written over in place and cut to the report: a short
+        # report after a long one leaves no tail of the long one
+        target = tmp_path / "report.json"
+        for name in (first, second):
+            assert main(["projective", name, "--format", "json", "--output", str(target)]) == 0
+        written = target.read_bytes()
+        assert main(["projective", first, "--format", "json"]) == 0
+        before = capsysbinary.readouterr().out
+        assert main(["projective", second, "--format", "json"]) == 0
+        want = capsysbinary.readouterr().out
+        assert len(before) != len(want)
+        assert written == want
+
+    def test_output_to_the_null_device(self, capsys):
+        # /dev/null is not a regular file, so it is written but never cut
+        assert run(capsys, "projective", "free_trivial.json", "--output", os.devnull) == (0, "", "")
+
+    def test_output_never_opened_with_o_trunc(self, capsys, monkeypatch, tmp_path):
+        # truncating to zero before the write is the cost the in-place write
+        # removes; a return to open(path, "w") would skip os.open altogether
+        target = tmp_path / "report.json"
+        target.write_bytes(b"x" * 10_000)
+        flags, os_open = [], os.open
+
+        def recording(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(target):
+                flags.append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert run(capsys, "analyze", "su2.json", "--format", "json", "--output", str(target))[0] == 0
+        assert len(flags) == 1 and flags[0] & os.O_TRUNC == 0
+        assert json.loads(target.read_text())["status"] == "Nonexistent"
+
+    def test_new_output_file_gets_the_mode_of_open_w(self, capsys, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            assert run(capsys, "analyze", "su2.json", "--output", str(tmp_path / "report"))[0] == 0
+        finally:
+            os.umask(mask)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference", "report")]
+        assert modes[0] == modes[1]
+
+    def test_failed_write_leaves_the_bytes_written(self, tmp_path):
+        # a write that fails part way leaves what was written, and no byte
+        # of the older, longer file after it
+        target = tmp_path / "report.json"
+        target.write_bytes(b"x" * 10_000)
+
+        def failing():
+            yield "written\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_over(str(target), failing())
+        assert target.read_bytes() == b"written\n"
 
     def test_explicit_path_also_resolves(self, capsys):
         path = str(fixture_path("su2.json"))
@@ -584,11 +649,13 @@ class TestErrorPaths:
         assert err == f"realcalc: error: metric_scale: must be finite, got {shown}\n"
 
     def test_unwritable_output_is_one_error_line(self, capsys, tmp_path):
+        # the line names the error that open(path, "w") raises on the path
         for target in (tmp_path / "missing" / "x.json", tmp_path):
+            with pytest.raises(OSError) as expected:
+                open(target, "w")
             code, out, err = run(capsys, "analyze", "su2.json", "--output", str(target))
-            assert (code, out) == (1, "")
-            assert err.count("\n") == 1
-            assert err.startswith(f"realcalc: error: {target}: [Errno ")
+            assert (code, out, err) == (1, "", f"realcalc: error: {target}: {expected.value}\n")
+        assert str(expected.value).startswith("[Errno 21] ")
 
     @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-inf", "-inf")])
     def test_non_finite_tol_flag_rejected(self, capsys, value, shown):

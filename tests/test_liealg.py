@@ -305,10 +305,12 @@ class TestLeviSplit:
         assert (basis.n, split.ss_dim) == (48, 48)
         assert rows and max(rows) <= basis.n
 
-    def test_peak_memory_is_two_bracket_tensors(self):
+    def test_peak_memory_is_products_and_pairs(self):
         # only the brackets a < b are formed: the products E_a E_b, one
-        # (n, n, N, N) tensor, and the pairs beside them; an all-pairs
-        # bracket tensor next to the products read 3.0 tensors
+        # (n, n, N, N) tensor, and the pairs beside them, half of one, with
+        # E_b E_a gathered a block at a time; an all-pairs bracket tensor
+        # next to the products read 3.0 tensors, and gathering every E_b E_a
+        # at once 2.0
         basis = LieBasis(generic_presentation(np.random.default_rng(7), su_basis(7)))
         levi_split_compact(basis)
         tracemalloc.start()
@@ -317,7 +319,22 @@ class TestLeviSplit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * basis.n**2 * basis.N**2 * np.dtype(complex).itemsize
+        assert peak <= 1.75 * basis.n**2 * basis.N**2 * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("block_bytes", [liealg._PAIR_BLOCK_BYTES, 1000, 1])
+    def test_bracket_pairs_match_full_gather(self, monkeypatch, block_bytes):
+        # the block gather from tensordot's (a, r, b, s) layout against both
+        # products gathered whole from the (a, b, r, s) view, bit for bit;
+        # the smaller blocks split every case into several, down to one pair
+        monkeypatch.setattr(liealg, "_PAIR_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(23)
+        for n in range(3, 49):
+            N = int(rng.integers(2, 8))
+            E = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
+            iu, ju = np.triu_indices(n, k=1)
+            iu, ju = np.append(iu, 0), np.append(ju, 0)
+            prod = np.tensordot(E, E, axes=([2], [1])).transpose(0, 2, 1, 3)
+            assert np.array_equal(liealg._bracket_pairs(E, iu, ju), prod[iu, ju] - prod[ju, iu]), n
 
     def test_frame_tensor_is_not_copied(self, monkeypatch):
         # LeviSplit freezes the fresh f_E it is handed, in its (a, b, k)
