@@ -579,7 +579,8 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
     array. For each run,
 
     1. ``_text_lengths`` gives the length of every float's JSON text,
-       float.__repr__, from one numpy pass, without forming the texts;
+       float.__repr__, and the format and argument that print it, from
+       one numpy pass, without forming the texts;
     2. the one-line length of every group at every level comes from
        reshape-sums of the text lengths, and decides whether the group
        prints inline, by _render's rule: when all its items are inline
@@ -596,7 +597,8 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
 
     Cost: O(m d) for m floats in d dimensions, in numpy passes and one
     C-level format call per run, plus float.__repr__'s length on the
-    floats that are not 12-digit values; linear in the bytes printed.
+    floats that are neither zero nor 12-digit values; linear in the
+    bytes printed.
     """
     if not np.isfinite(x).all():
         raise ValueError("Out of range float values are not JSON compliant")
@@ -622,7 +624,7 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
     format call.
     """
     d, shape, flat = x.ndim, x.shape, x.ravel()
-    exact, lengths = _text_lengths(flat)
+    spec, args, lengths = _text_lengths(flat)
     # A group's one-line form adds 2 characters for each item inside it,
     # at every level, to the texts of its floats; when that fits, so does
     # each item's shorter one-line form, and the whole group is inline.
@@ -636,13 +638,14 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
         inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
     # depth[i]: the outermost level whose group holding float i is inline (d if none)
     depth = np.repeat(d - inline.ravel(), shape[-1])
-    return _printed(flat, exact, shape, depth, indent, 0 if whole else 1)
+    return _printed(args, spec, shape, depth, indent, 0 if whole else 1)
 
 
-def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a 1-d finite float array: which entries "%.12g" prints exactly
-    as float.__repr__ (the JSON encoder's format) does, and the length
-    of every entry's float.__repr__ text.
+def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a 1-d finite float array: the format of every entry, as an
+    index into ``_SPECS``, the argument that format prints, and the
+    length of every entry's float.__repr__ text (the JSON encoder's
+    format), which is the text that format prints.
 
     An entry v is exact when ``_round12``'s scale-and-rint steps give a
     12-digit integer M (1e11 <= M <= 1e12 - 1) and a scale k, |k| <= 22,
@@ -663,21 +666,30 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       exponent 16 and "%.12g" at 12, but a 12-digit value of 1e12 or
       more is an integer.
 
-    So with e = 11 - k the decimal exponent and L = 12 minus the
-    trailing zeros of M the significant digits, the text is L + 1
+    Let e = 11 - k be the decimal exponent, z the trailing zeros of M,
+    and M' = M / 10^z the digit integer, which has exactly L = 12 - z
+    digits, the first one nonzero. For e from -4 to -1 the positional
+    text is "0.", then -e - 1 zeros, then the L digits of M', with "-"
+    first for a negative v. So these entries take the format that
+    prints exactly that, ``"0." + "0" * (-e - 1) + "%d"`` with a leading
+    "-" for a negative v, with argument M'. M' is held as a float64,
+    exact below 2^53, and "%d" prints a float's integer value. Every
+    other exact entry takes "%.12g" with argument v. The text is L + 1
     characters when e >= 0 (a point, as v is not an integer), L + 1 - e
-    when -4 <= e < 0 ("0." and -e - 1 zeros), and L + (L > 1) + 4 below
-    ("e-05" to "e-11"), with one more for a minus sign.
+    when -4 <= e < 0, and L + (L > 1) + 4 below ("e-05" to "e-11"), with
+    one more for a minus sign.
 
-    Every other entry keeps the length of its float.__repr__: zeros and
-    integral values (repr prints "2.0", "%.12g" prints "2"), values
-    with more than 12 significant digits, and those whose log10 misses
-    the exponent next to a power of ten or whose |k| > 22 (subnormals
-    among them, whose shortest text can have fewer digits than their
-    12-digit one).
+    A +0.0 takes the literal "0.0", 3 characters, and no argument (its
+    entry of the argument array is v, and unused). Every other entry
+    takes "%r" with argument v, and the length of its float.__repr__:
+    -0.0 and integral values (repr prints "2.0", "%.12g" prints "2"),
+    values with more than 12 significant digits, and those whose log10
+    misses the exponent next to a power of ten or whose |k| > 22
+    (subnormals among them, whose shortest text can have fewer digits
+    than their 12-digit one).
 
     Cost: O(m) numpy work on m entries, plus a float.__repr__ per entry
-    that is not exact.
+    that takes "%r".
     """
     with np.errstate(all="ignore"):
         exact, k, up, down, prod = _scaled12(x)
@@ -692,38 +704,45 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at, m = at[whole], m[whole] // 10
         zeros[at] += 1
     exact &= k > zeros  # not an integer
-    sig, e = 12 - zeros, 11 - k
-    lengths = np.where(e >= 0, sig + 1, np.where(e >= -4, sig + 1 - e, sig + (sig > 1) + 4)) + (x < 0)
-    slow = np.flatnonzero(~exact)
+    sig, e, neg = 12 - zeros, 11 - k, x < 0
+    family = exact & (e >= -4) & (e < 0)
+    zero = (x == 0) & ~np.signbit(x)
+    spec = np.where(family, 4 * neg - e - 1, np.where(exact, _EXACT, np.where(zero, _ZERO, _REPR)))
+    lengths = np.where(e >= 0, sig + 1, np.where(e >= -4, sig + 1 - e, sig + (sig > 1) + 4)) + neg
+    lengths[zero] = 3
+    slow = np.flatnonzero(spec == _REPR)
     if slow.size:
         lengths[slow] = list(map(len, map(float.__repr__, x[slow].tolist())))
-    return exact, lengths
+    # M / 10^z is an exact quotient of exact doubles
+    return spec, np.where(family, digits / _POW10[zeros], x), lengths
 
 
-def _printed(x: np.ndarray, exact: np.ndarray, shape: tuple[int, ...], depth: np.ndarray,
+def _printed(args: np.ndarray, spec: np.ndarray, shape: tuple[int, ...], depth: np.ndarray,
              indent: int, top: int) -> str:
-    """The floats of x, a run of an array of ``shape``, printed with the
-    texts between and around them (``_separators``), given each float's
-    inline depth and whether "%.12g" prints it as float.__repr__ does
-    (``_text_lengths``): step 3 of _render_float_array.
+    """The floats of a run of an array of ``shape``, given by each one's
+    format and argument (``_text_lengths``), printed with the texts
+    between and around them (``_separators``), given each float's inline
+    depth: step 3 of _render_float_array.
 
-    The format string is the prefix, then for each float its format,
-    "%.12g" or "%r", followed by the text after it, then the suffix;
-    none of these texts holds "%". ``_separators`` keeps each text with
-    the format of the float after it, so the string is one join of
-    table entries, and one C-level ``%`` call prints every float.
+    The format string is the prefix, then for each float its entry of
+    ``_SPECS`` followed by the text after it, then the suffix; none of
+    these texts holds "%" but the one conversion of a float's format.
+    ``_separators`` keeps each text with the format of the float after
+    it, so the string is one join of table entries, and one C-level
+    ``%`` call prints every float, on a tuple of one argument per float
+    that is not the "0.0" literal.
     Cost: O(m d) for m floats in d dimensions.
     """
-    d = len(shape)
+    d, specs = len(shape), len(_SPECS)
     # common[i]: the level of the innermost group holding floats i and i + 1
     common = np.full(shape, d - 1)
     for j in range(1, d):
         common[(slice(None),) * j + (0,) * (d - j)] -= 1
     common = common.ravel()[1:]
     table, prefix, suffix = _separators(d, indent, top)
-    key = ((common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]) * 2 + exact[1:]
-    fmt = "".join([prefix[2 * depth[0] + exact[0]], *table[key].tolist(), suffix[depth[-1]]])
-    return fmt % tuple(x.tolist())
+    key = ((common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]) * specs + spec[1:]
+    fmt = "".join([prefix[specs * depth[0] + spec[0]], *table[key].tolist(), suffix[depth[-1]]])
+    return fmt % tuple(args[spec != _ZERO].tolist())
 
 
 def _inline_float_array(x: np.ndarray) -> list[str]:
@@ -739,14 +758,20 @@ def _inline_float_array(x: np.ndarray) -> list[str]:
     pieces = []
     for i in range(0, len(x), step):
         run = x[i:i + step]
-        flat = run.ravel()
-        exact = _text_lengths(flat)[0]
-        pieces += ", " if i else "[", _printed(flat, exact, run.shape, np.zeros(run.size, np.intp), 0, 1)
+        spec, args, _ = _text_lengths(run.ravel())
+        pieces += ", " if i else "[", _printed(args, spec, run.shape, np.zeros(run.size, np.intp), 0, 1)
     pieces.append("]")
     return pieces
 
 
-_SPECS = ("%r", "%.12g")  # a float's format, by whether "%.12g" prints it as repr does
+_SPECS = (*(sign + "0." + "0" * z + "%d" for sign in ("", "-") for z in range(4)), "%.12g", "%r", "0.0")
+"""A float's format in the bulk printer, by index (``_text_lengths``).
+Index 4 * (v < 0) - e - 1 prints an exact v of decimal exponent e from
+-4 to -1 from its digit integer; ``_EXACT`` prints any other exact v,
+``_REPR`` every other float, -0.0 among them, and ``_ZERO``, a
+literal with no conversion, prints +0.0. Each other entry holds exactly
+one "%" conversion."""
+_EXACT, _REPR, _ZERO = map(_SPECS.index, ("%.12g", "%r", "0.0"))
 
 
 @lru_cache(maxsize=None)
@@ -760,11 +785,21 @@ def _separators(d: int, indent: int, top: int):
     innermost common group is at level c, closes a's groups below c,
     separates the items of c, and opens b's groups below c; which of
     these break the line follows from c and the two inline depths. That
-    text is followed by b's format, "%.12g" if e else "%r" (``_printed``).
-    So ``table[((c * (d + 1) + depth_a) * (d + 1) + depth_b) * 2 + e]``
-    is that text and format, ``prefix[2 * depth + e]`` opens the first
+    text is followed by b's format, ``_SPECS[s]`` for b's spec index s
+    (``_printed``). So, with S = len(_SPECS),
+    ``table[((c * (d + 1) + depth_a) * (d + 1) + depth_b) * S + s]`` is
+    that text and format, ``prefix[S * depth + s]`` opens the first
     float's groups and holds its format, and ``suffix[depth]`` closes
-    the last one's.
+    the last one's. Every entry and prefix holds the one "%" conversion
+    of its format, or none for the "0.0" literal; the suffixes hold
+    none. The tables are built on first use for each argument triple,
+    never at import.
+
+    Floats a and b share their groups at levels 0 to c, so when either
+    depth is c or less, the group at that level holds both and is
+    inline, and the two depths are equal. The entries of the other
+    depth pairs are never read and stay None, which keeps the table at
+    about 40% of its full size.
     """
     def opens(depth, low):
         return "".join("[" if j >= depth else "[\n" + "  " * (indent + j + 1) for j in range(low, d))
@@ -773,13 +808,16 @@ def _separators(d: int, indent: int, top: int):
         return "".join("]" if j >= depth else "\n" + "  " * (indent + j) + "]"
                        for j in reversed(range(low, d)))
 
-    table = np.empty(2 * d * (d + 1) ** 2, dtype=object)
+    specs = len(_SPECS)
+    table = np.empty(specs * d * (d + 1) ** 2, dtype=object)
     for c in range(d):
         for a in range(d + 1):
             comma = ", " if c >= a else ",\n" + "  " * (indent + c + 1)
             for b in range(d + 1):
-                key = ((c * (d + 1) + a) * (d + 1) + b) * 2
-                table[key:key + 2] = [closes(a, c + 1) + comma + opens(b, c + 1) + spec for spec in _SPECS]
+                if a != b and min(a, b) <= c:
+                    continue  # floats in one inline group share their depth
+                key = ((c * (d + 1) + a) * (d + 1) + b) * specs
+                table[key:key + specs] = [closes(a, c + 1) + comma + opens(b, c + 1) + spec for spec in _SPECS]
     table.flags.writeable = False  # shared by every call with these arguments
     prefix = tuple(opens(a, top) + spec for a in range(d + 1) for spec in _SPECS)
     return table, prefix, tuple(closes(a, top) for a in range(d + 1))

@@ -452,8 +452,9 @@ def test_ragged_float_arrays(array, depth, grow, where):
     assert_same(_placed(nested, depth))
 
 
-# The bulk path prints most floats with "%.12g"; these compare its text with
-# float.__repr__ on doubles on both sides of every case its argument excludes.
+# The bulk path prints most floats from their 12-digit integers; these
+# compare its text with float.__repr__ on doubles on both sides of every
+# case its argument excludes.
 
 repr_edges = st.sampled_from([
     0.0, -0.0, 1.0, -2.0, 3e-7, 1e11, 123456789012.0, 999999999999.0, 1e12, -1e12, 1e12 + 1.0,
@@ -469,30 +470,108 @@ decimals = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-(10**12) + 1, 
 doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | decimals | repr_edges
 
 
-@given(st.lists(doubles, min_size=1, max_size=60), st.booleans(), st.sampled_from([18, 20, cli._SLAB_SIZE]))
-def test_printed_floats_match_repr(values, rounded, slab):
-    # every computed length is that of float.__repr__, every float marked
-    # exact prints the same under "%.12g", and the one-call printer gives
-    # each float its repr, a run of slabs at a time
-    if rounded:
-        values = [float(f"{v:.12g}") for v in values]
+def assert_printed_as_repr(values, slab=cli._SLAB_SIZE):
+    """Every float's format and argument and the one-call printer, a run
+    of slabs at a time, give its float.__repr__, and every computed
+    length is that text's; returns the spec index of every float."""
     want = [float.__repr__(v) for v in values]
-    exact, lengths = cli._text_lengths(np.array(values))
+    spec, args, lengths = cli._text_lengths(np.array(values))
     assert lengths.tolist() == list(map(len, want))
-    marked = np.flatnonzero(exact).tolist()
-    assert ["%.12g" % values[i] for i in marked] == [want[i] for i in marked]
+    texts = [cli._SPECS[s] if s == cli._ZERO else cli._SPECS[s] % a for s, a in zip(spec.tolist(), args.tolist())]
+    assert texts == want
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
         text = "".join(cli._inline_float_array(np.array(values)[:, None]))
     assert text[2:-2].split("], [") == want
+    return spec
+
+
+@given(st.lists(doubles, min_size=1, max_size=60), st.booleans(), st.sampled_from([18, 20, cli._SLAB_SIZE]))
+def test_printed_floats_match_repr(values, rounded, slab):
+    if rounded:
+        values = [float(f"{v:.12g}") for v in values]
+    assert_printed_as_repr(values, slab)
+
+
+def _family_values():
+    """For e = -1 ... -4 and each count of trailing zeros of a 12-digit
+    integer, a few digit integers M' of 12 - zeros digits, the last one
+    nonzero, and the doubles nearest to +-M' * 10^(e + 1 - digits)."""
+    for e in range(-1, -5, -1):
+        for zeros in range(12):
+            digits = 12 - zeros
+            for m in {int("987654321987"[:digits]), int("9" * digits), 10 ** (digits - 1) + (digits > 1)}:
+                for sign in ("", "-"):
+                    yield float(f"{sign}{m}e{e + 1 - digits}"), 4 * (sign == "-") - e - 1
+
+
+def test_digit_family_is_exhaustive():
+    values, family = zip(*_family_values())
+    spec = assert_printed_as_repr(values)
+    assert spec.tolist() == list(family)
+
+
+def _log10_neighbours() -> list[float]:
+    """The doubles within 3 ulps of 10^-1 ... 10^-4, whose log10 can miss
+    the decimal exponent."""
+    out = []
+    for j in range(1, 5):
+        below = above = 10.0 ** -j
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            out += [float(below), float(above)]
+    return out
+
+
+@pytest.mark.parametrize("value, spec", [
+    (0.1, 0), (0.999999999999, 0), (-0.1, 4), (0.0001, 3), (0.000999999999999, 3), (-0.0001, 7),
+    (9.99999999999e-05, cli._EXACT), (-9.99999999999e-05, cli._EXACT), (0.5e-4, cli._EXACT),
+    (1.0, cli._REPR), (-1.0, cli._REPR), (-0.0, cli._REPR), (0.0, cli._ZERO),
+    *((v, cli._REPR) for v in _log10_neighbours()),
+])
+def test_digit_family_edges(value, spec):
+    assert assert_printed_as_repr([value]).tolist() == [spec]
 
 
 def test_printed_floats_fall_back_rarely():
-    # on rounded report data "%.12g" prints nearly every float, or the
-    # property above would pass on float.__repr__ alone
+    # on rounded report data "%r" prints almost no float, or the
+    # properties above would pass on float.__repr__ alone
     x = np.random.default_rng(5).standard_normal(10_000) * 10.0 ** np.arange(-10, 10).repeat(500)
-    exact, _ = cli._text_lengths(cli._round12(x))
-    assert exact.mean() > 0.99
+    spec = cli._text_lengths(cli._round12(x))[0]
+    assert (spec != cli._REPR).mean() > 0.99
+
+
+def test_printed_floats_take_the_digit_family():
+    # on rounded data of the coefficient grid's magnitudes, at least 90%
+    # of the floats print from their digit integers, so a silent fallback
+    # to "%.12g" or "%r" fails here and not only in the benchmark
+    x = np.random.default_rng(5).standard_normal(6_000) * 10.0 ** np.arange(-3, 0).repeat(2000)
+    spec = cli._text_lengths(cli._round12(x))[0]
+    assert (spec < cli._EXACT).mean() >= 0.9
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_separators_hold_one_conversion_per_float(d):
+    # the format string of a run is a join of these texts and is applied
+    # to one argument per float that is not +0.0; the depth pairs left
+    # out are those of floats in one inline group, whose depths are equal
+    specs = len(cli._SPECS)
+    conversions = [0 if s == cli._ZERO else 1 for s in range(specs)]
+    for indent in (0, 1, 4):
+        for top in (0, 1):
+            table, prefix, suffix = cli._separators(d, indent, top)
+            rows = table.reshape(d, d + 1, d + 1, specs)
+            for c, a, b in np.ndindex(d, d + 1, d + 1):
+                if a != b and min(a, b) <= c:
+                    assert set(rows[c, a, b]) == {None}
+                else:
+                    assert [text.endswith(spec) for text, spec in zip(rows[c, a, b], cli._SPECS)] == [True] * specs
+                    assert [text.count("%") for text in rows[c, a, b]] == conversions
+            assert len(prefix) == (d + 1) * specs
+            for i, text in enumerate(prefix):
+                assert text.endswith(cli._SPECS[i % specs])
+                assert text.count("%") == conversions[i % specs]
+            assert not any("%" in text for text in suffix)
 
 
 @given(float_arrays(), st.integers(0, 3), st.booleans())
