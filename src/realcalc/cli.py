@@ -481,12 +481,15 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         "max_residual": worst,
         "worst_index": [i + 1 for i in worst_idx],
         "residuals": residuals,
-        "lambda_at_worst": lam[worst_idx],
+        "lambda_at_worst": lam[worst_idx].copy(),
     }
     if holds:
         coeffs = projcalc.lc_connection_coefficients(data, tol)
         out["connection_coefficients"] = coeffs
         out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs)
+    # the report holds no view of the data, so its grids, derivatives and
+    # tensors are freed before the report's numbers are rounded
+    del data, lam
     return _jsonify(out)
 
 

@@ -18,6 +18,19 @@ coefficient form of the Koszul identity.
 Grids of matrices are numpy arrays of shape (n, n, N, N); the first two
 axes are the coefficient indices in the order they carry in the
 formulas (p[k, i], h[i, j], h_inv[k, l]).
+
+Every contraction over a generator index and a matrix index is one GEMM
+of block matrices. A grid g is the (nN) x (nN) matrix whose (k, l) block
+is g[k, l] (:func:`_block_matrix`); an (n, n, n, N, N) tensor t[x, y, z]
+in the stacked layout of :func:`_stacked` is an (nN) x (n^2 N) block
+matrix with rows (x, a) and, reshaped, an (n N n) x (nN) one with
+columns (z, c), and a product with a block matrix comes back in that
+layout, so Λ, Λ p and the products read each other without a copy. A
+call whose criterion holds does five such products, each O(n^4 N^3)
+time and O(n^3 N^2) memory: H^-1 times the bracketed sum for Λ, P dP
+and Λ P for the criterion, (Λ P) P for the coefficients and H (C - Λ)
+for the Koszul check. The derivatives [D_i, p] and [D_i, h] take two
+O(n^3 N^3) GEMMs each.
 """
 
 from __future__ import annotations
@@ -73,11 +86,19 @@ def _grid(value, n: int, N: int, name: str) -> np.ndarray:
 def _commutators(mats: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """d_i applied to every grid entry: out[i, a, b] = [D_i, grid[a, b]].
 
-    An entry that overflows comes back non-finite, without a warning.
-    Two broadcast matrix products: O(n^3 N^3) time, O(n^3 N^2) memory.
+    Two GEMMs: the stacked D (nN x N) times the grid laid out as
+    (N x n^2 N), and the grid (n^2 N x N) times D laid out as (N x nN).
+    Their difference is written once, into a C-contiguous array, so each
+    N x N block is contiguous for the index permutations of Λ's bracketed
+    sum. An entry that overflows comes back non-finite, without a
+    warning. O(n^3 N^3) time, O(n^3 N^2) memory.
     """
-    m = mats[:, None, None]
-    return m @ grid - grid @ m
+    n, N = grid.shape[0], grid.shape[2]
+    left = mats.reshape(n * N, N) @ grid.transpose(2, 0, 1, 3).reshape(N, -1)  # axes (i, r, a, b, c)
+    right = grid.reshape(-1, N) @ mats.transpose(1, 0, 2).reshape(N, -1)  # axes (a, b, r, i, c)
+    out = np.empty((n, n, n, N, N), dtype=complex)
+    right = right.reshape(n, n, N, n, N).transpose(3, 0, 1, 2, 4)
+    return np.subtract(_unstacked(left, n, N), right, out=out)
 
 
 def _block_matrix(grid: np.ndarray) -> np.ndarray:
@@ -87,6 +108,41 @@ def _block_matrix(grid: np.ndarray) -> np.ndarray:
     """
     n, N = grid.shape[0], grid.shape[2]
     return grid.transpose(0, 2, 1, 3).reshape(n * N, n * N)
+
+
+def _stacked(t: np.ndarray) -> np.ndarray:
+    """t[x, y, z][a, c] of an (n, n, n, N, N) array, as axes (x, a, y, z, c).
+
+    Reshaped to (nN, n^2 N) it is the block matrix with rows (x, a);
+    reshaped to (n N n, nN), the one with columns (z, c). For a view of a
+    C-contiguous array in this layout, such as the results of
+    :func:`_block_times` and :func:`_times_block`, both reshapes copy
+    nothing.
+    """
+    return t.transpose(0, 3, 1, 2, 4)
+
+
+def _unstacked(out: np.ndarray, n: int, N: int) -> np.ndarray:
+    """The (n, n, n, N, N) view of a result laid out as :func:`_stacked`."""
+    return out.reshape(n, N, n, n, N).transpose(0, 2, 3, 1, 4)
+
+
+def _block_times(G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[x, y, z] = sum_l G[x, l] t[l, y, z] for a block matrix G.
+
+    One GEMM, (nN x nN) times (nN x n^2 N): O(n^4 N^3) time, O(n^3 N^2) memory.
+    """
+    n, N = t.shape[0], t.shape[3]
+    return _unstacked(G @ _stacked(t).reshape(n * N, -1), n, N)
+
+
+def _times_block(t: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """out[x, y, z] = sum_l t[x, y, l] G[l, z] for a block matrix G.
+
+    One GEMM, (n N n x nN) times (nN x nN): O(n^4 N^3) time, O(n^3 N^2) memory.
+    """
+    n, N = t.shape[0], t.shape[3]
+    return _unstacked(_stacked(t).reshape(-1, n * N) @ G, n, N)
 
 
 def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
@@ -123,18 +179,21 @@ class ProjectiveCalculusData:
     Then it checks, each within tolerance: idempotence of p, hermiticity and
     index symmetry of the metric blocks, conjugate symmetry of the
     inverse blocks, the defining inverse relation in coefficient form,
-    and compatibility of the inverse with the projection. The checks are
-    block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
+    and compatibility of the inverse with the projection. A residual
+    that is not finite violates its identity whatever the tolerance. The
+    checks are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
 
     The derivatives of the grids, dp[i, k, j] = [D_i, p^k_j] and
-    dh[i, a, b] = [D_i, h_ab], are built here once and read by the
-    criterion, Λ and the coefficients: O(n^3 N^3) time, O(n^3 N^2) memory.
-    A derivative that overflows a double raises ValueError.
+    dh[i, a, b] = [D_i, h_ab], are built here once, two GEMMs each, as
+    C-contiguous arrays, and read by the criterion, Λ and the
+    coefficients: O(n^3 N^3) time, O(n^3 N^2) memory. A derivative that
+    overflows a double raises ValueError.
 
-    Λ and the criterion residual are formed on first read, through
-    :func:`lambda_tensor` and :func:`lc_condition_check`, and kept on the
-    data: their O(n^4 N^3) contractions are paid once per data, however
-    often the criterion, the coefficients and the certificate read them.
+    Λ, the criterion residual and the product Λ p are formed on first
+    read, through :func:`lambda_tensor` and :func:`lc_condition_check`,
+    and kept on the data: their O(n^4 N^3) GEMMs are paid once per data,
+    however often the criterion, the coefficients and the certificate
+    read them.
     """
 
     derivs: LieBasis
@@ -156,9 +215,10 @@ class ProjectiveCalculusData:
         h = _grid(h, n, N, "h")
         h_inv = _grid(h_inv, n, N, "h_inv")
 
-        for identity, res, scale in _invariant_residuals(p, h, h_inv):
-            if res > tol.cut(scale):
-                raise InvariantViolation(identity, res)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for identity, res, scale in _invariant_residuals(p, h, h_inv):
+                if not (np.isfinite(res) and res <= tol.cut(scale)):
+                    raise InvariantViolation(identity, res)
 
         object.__setattr__(self, "derivs", derivs)
         object.__setattr__(self, "f", f)
@@ -184,16 +244,14 @@ class ProjectiveCalculusData:
         return _form_lambda(self)
 
     @cached_property
+    def _lambda_p(self) -> np.ndarray:
+        # Lam^k_il p^l_j: a term of the criterion and, when it holds, the
+        # projected free-module connection that the coefficients start from
+        return _freeze(_times_block(self._lambda, _block_matrix(self.p)))
+
+    @cached_property
     def _criterion(self) -> tuple[float, np.ndarray, float]:
         return _criterion_residual(self)
-
-
-def _times_grid(t: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """out[x, y, j] = sum_l t[x, y, l] grid[l, j] for an (n, n, n, N, N) t.
-
-    One tensordot over (l, b): O(n^4 N^3) time, O(n^3 N^2) memory.
-    """
-    return np.tensordot(t, grid, axes=([2, 4], [0, 2])).transpose(0, 1, 3, 2, 4)
 
 
 def lambda_tensor(data: ProjectiveCalculusData) -> np.ndarray:
@@ -201,8 +259,8 @@ def lambda_tensor(data: ProjectiveCalculusData) -> np.ndarray:
     - h_jq f^q_il - h_iq f^q_jl + h_lq f^q_ij).
 
     Returns the read-only (n, n, n, N, N) array Lam[k, i, j], each entry
-    an N x N matrix. It is formed on the first call for the data, in
-    O(n^4 N^3) time and O(n^3 N^2) memory, and kept on it; later calls
+    an N x N matrix. It is formed on the first call for the data, by one
+    GEMM, in O(n^4 N^3) time and O(n^3 N^2) memory, and kept on it; later calls
     return the same array. A term that overflows a double raises
     ValueError, even if Λ fits.
     """
@@ -211,25 +269,25 @@ def lambda_tensor(data: ProjectiveCalculusData) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _form_lambda(data: ProjectiveCalculusData) -> np.ndarray:
-    """Λ of :func:`lambda_tensor`. The bracketed sum is O(n^4 N^2) time;
-    the contraction with h^{kl} over (l, b) is one tensordot, O(n^4 N^3)
-    time. O(n^3 N^2) memory.
+    """Λ of :func:`lambda_tensor`: 1/2 H^-1 times the bracketed sum laid
+    out as (nN x n^2 N), one GEMM of O(n^4 N^3) time. The sum itself is
+    O(n^4 N^2) time. O(n^3 N^2) memory.
     """
-    h, dh = data.h, data.dh
-    # hf[x, y, z] = h_xq f^q_yz; six[i, j, l] is the bracketed sum
+    n, N, h, dh = data.n, data.N, data.h, data.dh
+    # hf[x, y, z] = h_xq f^q_yz; terms[i, j, l] is the bracketed sum, taken
+    # over dh's contiguous N x N blocks and then copied once into six, the
+    # stacked block matrix with rows (l, b)
     hf = np.tensordot(h, data.f.f, axes=([1], [0])).transpose(0, 3, 4, 1, 2)
-    six = (
-        dh
-        + dh.transpose(1, 0, 2, 3, 4)
-        - dh.transpose(1, 2, 0, 3, 4)
-        - hf.transpose(1, 0, 2, 3, 4)
-        - hf
-        + hf.transpose(1, 2, 0, 3, 4)
-    )
-    values = np.tensordot(data.h_inv, six, axes=([1, 3], [2, 3]))
+    terms = (dh + dh.transpose(1, 0, 2, 3, 4) - dh.transpose(1, 2, 0, 3, 4)
+             - hf.transpose(1, 0, 2, 3, 4) - hf + hf.transpose(1, 2, 0, 3, 4))
+    six = np.empty((n, N, n, n, N), dtype=complex)
+    six.transpose(2, 3, 0, 1, 4)[...] = terms
+    del terms, hf  # the product below runs beside dp, dh and six only
+    values = _block_matrix(data.h_inv) @ six.reshape(n * N, -1)
     if not np.all(np.isfinite(values)):
         raise ValueError("h is too large for Lambda: its terms h_jq f^q_il or [D_i, h_jl] overflow a double")
-    return _freeze(0.5 * values.transpose(0, 2, 3, 1, 4))
+    values *= 0.5
+    return _freeze(_unstacked(values, n, N))
 
 
 def lc_condition_check(
@@ -244,24 +302,31 @@ def lc_condition_check(
 
     so failures localize to their index triple; the grid is read-only.
     The residual does not depend on ``tol``: it is formed on the first
-    check of the data, in O(n^4 N^3) time and O(n^3 N^2) memory, and
-    kept on it, so a later check, under any tolerance, only compares.
+    check of the data, by two GEMMs, in O(n^4 N^3) time and O(n^3 N^2)
+    memory, and kept on it, so a later check, under any tolerance, only
+    compares. A residual that overflows a double raises ValueError.
     """
     lambda_tensor(data)  # Λ is formed, or its overflow raised, under lambda_tensor's name
     worst, per_index, scale = data._criterion
     return worst <= tol.cut(scale), worst, per_index
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _criterion_residual(data: ProjectiveCalculusData) -> tuple[float, np.ndarray, float]:
     """``(max_residual, residuals, scale)`` of :func:`lc_condition_check`,
-    with scale = max(1, |p|, |Λ|). Both sums are tensordots over (l, b):
-    O(n^4 N^3) time, O(n^3 N^2) memory.
+    with scale = max(1, |p|, |Λ|). The two sums are the GEMMs P dP and
+    Λ P: O(n^4 N^3) time, O(n^3 N^2) memory; dp enters P dP as one copy
+    laid out as its block matrix with rows (l, b). The per-index maxima
+    reduce the contiguous (k, a, i, j, c) layout, over a and then over c.
     """
     p, lam = data.p, data._lambda
-    lhs = np.tensordot(p, data.dp, axes=([1, 3], [1, 3])).transpose(0, 2, 3, 1, 4)
-    residual = lhs - (lam - _times_grid(lam, p))
-    per_index = np.max(np.abs(residual), axis=(3, 4))
+    residual = _block_times(_block_matrix(p), data.dp.transpose(1, 0, 2, 3, 4))
+    residual -= lam - data._lambda_p
+    per_index = np.abs(_stacked(residual)).max(axis=1).max(axis=-1)
     worst = float(np.max(per_index)) if per_index.size else 0.0
+    if not np.isfinite(worst):
+        raise ValueError("p is too large for the criterion: its terms p^k_l [D_i, p^l_j] "
+                         "or Lam^k_il p^l_j overflow a double")
     return worst, _freeze(per_index), max(1.0, max_norm(p), max_norm(lam))
 
 
@@ -271,18 +336,22 @@ def lc_connection_coefficients(
     """Connection coefficients C^l_ij with nabla_i e_j = e_l C^l_ij.
 
     Only defined when the criterion holds; assembled from the projected
-    free-module connection Gam^l_ik = Lam^l_im p^m_k as
-    C^l_ij = Gam^l_ik p^k_j + [D_i, p^l_j]. Two tensordots over (m, b):
-    O(n^4 N^3) time, O(n^3 N^2) memory.
+    free-module connection Gam^l_ik = Lam^l_im p^m_k, the product that
+    the criterion keeps on the data, as C^l_ij = Gam^l_ik p^k_j + [D_i, p^l_j].
+    One GEMM: O(n^4 N^3) time, O(n^3 N^2) memory. The result is a
+    C-contiguous (n, n, n, N, N) array.
     """
     holds, worst, _ = lc_condition_check(data, tol)
     if not holds:
         raise ConditionFails(
             f"criterion fails (max residual {worst:.3e}); no Levi-Civita connection"
         )
-    p = data.p
-    gam = _times_grid(lambda_tensor(data), p)
-    return _times_grid(gam, p) + data.dp.transpose(1, 0, 2, 3, 4)
+    lambda_tensor(data)  # every step that reads Λ enters it once; this one reads Λ p
+    # the sum is written C-contiguous in (l, i, j, a, c), the order in
+    # which a report reads the coefficients
+    coeffs = np.empty(data.dp.shape, dtype=complex)
+    gam_p = _times_block(data._lambda_p, _block_matrix(data.p))
+    return np.add(gam_p, data.dp.transpose(1, 0, 2, 3, 4), out=coeffs)
 
 
 def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
@@ -291,15 +360,20 @@ def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
     Returns the largest entry of sum_l h_ml C^l_ij - sum_k h_mk Lam^k_ij
     over (m, i, j); a value within tolerance certifies the Levi-Civita
     property of the connection the coefficients define. Both sums share
-    h, so one tensordot of h with C - Lam over (l, b): O(n^4 N^3) time,
-    O(n^3 N^2) memory.
+    h, so C - Lam is formed once, in the stacked layout, and for each i
+    one (nN x nN) GEMM multiplies H with its block matrix over (l, j):
+    O(n^4 N^3) time and O(n^3 N^2) memory, with only one i's product held
+    at a time.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n, N = data.n, data.N
     if coeffs.shape != (n, n, n, N, N):
         raise ValueError(f"coefficients must have shape ({n}, {n}, {n}, {N}, {N})")
-    lam = lambda_tensor(data)
-    return float(max_norm(np.tensordot(data.h, coeffs - lam, axes=([1, 3], [0, 3]))))
+    lam, H = lambda_tensor(data), _block_matrix(data.h)
+    diff = _unstacked(np.empty((n * N, n, n * N), dtype=complex), n, N)
+    np.subtract(coeffs, lam, out=diff)
+    columns = _stacked(diff).reshape(n * N, n, n * N)  # columns[:, i] is C_i - Lam_i
+    return max(max_norm(H @ columns[:, i]) for i in range(n))
 
 
 def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL) -> ProjectiveCalculusData:

@@ -619,6 +619,31 @@ class TestErrorPaths:
         message = "h is too large for its derivatives: [D_i, h_ab] overflows a double"
         assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
+    @staticmethod
+    def _rotation_spec(p) -> dict:
+        # n = 1, N = 2: D = [[0, 1], [-1, 0]], a metric with entries 1e200
+        # whose inverse relation and compatibility hold exactly for this p
+        entries = lambda m: [[[float(x), 0.0] for x in row] for row in m]
+        return {"N": 2, "n": 1, "derivations": [entries([[0, 1], [-1, 0]])], "p": [[entries(p)]],
+                "h": [[entries([[1, 1e200], [1e200, 1]])]], "h_inv": [[entries([[1, 0], [0, 0]])]]}
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_criterion_overflow_is_located(self, capsys, tmp_path, fmt):
+        # p = [[1, 1e200], [0, 0]] is idempotent and passes every invariant
+        # check, as do [D, p] and Λ; p [D, p] and Λ p overflow
+        bad = tmp_path / "big_p.json"
+        bad.write_text(json.dumps(self._rotation_spec([[1, 1e200], [0, 0]])))
+        message = ("p is too large for the criterion: its terms p^k_l [D_i, p^l_j] "
+                   "or Lam^k_il p^l_j overflow a double")
+        assert run(capsys, "projective", str(bad), "--format", fmt) == (1, "", f"realcalc: error: {message}\n")
+
+    def test_non_finite_invariant_residual_is_a_violation(self, capsys, tmp_path):
+        # p.p overflows, so the idempotence residual and its cut are both inf
+        bad = tmp_path / "big_p.json"
+        bad.write_text(json.dumps(self._rotation_spec([[1, 1e200], [1e200, 1]])))
+        message = "projection idempotence p.p = p violated (residual inf)"
+        assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
+
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         spec = json.loads(fixture_path("mat2_rank1.json").read_text())
