@@ -407,7 +407,7 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
     split = liealg.levi_split_compact(basis, tol)
     try:
-        f = liealg.structure_constants(basis, split, tol)
+        f = liealg.structure_constants(basis, split)
     except ValueError as exc:
         raise CliError(f"basis: {exc}") from exc
     return _jsonify({

@@ -14,7 +14,7 @@ a coefficient space are stacks of orthonormal rows in ``R^n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -149,81 +149,26 @@ class LieBasis:
         return q.T
 
 
-class _Checked(NamedTuple):
-    """A bracket tensor whose Jacobi identity is already decided."""
-
-    f: np.ndarray
-
-
-def _jacobi_bound(f: np.ndarray, residuals: np.ndarray) -> float:
-    """Bound on every entry of the Jacobi tensor of a frame tensor.
-
-    ``f`` is fitted to the brackets of an orthonormal frame E:
-    [E_a, E_b] = sum_c f^c_ab E_c + R_ab with R_ab orthogonal to the
-    span and ``residuals`` r_ab = |R_ab|_F. Matrix brackets satisfy
-    Jacobi exactly and the orthogonal projection P onto the span kills
-    every R_ab, so sum_m J^m_abc E_m = -P(sum_cyc [E_a, R_bc]), and as
-    |E_a|_F = 1 and |[A, B]|_F <= 2 |A|_F |B|_F,
-
-        |J^m_abc| <= 2 (r_bc + r_ca + r_ab).
-
-    The bound is the largest right-hand side plus 3 n (n + 2) eps s^2,
-    s = max(1, max |f|): the round-off of the slab check that evaluates
-    J in floating point, three length-n dot products of entries at most
-    s per entry. f and r are computed, not exact; :meth:`LeviSplit.constants`
-    leaves their round-off a factor-2 margin below the cut. Cost: O(n^3)
-    time and memory.
-    """
-    n = f.shape[0]
-    # r is symmetric, so r_ca = r_ac
-    cyclic = float(np.max(residuals[None] + residuals[:, None] + residuals[:, :, None]))
-    scale = max(1.0, max_norm(f))
-    return 2.0 * cyclic + 3.0 * n * (n + 2) * np.finfo(float).eps * scale * scale
-
-
-def _check_jacobi(arr: np.ndarray, cut: float) -> None:
-    """Raise ValueError when an entry of the Jacobi tensor of ``arr`` exceeds ``cut``.
-
-    The tensor is built one leading index m at a time, each slab one
-    BLAS contraction plus two cyclic transposes. Cost: O(n^5) time,
-    O(n^3) memory.
-    """
-    for fm in arr:
-        # t[i, j, k] = sum_l f[m, i, l] f[l, j, k]; the two cyclic
-        # shifts of t are the other two Jacobi terms of slab m.
-        t = np.tensordot(fm, arr, axes=([1], [0]))
-        if max_norm(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)) > cut:
-            raise ValueError("structure constants violate the Jacobi identity")
-
-
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Bracket tensor f[k, i, j] with [D_i, D_j] = sum_k f[k, i, j] D_k.
 
-    Construction checks antisymmetry, in O(n^3). The Jacobi identity, no
-    entry of J^m_ijk = sum_l (f^m_il f^l_jk + f^m_jl f^l_ki + f^m_kl f^l_ij)
-    above tol.cut(s^2), s = max(1, max |f|), is decided once, where the
-    tensor arises: a split's frame tensor takes the certificate of
-    :meth:`LeviSplit.constants`, whose fallback is the package's only
-    raw tensor and takes the exact slab check here, O(n^5) time, O(n^3)
-    memory; a tensor carried to another basis by ``_transport`` inherits
-    its source's check. No structure constants come from outside.
+    Construction checks only the shape and that every entry is finite,
+    and freezes the array it is given, with no copy. The package's two
+    producers make f antisymmetric by construction: the split fills its
+    frame tensor by antisymmetry, and ``_transport`` averages. Jacobi
+    follows from closure (see :func:`levi_split_compact`), so it is not
+    checked. No structure constants come from outside.
     """
 
     f: np.ndarray
 
-    def __init__(self, f, tol: Tolerance = DEFAULT_TOL):
-        checked = isinstance(f, _Checked)
-        arr = np.array(f.f if checked else f, dtype=float)
+    def __init__(self, f):
+        arr = np.asarray(f, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"structure constants must be n x n x n, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("structure constants must be finite")
-        scale = max(1.0, max_norm(arr))
-        if max_norm(arr + arr.transpose(0, 2, 1)) > tol.cut(scale):
-            raise ValueError("structure constants are not antisymmetric in the lower indices")
-        if not checked:
-            _check_jacobi(arr, tol.cut(scale * scale))
         object.__setattr__(self, "f", _freeze(arr))
 
     @property
@@ -241,15 +186,12 @@ class LeviSplit:
     where for a compact algebra the radical is the center, the
     complement is [g, g], and the rows of both together are an
     orthonormal basis of the coefficient space; it also keeps the
-    residuals of the frame brackets' fit, which :meth:`constants` turns
-    into the algebra's Jacobi certificate, and the singular values of
-    its SVD, which :func:`killing_form` reads.
+    singular values of its SVD, which :func:`killing_form` reads.
     """
 
     f: np.ndarray
     radical_basis: np.ndarray
     ss_basis: np.ndarray
-    _fit_residuals: Optional[np.ndarray] = field(default=None, repr=False)
     _singular_values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -268,20 +210,6 @@ class LeviSplit:
     @property
     def ss_dim(self) -> int:
         return self.ss_basis.shape[0]
-
-    def constants(self, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
-        """``f`` as :class:`StructureConstants`, with the algebra's one Jacobi certificate.
-
-        For a split from :func:`levi_split_compact`, the O(n^3) bound of
-        ``_jacobi_bound`` certifies f when it is at most half the cut, the
-        other half being the margin for the fit's round-off. Otherwise,
-        and for any other split, the O(n^5) slab check decides.
-        """
-        if self._fit_residuals is not None:
-            scale = max(1.0, max_norm(self.f))
-            if _jacobi_bound(self.f, self._fit_residuals) <= 0.5 * tol.cut(scale * scale):
-                return StructureConstants(_Checked(self.f), tol)
-        return StructureConstants(self.f, tol)
 
 
 def _bracket_pairs(E: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
@@ -331,8 +259,8 @@ def _fit_norms(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> StructureConstants:
-    """``f`` carried from a basis A to B = P A, A = Q B, inheriting f's Jacobi check.
+def _transport(f: np.ndarray, P: np.ndarray, Q: np.ndarray) -> StructureConstants:
+    """Bracket tensor ``f`` carried from a basis A to B = P A, A = Q B.
 
     out[k, i, j] = sum_{c,a,b} Q[c, k] P[i, a] P[j, b] f[c, a, b], summed
     over c first and averaged to exact antisymmetry. J(out) is J(f)
@@ -344,24 +272,23 @@ def _transport(f: StructureConstants, P: np.ndarray, Q: np.ndarray) -> Structure
     itself. An entry of out beyond the largest double raises ValueError.
     Cost: O(n^4) time, O(n^3) memory.
     """
-    out = np.tensordot(np.tensordot(Q, f.f, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
+    out = np.tensordot(np.tensordot(Q, f, axes=([0], [0])), P, axes=([1], [1]))  # (k, b, i)
     out = np.tensordot(out, P, axes=([1], [1]))
     out = 0.5 * (out - out.transpose(0, 2, 1))
     if not np.all(np.isfinite(out)):
         raise ValueError("structure constants overflow a double in this basis")
-    return StructureConstants(_Checked(out))
+    return StructureConstants(out)
 
 
-def structure_constants(basis: LieBasis, split: LeviSplit, tol: Tolerance = DEFAULT_TOL) -> StructureConstants:
+def structure_constants(basis: LieBasis, split: LeviSplit) -> StructureConstants:
     """Bracket tensor of a basis, carried back from the frame tensor of its split.
 
     ``split`` is ``levi_split_compact(basis)``, which formed the brackets
     and decided closure. As D = T_inv E and E = T D, f is
-    ``_transport(split.constants(tol), T_inv, T)``: T meets f_E before
-    T_inv, so tiny bases do not underflow, and f inherits the split's
-    Jacobi certificate. Cost: O(n^4) time, O(n^3) memory.
+    ``_transport(split.f, T_inv, T)``: T meets f_E before T_inv, so tiny
+    bases do not underflow. Cost: O(n^4) time, O(n^3) memory.
     """
-    return _transport(split.constants(tol), basis.T_inv, basis.T)
+    return _transport(split.f, basis.T_inv, basis.T)
 
 
 def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
@@ -437,9 +364,23 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     exactly when r = n, the first r left singular vectors are an
     orthonormal basis of [g, g], and the other n - r span the center,
     its orthogonal complement (<z, [x, y]> = <[z, x], y> vanishes for
-    all x, y exactly when z is central). The residual norms r^E are kept
-    for the Jacobi certificate of :meth:`LeviSplit.constants`, and the
-    singular values for :func:`killing_form`.
+    all x, y exactly when z is central). The singular values are kept
+    for :func:`killing_form`.
+
+    Jacobi follows from closure and is not checked. Matrix brackets obey
+    it exactly, and f_E projects orthogonally, so the part
+    R_ab = [E_a, E_b] - sum_k f^k_ab E_k left outside the span is
+    orthogonal to every E_k. Ad-invariance then turns the Jacobi tensor
+    J^m_abc = sum_l (f^m_al f^l_bc + f^m_bl f^l_ca + f^m_cl f^l_ab) into
+
+        J^m_abc = -(<R_ma, R_bc> + <R_mb, R_ca> + <R_mc, R_ab>).
+
+    Closure bounds every |R_ab| by its cut c = tol.abs + tol.rel *
+    max(1, |[E_a, E_b]|) <= tol.abs + sqrt(2) tol.rel, as
+    |[A, B]|_F <= sqrt(2) |A|_F |B|_F (Boettcher and Wenzel 2008), so
+    |J| <= 3 c^2. With tol.abs = 0 that is at most the zero cut
+    tol.cut(s^2), s = max(1, max |f|), of a bracket tensor whenever
+    tol.rel <= 1/6; the default tol.abs moves that limit by about 1e-12.
     Cost: O(n^2 N^3 + n^3 N^2 + n^4) time, the n^3 N^2 term the BLAS
     projection onto E and its subtraction and the n^4 term the QR,
     O(n^2 N^2 + n^3) memory: the n^2 products E_a E_b and the n(n - 1)/2
@@ -471,7 +412,7 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     # the right singular vectors of K are the left ones of M
     _, s, vh = np.linalg.svd(np.linalg.qr(f[:, iu, ju].T, mode="r"), full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
-    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(residuals), _freeze(s))
+    return LeviSplit(f, vh[rank:], vh[:rank], _freeze(s))
 
 
 @dataclass(frozen=True, eq=False)

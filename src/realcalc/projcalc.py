@@ -208,7 +208,7 @@ class ProjectiveCalculusData:
         n, N = derivs.n, derivs.N
         split = levi_split_compact(derivs, tol)
         try:
-            f = structure_constants(derivs, split, tol)
+            f = structure_constants(derivs, split)
         except ValueError as exc:
             raise ValueError(f"derivations: {exc}") from exc
         p = _grid(p, n, N, "p")

@@ -200,7 +200,7 @@ def family_200() -> tuple:
 
 def user_constants(basis: liealg.LieBasis, tol: Tolerance = DEFAULT_TOL) -> liealg.StructureConstants:
     """The bracket tensor of ``basis`` in its own coefficients, read off its split."""
-    return liealg.structure_constants(basis, liealg.levi_split_compact(basis, tol), tol)
+    return liealg.structure_constants(basis, liealg.levi_split_compact(basis, tol))
 
 
 def random_trivial_data(rng: np.random.Generator, sizes=(2, 3)):
@@ -406,8 +406,8 @@ def all_pairs_fit_norms(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``f`` is :func:`all_pairs_frame_tensor`; the pairs a < b are copied
     out of the full tensor and the projection subtracted by the split's
-    two real BLAS products, so the residuals must equal the split's
-    ``_fit_residuals`` bit for bit.
+    two real BLAS products, so both must equal bit for bit what the
+    split's ``_fit_norms`` gives closure to read.
     """
     n = E.shape[0]
     iu, ju = np.triu_indices(n, k=1)

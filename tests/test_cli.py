@@ -141,14 +141,19 @@ class TestLieCommand:
         # one split gives [g, g], the center, solvability, the Killing
         # matrix and the structure constants: each lie and each analyze
         # call builds one basis, forms the brackets once, splits once and
-        # reads the Killing form once; the split's frame certificate
-        # decides Jacobi, so no slab check runs
-        calls = count_calls(monkeypatch, "levi_split_compact", "killing_form", "_check_jacobi")
+        # reads the Killing form once
+        calls = count_calls(monkeypatch, "levi_split_compact", "killing_form")
         for _ in range(runs):
             report = run_json(capsys, "lie", name)
             assert report["solvable"] is False
             run_json(capsys, "analyze", name)
-        assert calls == {**dict.fromkeys(calls, 2 * runs), "_check_jacobi": 0}
+        assert calls == dict.fromkeys(calls, 2 * runs)
+
+    def test_jacobi_is_not_decided(self):
+        # closure bounds the Jacobi defect (levi_split_compact), so no
+        # check, certificate or checked-tensor marker of it is bound
+        bound = set(vars(liealg)) | set(vars(liealg.LeviSplit))
+        assert bound.isdisjoint({"_check_jacobi", "_jacobi_bound", "_Checked", "constants", "_fit_residuals"})
 
 
 class TestProjectiveCommand:
@@ -175,15 +180,14 @@ class TestProjectiveCommand:
     def test_grid_derivatives_built_once(self, capsys, monkeypatch, name):
         # [D_i, p] and [D_i, h] are built with the data, whether the
         # criterion holds or not, and every later step reads them; the
-        # structure constants are read off one split, with its Jacobi
-        # certificate and no slab check
+        # structure constants are read off one split
         calls = []
         original = projcalc._commutators
         monkeypatch.setattr(projcalc, "_commutators", lambda *args: calls.append(1) or original(*args))
-        counts = count_calls(monkeypatch, "levi_split_compact", "_check_jacobi")
+        counts = count_calls(monkeypatch, "levi_split_compact")
         run_json(capsys, "projective", name)
         assert len(calls) == 2
-        assert counts == {**dict.fromkeys(counts, 1), "_check_jacobi": 0}
+        assert counts == dict.fromkeys(counts, 1)
 
     @pytest.mark.parametrize("name, entries", [("free_trivial.json", 5), ("mat2_rank1.json", 2)])
     def test_lambda_and_residual_formed_once(self, capsys, monkeypatch, name, entries):
@@ -501,11 +505,11 @@ class TestErrorPaths:
         assert (code, err) == (0, "")
         assert json.loads(out)["holds"] is run_json(capsys, "projective", "free_trivial.json")["holds"]
 
-    def test_rescaled_cartan_presentation_is_accepted(self, capsys, monkeypatch, tmp_path):
+    def test_rescaled_cartan_presentation_is_accepted(self, capsys, tmp_path):
         # a conjugated Cartan subalgebra of su(4) scaled by 1e8, mixed and
         # rescaled per element: its user-basis structure constants are
-        # round-off far above 1, whose own Jacobi residual reads as a
-        # violation; they inherit the frame's certificate instead, and
+        # round-off far above 1, whose own Jacobi residual would read as a
+        # violation; they are carried from the closed frame instead, and
         # projective, on the same derivations with identity grids, agrees
         mats = presented(np.random.default_rng(12), case_mats("cartan-su4-1e8"), "all")
         n, N = len(mats), mats[0].shape[0]
@@ -517,7 +521,6 @@ class TestErrorPaths:
         proj_spec.write_text(json.dumps({
             "N": N, "n": n, "derivations": [_pairs(m) for m in mats], "p": eye, "h": eye, "h_inv": eye,
         }))
-        calls = count_calls(monkeypatch, "_check_jacobi")
         reports = {}
         for command, spec in (("lie", lie_spec), ("analyze", lie_spec), ("projective", proj_spec)):
             code, out, err = run(capsys, command, str(spec), "--format", "json")
@@ -525,7 +528,6 @@ class TestErrorPaths:
             reports[command] = json.loads(out)
         assert reports["analyze"]["status"] == "Exists"
         assert reports["projective"]["holds"] is True
-        assert calls["_check_jacobi"] == 0
 
     def test_closure_violation_names_pair(self, capsys, tmp_path):
         # span{D1, D2} of su(2) is open at every scale: the residual is

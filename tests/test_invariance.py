@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcalc import cncalc, projcalc
+from realcalc import cncalc, liealg, projcalc
 from realcalc.liealg import LieBasis, killing_form, levi_split_compact
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
@@ -152,18 +152,23 @@ PRESENTATIONS = ["given", "conjugated", "mixed", "rescaled", "all"]
 def assert_split_matches_oracles(basis, split, label) -> None:
     """The split of ``basis`` against its references.
 
-    Its frame tensor and fit residuals, from the brackets a < b, equal
-    those read off all n^2 brackets bit for bit; the rows a <= b of K,
-    which its QR reads, keep even the signs of their zeros. Its R-SVD
-    against the SVD of K itself: the same rank, the singular values
-    within 1e-12 of the largest, the same [g, g] and center projectors
-    within 1e-10.
+    Its frame tensor, from the brackets a < b, equals the one read off
+    all n^2 brackets bit for bit, and so do the bracket and residual
+    norms that closure reads (``_fit_norms`` on those brackets and their
+    rows of the split's f_E); the rows a <= b of K, which its QR reads,
+    keep even the signs of their zeros. Its R-SVD against the SVD of K
+    itself: the same rank, the singular values within 1e-12 of the
+    largest, the same [g, g] and center projectors within 1e-10.
     """
     f = all_pairs_frame_tensor(basis.E)
     assert np.array_equal(split.f, f), label
+    iu, ju = np.triu_indices(basis.n, k=1)
+    fp = np.ascontiguousarray(split.f[:, iu, ju].T)
+    fit = liealg._fit_norms(basis.E, liealg._bracket_pairs(basis.E, iu, ju), fp, iu, ju)
+    for got, want in zip(fit, all_pairs_fit_norms(basis.E, f)):
+        assert np.array_equal(got, want), label
     iu, ju = np.triu_indices(basis.n)
     assert split.f[:, iu, ju].tobytes() == f[:, iu, ju].tobytes(), label
-    assert np.array_equal(split._fit_residuals, all_pairs_fit_norms(basis.E, f)[1]), label
     s, ss_basis, radical_basis = direct_svd_split(split.f)
     assert split.ss_dim == ss_basis.shape[0], label
     assert max_norm(split._singular_values - s) <= 1e-12 * s[0], label
