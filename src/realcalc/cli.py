@@ -16,7 +16,10 @@ processing errors.
 
 Every number in a report, and in a canonical spec file, is printed
 with 12 significant digits, -0.0 as 0.0, and a complex value as
-``[re, im]``; ``_jsonify`` is the one place that applies this format.
+``[re, im]``. There is one format, applied by ``_jsonify`` to scalars
+and small arrays and by the bulk printer (``_text_lengths``) to the
+float arrays printed in bulk; both array paths round through the
+shared scale pass ``_scaled12``.
 """
 
 from __future__ import annotations
@@ -52,26 +55,24 @@ class CliError(Exception):
 
 def _jsonify(value):
     """Convert a report value, recursively, to plain JSON types in the
-    report number format (see the module docstring), except that a
-    rounded float array that _render prints in bulk (``_prints_in_bulk``)
-    stays the float64 ``ndarray`` that ``_round12`` returns.
+    report number format (see the module docstring), except that a float
+    array that _render prints in bulk (``_prints_in_bulk``) stays a
+    float64 ``ndarray``, unrounded: the bulk printer rounds it where it
+    prints it.
 
     Floats and complex numbers, scalar or array, are rounded to
     ``float(f"{x:.12g}") + 0.0`` per entry (a complex one as its
     ``[re, im]`` pair); ints and bools become Python ints and bools.
     A float or complex scalar (np.float64 and np.complex128 too) is
     rounded by ``_round12_scalar``; other numpy scalars are read as 0-d
-    arrays. A float array of _ROUND12_MIN_SIZE entries or more is
-    rounded by ``_round12``'s numpy kernel, which gives the same bits: it scales
-    each entry by an exact power of ten to a 12-digit integer, rounds
-    that, and scales back in one correctly rounded operation. Zeros
-    stay on that path; non-finite entries, |x| below about 1e-11 or
-    from about 1e34 up, near-ties and exponent misses of log10 keep the
-    per-entry expression, as do scalars and smaller arrays. Cost: O(m)
-    numpy work for an array of m entries, plus per-entry Python work on
-    the entries that fall back only, and an O(m) ``tolist`` for the
-    arrays that the bulk path does not print: linear in the report's
-    bytes.
+    arrays. A complex array becomes the float view of its ``[re, im]``
+    pairs, without a copy when it is a C-contiguous complex128 array.
+    A float array that is not printed in bulk is rounded by
+    ``_round12`` and returned as its list form. Cost: O(m) numpy work
+    for an array of m entries, plus per-entry Python work on the entries
+    that ``_round12`` sends back to the per-entry expression and an O(m)
+    ``tolist`` for the arrays not printed in bulk; linear in the
+    report's bytes, and nothing for a bulk array.
     """
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -88,11 +89,12 @@ def _jsonify(value):
     if isinstance(value, (np.number, np.ndarray)):
         value = np.asarray(value)
         if value.dtype.kind == "c":
-            value = np.stack([value.real, value.imag], axis=-1)
-        if value.dtype.kind != "f":
+            value = np.ascontiguousarray(value, dtype=complex).view(float).reshape(value.shape + (2,))
+        elif value.dtype.kind == "f":
+            value = value.astype(float, copy=False)
+        else:
             return _jsonify(value.tolist())
-        value = _round12(value)
-        return value if _prints_in_bulk(value) else value.tolist()
+        return value if _prints_in_bulk(value) else _round12(value).tolist()
     return value
 
 
@@ -108,11 +110,12 @@ def _round12(x: np.ndarray) -> np.ndarray:
     exact, so the scaled value ``prod = v * 10^k`` (a product or a
     quotient) is within half an ulp of the true product, below 2^-14
     since |prod| < 1e12. Where 1e11 <= |prod| <= 1e12 - 1 and the
-    fraction of |prod| is more than 1e-3 from one half, ``rint(prod)``
-    is therefore the 12-digit integer that ``.12g`` prints, and
-    ``rint(prod) / 10^k`` is one correctly rounded operation on exact
-    operands: the double nearest to the printed decimal, which is what
-    ``float`` returns for it. Zeros give 0.0 on the same path.
+    fraction of |prod| is more than 1e-3 from one half (``_scaled12``'s
+    fast test), ``rint(prod)`` is therefore the 12-digit integer that
+    ``.12g`` prints, and ``rint(prod) / 10^k`` is one correctly rounded
+    operation on exact operands: the double nearest to the printed
+    decimal, which is what ``float`` returns for it. Zeros give 0.0 on
+    the same path.
 
     Every other entry keeps the per-entry expression: non-finite
     values, |k| > 22 (roughly 0 < |v| < 1e-11 or |v| >= 1e34), a wrong
@@ -128,9 +131,7 @@ def _round12(x: np.ndarray) -> np.ndarray:
         return _round12_entries(x)
     x = x.astype(float, copy=False)
     with np.errstate(all="ignore"):
-        fast, k, up, down, prod = _scaled12(x)
-        mag = np.abs(prod)
-        fast &= (mag >= 1e11) & (mag <= 1e12 - 1) & (np.abs(mag - np.floor(mag) - 0.5) > 1e-3)
+        fast, _, up, down, prod = _scaled12(x)
         fast |= x == 0
         out = np.rint(prod) * down / up + 0.0
     slow = np.flatnonzero(~fast)
@@ -142,13 +143,20 @@ def _round12(x: np.ndarray) -> np.ndarray:
 def _scaled12(x: np.ndarray):
     """``(fast, k, up, down, prod)`` for a float array x, under
     ``np.errstate(all="ignore")``: k = 11 - floor(log10|x|) where
-    fast = |k| <= 22 (0 elsewhere), 10^|k| as ``up`` or ``down`` (the
-    other is 1), and prod = x * 10^k in one rounded operation."""
+    |k| <= 22 (0 elsewhere), 10^|k| as ``up`` or ``down`` (the other is
+    1), and prod = x * 10^k in one rounded operation. ``fast`` is the
+    test under which ``rint(|prod|)`` is the 12-digit integer of x's
+    ``.12g`` text (see ``_round12``): |k| <= 22,
+    1e11 <= |prod| <= 1e12 - 1, and the fraction of |prod| more than
+    1e-3 from one half. It is False for zeros and non-finite entries."""
     k = 11 - np.floor(np.log10(np.abs(x)))
     fast = np.abs(k) <= 22
     k = np.where(fast, k, 0).astype(np.intp)
     up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
-    return fast, k, up, down, x * up / down
+    prod = x * up / down
+    mag = np.abs(prod)
+    fast &= (mag >= 1e11) & (mag <= 1e12 - 1) & (np.abs(mag - np.floor(mag) - 0.5) > 1e-3)
+    return fast, k, up, down, prod
 
 
 def _round12_scalar(v: float) -> float:
@@ -488,7 +496,7 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         out["connection_coefficients"] = coeffs
         out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs)
     # the report holds no view of the data, so its grids, derivatives and
-    # tensors are freed before the report's numbers are rounded
+    # tensors are freed before the report is printed
     del data, lam
     return _jsonify(out)
 
@@ -498,8 +506,9 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
 
 
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
-# json.dumps, except that the bulk arrays that _jsonify leaves print as their list form
-_TEXT_ENCODE = json.JSONEncoder(default=np.ndarray.tolist).encode
+# json.dumps, except that an array prints as the list form of its entries
+# rounded by _round12: in a report, a bulk array with a NaN or infinite entry
+_TEXT_ENCODE = json.JSONEncoder(default=lambda a: _round12(a).tolist()).encode
 _INLINE_WIDTH = 88
 
 
@@ -573,8 +582,10 @@ def _prints_in_bulk(x: np.ndarray) -> bool:
 
 def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
     """Pretty text of a float array that ``_prints_in_bulk``, as pieces,
-    exactly as _render's generic path prints its list form. A NaN or
-    infinite entry raises ValueError, as the JSON encoder does.
+    exactly as _render's generic path prints the list form of its
+    entries rounded by ``_round12``: the array is rounded here, in the
+    pass that picks each float's format. A NaN or infinite entry raises
+    ValueError, as the JSON encoder does.
 
     The floats are printed in bulk, a run of slabs of the outermost axis
     at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
@@ -582,8 +593,9 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
     array. For each run,
 
     1. ``_text_lengths`` gives the length of every float's JSON text,
-       float.__repr__, and the format and argument that print it, from
-       one numpy pass, without forming the texts;
+       float.__repr__ of its rounded value, and the format and argument
+       that print it, from one scale pass, forming only the texts of
+       the few floats that print as literals;
     2. the one-line length of every group at every level comes from
        reshape-sums of the text lengths, and decides whether the group
        prints inline, by _render's rule: when all its items are inline
@@ -599,9 +611,8 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
     brackets around it), and 5 * 18 > _INLINE_WIDTH.
 
     Cost: O(m d) for m floats in d dimensions, in numpy passes and one
-    C-level format call per run, plus float.__repr__'s length on the
-    floats that are neither zero nor 12-digit values; linear in the
-    bytes printed.
+    C-level format call per run, plus the texts of the floats that print
+    as literals (``_text_lengths``); linear in the bytes printed.
     """
     if not np.isfinite(x).all():
         raise ValueError("Out of range float values are not JSON compliant")
@@ -627,7 +638,7 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
     format call.
     """
     d, shape, flat = x.ndim, x.shape, x.ravel()
-    spec, args, lengths = _text_lengths(flat)
+    spec, args, literals, lengths = _text_lengths(flat)
     # A group's one-line form adds 2 characters for each item inside it,
     # at every level, to the texts of its floats; when that fits, so does
     # each item's shorter one-line form, and the whole group is inline.
@@ -641,99 +652,120 @@ def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
         inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
     # depth[i]: the outermost level whose group holding float i is inline (d if none)
     depth = np.repeat(d - inline.ravel(), shape[-1])
-    return _printed(args, spec, shape, depth, indent, 0 if whole else 1)
+    return _printed(spec, args, literals, shape, depth, indent, 0 if whole else 1)
 
 
-def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a 1-d finite float array: the format of every entry, as an
-    index into ``_SPECS``, the argument that format prints, and the
-    length of every entry's float.__repr__ text (the JSON encoder's
-    format), which is the text that format prints.
+def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """For a 1-d finite float array, the report text of every entry v:
+    float.__repr__ (the JSON encoder's format) of its rounded value
+    r = ``float(f"{v:.12g}") + 0.0``, as the format and argument that
+    print it, without forming most texts. Returns ``(spec, args,
+    literals, lengths)``: every entry's format, as an index into
+    ``_SPECS``; the argument of each digit-family entry, in order, as a
+    Python int; the text of each ``_LITERAL`` entry, in order, as an
+    object array; and the length of every entry's text.
 
-    An entry v is exact when ``_round12``'s scale-and-rint steps give a
-    12-digit integer M (1e11 <= M <= 1e12 - 1) and a scale k, |k| <= 22,
-    with v == M / 10^k, and v is not an integer. Then ``"%.12g" % v``
-    is byte-identical to ``repr(v)``:
+    v is rounded here, in one scale pass (``_scaled12``). Where its fast
+    test holds, M = rint(|prod|) is a 12-digit integer,
+    1e11 <= M <= 1e12 - 1, and r = +-M / 10^k, the double nearest to
+    that decimal (see ``_round12``), of decimal exponent e = 11 - k.
+    For e from -4 to -1, repr(r) is printed from M:
 
-    * the digits agree. v is the double nearest to M / 10^k (one
-      correctly rounded operation on exact operands), so the 12-digit
-      text t of v reads back as v, and repr, the shortest text that
-      reads back as v, has at most 12 significant digits too. Two
-      different decimals of at most 12 significant digits lie about
-      1e-12 |v| or more apart, while every text that reads back as a
-      normal v lies within 2^-53 |v| of it; so both texts carry the
-      same digits. v is normal, since |v| >= 1e11 / 10^22.
-    * the forms agree. Both print positional digits for decimal
-      exponents from -4 up, and "1.5e-05" form, with at least two
-      exponent digits, below -4. Upwards repr switches to that form at
-      exponent 16 and "%.12g" at 12, but a 12-digit value of 1e12 or
-      more is an integer.
+    * the digits agree. The 12-digit text of M / 10^k reads back as r,
+      so repr, the shortest text that reads back as r, has at most 12
+      significant digits too. Two different decimals of at most 12
+      significant digits lie about 1e-12 |r| or more apart, while every
+      text that reads back as a normal r lies within 2^-53 |r| of it;
+      so both texts carry the same digits. r is normal, since
+      |r| >= 1e-4.
+    * the form. repr prints positional digits for decimal exponents
+      from -4 to 15. Let z be the trailing zeros of M and M' = M / 10^z
+      the digit integer, which has exactly L = 12 - z digits, the first
+      one nonzero. Then repr(r) is "0.", then -e - 1 zeros, then the L
+      digits of M', with "-" first for a negative r: L + 1 - e
+      characters, one more for the sign. Index 4 * (r < 0) - e - 1 of
+      ``_SPECS`` is the format that prints exactly that from M'. M' is
+      handed to "%" as a Python int, on which "%d" is about twice as
+      fast as on a float.
 
-    Let e = 11 - k be the decimal exponent, z the trailing zeros of M,
-    and M' = M / 10^z the digit integer, which has exactly L = 12 - z
-    digits, the first one nonzero. For e from -4 to -1 the positional
-    text is "0.", then -e - 1 zeros, then the L digits of M', with "-"
-    first for a negative v. So these entries take the format that
-    prints exactly that, ``"0." + "0" * (-e - 1) + "%d"`` with a leading
-    "-" for a negative v, with argument M'. M' is held as a float64,
-    exact below 2^53, and "%d" prints a float's integer value. Every
-    other exact entry takes "%.12g" with argument v. The text is L + 1
-    characters when e >= 0 (a point, as v is not an integer), L + 1 - e
-    when -4 <= e < 0, and L + (L > 1) + 4 below ("e-05" to "e-11"), with
-    one more for a minus sign.
+    Both zeros take the literal "0.0" (``_ZERO``), 3 characters and no
+    argument, since -0.0 rounds to 0.0. Every other entry takes
+    ``_LITERAL``, an empty format that ``_printed`` follows with the
+    text repr(r), r taken as ``_round12`` takes it: from prod where the
+    fast test holds (exponents from 0 up or below -4), by
+    ``_round12_scalar`` elsewhere (near-ties, |k| > 22 and log10
+    misses). These are about 1% of a coefficient grid. Where the fast
+    test holds and r is not an integer, that text is "%.12g" of v, and
+    one format call prints all of these. .12g prints the digits of M
+    (see ``_round12``) without their trailing zeros, and repr the same
+    digits (as above: r is normal, since |k| <= 22 gives |r| >= 1e-11).
+    Both print positional digits for e from 0 to 10 (a 12-digit M with
+    e >= 11 is an integer) and the same exponent form, as in "1.5e-07",
+    for e below -4. Only integers, whose repr ends in ".0" or has an
+    exponent of 16 or more, and entries that fail the fast test are
+    printed by float.__repr__ (``_repr_texts``).
 
-    A +0.0 takes the literal "0.0", 3 characters, and no argument (its
-    entry of the argument array is v, and unused). Every other entry
-    takes "%r" with argument v, and the length of its float.__repr__:
-    -0.0 and integral values (repr prints "2.0", "%.12g" prints "2"),
-    values with more than 12 significant digits, and those whose log10
-    misses the exponent next to a power of ten or whose |k| > 22
-    (subnormals among them, whose shortest text can have fewer digits
-    than their 12-digit one).
+    So every printed text is repr(round12(v)), the text that the JSON
+    encoder gives the entry of ``_round12(x).tolist()``. Rounding is
+    idempotent, so an array prints the same bytes whether or not it was
+    rounded before it reached the printer.
 
-    Cost: O(m) numpy work on m entries, plus a float.__repr__ per entry
-    that takes "%r".
+    Cost: O(m) numpy work on m entries, plus a "%.12g" conversion per
+    ``_LITERAL`` entry that is not an integer, a float.__repr__ (about
+    twice that) per other ``_LITERAL`` entry, and a ``_round12_scalar``
+    per entry that fails the fast test.
     """
     with np.errstate(all="ignore"):
-        exact, k, up, down, prod = _scaled12(x)
-        digits = np.rint(np.abs(prod))
-        # the quotient is one rounded operation: the double nearest to M / 10^k
-        exact &= (digits >= 1e11) & (digits <= 1e12 - 1) & (digits * down / up == np.abs(x))
-    zeros = np.zeros(x.size, np.intp)  # trailing zeros of M, up to 11
-    at = np.flatnonzero(exact)
-    m = digits[at].astype(np.int64)
-    while at.size:
+        fast, k, up, down, prod = _scaled12(x)
+    at = np.flatnonzero(fast & (k >= 12) & (k <= 15))  # e from -4 to -1
+    e, neg = 11 - k[at], x[at] < 0
+    digits = np.rint(np.abs(prod[at])).astype(np.int64)
+    zeros = np.zeros(at.size, np.intp)  # trailing zeros of M, up to 11
+    i, m = np.arange(at.size), digits
+    while i.size:
         whole = m % 10 == 0
-        at, m = at[whole], m[whole] // 10
-        zeros[at] += 1
-    exact &= k > zeros  # not an integer
-    sig, e, neg = 12 - zeros, 11 - k, x < 0
-    family = exact & (e >= -4) & (e < 0)
-    zero = (x == 0) & ~np.signbit(x)
-    spec = np.where(family, 4 * neg - e - 1, np.where(exact, _EXACT, np.where(zero, _ZERO, _REPR)))
-    lengths = np.where(e >= 0, sig + 1, np.where(e >= -4, sig + 1 - e, sig + (sig > 1) + 4)) + neg
-    lengths[zero] = 3
-    slow = np.flatnonzero(spec == _REPR)
-    if slow.size:
-        lengths[slow] = list(map(len, map(float.__repr__, x[slow].tolist())))
-    # M / 10^z is an exact quotient of exact doubles
-    return spec, np.where(family, digits / _POW10[zeros], x), lengths
+        i, m = i[whole], m[whole] // 10
+        zeros[i] += 1
+    spec = np.full(x.size, _LITERAL)
+    spec[at] = 4 * neg - e - 1
+    spec[x == 0] = _ZERO
+    lengths = np.full(x.size, 3)  # "0.0", the zeros' text
+    lengths[at] = 13 - zeros - e + neg
+    lit = np.flatnonzero(spec == _LITERAL)
+    rounded = np.rint(prod[lit]) * down[lit] / up[lit] + 0.0  # as _round12 where fast
+    slow = ~fast[lit]
+    rounded[slow] = _round12_entries(x[lit[slow]])
+    general = ~slow & (rounded != np.floor(rounded))  # printed by "%.12g" of v
+    texts = np.empty(lit.size, object)
+    texts[general] = ("%.12g," * int(general.sum()) % tuple(x[lit[general]].tolist())).split(",")[:-1]
+    texts[~general] = _repr_texts(rounded[~general].tolist())
+    lengths[lit] = list(map(len, texts.tolist()))
+    return spec, (digits // 10 ** zeros).tolist(), texts, lengths
 
 
-def _printed(args: np.ndarray, spec: np.ndarray, shape: tuple[int, ...], depth: np.ndarray,
-             indent: int, top: int) -> str:
+def _repr_texts(values: list[float]) -> list[str]:
+    """float.__repr__ of each value: the bulk printer's per-float path,
+    about twice the cost of a float printed by a format call."""
+    return list(map(float.__repr__, values))
+
+
+def _printed(spec: np.ndarray, args: list[int], literals: np.ndarray, shape: tuple[int, ...],
+             depth: np.ndarray, indent: int, top: int) -> str:
     """The floats of a run of an array of ``shape``, given by each one's
-    format and argument (``_text_lengths``), printed with the texts
-    between and around them (``_separators``), given each float's inline
-    depth: step 3 of _render_float_array.
+    format, the digit-family arguments and the literal texts
+    (``_text_lengths``), printed with the texts between and around them
+    (``_separators``), given each float's inline depth: step 3 of
+    _render_float_array.
 
     The format string is the prefix, then for each float its entry of
-    ``_SPECS`` followed by the text after it, then the suffix; none of
-    these texts holds "%" but the one conversion of a float's format.
-    ``_separators`` keeps each text with the format of the float after
-    it, so the string is one join of table entries, and one C-level
-    ``%`` call prints every float, on a tuple of one argument per float
-    that is not the "0.0" literal.
+    ``_SPECS``, followed by its text if it is a ``_LITERAL`` float, then
+    by the text after it, then the suffix. None of these texts holds "%"
+    but the one conversion of a digit-family format: a float's repr has
+    none. ``_separators`` keeps each text with the format of the float
+    after it, so the string is one join of table entries, with the
+    literal texts appended to their floats' entries (one object-array
+    addition), and one C-level ``%`` call prints every float, on the
+    tuple of the digit-family arguments.
     Cost: O(m d) for m floats in d dimensions.
     """
     d, specs = len(shape), len(_SPECS)
@@ -744,37 +776,41 @@ def _printed(args: np.ndarray, spec: np.ndarray, shape: tuple[int, ...], depth: 
     common = common.ravel()[1:]
     table, prefix, suffix = _separators(d, indent, top)
     key = ((common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]) * specs + spec[1:]
-    fmt = "".join([prefix[specs * depth[0] + spec[0]], *table[key].tolist(), suffix[depth[-1]]])
-    return fmt % tuple(args[spec != _ZERO].tolist())
+    texts = np.empty(spec.size + 1, object)
+    texts[0], texts[1:-1], texts[-1] = prefix[specs * depth[0] + spec[0]], table[key], suffix[depth[-1]]
+    texts[:-1][spec == _LITERAL] += literals
+    return "".join(texts.tolist()) % tuple(args)
 
 
 def _inline_float_array(x: np.ndarray) -> list[str]:
     """One-line text of a finite float array that ``_prints_in_bulk``,
-    as pieces, exactly as ``json.dumps`` prints its list form.
+    as pieces, exactly as ``json.dumps`` prints the list form of its
+    entries rounded by ``_round12``.
 
     It is _render_float_array with every group inline: each run of slabs
-    is printed by ``_printed`` with one format call, so the per-float
-    temporaries never cover the whole array. Cost: O(m d) for m floats
-    in d dimensions; linear in the bytes printed.
+    is rounded and printed by ``_printed`` with one format call, so the
+    per-float temporaries never cover the whole array. Cost: O(m d) for
+    m floats in d dimensions; linear in the bytes printed.
     """
     step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
     pieces = []
     for i in range(0, len(x), step):
         run = x[i:i + step]
-        spec, args, _ = _text_lengths(run.ravel())
-        pieces += ", " if i else "[", _printed(args, spec, run.shape, np.zeros(run.size, np.intp), 0, 1)
+        spec, args, literals, _ = _text_lengths(run.ravel())
+        depth = np.zeros(run.size, np.intp)
+        pieces += ", " if i else "[", _printed(spec, args, literals, run.shape, depth, 0, 1)
     pieces.append("]")
     return pieces
 
 
-_SPECS = (*(sign + "0." + "0" * z + "%d" for sign in ("", "-") for z in range(4)), "%.12g", "%r", "0.0")
+_SPECS = (*(sign + "0." + "0" * z + "%d" for sign in ("", "-") for z in range(4)), "", "0.0")
 """A float's format in the bulk printer, by index (``_text_lengths``).
-Index 4 * (v < 0) - e - 1 prints an exact v of decimal exponent e from
--4 to -1 from its digit integer; ``_EXACT`` prints any other exact v,
-``_REPR`` every other float, -0.0 among them, and ``_ZERO``, a
-literal with no conversion, prints +0.0. Each other entry holds exactly
-one "%" conversion."""
-_EXACT, _REPR, _ZERO = map(_SPECS.index, ("%.12g", "%r", "0.0"))
+Index 4 * (r < 0) - e - 1 prints a rounded value r of decimal exponent
+e from -4 to -1 from its digit integer, with exactly one "%"
+conversion. ``_LITERAL``, empty, is followed by the float's text as a
+literal, and ``_ZERO``, a literal with no conversion, prints both
+zeros."""
+_LITERAL, _ZERO = map(_SPECS.index, ("", "0.0"))
 
 
 @lru_cache(maxsize=None)
@@ -794,8 +830,8 @@ def _separators(d: int, indent: int, top: int):
     that text and format, ``prefix[S * depth + s]`` opens the first
     float's groups and holds its format, and ``suffix[depth]`` closes
     the last one's. Every entry and prefix holds the one "%" conversion
-    of its format, or none for the "0.0" literal; the suffixes hold
-    none. The tables are built on first use for each argument triple,
+    of its format, or none for ``_LITERAL`` and ``_ZERO``; the suffixes
+    hold none. The tables are built on first use for each argument triple,
     never at import.
 
     Floats a and b share their groups at levels 0 to c, so when either
@@ -835,7 +871,10 @@ def _json_pieces(report: dict) -> list[str]:
 
 def render_json(report: dict) -> str:
     """Deterministic JSON: fixed key order, short numeric lists inline.
-    The pieces that ``_render`` prints are joined once."""
+    A float array that ``_prints_in_bulk`` prints the list form of its
+    entries rounded to 12 digits (``_round12``), rounded as it prints;
+    other values print as they are. The pieces that ``_render`` prints
+    are joined once."""
     return "".join(_json_pieces(report))
 
 
@@ -867,7 +906,10 @@ def _text_pieces(report: dict) -> list[str]:
 
 def render_text(report: dict) -> str:
     """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
-    its list form; a finite bulk float array through ``_inline_float_array``."""
+    its list form, except that a float array that ``_prints_in_bulk``
+    prints the list form of its entries rounded to 12 digits
+    (``_round12``): through ``_inline_float_array`` when it is finite,
+    through the encoder's fallback otherwise."""
     return "".join(_text_pieces(report))
 
 

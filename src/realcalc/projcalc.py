@@ -146,7 +146,10 @@ def _times_block(t: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
-    """Yield ``(identity, residual, scale)`` for each defining identity.
+    """Yield ``(identity, residual, factors)`` for each defining identity:
+    the residual's scale is the product of the factors, each at least 1,
+    which can exceed the largest double where the residual does not
+    (``_within_cut``).
 
     The identities are checked in this order, so a caller that stops at
     the first violation reports the same one. The three grid products
@@ -157,16 +160,28 @@ def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
     imax = max(1.0, max_norm(h_inv))
     P, H, Hi = _block_matrix(p), _block_matrix(h), _block_matrix(h_inv)
 
-    yield "projection idempotence p.p = p", max_norm(P @ P - P), pmax * pmax
+    yield "projection idempotence p.p = p", max_norm(P @ P - P), (pmax, pmax)
     res = max_norm(h - h.conj().transpose(1, 0, 3, 2))
-    yield "metric symmetry h_ij = h_ji^*", res, hmax
+    yield "metric symmetry h_ij = h_ji^*", res, (hmax,)
     res = max_norm(h - h.conj().transpose(0, 1, 3, 2))
-    yield "metric hermiticity h_ij = h_ij^dagger", res, hmax
+    yield "metric hermiticity h_ij = h_ij^dagger", res, (hmax,)
     res = max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2))
-    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, imax
+    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, (imax,)
     PHi = P @ Hi
-    yield "inverse relation p h^{kl} h_li = p", max_norm(PHi @ H - P), pmax * hmax * imax
-    yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), pmax * imax
+    yield "inverse relation p h^{kl} h_li = p", max_norm(PHi @ H - P), (pmax, hmax, imax)
+    yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), (pmax, imax)
+
+
+def _within_cut(res: float, factors: tuple[float, ...], tol: Tolerance) -> bool:
+    """Whether res <= tol.cut(s) for s the product of the factors, each
+    at least 1, without forming s: res and tol.abs are divided by the
+    factors one at a time, so nothing overflows where res is finite.
+    With |p| near 1.5e154, |p|^2 is past the largest double, and a cut
+    formed from it would be inf and pass a finite violation."""
+    cut = tol.abs
+    for factor in factors:
+        res, cut = res / factor, cut / factor
+    return res <= cut + tol.rel
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +231,8 @@ class ProjectiveCalculusData:
         h_inv = _grid(h_inv, n, N, "h_inv")
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for identity, res, scale in _invariant_residuals(p, h, h_inv):
-                if not (np.isfinite(res) and res <= tol.cut(scale)):
+            for identity, res, factors in _invariant_residuals(p, h, h_inv):
+                if not (np.isfinite(res) and _within_cut(res, factors, tol)):
                     raise InvariantViolation(identity, res)
 
         object.__setattr__(self, "derivs", derivs)

@@ -646,6 +646,18 @@ class TestErrorPaths:
         message = "projection idempotence p.p = p violated (residual inf)"
         assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
+    def test_idempotence_violation_past_the_largest_scale(self, capsys, tmp_path):
+        # |p| = 1.5e154: the idempotence scale |p|^2 overflows a double, but
+        # the residual 1.5e304 is still compared with a finite cut
+        entries = lambda m: [[[float(x), 0.0] for x in row] for row in m]
+        spec = {"N": 2, "n": 1, "derivations": [entries([[0, 1], [-1, 0]])],
+                "p": [[entries([[1e150, 1.5e154], [1e-10, 0]])]],
+                "h": [[entries([[1, 0], [0, 1]])]], "h_inv": [[entries([[1, 0], [0, 1]])]]}
+        bad = tmp_path / "big_p.json"
+        bad.write_text(json.dumps(spec))
+        message = "projection idempotence p.p = p violated (residual 1.500e+304)"
+        assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
+
     def test_projective_requires_one_input_form(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         spec = json.loads(fixture_path("mat2_rank1.json").read_text())

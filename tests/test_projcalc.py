@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -63,6 +64,22 @@ class TestDataValidation:
         p[0, 1] = 0.5 * I2
         with pytest.raises(InvariantViolation, match="idempotence"):
             ProjectiveCalculusData(su2_basis, p, eye_grid(3, 2), eye_grid(3, 2))
+
+    def test_idempotence_cut_does_not_overflow(self):
+        # n = 1, N = 2: |p| = 1.5e154 puts the scale |p|^2 of idempotence
+        # past the largest double, and p.p - p has an entry 1.5e304, 7e-5
+        # of that scale. A cut formed from the scale was inf and passed it,
+        # and projection compatibility was named instead.
+        basis = LieBasis([np.array([[0, 1], [-1, 0]], dtype=complex)])
+        p = np.array([[[[1e150, 1.5e154], [1e-10, 0]]]], dtype=complex)
+        one = np.eye(2, dtype=complex)[None, None]
+        with pytest.raises(InvariantViolation) as info:
+            ProjectiveCalculusData(basis, p, one, one)
+        assert info.value.identity == "projection idempotence p.p = p"
+        assert info.value.residual == pytest.approx(1.5e304)
+        # the same p scaled to 1.5e-4 of itself is no closer to idempotent
+        with pytest.raises(InvariantViolation, match="idempotence"):
+            ProjectiveCalculusData(basis, p * 1e-4, one, one)
 
     def test_rejects_nonhermitian_metric(self, su2_basis):
         h = eye_grid(3, 2).copy()
@@ -571,8 +588,8 @@ class TestContractionsAgainstLiteral:
             got = list(projcalc._invariant_residuals(p, h, h_inv))
             want = _invariant_residuals_literal(p, h, h_inv)
             assert [name for name, _, _ in got] == [name for name, _ in want]
-            for (_, res, scale), (_, lit) in zip(got, want):
-                assert abs(res - lit) <= REL * scale
+            for (_, res, factors), (_, lit) in zip(got, want):
+                assert abs(res - lit) <= REL * math.prod(factors)
 
     def test_lambda_tensor(self, generic_data):
         want = _lambda_literal(generic_data)
@@ -649,11 +666,11 @@ class TestInvariantViolationNames:
         # the literal checks, in the parent's order, name the same identity
         first = next(
             (name, res)
-            for (name, res), (_, _, scale) in zip(
+            for (name, res), (_, _, factors) in zip(
                 _invariant_residuals_literal(grids["p"], grids["h"], grids["h_inv"]),
                 projcalc._invariant_residuals(grids["p"], grids["h"], grids["h_inv"]),
             )
-            if res > DEFAULT_TOL.cut(scale)
+            if res > DEFAULT_TOL.cut(math.prod(factors))
         )
         assert first[0] == identity
         with pytest.raises(InvariantViolation) as info:

@@ -1,13 +1,15 @@
 """The JSON renderer and number formatter against the references they replaced.
 
 ``_dump_json_literal`` encodes every list subtree at every depth and
-keeps the result when it fits, reading an array as its list form;
-``render_json`` encodes each value once and prints large float arrays in
-bulk. Both must print the same bytes for any tree. ``_text_literal`` is
-``render_text`` with ``json.dumps`` applied to the list form of each
-leaf. ``_round12`` and
-``_complex_out`` are the per-scalar conversions the commands applied
-before ``_jsonify`` became the only formatter.
+keeps the result when it fits, reading an array as its list form, and a
+float array that the renderers print in bulk as the list form of its
+entries rounded to 12 digits; ``render_json`` encodes each value once
+and prints large float arrays in bulk, rounding them as it prints them.
+Both must print the same bytes for any tree. ``_text_literal`` is
+``render_text`` with ``json.dumps`` applied to that list form of each
+leaf. ``_round12`` and ``_complex_out`` are the per-scalar conversions
+the commands applied before ``_jsonify`` became the formatter of every
+value the bulk printer does not print.
 """
 
 import gc
@@ -29,14 +31,16 @@ from support import block_with_center, generic_presentation, su_basis, trivial_d
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 
 
-def _lists(value):
-    """The tree with every array replaced by its list form."""
+def _lists(value, every: bool = False):
+    """The tree with every array replaced by its list form, that of its
+    rounded entries for an array that the renderers print in bulk, or for
+    every array if ``every`` (the text encoder rounds any array)."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return (_round12_reference(value) if every or cli._prints_in_bulk(value) else value).tolist()
     if isinstance(value, dict):
-        return {k: _lists(v) for k, v in value.items()}
+        return {k: _lists(v, every) for k, v in value.items()}
     if isinstance(value, list):
-        return [_lists(v) for v in value]
+        return [_lists(v, every) for v in value]
     return value
 
 
@@ -91,7 +95,7 @@ def _text_literal(report: dict) -> str:
             for idx, v in enumerate(value):
                 walk(v, f"[{idx}]", indent + 1)
         else:
-            lines.append(f"{pad}{key}: {json.dumps(_lists(value))}")
+            lines.append(f"{pad}{key}: {json.dumps(_lists(value, every=True))}")
 
     for k, v in report.items():
         walk(v, k, 0)
@@ -222,8 +226,12 @@ def test_array_rounding_matches_scalar_path(dtype):
         assert np.signbit(values.real).any() and np.signbit(values.imag).any()
     for arr in (values.reshape(4, 5, 4, 5), values[:3], values[0], values[:0]):
         arr = np.asarray(arr, dtype=dtype)
-        assert_same_bits(np.asarray(cli._jsonify(arr), dtype=float),
-                         np.asarray(cli._jsonify(arr.tolist()), dtype=float))
+        assert_same_bits(_printed_numbers(cli._jsonify(arr)), _printed_numbers(cli._jsonify(arr.tolist())))
+
+
+def _printed_numbers(value) -> np.ndarray:
+    """The numbers that render_json prints for a value of _jsonify, read back."""
+    return np.array(json.loads(cli.render_json(value)), dtype=float)
 
 
 def _round12(x: float) -> float:
@@ -364,13 +372,17 @@ def test_jsonify_arrays_match_entries(shape, dtype):
     x = values[:size].reshape(shape).astype(dtype)
     if x.dtype.kind == "c":
         x.imag = values[size:].reshape(shape)
-        want = _round12_reference(np.stack([x.real, x.imag], axis=-1))
+        raw = np.stack([x.real, x.imag], axis=-1).astype(float)
     else:
-        want = _round12_reference(x)
+        raw = x.astype(float)
+    want = _round12_reference(raw)
     out = cli._jsonify(x)
-    # an array that the renderer prints in bulk stays an array
+    # an array that the renderer prints in bulk stays an array, unrounded,
+    # and prints its rounded entries
     if cli._prints_in_bulk(want):
         assert type(out) is np.ndarray
+        assert_same_bits(out, raw)
+        out = _printed_numbers(out)
     else:
         assert _plain(out)
     assert_same_bits(np.asarray(out, dtype=float).reshape(want.shape), want)
@@ -452,9 +464,9 @@ def test_ragged_float_arrays(array, depth, grow, where):
     assert_same(_placed(nested, depth))
 
 
-# The bulk path prints most floats from their 12-digit integers; these
-# compare its text with float.__repr__ on doubles on both sides of every
-# case its argument excludes.
+# The bulk path rounds every float to 12 digits and prints most from
+# their 12-digit integers; these compare its text with float.__repr__ of
+# the rounded doubles on both sides of every case its argument excludes.
 
 repr_edges = st.sampled_from([
     0.0, -0.0, 1.0, -2.0, 3e-7, 1e11, 123456789012.0, 999999999999.0, 1e12, -1e12, 1e12 + 1.0,
@@ -471,14 +483,20 @@ doubles = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 def assert_printed_as_repr(values, slab=cli._SLAB_SIZE):
-    """Every float's format and argument and the one-call printer, a run
-    of slabs at a time, give its float.__repr__, and every computed
-    length is that text's; returns the spec index of every float."""
-    want = [float.__repr__(v) for v in values]
-    spec, args, lengths = cli._text_lengths(np.array(values))
+    """Every float's format and argument or literal text, and the
+    one-call printer, a run of slabs at a time, give the float.__repr__
+    of the float rounded to 12 digits, and every computed length is that
+    text's; returns the spec index of every float."""
+    want = [float.__repr__(v) for v in _round12_reference(values).tolist()]
+    spec, args, literals, lengths = cli._text_lengths(np.array(values))
     assert lengths.tolist() == list(map(len, want))
-    texts = [cli._SPECS[s] if s == cli._ZERO else cli._SPECS[s] % a for s, a in zip(spec.tolist(), args.tolist())]
+    # "%d" prints the digit integers from Python ints
+    assert {type(a) for a in args} <= {int} and {type(t) for t in literals} <= {str}
+    args, literals = iter(args), iter(literals)
+    texts = [next(literals) if s == cli._LITERAL else cli._SPECS[s] if s == cli._ZERO else cli._SPECS[s] % next(args)
+             for s in spec.tolist()]
     assert texts == want
+    assert next(args, None) is None and next(literals, None) is None
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
         text = "".join(cli._inline_float_array(np.array(values)[:, None]))
@@ -511,52 +529,66 @@ def test_digit_family_is_exhaustive():
     assert spec.tolist() == list(family)
 
 
-def _log10_neighbours() -> list[float]:
+def _log10_neighbours() -> list[tuple[float, int]]:
     """The doubles within 3 ulps of 10^-1 ... 10^-4, whose log10 can miss
-    the decimal exponent."""
+    the decimal exponent, with their spec index. All round to 10^-j; the
+    doubles above it scale to a 12-digit value and print from their digit
+    integer, those below scale to 1e12 - 1 or more, or below 1e11, and
+    print as literals."""
     out = []
     for j in range(1, 5):
         below = above = 10.0 ** -j
         for _ in range(3):
             below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
-            out += [float(below), float(above)]
+            out += [(float(below), cli._LITERAL), (float(above), j - 1)]
     return out
 
 
 @pytest.mark.parametrize("value, spec", [
     (0.1, 0), (0.999999999999, 0), (-0.1, 4), (0.0001, 3), (0.000999999999999, 3), (-0.0001, 7),
-    (9.99999999999e-05, cli._EXACT), (-9.99999999999e-05, cli._EXACT), (0.5e-4, cli._EXACT),
-    (1.0, cli._REPR), (-1.0, cli._REPR), (-0.0, cli._REPR), (0.0, cli._ZERO),
-    *((v, cli._REPR) for v in _log10_neighbours()),
+    (9.99999999999e-05, cli._LITERAL), (-9.99999999999e-05, cli._LITERAL), (0.5e-4, cli._LITERAL),
+    (1.0, cli._LITERAL), (-1.0, cli._LITERAL), (-0.0, cli._ZERO), (0.0, cli._ZERO),
+    *_log10_neighbours(),
+    # raw values: more than 12 digits, a near-tie, and values that round
+    # up into the next decade, inside and out of the family's exponents
+    (0.12345678901234, 0), (-0.00012345678901234, 7), (0.1234567890125, cli._LITERAL),
+    (0.0999999999999996, cli._LITERAL), (0.9999999999997, cli._LITERAL), (9.999999999996e-05, cli._LITERAL),
+    (1.23456789012345e-05, cli._LITERAL), (1e300, cli._LITERAL), (-3e-320, cli._LITERAL),
 ])
 def test_digit_family_edges(value, spec):
     assert assert_printed_as_repr([value]).tolist() == [spec]
 
 
-def test_printed_floats_fall_back_rarely():
-    # on rounded report data "%r" prints almost no float, or the
-    # properties above would pass on float.__repr__ alone
+def test_printed_floats_fall_back_rarely(monkeypatch):
+    # on report data float.__repr__ prints almost no float (integers,
+    # near-ties and log10 misses only), every other one is printed by a
+    # format call, or the properties above would pass on float.__repr__
+    # alone
+    reprs, real = [], cli._repr_texts
+    monkeypatch.setattr(cli, "_repr_texts", lambda values: reprs.extend(values) or real(values))
     x = np.random.default_rng(5).standard_normal(10_000) * 10.0 ** np.arange(-10, 10).repeat(500)
-    spec = cli._text_lengths(cli._round12(x))[0]
-    assert (spec != cli._REPR).mean() > 0.99
+    spec = cli._text_lengths(x)[0]
+    assert len(reprs) < 0.01 * x.size
+    assert (spec == cli._LITERAL).sum() > 0.5 * x.size
 
 
 def test_printed_floats_take_the_digit_family():
-    # on rounded data of the coefficient grid's magnitudes, at least 90%
-    # of the floats print from their digit integers, so a silent fallback
-    # to "%.12g" or "%r" fails here and not only in the benchmark
+    # on raw data of the coefficient grid's magnitudes, at least 90% of the
+    # floats print from their digit integers, so a silent fallback to the
+    # literal texts fails here and not only in the benchmark
     x = np.random.default_rng(5).standard_normal(6_000) * 10.0 ** np.arange(-3, 0).repeat(2000)
-    spec = cli._text_lengths(cli._round12(x))[0]
-    assert (spec < cli._EXACT).mean() >= 0.9
+    spec = cli._text_lengths(x)[0]
+    assert (spec < cli._LITERAL).mean() >= 0.9
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_separators_hold_one_conversion_per_float(d):
-    # the format string of a run is a join of these texts and is applied
-    # to one argument per float that is not +0.0; the depth pairs left
-    # out are those of floats in one inline group, whose depths are equal
+    # the format string of a run is a join of these texts and the literal
+    # floats' texts, and is applied to one argument per float that prints
+    # from its digit integer; the depth pairs left out are those of floats
+    # in one inline group, whose depths are equal
     specs = len(cli._SPECS)
-    conversions = [0 if s == cli._ZERO else 1 for s in range(specs)]
+    conversions = [0 if s in (cli._LITERAL, cli._ZERO) else 1 for s in range(specs)]
     for indent in (0, 1, 4):
         for top in (0, 1):
             table, prefix, suffix = cli._separators(d, indent, top)
@@ -654,6 +686,85 @@ def test_non_finite_text_leaf_prints_as_json_dumps(array, bad, where):
     assert_same_text({"grid": np.array(_nest(leaves, shape))})
 
 
+# Rounding at print time: a float array that the renderers print in bulk
+# reaches them unrounded and is rounded where it prints, so the raw array
+# and its rounded copy print the same bytes, those of the literal of its
+# rounded list form.
+
+
+def assert_rounded_where_printed(x: np.ndarray):
+    rounded = cli._round12(x)
+    assert cli._prints_in_bulk(x)
+    if np.isfinite(x).all():
+        assert cli.render_json({"x": x}) == cli.render_json({"x": rounded})
+        assert_same({"x": x})
+    assert cli.render_text({"x": x}) == cli.render_text({"x": rounded})
+    assert_same_text({"x": x})
+
+
+@given(float_arrays(), st.sampled_from([18, 20, cli._SLAB_SIZE]))
+def test_raw_arrays_are_rounded_where_printed(array, slab):
+    shape, leaves = array
+    if len(leaves) >= cli._BULK_MIN_SIZE:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_SLAB_SIZE", slab)
+            assert_rounded_where_printed(np.array(_nest(leaves, shape)))
+
+
+@pytest.mark.parametrize("shape", [(-1, 2), (-1, 3, 2), (2, -1)])
+@pytest.mark.parametrize("slab", [18, cli._SLAB_SIZE])
+def test_edge_values_are_rounded_where_printed(shape, slab):
+    # near-ties, log10 neighbours of powers of ten, integers, both zeros,
+    # subnormals and |x| >= 1e34, as a raw grid
+    x = np.concatenate([_round12_edge_values(), np.arange(-40.0, 40.0) * 10.0 ** np.arange(-40, 40)])
+    x = x[:x.size // 6 * 6].reshape(shape)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_SLAB_SIZE", slab)
+        assert_rounded_where_printed(x)
+
+
+def test_non_finite_text_leaves_are_rounded():
+    # render_text prints a grid with a NaN or infinite entry by the
+    # encoder's fallback, which must round its other entries too
+    x = np.random.default_rng(16).standard_normal((40, 3)) / 3.0
+    x[5, 1], x[17, 0], x[30, 2] = float("nan"), float("inf"), float("-inf")
+    assert_rounded_where_printed(x)
+    line = cli.render_text({"x": np.where(np.isfinite(x), 0.12345678901234, x)})
+    assert line.count("0.123456789012,") + line.count("0.123456789012]") == x.size - 3
+    assert "0.12345678901234" not in line and "NaN" in line
+    with pytest.raises(ValueError):
+        cli.render_json({"x": x})
+
+
+def test_jsonify_views_a_complex_grid():
+    # the [re, im] pairs of a C-contiguous complex grid are a view of it:
+    # no copy, rounded or not, of the su(4) coefficient grid's size
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((15, 15, 15, 4, 4)) + 1j * rng.standard_normal((15, 15, 15, 4, 4))
+    tracemalloc.start()
+    try:
+        out = cli._jsonify({"c": z})["c"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(out, z) and out.shape == z.shape + (2,)
+    assert peak < 64 * 2**10
+    assert_same_bits(out, np.stack([z.real, z.imag], axis=-1))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fortran_ordered_grid_prints_the_same_bytes(dtype):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((6, 5, 4, 3)) * 10.0 ** rng.integers(-6, 3, (6, 5, 4, 3))
+    if dtype is complex:
+        x = x + 1j * rng.permutation(x.ravel()).reshape(x.shape)
+    f = np.asfortranarray(x)
+    assert f.flags.f_contiguous and not f.flags.c_contiguous
+    for render in (cli.render_json, cli.render_text):
+        assert render(cli._jsonify({"x": f})) == render(cli._jsonify({"x": x}))
+    assert_same(cli._jsonify({"x": f}))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_jsonify_keeps_the_collector_setting(enabled):
     was = gc.isenabled()
@@ -666,7 +777,7 @@ def test_jsonify_keeps_the_collector_setting(enabled):
 
 
 def test_jsonify_sets_off_no_collection():
-    # a coefficient stack stays one rounded array: no nested lists are built
+    # a coefficient stack stays one unrounded array: no nested lists are built
     x = np.random.default_rng(15).standard_normal((15, 15, 15, 4, 4, 2))
     starts = []
 
@@ -682,8 +793,7 @@ def test_jsonify_sets_off_no_collection():
     finally:
         gc.callbacks.remove(record)
         (gc.enable if was else gc.disable)()
-    assert type(out) is np.ndarray
-    assert_same_bits(out, _round12_reference(x))
+    assert out is x
     assert starts == []
 
 
