@@ -16,10 +16,11 @@ processing errors.
 
 Every number in a report, and in a canonical spec file, is printed
 with 12 significant digits, -0.0 as 0.0, and a complex value as
-``[re, im]``. There is one format, applied by ``_jsonify`` to scalars
-and small arrays and by the bulk printer (``_text_lengths``) to the
-float arrays printed in bulk; both array paths round through the
-shared scale pass ``_scaled12``.
+``[re, im]``. There is one format and one float printer: ``_jsonify``
+rounds scalars and arrays of fewer than 32 entries one entry at a time
+(``_round12``), and every float array of 32 entries or more, of any
+depth, is printed in bulk (``_prints_in_bulk``), rounded where it
+prints in the one scale pass ``_scaled12``.
 """
 
 from __future__ import annotations
@@ -56,22 +57,20 @@ class CliError(Exception):
 def _jsonify(value):
     """Convert a report value, recursively, to plain JSON types in the
     report number format (see the module docstring), except that a float
-    array that _render prints in bulk (``_prints_in_bulk``) stays a
-    float64 ``ndarray``, unrounded: the bulk printer rounds it where it
-    prints it.
+    array of 32 entries or more, of any depth (``_prints_in_bulk``),
+    stays a float64 ``ndarray``, unrounded: the bulk printer rounds it
+    where it prints it.
 
-    Floats and complex numbers, scalar or array, are rounded to
+    Floats and complex numbers are rounded to
     ``float(f"{x:.12g}") + 0.0`` per entry (a complex one as its
     ``[re, im]`` pair); ints and bools become Python ints and bools.
     A float or complex scalar (np.float64 and np.complex128 too) is
     rounded by ``_round12_scalar``; other numpy scalars are read as 0-d
     arrays. A complex array becomes the float view of its ``[re, im]``
     pairs, without a copy when it is a C-contiguous complex128 array.
-    A float array that is not printed in bulk is rounded by
-    ``_round12`` and returned as its list form. Cost: O(m) numpy work
-    for an array of m entries, plus per-entry Python work on the entries
-    that ``_round12`` sends back to the per-entry expression and an O(m)
-    ``tolist`` for the arrays not printed in bulk; linear in the
+    A float array of fewer than 32 entries is rounded one entry at a
+    time (``_round12``) and returned as its list form. Cost: about a
+    microsecond of Python per entry of a small array, linear in the
     report's bytes, and nothing for a bulk array.
     """
     if isinstance(value, dict):
@@ -99,45 +98,6 @@ def _jsonify(value):
 
 
 _POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is an exact double
-_ROUND12_MIN_SIZE = 32  # below this the numpy pass costs more than the entries
-
-
-def _round12(x: np.ndarray) -> np.ndarray:
-    """``float(f"{v:.12g}") + 0.0`` for every entry v of a float array,
-    bit for bit, as a float64 array of the same shape.
-
-    With k = 11 - floor(log10|v|) and |k| <= 22, the powers 10^|k| are
-    exact, so the scaled value ``prod = v * 10^k`` (a product or a
-    quotient) is within half an ulp of the true product, below 2^-14
-    since |prod| < 1e12. Where 1e11 <= |prod| <= 1e12 - 1 and the
-    fraction of |prod| is more than 1e-3 from one half (``_scaled12``'s
-    fast test), ``rint(prod)`` is therefore the 12-digit integer that
-    ``.12g`` prints, and ``rint(prod) / 10^k`` is one correctly rounded
-    operation on exact operands: the double nearest to the printed
-    decimal, which is what ``float`` returns for it. Zeros give 0.0 on
-    the same path.
-
-    Every other entry keeps the per-entry expression: non-finite
-    values, |k| > 22 (roughly 0 < |v| < 1e-11 or |v| >= 1e34), a wrong
-    exponent from log10 next to a power of ten (|prod| outside the
-    range) and near-ties. So do arrays of fewer than
-    _ROUND12_MIN_SIZE entries, where the fixed cost of the numpy pass
-    is larger.
-
-    Cost: O(m) numpy work on m entries, plus about a microsecond of
-    Python per entry that falls back.
-    """
-    if x.size < _ROUND12_MIN_SIZE:
-        return _round12_entries(x)
-    x = x.astype(float, copy=False)
-    with np.errstate(all="ignore"):
-        fast, _, up, down, prod = _scaled12(x)
-        fast |= x == 0
-        out = np.rint(prod) * down / up + 0.0
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        out.flat[slow] = _round12_entries(x.flat[slow])
-    return out
 
 
 def _scaled12(x: np.ndarray):
@@ -145,10 +105,22 @@ def _scaled12(x: np.ndarray):
     ``np.errstate(all="ignore")``: k = 11 - floor(log10|x|) where
     |k| <= 22 (0 elsewhere), 10^|k| as ``up`` or ``down`` (the other is
     1), and prod = x * 10^k in one rounded operation. ``fast`` is the
-    test under which ``rint(|prod|)`` is the 12-digit integer of x's
-    ``.12g`` text (see ``_round12``): |k| <= 22,
-    1e11 <= |prod| <= 1e12 - 1, and the fraction of |prod| more than
-    1e-3 from one half. It is False for zeros and non-finite entries."""
+    test under which M = ``rint(|prod|)`` is the 12-digit integer of x's
+    ``.12g`` text: |k| <= 22, 1e11 <= |prod| <= 1e12 - 1, and the
+    fraction of |prod| more than 1e-3 from one half. It is False for
+    zeros and non-finite entries.
+
+    The argument: where |k| <= 22 the powers 10^|k| are exact, so prod
+    (a product or a quotient) is within half an ulp of the true product,
+    below 2^-14 since |prod| < 1e12. Where the fast test holds,
+    ``rint(prod)`` is therefore the 12-digit integer that ``.12g``
+    prints, and ``rint(prod) / 10^k`` is one correctly rounded operation
+    on exact operands: the double nearest to the printed decimal, which
+    is what ``float`` returns for it, i.e. ``_round12_scalar(x)``.
+    Entries that fail the test are non-finite values, |k| > 22 (roughly
+    0 < |x| < 1e-11 or |x| >= 1e34), a wrong exponent from log10 next to
+    a power of ten (|prod| outside the range) and near-ties; those take
+    ``_round12``."""
     k = 11 - np.floor(np.log10(np.abs(x)))
     fast = np.abs(k) <= 22
     k = np.where(fast, k, 0).astype(np.intp)
@@ -164,8 +136,9 @@ def _round12_scalar(v: float) -> float:
     return float(f"{v:.12g}") + 0.0
 
 
-def _round12_entries(x: np.ndarray) -> np.ndarray:
-    """``_round12`` one entry at a time."""
+def _round12(x: np.ndarray) -> np.ndarray:
+    """``_round12_scalar`` of every entry of a float array, one entry at
+    a time, as a float64 array of the same shape."""
     return np.fromiter(map(_round12_scalar, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
@@ -573,19 +546,21 @@ _SLAB_SIZE = 8192  # floats per bulk pass, unless one slab holds more; at least 
 
 
 def _prints_in_bulk(x: np.ndarray) -> bool:
-    """Whether _render prints the array x in bulk: a float64 array of
-    depth 2 or more, such as a coefficient grid, with _BULK_MIN_SIZE
-    entries or more. ``_jsonify`` leaves exactly these arrays as arrays.
+    """Whether the renderers print the array x in bulk: a float64 array
+    of _BULK_MIN_SIZE entries or more, of any depth, such as a
+    coefficient grid or a witness vector. ``_jsonify`` leaves exactly
+    these arrays as arrays.
     """
-    return x.dtype == np.float64 and x.ndim >= 2 and x.size >= _BULK_MIN_SIZE
+    return x.dtype == np.float64 and x.size >= _BULK_MIN_SIZE
 
 
-def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
+def _render_float_array(x: np.ndarray, indent: int, inline: bool = False) -> list[str]:
     """Pretty text of a float array that ``_prints_in_bulk``, as pieces,
     exactly as _render's generic path prints the list form of its
-    entries rounded by ``_round12``: the array is rounded here, in the
-    pass that picks each float's format. A NaN or infinite entry raises
-    ValueError, as the JSON encoder does.
+    entries rounded by ``_round12``; with ``inline``, its one-line text,
+    exactly as ``json.dumps`` prints that list form. The array is
+    rounded here, in the pass that picks each float's format. A NaN or
+    infinite entry raises ValueError, as the JSON encoder does.
 
     The floats are printed in bulk, a run of slabs of the outermost axis
     at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
@@ -604,11 +579,13 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
        own one-line form, which was already too wide);
     3. ``_printed`` prints the run with one format call.
 
+    With ``inline``, step 2 is skipped: every group prints inline.
+
     Each run is one piece; the text between two runs is another. An
     array of more than one run holds more than _SLAB_SIZE floats, so it
-    never prints inline: every float adds at least 5 characters to its
-    one-line form (3 for its text, as in "0.0", and 2 for the ", " or
-    brackets around it), and 5 * 18 > _INLINE_WIDTH.
+    never prints inline in the pretty form: every float adds at least 5
+    characters to its one-line form (3 for its text, as in "0.0", and 2
+    for the ", " or brackets around it), and 5 * 18 > _INLINE_WIDTH.
 
     Cost: O(m d) for m floats in d dimensions, in numpy passes and one
     C-level format call per run, plus the texts of the floats that print
@@ -617,28 +594,31 @@ def _render_float_array(x: np.ndarray, indent: int) -> list[str]:
     if not np.isfinite(x).all():
         raise ValueError("Out of range float values are not JSON compliant")
     step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
-    if step >= len(x):
-        return [_bulk_text(x, indent, True)]
+    if step >= len(x) and not inline:
+        return [_bulk_text(x, indent, True, False)]
     pad = "\n" + "  " * (indent + 1)
+    first, sep, last = ("[", ", ", "]") if inline else ("[" + pad, "," + pad, "\n" + "  " * indent + "]")
     pieces = []
     for i in range(0, len(x), step):
-        pieces += ("," if i else "[") + pad, _bulk_text(x[i:i + step], indent, False)
-    pieces.append("\n" + "  " * indent + "]")
+        pieces += sep if i else first, _bulk_text(x[i:i + step], indent, False, inline)
+    pieces.append(last)
     return pieces
 
 
-def _bulk_text(x: np.ndarray, indent: int, whole: bool) -> str:
+def _bulk_text(x: np.ndarray, indent: int, whole: bool, inline: bool) -> str:
     """The text of the finite float array x at the given depth if whole;
-    otherwise x is a run of slabs of a larger array that prints over
-    several lines, and the text is the slabs' texts joined as that
-    array joins its items, without its brackets. Steps 1-3 of
-    _render_float_array.
+    otherwise x is a run of slabs of a larger array, and the text is the
+    slabs' texts joined as that array joins its items, without its
+    brackets: over several lines, or on one line if ``inline``. Steps
+    1-3 of _render_float_array.
 
     Cost: O(m d) numpy work for m floats in d dimensions, and one
     format call.
     """
     d, shape, flat = x.ndim, x.shape, x.ravel()
     spec, args, literals, lengths = _text_lengths(flat)
+    if inline:
+        return _printed(spec, args, literals, shape, np.zeros(flat.size, np.intp), indent, 1)
     # A group's one-line form adds 2 characters for each item inside it,
     # at every level, to the texts of its floats; when that fits, so does
     # each item's shorter one-line form, and the whole group is inline.
@@ -668,7 +648,7 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     v is rounded here, in one scale pass (``_scaled12``). Where its fast
     test holds, M = rint(|prod|) is a 12-digit integer,
     1e11 <= M <= 1e12 - 1, and r = +-M / 10^k, the double nearest to
-    that decimal (see ``_round12``), of decimal exponent e = 11 - k.
+    that decimal (see ``_scaled12``), of decimal exponent e = 11 - k.
     For e from -4 to -1, repr(r) is printed from M:
 
     * the digits agree. The 12-digit text of M / 10^k reads back as r,
@@ -691,14 +671,14 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     Both zeros take the literal "0.0" (``_ZERO``), 3 characters and no
     argument, since -0.0 rounds to 0.0. Every other entry takes
     ``_LITERAL``, an empty format that ``_printed`` follows with the
-    text repr(r), r taken as ``_round12`` takes it: from prod where the
-    fast test holds (exponents from 0 up or below -4), by
-    ``_round12_scalar`` elsewhere (near-ties, |k| > 22 and log10
-    misses). These are about 1% of a coefficient grid. Where the fast
-    test holds and r is not an integer, that text is "%.12g" of v, and
-    one format call prints all of these. .12g prints the digits of M
-    (see ``_round12``) without their trailing zeros, and repr the same
-    digits (as above: r is normal, since |k| <= 22 gives |r| >= 1e-11).
+    text repr(r), r taken from prod where the fast test holds (exponents
+    from 0 up or below -4), by ``_round12`` elsewhere (near-ties,
+    |k| > 22 and log10 misses). These are about 1% of a coefficient
+    grid. Where the fast test holds and r is not an integer, that text
+    is "%.12g" of v, and one format call prints all of these. .12g
+    prints the digits of M (see ``_scaled12``) without their trailing
+    zeros, and repr the same digits (as above: r is normal, since
+    |k| <= 22 gives |r| >= 1e-11).
     Both print positional digits for e from 0 to 10 (a 12-digit M with
     e >= 11 is an integer) and the same exponent form, as in "1.5e-07",
     for e below -4. Only integers, whose repr ends in ".0" or has an
@@ -734,7 +714,7 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     lit = np.flatnonzero(spec == _LITERAL)
     rounded = np.rint(prod[lit]) * down[lit] / up[lit] + 0.0  # as _round12 where fast
     slow = ~fast[lit]
-    rounded[slow] = _round12_entries(x[lit[slow]])
+    rounded[slow] = _round12(x[lit[slow]])
     general = ~slow & (rounded != np.floor(rounded))  # printed by "%.12g" of v
     texts = np.empty(lit.size, object)
     texts[general] = ("%.12g," * int(general.sum()) % tuple(x[lit[general]].tolist())).split(",")[:-1]
@@ -780,27 +760,6 @@ def _printed(spec: np.ndarray, args: list[int], literals: np.ndarray, shape: tup
     texts[0], texts[1:-1], texts[-1] = prefix[specs * depth[0] + spec[0]], table[key], suffix[depth[-1]]
     texts[:-1][spec == _LITERAL] += literals
     return "".join(texts.tolist()) % tuple(args)
-
-
-def _inline_float_array(x: np.ndarray) -> list[str]:
-    """One-line text of a finite float array that ``_prints_in_bulk``,
-    as pieces, exactly as ``json.dumps`` prints the list form of its
-    entries rounded by ``_round12``.
-
-    It is _render_float_array with every group inline: each run of slabs
-    is rounded and printed by ``_printed`` with one format call, so the
-    per-float temporaries never cover the whole array. Cost: O(m d) for
-    m floats in d dimensions; linear in the bytes printed.
-    """
-    step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
-    pieces = []
-    for i in range(0, len(x), step):
-        run = x[i:i + step]
-        spec, args, literals, _ = _text_lengths(run.ravel())
-        depth = np.zeros(run.size, np.intp)
-        pieces += ", " if i else "[", _printed(spec, args, literals, run.shape, depth, 0, 1)
-    pieces.append("]")
-    return pieces
 
 
 _SPECS = (*(sign + "0." + "0" * z + "%d" for sign in ("", "-") for z in range(4)), "", "0.0")
@@ -871,10 +830,10 @@ def _json_pieces(report: dict) -> list[str]:
 
 def render_json(report: dict) -> str:
     """Deterministic JSON: fixed key order, short numeric lists inline.
-    A float array that ``_prints_in_bulk`` prints the list form of its
-    entries rounded to 12 digits (``_round12``), rounded as it prints;
-    other values print as they are. The pieces that ``_render`` prints
-    are joined once."""
+    A float array of 32 entries or more (``_prints_in_bulk``) prints the
+    list form of its entries rounded to 12 digits (``_round12``), rounded
+    as it prints; other values print as they are. The pieces that
+    ``_render`` prints are joined once."""
     return "".join(_json_pieces(report))
 
 
@@ -890,7 +849,7 @@ def _render_text_lines(value, key: str, indent: int, pieces: list[str]) -> None:
             _render_text_lines(v, f"[{idx}]", indent + 1, pieces)
     elif isinstance(value, np.ndarray) and _prints_in_bulk(value) and np.isfinite(value).all():
         pieces.append(f"{pad}{key}: ")
-        pieces += _inline_float_array(value)
+        pieces += _render_float_array(value, 0, inline=True)
         pieces.append("\n")
     else:
         pieces.append(f"{pad}{key}: {_TEXT_ENCODE(value)}\n")
@@ -906,9 +865,10 @@ def _text_pieces(report: dict) -> list[str]:
 
 def render_text(report: dict) -> str:
     """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
-    its list form, except that a float array that ``_prints_in_bulk``
-    prints the list form of its entries rounded to 12 digits
-    (``_round12``): through ``_inline_float_array`` when it is finite,
+    its list form, except that a float array of 32 entries or more
+    (``_prints_in_bulk``) prints the list form of its entries rounded to
+    12 digits (``_round12``): by the one bulk printer,
+    ``_render_float_array`` with every group inline, when it is finite,
     through the encoder's fallback otherwise."""
     return "".join(_text_pieces(report))
 

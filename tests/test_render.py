@@ -1,15 +1,18 @@
 """The JSON renderer and number formatter against the references they replaced.
 
+There is one float printer: every float array of 32 entries or more, of
+any depth, is printed in bulk and rounded where it prints, and
+``_jsonify`` rounds every other number one entry at a time.
 ``_dump_json_literal`` encodes every list subtree at every depth and
 keeps the result when it fits, reading an array as its list form, and a
 float array that the renderers print in bulk as the list form of its
 entries rounded to 12 digits; ``render_json`` encodes each value once
-and prints large float arrays in bulk, rounding them as it prints them.
-Both must print the same bytes for any tree. ``_text_literal`` is
-``render_text`` with ``json.dumps`` applied to that list form of each
-leaf. ``_round12`` and ``_complex_out`` are the per-scalar conversions
-the commands applied before ``_jsonify`` became the formatter of every
-value the bulk printer does not print.
+and prints those float arrays in bulk. Both must print the same bytes
+for any tree. ``_text_literal`` is ``render_text`` with ``json.dumps``
+applied to that list form of each leaf. ``_round12`` and
+``_complex_out`` are the per-scalar conversions the commands applied
+before ``_jsonify`` became the formatter of every value the bulk printer
+does not print.
 """
 
 import gc
@@ -211,8 +214,8 @@ def test_random_numeric_grids(grid):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_array_rounding_matches_scalar_path(dtype):
-    # arrays are rounded in one pass; the result must print exactly as the
-    # entry-by-entry path does, including -0.0 becoming 0.0
+    # a bulk array is rounded where it prints, a small one entry by entry;
+    # both must print exactly as the list path does, including -0.0 becoming 0.0
     rng = np.random.default_rng(9)
     values = rng.standard_normal(400) * 10.0 ** rng.integers(-30, 30, 400)
     values[::7] = -0.0
@@ -289,9 +292,10 @@ def test_jsonify_matches_scalar_reference(label, value, expected):
     assert _plain(out)
 
 
-# _round12 rounds float arrays in one numpy pass and sends the entries its
-# exactness argument does not cover back to the per-entry expression. The
-# tests compare the bits of every result, so that -0.0 and NaN count.
+# The bulk printer rounds each float in its scale pass (_scaled12) and
+# sends the entries its exactness argument does not cover to the
+# per-entry expression (_round12). The tests compare the bits of every
+# result, so that -0.0 and NaN count, or the printed text of each float.
 
 
 def _round12_reference(x) -> np.ndarray:
@@ -309,10 +313,15 @@ finite_or_not = st.floats(allow_subnormal=True) | st.sampled_from(
 )
 
 
-@given(st.lists(finite_or_not, min_size=cli._ROUND12_MIN_SIZE, max_size=200))
-def test_round12_matches_entries_on_random_floats(values):
+@given(st.lists(finite_or_not, min_size=cli._BULK_MIN_SIZE, max_size=200))
+def test_random_floats_print_rounded(values):
+    # a 1-d array, printed in bulk; with a NaN or an infinity, render_text
+    # prints it through the encoder's fallback
     x = np.array(values)
-    assert_same_bits(cli._round12(x), _round12_reference(x))
+    assert_rounded_where_printed(x)
+    finite = x[np.isfinite(x)]
+    if finite.size:
+        assert_printed_as_repr(finite.tolist())
 
 
 def _round12_edge_values() -> np.ndarray:
@@ -331,9 +340,10 @@ def _round12_edge_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def test_round12_matches_entries_on_edges():
+def test_edge_values_print_rounded():
     x = _round12_edge_values()
-    assert_same_bits(cli._round12(x), _round12_reference(x))
+    assert_printed_as_repr(x.tolist())
+    assert_rounded_where_printed(x)
 
 
 def test_jsonify_scalars_match_reference(monkeypatch):
@@ -352,13 +362,14 @@ def test_jsonify_scalars_match_reference(monkeypatch):
 
 
 def test_round12_falls_back_rarely(monkeypatch):
-    # on ordinary data the fallback must be the exception, or the kernel
-    # tests above would pass on the per-entry path alone
-    fallbacks = []
-    entries = cli._round12_entries
-    monkeypatch.setattr(cli, "_round12_entries", lambda x: fallbacks.append(x.size) or entries(x))
+    # on ordinary data the bulk printer's per-entry fallback must be the
+    # exception, or the rounding tests above would pass on _round12 alone
     x = np.random.default_rng(4).standard_normal(10_000) * 10.0 ** np.arange(-10, 10).repeat(500)
-    assert_same_bits(cli._round12(x), _round12_reference(x))
+    want = cli.render_json({"x": _round12_reference(x)})
+    fallbacks = []
+    entries = cli._round12
+    monkeypatch.setattr(cli, "_round12", lambda v: fallbacks.append(v.size) or entries(v))
+    assert cli.render_json({"x": x}) == want
     assert sum(fallbacks) < 0.01 * x.size
 
 
@@ -398,7 +409,8 @@ def test_jsonify_arrays_match_entries(shape, dtype):
 array_values = st.sampled_from(
     [0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 1e-300, -1e-300, 0.1, -2.2250738585072014e-308]
 ) | st.floats(allow_nan=False, allow_infinity=False)
-shapes = st.lists(st.integers(1, 6), min_size=2, max_size=5)
+shapes = (st.lists(st.integers(1, 6), min_size=2, max_size=5)
+          | st.lists(st.integers(1, 90), min_size=1, max_size=1))  # 1-d arrays print in bulk from 32 floats
 others = st.sampled_from([0, 7, True, False, None, "x", "{", np.float64(0.5)])
 
 
@@ -499,7 +511,7 @@ def assert_printed_as_repr(values, slab=cli._SLAB_SIZE):
     assert next(args, None) is None and next(literals, None) is None
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
-        text = "".join(cli._inline_float_array(np.array(values)[:, None]))
+        text = "".join(cli._render_float_array(np.array(values)[:, None], 0, inline=True))
     assert text[2:-2].split("], [") == want
     return spec
 
