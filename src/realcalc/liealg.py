@@ -14,6 +14,7 @@ a coefficient space are stacks of orthonormal rows in ``R^n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,10 +47,6 @@ __all__ = [
 
 # LieBasis rejects an element whose squared norm is not a double
 _LARGEST_NORM = float(np.sqrt(np.finfo(float).max))
-# _bracket_pairs subtracts the products E_b E_a in blocks of about this
-# many bytes: small enough for a block and its pairs to stay in cache,
-# large enough that su(5) and anything smaller take one block
-_PAIR_BLOCK_BYTES = 1 << 17
 
 
 class ClosureViolation(ValueError):
@@ -212,50 +209,53 @@ class LeviSplit:
         return self.ss_basis.shape[0]
 
 
-def _bracket_pairs(E: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """The commutators [E_a, E_b] for the P index pairs (a, b) of ``iu``, ``ju``, as (P, N, N).
+@lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only, kept for the last 32 sizes: built afresh, they
+    made the small calls of perfbench's ``row-obstructed`` workload 4% slower on 2 cores."""
+    iu, ju = np.triu_indices(n, k=1)
+    return _freeze(iu), _freeze(ju)
 
-    One BLAS product forms every E_a E_b, in the (a, r, b, s) order that
-    tensordot writes; each bracket is gathered from it and completed in
-    place, so no bracket outside the P pairs, such as the negation
-    [E_b, E_a] of one inside, is formed. The products E_b E_a are
-    gathered and subtracted one block of about ``_PAIR_BLOCK_BYTES`` at a
-    time, so beside the products and the pairs only one block is held.
-    Cost: O(n^2 N^3) time, O(n^2 N^2) memory.
+
+def _bracket_pairs(E: np.ndarray) -> np.ndarray:
+    """The zero bracket (0, 0), then the commutators [E_a, E_b] for the n(n - 1)/2 pairs a < b.
+
+    The result is (n(n - 1)/2 + 1, N, N), its pairs in :func:`_pair_indices`
+    order. One BLAS product forms every E_a E_b, in the (a, r, b, s) order that
+    tensordot writes. For each a, the products E_a E_b and E_b E_a with
+    b > a are the basic slices ``prod[a, :, a+1:]`` and
+    ``prod[a+1:, :, a]``, subtracted straight into the output: no bracket
+    outside the pairs, such as the negation [E_b, E_a] of one inside, is
+    formed, and no gather or temporary is held beside the products and
+    the pairs. Cost: O(n^2 N^3) time, O(n^2 N^2) memory.
     """
+    n, N = E.shape[:2]
     prod = np.tensordot(E, E, axes=([2], [1]))
-    pairs = prod[iu, :, ju, :]
-    step = max(1, _PAIR_BLOCK_BYTES // (prod.itemsize * E.shape[1] * E.shape[2]))
-    for start in range(0, len(pairs), step):
-        block = slice(start, start + step)
-        pairs[block] -= prod[ju[block], :, iu[block], :]
+    pairs = np.empty((n * (n - 1) // 2 + 1, N, N), dtype=complex)
+    pairs[0] = 0.0
+    for a in range(n - 1):
+        row = pairs[1 + a * (2 * n - a - 1) // 2 :][: n - 1 - a]  # the pairs (a, b > a)
+        np.subtract(prod[a, :, a + 1 :].transpose(1, 0, 2), prod[a + 1 :, :, a], out=row)
     return pairs
 
 
-def _fit_norms(
-    E: np.ndarray, pairs: np.ndarray, fp: np.ndarray, iu: np.ndarray, ju: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Norms of the brackets and of what their projection onto E leaves.
+def _fit_norms(E: np.ndarray, pairs: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, residuals)``: per pair, |[E_a, E_b]|_F and what its projection onto E leaves.
 
-    ``pairs`` holds the brackets of the pairs a < b in ``iu``, ``ju``
-    (:func:`_bracket_pairs`) and ``fp`` their frame coefficients, one row
-    per pair. Both (n, n) results are symmetric and zero on the diagonal,
-    as the brackets are antisymmetric. The projection is subtracted as two real BLAS
-    products, in place: ``pairs`` is left holding the residual matrices.
+    ``pairs`` holds brackets (:func:`_bracket_pairs`) and ``fp`` their
+    frame coefficients, one row per bracket; both results have one entry
+    per row. The projection is subtracted as two real BLAS products, in
+    place: ``pairs`` is left holding the residual matrices.
     Cost: O(n^3 N^2) time and O(n^2 N^2) memory: no copy of ``pairs``,
     one real (P, N^2) product at a time.
     """
-    n = E.shape[0]
-    flat = E.reshape(n, -1)
-    rest = pairs.reshape(len(iu), flat.shape[1])
-    out = np.zeros((2, n, n))
+    flat = E.reshape(E.shape[0], -1)
+    rest = pairs.reshape(len(fp), flat.shape[1])
     parts = rest.view(float)
-    out[0, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    sizes = np.sqrt(np.einsum("pq,pq->p", parts, parts))
     rest.real -= fp @ np.ascontiguousarray(flat.real)
     rest.imag -= fp @ np.ascontiguousarray(flat.imag)
-    out[1, iu, ju] = np.einsum("pq,pq->p", parts, parts)
-    out = np.sqrt(out + out.transpose(0, 2, 1))
-    return out[0], out[1]
+    return sizes, np.sqrt(np.einsum("pq,pq->p", parts, parts))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -297,9 +297,9 @@ def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
     ``split`` is ``levi_split_compact(basis)``. Its tensor f_E is totally
     antisymmetric, so with M = f_E reshaped to (n, n^2) the frame
     Killing form is sum_{k,l} f^l_ak f^k_bl = -M M^T. The split's SVD
-    K = U diag(s) V^T, K holding the columns a <= b of M as rows, already
-    factors it (U is never formed): column (b, a) of M is minus column
-    (a, b) and the columns (a, a) vanish, so
+    K = U diag(s) V^T, K holding the columns (0, 0) and a < b of M as rows,
+    already factors it (U is never formed): column (b, a) of M is minus
+    column (a, b) and the columns (a, a) vanish, so
     M M^T = 2 K^T K = 2 V diag(s^2) V^T, where the columns of V are
     ``ss_basis`` then ``radical_basis``. D = T_inv E carries it to
     B = -G G^T with the n x n factor G = sqrt(2) T_inv V diag(s), and
@@ -330,8 +330,8 @@ def _closure_violation(basis: LieBasis, f: np.ndarray) -> ClosureViolation:
     largest pair wins. Cost: O(n^2 N^3 + n^3 N^2) time, O(n^2 N^2) memory.
     """
     n = basis.n
-    iu, ju = np.triu_indices(n, k=1)
-    pairs = _bracket_pairs(basis.E, iu, ju)
+    iu, ju = _pair_indices(n)
+    pairs = _bracket_pairs(basis.E)[1:]
     brackets = np.zeros((n, n) + pairs.shape[1:], dtype=complex)
     brackets[iu, ju] = pairs
     brackets[ju, iu] = -pairs
@@ -354,12 +354,12 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     The inner product is ad-invariant on su(N), so f_E is totally
     antisymmetric and the frame Killing form is -M M^T for M = f_E
     reshaped to (n, n^2), whose columns are all brackets. The SVD reads
-    the n(n + 1)/2 columns with a <= b: the same span, since column
-    (b, a) is minus column (a, b), with singular values over sqrt(2).
-    It is an R-SVD (Golub and Van Loan, Matrix Computations, 5.4): one QR
-    of the n(n + 1)/2 x n bracket-coefficient matrix K, those columns as
-    rows, then the SVD of its n x n R, which has the singular values and
-    right singular vectors of K; no U factor is formed.
+    the columns (0, 0) and a < b: the same span, since column (b, a) is
+    minus column (a, b) and the columns (a, a) vanish, with singular
+    values over sqrt(2). It is an R-SVD (Golub and Van Loan, Matrix
+    Computations, 5.4): one QR of the (n(n - 1)/2 + 1) x n coefficient
+    matrix K of the brackets the split formed, then the SVD of its n x n
+    R, with the singular values and right singular vectors of K (no U).
     Its rank r is the only rank decision about g: g is semisimple
     exactly when r = n, the first r left singular vectors are an
     orthonormal basis of [g, g], and the other n - r span the center,
@@ -388,29 +388,28 @@ def levi_split_compact(basis: LieBasis, tol: Tolerance = DEFAULT_TOL) -> LeviSpl
     only to name a :class:`ClosureViolation`).
     """
     n, E = basis.n, basis.E
-    iu, ju = np.triu_indices(n, k=1)
-    # the pairs a < b, then (0, 0), an exact zero bracket: its coefficients
-    # are the diagonal of f_E, with the signs gemm gives their zeros, which
-    # the QR of K reads first; and the product has two rows at n = 2, where
-    # one row would go to gemv, whose sums round unlike gemm's
-    pairs = _bracket_pairs(E, np.append(iu, 0), np.append(ju, 0))
+    iu, ju = _pair_indices(n)
+    # the zero bracket (0, 0) first: its coefficients are the diagonal of f_E,
+    # with the signs gemm gives their zeros, and K's first n rows the columns
+    # (0, b) of f_E, which set the signs of the QR's R; at n = 2 the product
+    # has two rows, where one row would go to gemv, which rounds unlike gemm
+    pairs = _bracket_pairs(E)
     # summing the trailing axes of pairs spares tensordot a copy of it
     fp = np.ascontiguousarray(np.tensordot(pairs, E.conj(), axes=([1, 2], [1, 2])).real)
-    sizes, residuals = _fit_norms(E, pairs[:-1], fp[:-1], iu, ju)
+    sizes, residuals = _fit_norms(E, pairs[1:], fp[1:])
     del pairs  # the residual matrices now, which nothing reads
     # f_E sits in (a, b, k) memory order, whose strides the rounding of the
     # BLAS products downstream follows
     f = np.empty((n, n, n))
-    f[iu, ju] = fp[:-1]
-    f[ju, iu] = -fp[:-1]
+    f[iu, ju] = fp[1:]
+    f[ju, iu] = -fp[1:]
     diagonal = np.arange(n)
-    f[diagonal, diagonal] = fp[-1]
+    f[diagonal, diagonal] = fp[0]
     f = f.transpose(2, 0, 1)
     if np.any(residuals > tol.abs + tol.rel * np.maximum(1.0, sizes)):
         raise _closure_violation(basis, f)
-    iu, ju = np.triu_indices(n)
-    # the right singular vectors of K are the left ones of M
-    _, s, vh = np.linalg.svd(np.linalg.qr(f[:, iu, ju].T, mode="r"), full_matrices=False)
+    # K is fp; the right singular vectors of K are the left ones of M
+    _, s, vh = np.linalg.svd(np.linalg.qr(fp, mode="r"), full_matrices=False)
     rank = int(np.sum(s > tol.cut(s[0])))
     return LeviSplit(f, vh[rank:], vh[:rank], _freeze(s))
 

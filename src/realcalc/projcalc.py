@@ -145,39 +145,66 @@ def _times_block(t: np.ndarray, G: np.ndarray) -> np.ndarray:
     return _unstacked(_stacked(t).reshape(-1, n * N) @ G, n, N)
 
 
-def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray):
-    """Yield ``(identity, residual, factors)`` for each defining identity:
-    the residual's scale is the product of the factors, each at least 1,
-    which can exceed the largest double where the residual does not
-    (``_within_cut``).
+def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray, tol: Tolerance):
+    """Yield ``(identity, residual, within)`` for each defining identity:
+    the residual is the largest entry of its defect, and ``within`` says
+    whether the defect is within its cut under ``tol``.
 
-    The identities are checked in this order, so a caller that stops at
-    the first violation reports the same one. The three grid products
-    are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
+    Idempotence is cut entry by entry (:func:`_idempotent_within_cut`);
+    every other identity at the product of factors, each at least 1,
+    which can exceed the largest double where the residual does not
+    (``_within_cut``). The identities are checked in this order, so a
+    caller that stops at the first violation reports the same one. The
+    four grid products are block matrix products: O(n^3 N^3) time,
+    O(n^2 N^2) memory.
     """
     pmax = max(1.0, max_norm(p))
     hmax = max(1.0, max_norm(h))
     imax = max(1.0, max_norm(h_inv))
     P, H, Hi = _block_matrix(p), _block_matrix(h), _block_matrix(h_inv)
 
-    yield "projection idempotence p.p = p", max_norm(P @ P - P), (pmax, pmax)
+    defect = P @ P - P
+    res = max_norm(defect)
+    yield "projection idempotence p.p = p", res, _idempotent_within_cut(P, defect, pmax, tol)
     res = max_norm(h - h.conj().transpose(1, 0, 3, 2))
-    yield "metric symmetry h_ij = h_ji^*", res, (hmax,)
+    yield "metric symmetry h_ij = h_ji^*", res, _within_cut(res, (hmax,), tol)
     res = max_norm(h - h.conj().transpose(0, 1, 3, 2))
-    yield "metric hermiticity h_ij = h_ij^dagger", res, (hmax,)
+    yield "metric hermiticity h_ij = h_ij^dagger", res, _within_cut(res, (hmax,), tol)
     res = max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2))
-    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, (imax,)
+    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, _within_cut(res, (imax,), tol)
     PHi = P @ Hi
-    yield "inverse relation p h^{kl} h_li = p", max_norm(PHi @ H - P), (pmax, hmax, imax)
-    yield "projection compatibility p h^{ml} = h^{kl}", max_norm(PHi - Hi), (pmax, imax)
+    res = max_norm(PHi @ H - P)
+    yield "inverse relation p h^{kl} h_li = p", res, _within_cut(res, (pmax, hmax, imax), tol)
+    res = max_norm(PHi - Hi)
+    yield "projection compatibility p h^{ml} = h^{kl}", res, _within_cut(res, (pmax, imax), tol)
+
+
+def _idempotent_within_cut(P: np.ndarray, defect: np.ndarray, pmax: float, tol: Tolerance) -> bool:
+    """Whether every entry of ``defect`` = P P - P is within its own
+    rounding scale: |defect_kj| <= tol.abs + tol.rel min((|P| |P|)_kj, pmax^2).
+
+    One cut for the whole matrix, at pmax^2 = max(1, |P|)^2, lets a p that
+    mixes large and small entries pass with a defect far above the
+    rounding of its entry's sums; (|P| |P|)_kj bounds that rounding, and
+    pmax^2 stays a ceiling, so no entry's cut is looser than the whole
+    matrix's. Both sides are divided by c^2, c the largest power of two
+    at most ``pmax``, so |P| / c <= 2 and the scale's real GEMM cannot
+    overflow; a division by c rounds only below the normal range.
+    O((nN)^3) time, O((nN)^2) memory.
+    """
+    c = np.ldexp(1.0, int(np.frexp(pmax)[1]) - 1)
+    A = np.abs(P) / c
+    scale = np.minimum(A @ A, (pmax / c) ** 2)
+    return bool(np.all(np.abs(defect) / c / c <= tol.abs / c / c + tol.rel * scale))
 
 
 def _within_cut(res: float, factors: tuple[float, ...], tol: Tolerance) -> bool:
     """Whether res <= tol.cut(s) for s the product of the factors, each
     at least 1, without forming s: res and tol.abs are divided by the
     factors one at a time, so nothing overflows where res is finite.
-    With |p| near 1.5e154, |p|^2 is past the largest double, and a cut
-    formed from it would be inf and pass a finite violation."""
+    With |p| and |h^-1| near 1.5e154, |p| |h^-1| is past the largest
+    double, and a cut formed from it would be inf and pass a finite
+    violation."""
     cut = tol.abs
     for factor in factors:
         res, cut = res / factor, cut / factor
@@ -191,10 +218,11 @@ class ProjectiveCalculusData:
     ``f`` is read off the derivations' split before the grids are read;
     a span that is not closed raises :class:`~realcalc.liealg.ClosureViolation`,
     any other failure to form f a ValueError that begins ``derivations:``.
-    Then it checks, each within tolerance: idempotence of p, hermiticity and
-    index symmetry of the metric blocks, conjugate symmetry of the
-    inverse blocks, the defining inverse relation in coefficient form,
-    and compatibility of the inverse with the projection. A residual
+    Then it checks, each within tolerance: idempotence of p, entry by
+    entry, hermiticity and index symmetry of the metric blocks, conjugate
+    symmetry of the inverse blocks, the defining inverse relation in
+    coefficient form, and compatibility of the inverse with the
+    projection. A residual
     that is not finite violates its identity whatever the tolerance. The
     checks are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
 
@@ -231,8 +259,8 @@ class ProjectiveCalculusData:
         h_inv = _grid(h_inv, n, N, "h_inv")
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for identity, res, factors in _invariant_residuals(p, h, h_inv):
-                if not (np.isfinite(res) and _within_cut(res, factors, tol)):
+            for identity, res, within in _invariant_residuals(p, h, h_inv, tol):
+                if not (np.isfinite(res) and within):
                     raise InvariantViolation(identity, res)
 
         object.__setattr__(self, "derivs", derivs)

@@ -155,18 +155,19 @@ def assert_split_matches_oracles(basis, split, label) -> None:
     Its frame tensor, from the brackets a < b, equals the one read off
     all n^2 brackets bit for bit, and so do the bracket and residual
     norms that closure reads (``_fit_norms`` on those brackets and their
-    rows of the split's f_E); the rows a <= b of K, which its QR reads,
-    keep even the signs of their zeros. Its R-SVD against the SVD of K
-    itself: the same rank, the singular values within 1e-12 of the
-    largest, the same [g, g] and center projectors within 1e-10.
+    rows of the split's f_E); its columns a <= b keep even the signs of
+    their zeros, which its QR reads first, in the zero row (0, 0). Its
+    R-SVD against the SVD of the columns a <= b: the same rank, the
+    singular values within 1e-12 of the largest, the same [g, g] and
+    center projectors within 1e-10.
     """
     f = all_pairs_frame_tensor(basis.E)
     assert np.array_equal(split.f, f), label
     iu, ju = np.triu_indices(basis.n, k=1)
     fp = np.ascontiguousarray(split.f[:, iu, ju].T)
-    fit = liealg._fit_norms(basis.E, liealg._bracket_pairs(basis.E, iu, ju), fp, iu, ju)
+    fit = liealg._fit_norms(basis.E, liealg._bracket_pairs(basis.E)[1:], fp)
     for got, want in zip(fit, all_pairs_fit_norms(basis.E, f)):
-        assert np.array_equal(got, want), label
+        assert np.array_equal(got, want[iu, ju]), label
     iu, ju = np.triu_indices(basis.n)
     assert split.f[:, iu, ju].tobytes() == f[:, iu, ju].tobytes(), label
     s, ss_basis, radical_basis = direct_svd_split(split.f)

@@ -304,10 +304,10 @@ class TestLeviSplit:
 
     def test_peak_memory_is_products_and_pairs(self):
         # only the brackets a < b are formed: the products E_a E_b, one
-        # (n, n, N, N) tensor, and the pairs beside them, half of one, with
-        # E_b E_a gathered a block at a time; an all-pairs bracket tensor
-        # next to the products read 3.0 tensors, and gathering every E_b E_a
-        # at once 2.0
+        # (n, n, N, N) tensor, and the pairs beside them, half of one, each
+        # row a's subtracted from basic slices straight into the pairs; an
+        # all-pairs bracket tensor next to the products read 3.0 tensors,
+        # and gathering every E_b E_a at once 2.0
         basis = LieBasis(generic_presentation(np.random.default_rng(7), su_basis(7)))
         levi_split_compact(basis)
         tracemalloc.start()
@@ -318,20 +318,34 @@ class TestLeviSplit:
             tracemalloc.stop()
         assert peak <= 1.75 * basis.n**2 * basis.N**2 * np.dtype(complex).itemsize
 
-    @pytest.mark.parametrize("block_bytes", [liealg._PAIR_BLOCK_BYTES, 1000, 1])
-    def test_bracket_pairs_match_full_gather(self, monkeypatch, block_bytes):
-        # the block gather from tensordot's (a, r, b, s) layout against both
-        # products gathered whole from the (a, b, r, s) view, bit for bit;
-        # the smaller blocks split every case into several, down to one pair
-        monkeypatch.setattr(liealg, "_PAIR_BLOCK_BYTES", block_bytes)
+    def test_bracket_pairs_match_full_gather(self):
+        # the row slices of tensordot's (a, r, b, s) layout against both
+        # products gathered whole from the (a, b, r, s) view, bit for bit,
+        # after the zero bracket (0, 0)
         rng = np.random.default_rng(23)
-        for n in range(3, 49):
+        for n in range(1, 49):
             N = int(rng.integers(2, 8))
             E = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
             iu, ju = np.triu_indices(n, k=1)
-            iu, ju = np.append(iu, 0), np.append(ju, 0)
+            iu, ju = np.append(0, iu), np.append(0, ju)
             prod = np.tensordot(E, E, axes=([2], [1])).transpose(0, 2, 1, 3)
-            assert np.array_equal(liealg._bracket_pairs(E, iu, ju), prod[iu, ju] - prod[ju, iu]), n
+            assert np.array_equal(liealg._bracket_pairs(E), prod[iu, ju] - prod[ju, iu]), n
+
+    @pytest.mark.parametrize(
+        "mats",
+        [su_basis(2)[-1:], su_basis(3)[-2:], su_basis(2), block_with_center(6, 5)],
+        ids=["n1", "n2", "n3", "n25"],
+    )
+    def test_qr_reads_only_the_pair_coefficients(self, monkeypatch, mats):
+        # K is the n(n - 1)/2 + 1 rows the split holds, one zero row and the
+        # pairs a < b, not the n(n + 1)/2 columns a <= b of f_E
+        n = len(mats)
+        basis = LieBasis(generic_presentation(np.random.default_rng(n), mats))
+        shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(np.shape(a)) or qr(a, *args, **kw))
+        levi_split_compact(basis)
+        assert shapes == [(n * (n - 1) // 2 + 1, n)]
 
     def test_frame_tensor_is_not_copied(self, monkeypatch):
         # LeviSplit freezes the fresh f_E it is handed, in its (a, b, k)

@@ -81,6 +81,30 @@ class TestDataValidation:
         with pytest.raises(InvariantViolation, match="idempotence"):
             ProjectiveCalculusData(basis, p * 1e-4, one, one)
 
+    def test_idempotence_cut_is_per_entry(self):
+        # n = 1, N = 2: p.p - p = 1e195 on the diagonal, where |p| |p| is
+        # 1e195 too, so the defect is all of its entries' scale, but only
+        # 1e-205 of |p|^2 = 1e400, under which idempotence passed and
+        # projection compatibility was named
+        basis = LieBasis([np.array([[0, 1], [-1, 0]], dtype=complex)])
+        p = np.array([[[[1, 1e200], [1e-5, 0]]]], dtype=complex)
+        one = np.eye(2, dtype=complex)[None, None]
+        with pytest.raises(InvariantViolation) as info:
+            ProjectiveCalculusData(basis, p, one, one)
+        assert info.value.identity == "projection idempotence p.p = p"
+        assert info.value.residual == pytest.approx(1e195)
+
+    def test_idempotence_cut_is_no_looser_than_the_whole_matrix(self):
+        # n = 1, N = 5: p = u v^T with u all ones and v alternating signs is
+        # idempotent with every entry of |p| |p| at 5 = 5 |p|^2; a defect of
+        # 3e-9 |p|^2 is within 1e-9 (|p| |p|)_kj but past the cut at |p|^2
+        basis = LieBasis([np.diag([1j, -1j, 0, 0, 0])])
+        p = np.outer(np.ones(5), [1, -1, 1, -1, 1]).astype(complex)
+        p[0, 0] += 3e-9
+        one = np.eye(5, dtype=complex)[None, None]
+        with pytest.raises(InvariantViolation, match="idempotence"):
+            ProjectiveCalculusData(basis, p[None, None], one, one)
+
     def test_rejects_nonhermitian_metric(self, su2_basis):
         h = eye_grid(3, 2).copy()
         h[0, 0] = np.array([[1, 1j], [2j, 1]])
@@ -472,6 +496,27 @@ def _invariant_residuals_literal(p, h, h_inv):
     ]
 
 
+def _invariant_factors(p, h, h_inv):
+    """Per identity, in the order above, the factors of its residual's
+    scale, each max(1, |grid|)."""
+    pmax, hmax, imax = (max(1.0, max_norm(g)) for g in (p, h, h_inv))
+    return [(pmax, pmax), (hmax,), (hmax,), (imax,), (pmax, hmax, imax), (pmax, imax)]
+
+
+def _invariant_violations_literal(p, h, h_inv, tol=DEFAULT_TOL):
+    """Per identity, in the order above, whether its literal residual is
+    past its cut: idempotence entry by entry, at tol.cut of
+    min((|p| |p|)_kj, max(1, |p|)^2), every other identity at tol.cut of
+    the product of its factors."""
+    factors = _invariant_factors(p, h, h_inv)
+    defect = np.einsum("klab,ljbc->kjac", p, p) - p
+    scale = np.minimum(np.einsum("klab,ljbc->kjac", np.abs(p), np.abs(p)), math.prod(factors[0]))
+    literal = _invariant_residuals_literal(p, h, h_inv)
+    return [bool(np.any(np.abs(defect) > tol.abs + tol.rel * scale))] + [
+        res > tol.cut(math.prod(f)) for (_, res), f in zip(literal[1:], factors[1:])
+    ]
+
+
 @functools.cache  # data compare by identity; each test data is read by several tests
 def _lambda_literal(data):
     h, fr = data.h, data.f.f
@@ -585,11 +630,14 @@ class TestContractionsAgainstLiteral:
         grids = [np.array(d.p), np.array(d.h), np.array(d.h_inv)]
         perturbed = [g + 1e-3 * max_norm(g) * rng.standard_normal(g.shape) for g in grids]
         for p, h, h_inv in (grids, perturbed):
-            got = list(projcalc._invariant_residuals(p, h, h_inv))
+            got = list(projcalc._invariant_residuals(p, h, h_inv, DEFAULT_TOL))
             want = _invariant_residuals_literal(p, h, h_inv)
             assert [name for name, _, _ in got] == [name for name, _ in want]
-            for (_, res, factors), (_, lit) in zip(got, want):
-                assert abs(res - lit) <= REL * math.prod(factors)
+            factors = _invariant_factors(p, h, h_inv)
+            violated = _invariant_violations_literal(p, h, h_inv)
+            for (_, res, within), (_, lit), f, v in zip(got, want, factors, violated):
+                assert abs(res - lit) <= REL * math.prod(f)
+                assert within == (not v) == (p is grids[0])
 
     def test_lambda_tensor(self, generic_data):
         want = _lambda_literal(generic_data)
@@ -666,11 +714,11 @@ class TestInvariantViolationNames:
         # the literal checks, in the parent's order, name the same identity
         first = next(
             (name, res)
-            for (name, res), (_, _, factors) in zip(
+            for (name, res), violated in zip(
                 _invariant_residuals_literal(grids["p"], grids["h"], grids["h_inv"]),
-                projcalc._invariant_residuals(grids["p"], grids["h"], grids["h_inv"]),
+                _invariant_violations_literal(grids["p"], grids["h"], grids["h_inv"]),
             )
-            if res > DEFAULT_TOL.cut(math.prod(factors))
+            if violated
         )
         assert first[0] == identity
         with pytest.raises(InvariantViolation) as info:
