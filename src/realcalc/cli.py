@@ -182,8 +182,8 @@ def _fast_stack(value, shape: tuple[int, ...]) -> Optional[np.ndarray]:
     leave the flat list of leaves, which one ``np.fromiter`` call reads
     (``np.array`` on the nested lists would also keep state per sublist).
     None also covers mixed leaf forms and integers too large for a
-    double; callers then read a stack a matrix at a time and a matrix an
-    entry at a time, which locates every error.
+    double; ``_parse_array`` then reads the array entry by entry, which
+    locates every error.
     """
     level = [value]
     for size in shape:
@@ -204,23 +204,30 @@ def _fast_stack(value, shape: tuple[int, ...]) -> Optional[np.ndarray]:
     return None
 
 
-def _parse_matrix(value, N: int, loc: str) -> np.ndarray:
-    """The N x N complex matrix written as a list of N rows of N entries,
-    every entry a complex scalar (see the module docstring)."""
-    out = _fast_stack(value, (N, N))
-    return _parse_matrix_entries(value, N, loc) if out is None else out
+# what a list with a given number of axes left must be, by that number
+_EXPECTED = (None, "{} entries", "{} rows", "a list of {} matrices", "{} rows of matrices")
 
 
-def _parse_matrix_entries(value, N: int, loc: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != N:
-        raise CliError(f"{loc}: expected {N} rows")
-    out = np.empty((N, N), dtype=complex)
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != N:
-            raise CliError(f"{loc}[{r}]: expected {N} entries")
-        for c, entry in enumerate(row):
-            out[r, c] = _parse_complex(entry, f"{loc}[{r}][{c}]")
+def _parse_array(value, shape: tuple[int, ...], loc: str) -> np.ndarray:
+    """The complex array of ``shape``, a matrix or a stack or grid of
+    matrices, written as nested lists of complex scalars (see the module
+    docstring): in one pass by ``_fast_stack`` when it is well formed,
+    else entry by entry, naming the first misfit in row-major order."""
+    out = _fast_stack(value, shape)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+        _walk(value, out, loc)
     return out
+
+
+def _walk(value, out: np.ndarray, loc: str) -> None:
+    if not isinstance(value, list) or len(value) != len(out):
+        raise CliError(f"{loc}: expected " + _EXPECTED[out.ndim].format(len(out)))
+    for i, item in enumerate(value):
+        if out.ndim == 1:
+            out[i] = _parse_complex(item, f"{loc}[{i}]")
+        else:
+            _walk(item, out[i], f"{loc}[{i}]")
 
 
 def _parse_tolerance(obj, loc: str) -> Optional[Tolerance]:
@@ -307,7 +314,7 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
         if not isinstance(name, str):
             raise CliError(f"{loc}.name: expected a string")
         names.append(name)
-        mats.append(_parse_matrix(entry["matrix"], N, f"{loc}.matrix") if stack is None else stack[idx])
+        mats.append(_parse_array(entry["matrix"], (N, N), f"{loc}.matrix") if stack is None else stack[idx])
     metric_scale = _parse_number(obj.get("metric_scale", 1.0), "metric_scale")
     if metric_scale == 0.0:
         raise CliError("metric_scale: must be nonzero")
@@ -317,30 +324,12 @@ def parse_algebra_spec(obj) -> AlgebraSpecFile:
     return AlgebraSpecFile(N, names, mats, metric_scale, tol)
 
 
-def _parse_matrices(value, count: int, N: int, loc: str) -> list[np.ndarray]:
-    if not isinstance(value, list) or len(value) != count:
-        raise CliError(f"{loc}: expected a list of {count} matrices")
-    stack = _fast_stack(value, (count, N, N))
-    if stack is not None:
-        return list(stack)
-    return [_parse_matrix(m, N, f"{loc}[{i}]") for i, m in enumerate(value)]
-
-
-def _parse_grid(value, n: int, N: int, loc: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != n:
-        raise CliError(f"{loc}: expected {n} rows of matrices")
-    stack = _fast_stack(value, (n, n, N, N))
-    if stack is not None:
-        return stack
-    return np.array([_parse_matrices(row, n, N, f"{loc}[{k}]") for k, row in enumerate(value)])
-
-
 def parse_projective_spec(obj) -> ProjectiveSpecFile:
     if not isinstance(obj, dict):
         raise CliError("top level: expected an object")
     N = _parse_positive_int(obj, "N")
     n = _parse_positive_int(obj, "n")
-    derivations = _parse_matrices(obj.get("derivations"), n, N, "derivations")
+    derivations = list(_parse_array(obj.get("derivations"), (n, N, N), "derivations"))
     if "structure_constants" in obj:
         raise CliError("structure_constants: not accepted; the structure constants are read off the derivations")
     grid_keys = [k for k in ("p", "h", "h_inv") if k in obj]
@@ -351,12 +340,9 @@ def parse_projective_spec(obj) -> ProjectiveSpecFile:
     if grid_keys:
         if len(grid_keys) != 3:
             raise CliError("p, h and h_inv must be given together")
-        p = _parse_grid(obj["p"], n, N, "p")
-        h = _parse_grid(obj["h"], n, N, "h")
-        h_inv = _parse_grid(obj["h_inv"], n, N, "h_inv")
+        p, h, h_inv = (_parse_array(obj[key], (n, n, N, N), key) for key in grid_keys)
     elif len(gen_keys) == 2:
-        X = _parse_matrices(obj["X"], n, N, "X")
-        Y = _parse_matrices(obj["Y"], n, N, "Y")
+        X, Y = (list(_parse_array(obj[key], (n, N, N), key)) for key in gen_keys)
     else:
         raise CliError("exactly one of {p, h, h_inv} or {X, Y} must be present")
     tol = _parse_tolerance(obj.get("tolerance"), "tolerance")
@@ -389,6 +375,7 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     split = liealg.levi_split_compact(basis, tol)
     try:
         f = liealg.structure_constants(basis, split)
+        killing = liealg.killing_form(basis, split)
     except ValueError as exc:
         raise CliError(f"basis: {exc}") from exc
     return _jsonify({
@@ -399,7 +386,7 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
         "N": basis.N,
         "names": list(spec.names),
         "structure_constants": f.f,
-        "killing": liealg.killing_form(basis, split),
+        "killing": killing,
         "semisimple": split.radical_dim == 0,
         # g is compact, so it is solvable exactly when [g, g] = 0
         "solvable": split.ss_dim == 0,
@@ -415,7 +402,12 @@ def cmd_lie(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
 def cmd_analyze(spec: AlgebraSpecFile, tol: Tolerance, source: str) -> dict:
     basis = _build_basis(spec, tol)
     pre = cncalc.MetricPreCalculus(basis, spec.metric_scale)
-    report = cncalc.decide_existence(pre, tol)
+    try:
+        report = cncalc.decide_existence(pre, tol)
+    except liealg.ClosureViolation:
+        raise
+    except ValueError as exc:  # the Killing form overflows
+        raise CliError(f"basis: {exc}") from exc
     diagnostics = dict(report.diagnostics)
     residuals = diagnostics.pop("witness_residuals", None)
     out = {
@@ -446,6 +438,9 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         else:
             data = projcalc.from_module_generators(spec.X, spec.Y, derivs, tol)
         holds, worst, residuals = projcalc.lc_condition_check(data, tol)
+        if holds:
+            coeffs = projcalc.lc_connection_coefficients(data, tol)
+            koszul = projcalc.koszul_verify_projective(data, coeffs)
     except liealg.ClosureViolation as exc:
         raise CliError(f"derivations are not closed under brackets at pair {exc.pair}") from exc
     except ValueError as exc:
@@ -465,9 +460,8 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
         "lambda_at_worst": lam[worst_idx].copy(),
     }
     if holds:
-        coeffs = projcalc.lc_connection_coefficients(data, tol)
         out["connection_coefficients"] = coeffs
-        out["koszul_residual"] = projcalc.koszul_verify_projective(data, coeffs)
+        out["koszul_residual"] = koszul
     # the report holds no view of the data, so its grids, derivatives and
     # tensors are freed before the report is printed
     del data, lam
@@ -478,10 +472,9 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
 # Rendering and dispatch
 
 
-_ENCODE = json.JSONEncoder(allow_nan=False).encode
-# json.dumps, except that an array prints as the list form of its entries
-# rounded by _round12: in a report, a bulk array with a NaN or infinite entry
-_TEXT_ENCODE = json.JSONEncoder(default=lambda a: _round12(a).tolist()).encode
+# json.dumps with no NaN or infinity; an array, which only render_text's
+# leaves hand it, prints as the list form of its entries rounded by _round12
+_ENCODE = json.JSONEncoder(allow_nan=False, default=lambda a: _round12(a).tolist()).encode
 _INLINE_WIDTH = 88
 
 
@@ -847,12 +840,12 @@ def _render_text_lines(value, key: str, indent: int, pieces: list[str]) -> None:
         pieces.append(f"{pad}{key}:\n")
         for idx, v in enumerate(value):
             _render_text_lines(v, f"[{idx}]", indent + 1, pieces)
-    elif isinstance(value, np.ndarray) and _prints_in_bulk(value) and np.isfinite(value).all():
+    elif isinstance(value, np.ndarray) and _prints_in_bulk(value):
         pieces.append(f"{pad}{key}: ")
         pieces += _render_float_array(value, 0, inline=True)
         pieces.append("\n")
     else:
-        pieces.append(f"{pad}{key}: {_TEXT_ENCODE(value)}\n")
+        pieces.append(f"{pad}{key}: {_ENCODE(value)}\n")
 
 
 def _text_pieces(report: dict) -> list[str]:
@@ -865,11 +858,11 @@ def _text_pieces(report: dict) -> list[str]:
 
 def render_text(report: dict) -> str:
     """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
-    its list form, except that a float array of 32 entries or more
-    (``_prints_in_bulk``) prints the list form of its entries rounded to
-    12 digits (``_round12``): by the one bulk printer,
-    ``_render_float_array`` with every group inline, when it is finite,
-    through the encoder's fallback otherwise."""
+    the list form of its arrays' entries rounded to 12 digits
+    (``_round12``); a float array of 32 entries or more
+    (``_prints_in_bulk``) by the one bulk printer,
+    ``_render_float_array`` with every group inline. A NaN or infinite
+    value raises ValueError, as in ``render_json``."""
     return "".join(_text_pieces(report))
 
 
@@ -965,7 +958,10 @@ def main(argv=None) -> int:
         # every piece is printed before anything is written, so a report
         # that fails to render leaves stdout and the output file untouched;
         # the output file is then written over in place, not emptied first
-        pieces = _json_pieces(report) if args.format == "json" else _text_pieces(report)
+        try:
+            pieces = _json_pieces(report) if args.format == "json" else _text_pieces(report)
+        except ValueError as exc:  # a NaN or infinite value, which neither format prints
+            raise CliError(f"report: {exc}") from exc
         if args.output:
             try:
                 _write_over(args.output, pieces)

@@ -125,18 +125,6 @@ class ExistenceReport:
             raise ValueError("status and witness presence disagree")
 
 
-def _metric_compat_supremum(x: float, mats: np.ndarray, ts: np.ndarray) -> float:
-    """The closed form of :func:`metric_compat_residual` for any complex t_j.
-
-    A test hook: the connection type only admits imaginary t_j. Cost:
-    O(n N^2) time and memory.
-    """
-    ts = np.asarray(ts, dtype=complex)
-    A = mats + mats.conj().transpose(0, 2, 1)
-    A -= 2.0 * ts.real[:, None, None] * np.eye(mats.shape[1])
-    return abs(x) * float(np.max(np.linalg.norm(A, axis=2)))
-
-
 def metric_compat_residual(pre: MetricPreCalculus, conn: Connection) -> float:
     """Supremum over unit u, v of D_j h(u,v) - h(nabla_j u, v) - h(u, nabla_j v).
 
@@ -145,9 +133,10 @@ def metric_compat_residual(pre: MetricPreCalculus, conn: Connection) -> float:
     = x A_j u^dag v with A_j = D_j + D_j^dag - 2 Re(t_j) 1. Entry (a, b) is
     x (A_j[a] . u^*) v_b, largest at u = A_j[a] / |A_j[a]| and v = e_b, so
     the supremum is |x| max_j max_a |A_j[a]|: the basis' antihermiticity
-    defect, since Re t_j = 0.
+    defect, since Re t_j = 0. Cost: O(n N^2) time and memory.
     """
-    return _metric_compat_supremum(pre.metric_scale, pre.basis.mats, 1j * conn.lambdas)
+    A = pre.basis.mats + pre.basis.mats.conj().transpose(0, 2, 1)
+    return abs(pre.metric_scale) * float(np.max(np.linalg.norm(A, axis=2)))
 
 
 def _connection_on_v0(conn: Connection, basis: LieBasis, anchor: AnchorMap) -> np.ndarray:

@@ -304,11 +304,16 @@ def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
     ``ss_basis`` then ``radical_basis``. D = T_inv E carries it to
     B = -G G^T with the n x n factor G = sqrt(2) T_inv V diag(s), and
     numpy forms G G^T as one symmetric rank-n update, so B is exactly
-    symmetric. Cost: O(n^3) time, O(n^2) memory.
+    symmetric. A B that overflows a double raises ValueError. Cost:
+    O(n^3) time, O(n^2) memory.
     """
     V = np.vstack([split.ss_basis, split.radical_basis]).T
-    G = basis.T_inv @ (V * (np.sqrt(2.0) * split._singular_values))
-    return -(G @ G.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = basis.T_inv @ (V * (np.sqrt(2.0) * split._singular_values))
+        B = -(G @ G.T)
+    if not np.all(np.isfinite(B)):
+        raise ValueError("the Killing form overflows a double in this basis")
+    return B
 
 
 def mu_obstruction_space(f: StructureConstants, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

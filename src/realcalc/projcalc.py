@@ -382,7 +382,7 @@ def lc_connection_coefficients(
     free-module connection Gam^l_ik = Lam^l_im p^m_k, the product that
     the criterion keeps on the data, as C^l_ij = Gam^l_ik p^k_j + [D_i, p^l_j].
     One GEMM: O(n^4 N^3) time, O(n^3 N^2) memory. The result is a
-    C-contiguous (n, n, n, N, N) array.
+    C-contiguous (n, n, n, N, N) array; an overflow raises ValueError.
     """
     holds, worst, _ = lc_condition_check(data, tol)
     if not holds:
@@ -393,8 +393,12 @@ def lc_connection_coefficients(
     # the sum is written C-contiguous in (l, i, j, a, c), the order in
     # which a report reads the coefficients
     coeffs = np.empty(data.dp.shape, dtype=complex)
-    gam_p = _times_block(data._lambda_p, _block_matrix(data.p))
-    return np.add(gam_p, data.dp.transpose(1, 0, 2, 3, 4), out=coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gam_p = _times_block(data._lambda_p, _block_matrix(data.p))
+        np.add(gam_p, data.dp.transpose(1, 0, 2, 3, 4), out=coeffs)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("the connection coefficients overflow a double: their terms Lam p p or [D, p] do")
+    return coeffs
 
 
 def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
@@ -406,7 +410,7 @@ def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
     h, so C - Lam is formed once, in the stacked layout, and for each i
     one (nN x nN) GEMM multiplies H with its block matrix over (l, j):
     O(n^4 N^3) time and O(n^3 N^2) memory, with only one i's product held
-    at a time.
+    at a time. A residual that overflows a double raises ValueError.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n, N = data.n, data.N
@@ -414,9 +418,13 @@ def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
         raise ValueError(f"coefficients must have shape ({n}, {n}, {n}, {N}, {N})")
     lam, H = lambda_tensor(data), _block_matrix(data.h)
     diff = _unstacked(np.empty((n * N, n, n * N), dtype=complex), n, N)
-    np.subtract(coeffs, lam, out=diff)
-    columns = _stacked(diff).reshape(n * N, n, n * N)  # columns[:, i] is C_i - Lam_i
-    return max(max_norm(H @ columns[:, i]) for i in range(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(coeffs, lam, out=diff)
+        columns = _stacked(diff).reshape(n * N, n, n * N)  # columns[:, i] is C_i - Lam_i
+        worst = float(np.max([max_norm(H @ columns[:, i]) for i in range(n)]))  # np.max keeps a NaN
+    if not np.isfinite(worst):
+        raise ValueError("the Koszul check overflows a double: its terms h_ml (C^l_ij - Lam^l_ij) do")
+    return worst
 
 
 def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL) -> ProjectiveCalculusData:

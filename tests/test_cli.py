@@ -246,9 +246,11 @@ class TestDeterminismAndIO:
         same = (target.read_bytes(), captured.out, captured.err) == (want, want, b"")
         assert same
 
-    def test_render_error_writes_nothing(self, capsys, monkeypatch, tmp_path, trivial_su4_spec):
-        # the JSON renderer refuses a NaN in the coefficient grid after
-        # the keys before it are printed; neither the file nor stdout gets any
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_render_error_writes_nothing(self, capsys, monkeypatch, tmp_path, trivial_su4_spec, fmt):
+        # both renderers refuse a NaN in the coefficient grid after the
+        # keys before it are printed; main names the refusal in one line,
+        # and neither the file nor stdout gets any of the report
         original = cli.cmd_projective
 
         def with_nan(*args):
@@ -260,10 +262,11 @@ class TestDeterminismAndIO:
         target = tmp_path / "report.json"
         target.write_bytes(b"an earlier report\n")
         for output in (["--output", str(target)], []):
-            with pytest.raises(ValueError, match="not JSON compliant"):
-                main(["projective", str(trivial_su4_spec), "--format", "json", *output])
+            code, out, err = run(capsys, "projective", str(trivial_su4_spec), "--format", fmt, *output)
+            assert (code, out) == (1, "")
+            assert err.startswith("realcalc: error: report: Out of range float values are not JSON compliant")
+            assert err.count("\n") == 1
         assert target.read_bytes() == b"an earlier report\n"
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("first, second", [("free_trivial.json", "mat2_rank1.json"),
                                                ("mat2_rank1.json", "free_trivial.json")],
@@ -622,12 +625,12 @@ class TestErrorPaths:
         assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
     @staticmethod
-    def _rotation_spec(p) -> dict:
-        # n = 1, N = 2: D = [[0, 1], [-1, 0]], a metric with entries 1e200
+    def _rotation_spec(p, c: float = 1e200) -> dict:
+        # n = 1, N = 2: D = [[0, 1], [-1, 0]], a metric with entries c
         # whose inverse relation and compatibility hold exactly for this p
         entries = lambda m: [[[float(x), 0.0] for x in row] for row in m]
         return {"N": 2, "n": 1, "derivations": [entries([[0, 1], [-1, 0]])], "p": [[entries(p)]],
-                "h": [[entries([[1, 1e200], [1e200, 1]])]], "h_inv": [[entries([[1, 0], [0, 0]])]]}
+                "h": [[entries([[1, c], [c, 1]])]], "h_inv": [[entries([[1, 0], [0, 0]])]]}
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_criterion_overflow_is_located(self, capsys, tmp_path, fmt):
@@ -638,6 +641,28 @@ class TestErrorPaths:
         message = ("p is too large for the criterion: its terms p^k_l [D_i, p^l_j] "
                    "or Lam^k_il p^l_j overflow a double")
         assert run(capsys, "projective", str(bad), "--format", fmt) == (1, "", f"realcalc: error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_koszul_overflow_is_located(self, capsys, tmp_path, fmt):
+        # at 1e150 the criterion holds and the coefficients fit a double,
+        # but h (C - Λ) overflows
+        bad = tmp_path / "big_ph.json"
+        bad.write_text(json.dumps(self._rotation_spec([[1, 1e150], [0, 0]], 1e150)))
+        message = "the Koszul check overflows a double: its terms h_ml (C^l_ij - Lam^l_ij) do"
+        assert run(capsys, "projective", str(bad), "--format", fmt) == (1, "", f"realcalc: error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["lie", "analyze"])
+    def test_killing_overflow_is_located(self, capsys, tmp_path, command, fmt):
+        # su(2) x 5e153: every element norm fits a double, but the Killing
+        # form, which scales with their squares, does not
+        spec = json.loads(fixture_path("su2.json").read_text())
+        for entry in spec["basis"]:
+            entry["matrix"] = (5e153 * np.array(entry["matrix"])).tolist()
+        bad = tmp_path / "big_su2.json"
+        bad.write_text(json.dumps(spec))
+        message = "basis: the Killing form overflows a double in this basis"
+        assert run(capsys, command, str(bad), "--format", fmt) == (1, "", f"realcalc: error: {message}\n")
 
     def test_non_finite_invariant_residual_is_a_violation(self, capsys, tmp_path):
         # p.p overflows, so the idempotence residual and its cut are both inf
@@ -792,29 +817,22 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
 
-def _matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw):
+def _parsed_entry_by_entry(monkeypatch, parse, *args):
+    """``parse(*args)`` with every array read by the located walk."""
     with monkeypatch.context() as m:
         m.setattr(cli, "_fast_stack", lambda value, shape: None)
-        m.setattr(cli, "_parse_matrix", cli._parse_matrix_entries)
-        return parse(raw)
+        return parse(*args)
 
 
-def _matrices_parsed_one_matrix_at_a_time(monkeypatch, parse, raw):
-    fast_stack = cli._fast_stack
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_fast_stack", lambda value, shape: fast_stack(value, shape) if len(shape) == 2 else None)
-        return parse(raw)
+def _walks(monkeypatch) -> list:
+    """Live record of the locations that the located walk visits."""
+    locs, walk = [], cli._walk
 
-
-def _matrix_parses(monkeypatch) -> list:
-    """Live record of the locations that ``_parse_matrix`` is called with."""
-    locs, parse_matrix = [], cli._parse_matrix
-
-    def recording(value, N, loc):
+    def recording(value, out, loc):
         locs.append(loc)
-        return parse_matrix(value, N, loc)
+        return walk(value, out, loc)
 
-    monkeypatch.setattr(cli, "_parse_matrix", recording)
+    monkeypatch.setattr(cli, "_walk", recording)
     return locs
 
 
@@ -865,7 +883,7 @@ class TestMatrixParsing:
         raw = json.loads(fixture_path(name).read_text())
         parse = parse_algebra_spec if name in ALGEBRA_FIXTURES else parse_projective_spec
         fast = _spec_arrays(parse(raw))
-        slow = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
+        slow = _spec_arrays(_parsed_entry_by_entry(monkeypatch, parse, raw))
         assert_same_arrays(fast, slow)
 
     def test_random_trivial_su3_parses_as_entry_by_entry(self, monkeypatch):
@@ -880,7 +898,7 @@ class TestMatrixParsing:
         }
         raw = json.loads(json.dumps(raw))
         fast = _spec_arrays(parse_projective_spec(raw))
-        slow = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse_projective_spec, raw))
+        slow = _spec_arrays(_parsed_entry_by_entry(monkeypatch, parse_projective_spec, raw))
         assert_same_arrays(fast, slow)
         assert np.array_equal(fast[-1], data.h_inv)
 
@@ -894,42 +912,41 @@ class TestMatrixParsing:
         ],
         ids=["bare", "mixed", "pairs", "non-finite"],
     )
-    def test_entry_forms_parse_as_entry_by_entry(self, matrix):
-        fast = cli._parse_matrix(matrix, 2, "m")
-        assert_same_arrays([fast], [cli._parse_matrix_entries(matrix, 2, "m")])
+    def test_entry_forms_parse_as_entry_by_entry(self, monkeypatch, matrix):
+        fast = cli._parse_array(matrix, (2, 2), "m")
+        assert_same_arrays([fast], [_parsed_entry_by_entry(monkeypatch, cli._parse_array, matrix, (2, 2), "m")])
 
     @pytest.mark.parametrize("form", ["pairs", "bare"])
     @pytest.mark.parametrize("name", sorted(ALGEBRA_FIXTURES | PROJECTIVE_FIXTURES))
-    def test_stacks_parse_as_matrix_by_matrix(self, monkeypatch, name, form):
+    def test_stacks_parse_as_entry_by_entry(self, monkeypatch, name, form):
         raw = json.loads(fixture_path(name).read_text())
         raw = _in_bare_form(raw) if form == "bare" else raw
         parse = parse_algebra_spec if name in ALGEBRA_FIXTURES else parse_projective_spec
-        by_matrix = _spec_arrays(_matrices_parsed_one_matrix_at_a_time(monkeypatch, parse, raw))
-        by_entry = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
-        locs = _matrix_parses(monkeypatch)
+        by_entry = _spec_arrays(_parsed_entry_by_entry(monkeypatch, parse, raw))
+        locs = _walks(monkeypatch)
         fast = _spec_arrays(parse(raw))
+        # a stack in one entry form is read in one pass, never walked
         assert locs == []
-        assert_same_arrays(fast, by_matrix)
         assert_same_arrays(fast, by_entry)
 
     @pytest.mark.parametrize(
-        "name, field, bare",
-        [("su2.json", "basis", "basis[0].matrix"), ("mat2_rank1.json", "derivations", "derivations[1]")],
+        "name, field, index",
+        [("su2.json", "basis", 0), ("mat2_rank1.json", "derivations", 1)],
     )
-    def test_matrices_mixing_entry_forms(self, monkeypatch, name, field, bare):
+    def test_matrices_mixing_entry_forms(self, monkeypatch, name, field, index):
+        # one matrix in bare form among [re, im] pairs: the stack is read
+        # entry by entry (a basis, whose gather fails, a matrix at a time),
+        # and each bare entry re + im is read as the real it is
         raw = json.loads(fixture_path(name).read_text())
+        parse = parse_algebra_spec if field == "basis" else parse_projective_spec
+        want = _spec_arrays(parse(raw))
+        want[index] = (want[index].real + want[index].imag).astype(complex)
         if field == "basis":
-            raw["basis"][0]["matrix"] = _bare(raw["basis"][0]["matrix"], 2)
-            parse = parse_algebra_spec
+            raw["basis"][index]["matrix"] = _bare(raw["basis"][index]["matrix"], 2)
         else:
-            raw["derivations"][1] = _bare(raw["derivations"][1], 2)
-            parse = parse_projective_spec
-        by_entry = _spec_arrays(_matrices_parsed_one_entry_at_a_time(monkeypatch, parse, raw))
-        locs = _matrix_parses(monkeypatch)
-        fast = _spec_arrays(parse(raw))
-        # the stack falls back to one matrix at a time, each of which is regular
-        assert bare in locs and len(locs) == 3
-        assert_same_arrays(fast, by_entry)
+            raw["derivations"][index] = _bare(raw["derivations"][index], 2)
+        assert_same_arrays(_spec_arrays(_parsed_entry_by_entry(monkeypatch, parse, raw)), want)
+        assert_same_arrays(_spec_arrays(parse(raw)), want)
 
     @pytest.mark.parametrize(
         "name, path, value, message",

@@ -23,7 +23,7 @@ from realcalc.liealg import (
     common_left_eigenvector,
     levi_split_compact,
 )
-from realcalc.matlin import DEFAULT_TOL, max_norm
+from realcalc.matlin import DEFAULT_TOL, Tolerance, max_norm
 
 from support import (
     block_with_center,
@@ -102,31 +102,37 @@ class TestMetricCompatibility:
         conn = Connection([0.7, -1.3, 2.9])
         assert metric_compat_residual(pre, conn) <= 1e-12 * 3.0 * 2
 
-    def test_real_part_breaks_compatibility(self, su2_basis):
-        # with t = 1 + i*lam the defect is exactly -x(t + conj t) u^dag v
-        x = -3.0
-        ts = 1.0 + 1j * np.array([0.7, -1.3, 2.9])
+    def test_hermitian_part_breaks_compatibility(self, su2_basis):
+        # with D_j + eps diag(1, -1) the defect is exactly
+        # x (D_j + D_j^dag) u^dag v = 2 eps x diag(1, -1) u^dag v
+        x, eps = -3.0, 1e-3
+        basis = LieBasis(su2_basis.mats + eps * np.diag([1.0, -1.0]), Tolerance(rel=1e-2))
+        conn = Connection([0.7, -1.3, 2.9])
         U, V = _unit_pairs(2)
-        got = _metric_compat_literal(x, su2_basis.mats, ts, U, V)
-        expect = [2.0 * abs(x) * np.max(np.abs(np.outer(u.conj(), v))) for u, v in zip(U, V)]
+        got = _metric_compat_literal(x, basis.mats, 1j * conn.lambdas, U, V)
+        expect = [2.0 * eps * abs(x) * np.max(np.abs(np.outer(u.conj(), v))) for u, v in zip(U, V)]
         assert got == pytest.approx(expect, rel=1e-12)
-        sup = cncalc._metric_compat_supremum(x, su2_basis.mats, ts)
-        assert sup == pytest.approx(2.0 * abs(x), rel=1e-12)
+        sup = metric_compat_residual(MetricPreCalculus(basis, x), conn)
+        assert sup == pytest.approx(2.0 * eps * abs(x), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_form_is_the_supremum(self, seed):
-        # raw complex matrices, neither antihermitian nor trace-free, and
-        # complex t with nonzero real parts
+        # trace-free matrices with a hermitian part, a basis only under a
+        # loose tolerance, and a random connection
         rng = np.random.default_rng(seed)
         n, N = 3, 4
-        mats = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
-        ts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        raw = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
+        raw -= np.trace(raw, axis1=1, axis2=2)[:, None, None] * np.eye(N) / N
+        anti, herm = raw - raw.conj().transpose(0, 2, 1), raw + raw.conj().transpose(0, 2, 1)
+        basis = LieBasis(anti + 1e-3 * herm, Tolerance(rel=1e-1))
+        conn = Connection(rng.standard_normal(n))
         x = rng.uniform(-3.0, 3.0)
-        sup = cncalc._metric_compat_supremum(x, mats, ts)
+        mats, ts = basis.mats, 1j * conn.lambdas
+        sup = metric_compat_residual(MetricPreCalculus(basis, x), conn)
         sampled = _metric_compat_literal(x, mats, ts, *_unit_pairs(N))
         assert np.all(sampled <= sup * (1.0 + 1e-12))
-        # attained at u the normalized worst row of A_j and v = e_b
-        A = mats + mats.conj().transpose(0, 2, 1) - 2.0 * ts.real[:, None, None] * np.eye(N)
+        # attained at u the normalized worst row of A_j = D_j + D_j^dag and v = e_b
+        A = mats + mats.conj().transpose(0, 2, 1)
         j, a = np.unravel_index(np.argmax(np.linalg.norm(A, axis=2)), (n, N))
         u = A[j, a] / np.linalg.norm(A[j, a])
         for b in range(N):

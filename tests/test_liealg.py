@@ -195,6 +195,17 @@ class TestKillingForm:
     def test_abelian_vanishes(self):
         assert max_norm(split_killing(abelian_diag(2))) == 0.0
 
+    @pytest.mark.parametrize("scale", [4e153, 5e153])
+    def test_overflow_raises(self, scale):
+        # su(2) scaled: every element norm fits a double, and B = -8 scale^2 1
+        # does up to 4e153, not at 5e153
+        basis = LieBasis([scale * m for m in su2_mats()])
+        if scale < 5e153:
+            assert np.all(np.isfinite(split_killing(basis)))
+        else:
+            with pytest.raises(ValueError, match="Killing form overflows a double"):
+                split_killing(basis)
+
     def test_gc_has_one_null_direction(self, su4):
         B = split_killing(su4["gc"])
         # the central direction comes first in the gc basis

@@ -331,6 +331,15 @@ class TestCachedIntermediates:
             lc_connection_coefficients(data)
 
 
+def rotation_data(a: float, c: float) -> ProjectiveCalculusData:
+    """n = 1, N = 2: D = [[0, 1], [-1, 0]], the idempotent p = [[1, a], [0, 0]]
+    and a metric with entries c, whose invariants hold exactly; at
+    a = c = 1e150 the criterion holds and the coefficients fit a double."""
+    grid = lambda m: np.array(m, dtype=complex)[None, None]
+    return ProjectiveCalculusData(LieBasis([np.array([[0, 1], [-1, 0]], dtype=complex)]),
+                                  grid([[1, a], [0, 0]]), grid([[1, c], [c, 1]]), grid([[1, 0], [0, 0]]))
+
+
 class TestConnectionCoefficients:
     def test_trivial_projection_collapses_to_lambda(self):
         rng = np.random.default_rng(9)
@@ -349,6 +358,16 @@ class TestConnectionCoefficients:
         with pytest.raises(ConditionFails):
             lc_connection_coefficients(corner_anchor_data)
 
+    def test_overflow_raises(self):
+        # Λ p kept with its entry (0, 0) 1e300: times p's 1e150 it overflows
+        data = rotation_data(1e150, 1e150)
+        assert lc_condition_check(data)[0]
+        lam_p = data._lambda_p.copy()
+        lam_p[..., 0, 0] = 1e300
+        data.__dict__["_lambda_p"] = lam_p
+        with pytest.raises(ValueError, match="connection coefficients overflow a double"):
+            lc_connection_coefficients(data)
+
 
 class TestKoszulVerify:
     def test_constructed_coefficients_certify(self):
@@ -363,6 +382,14 @@ class TestKoszulVerify:
     def test_abelian_block_zero(self, abelian_block_data):
         coeffs = lc_connection_coefficients(abelian_block_data)
         assert koszul_verify_projective(abelian_block_data, coeffs) == 0.0
+
+    def test_overflow_raises(self):
+        # the coefficients fit a double, but h (C - Λ) does not
+        data = rotation_data(1e150, 1e150)
+        coeffs = lc_connection_coefficients(data)
+        assert np.all(np.isfinite(coeffs))
+        with pytest.raises(ValueError, match="Koszul check overflows a double"):
+            koszul_verify_projective(data, coeffs)
 
     def test_perturbation_is_linear(self):
         rng = np.random.default_rng(12)

@@ -315,8 +315,8 @@ finite_or_not = st.floats(allow_subnormal=True) | st.sampled_from(
 
 @given(st.lists(finite_or_not, min_size=cli._BULK_MIN_SIZE, max_size=200))
 def test_random_floats_print_rounded(values):
-    # a 1-d array, printed in bulk; with a NaN or an infinity, render_text
-    # prints it through the encoder's fallback
+    # a 1-d array, printed in bulk; with a NaN or an infinity, both
+    # renderers refuse it
     x = np.array(values)
     assert_rounded_where_printed(x)
     finite = x[np.isfinite(x)]
@@ -690,14 +690,6 @@ def test_float_arrays_match_text_literal(array, depth, slab):
             assert_same_text({"grid": _placed(grid, depth), "n": 1})
 
 
-@given(float_arrays(), st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.integers(min_value=0))
-def test_non_finite_text_leaf_prints_as_json_dumps(array, bad, where):
-    # text keeps json.dumps' NaN and Infinity, where render_json raises
-    shape, leaves = array
-    leaves[where % len(leaves)] = bad
-    assert_same_text({"grid": np.array(_nest(leaves, shape))})
-
-
 # Rounding at print time: a float array that the renderers print in bulk
 # reaches them unrounded and is rounded where it prints, so the raw array
 # and its rounded copy print the same bytes, those of the literal of its
@@ -707,9 +699,15 @@ def test_non_finite_text_leaf_prints_as_json_dumps(array, bad, where):
 def assert_rounded_where_printed(x: np.ndarray):
     rounded = cli._round12(x)
     assert cli._prints_in_bulk(x)
-    if np.isfinite(x).all():
-        assert cli.render_json({"x": x}) == cli.render_json({"x": rounded})
-        assert_same({"x": x})
+    if not np.isfinite(x).all():
+        # one rule for both formats: a NaN or an infinity has no report text
+        for render in (cli.render_json, cli.render_text):
+            for value in (x, rounded):
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    render({"x": value})
+        return
+    assert cli.render_json({"x": x}) == cli.render_json({"x": rounded})
+    assert_same({"x": x})
     assert cli.render_text({"x": x}) == cli.render_text({"x": rounded})
     assert_same_text({"x": x})
 
@@ -735,17 +733,18 @@ def test_edge_values_are_rounded_where_printed(shape, slab):
         assert_rounded_where_printed(x)
 
 
-def test_non_finite_text_leaves_are_rounded():
-    # render_text prints a grid with a NaN or infinite entry by the
-    # encoder's fallback, which must round its other entries too
+def test_non_finite_text_leaves_are_refused():
+    # render_text refuses a grid with a NaN or infinite entry, as
+    # render_json does: printed in bulk, as a short array or list leaf,
+    # and inside a list leaf
     x = np.random.default_rng(16).standard_normal((40, 3)) / 3.0
     x[5, 1], x[17, 0], x[30, 2] = float("nan"), float("inf"), float("-inf")
     assert_rounded_where_printed(x)
-    line = cli.render_text({"x": np.where(np.isfinite(x), 0.12345678901234, x)})
-    assert line.count("0.123456789012,") + line.count("0.123456789012]") == x.size - 3
-    assert "0.12345678901234" not in line and "NaN" in line
-    with pytest.raises(ValueError):
-        cli.render_json({"x": x})
+    for leaf in (x[5], x[5].tolist(), [x[:2], x[17]]):
+        for render in (cli.render_json, cli.render_text):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render({"x": leaf})
+    assert cli.render_text({"x": x[:5]}) == cli.render_text({"x": cli._round12(x[:5])})
 
 
 def test_jsonify_views_a_complex_grid():
@@ -832,6 +831,9 @@ def test_non_finite_leaf_raises(array, depth, bad, where):
             _dump_json_literal(tree, 0)
         with pytest.raises(ValueError):
             cli.render_json(tree)
+        # text refuses it too
+        with pytest.raises(ValueError):
+            cli.render_text({"tree": tree})
 
 
 def test_failing_property_prints_its_example(tmp_path):
