@@ -13,12 +13,32 @@ candidate witnesses directly against the Koszul identity.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+import realcalc
 from realcalc import cncalc, liealg
 from realcalc.matlin import DEFAULT_TOL, Tolerance, as_row_vector, max_norm, real_nullspace
+
+# ---------------------------------------------------------------------------
+# Processes
+
+
+def python_on_blas_threads(threads: int, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process whose OpenBLAS runs ``threads`` threads.
+
+    The thread count is set in the environment, so it holds before numpy
+    loads, and the process imports the same ``realcalc`` as this one.
+    """
+    path = [str(Path(realcalc.__file__).parents[1]), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
 
 # ---------------------------------------------------------------------------
 # Concrete algebras

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
+import random
+import re
 import stat
+from itertools import takewhile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcalc import cli, cncalc, liealg, projcalc
 from realcalc.cli import (
@@ -15,7 +23,15 @@ from realcalc.cli import (
 from realcalc.fixtures import fixture_names, fixture_path
 from realcalc.matlin import DEFAULT_TOL, max_norm
 
-from support import conjugate, generic_presentation, random_unitary, su_basis, trivial_data
+from support import (
+    block_with_center,
+    conjugate,
+    generic_presentation,
+    python_on_blas_threads,
+    random_unitary,
+    su_basis,
+    trivial_data,
+)
 from test_invariance import case_mats, presented
 from test_projcalc import FORMATIONS, count_projcalc_calls
 
@@ -117,6 +133,36 @@ class TestAnalyzeCommand:
         report = run_json(capsys, "lie", str(scaled))
         assert (report["semisimple"], report["center_dim"], report["derived_dim"]) == (True, 0, 3)
 
+    def test_su8_center_tolerance_corners(self, capsys, tmp_path):
+        # Jacobi follows from closure and is never decided on its own, at
+        # either tolerance corner: a generic su(8) + center in su(9)
+        # (n = 64) rounded to 10 digits leaves fit residuals near 1e-10,
+        # and the same algebra in full precision at --tol 1e-13 has a
+        # float round-off of 3 n (n + 2) eps above half the cut
+        mats = generic_presentation(np.random.default_rng(8), block_with_center(9, 8))
+        rounded, full = tmp_path / "su8c_10d.json", tmp_path / "su8c.json"
+        for path, digits in ((rounded, lambda x: float(f"{x:.10g}")), (full, float)):
+            basis = [{"matrix": [[[digits(z.real), digits(z.imag)] for z in row] for row in m]} for m in mats]
+            path.write_text(json.dumps({"N": 9, "basis": basis}))
+        code, out, err = run(capsys, "analyze", str(rounded), "--format", "json")
+        assert (code, err) == (0, "")
+        floats = []
+        report = json.loads(out, parse_float=lambda t: floats.append(t) or float(t))
+        assert [t for t in floats if repr(float(t)) != t] == []
+        assert report["status"] == "Exists"
+        # mu and lambdas are 1-d arrays of 64 floats, printed in bulk; the
+        # text report's witness lines hold the JSON values
+        code, text, err = run(capsys, "analyze", str(rounded), "--format", "text")
+        assert (code, err) == (0, "")
+        lines = text.splitlines()
+        block = takewhile(lambda line: line.startswith("  "), lines[lines.index("witness:") + 1:])
+        witness = dict(line[2:].split(": ", 1) for line in block if line[2] != " ")
+        for key in ("mu", "lambdas"):
+            assert len(report["witness"][key]) == 64, key
+            assert json.loads(witness[key]) == report["witness"][key], key
+        code, _, err = run(capsys, "lie", str(full), "--tol", "1e-13")
+        assert (code, err) == (0, "")
+
 
 class TestLieCommand:
     def test_su2_report(self, capsys):
@@ -164,6 +210,43 @@ class TestProjectiveCommand:
         assert report["lambda_at_worst"] == [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
         assert "connection_coefficients" not in report
 
+    # both sides of the criterion scale with the derivations, and Λ does not
+    # change under h -> c h, h_inv -> h_inv / c, so neither map may change a
+    # verdict; the marks come off when the cuts lose their floor of 1
+    @pytest.mark.parametrize("scale", [
+        1e10,
+        pytest.param(1e-10, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the criterion's cut tol.cut(max(1, |p|, |Lambda|)) does not scale with the derivations")),
+    ])
+    def test_scaled_corner_anchor_stays_negative(self, capsys, tmp_path, scale):
+        spec = json.loads(fixture_path("mat2_rank1.json").read_text())
+        spec["derivations"] = (scale * np.array(spec["derivations"])).tolist()
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(spec))
+        report = run_json(capsys, "projective", str(scaled))
+        assert (report["holds"], report["worst_index"]) == (False, [1, 2, 3])
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        pytest.param(1e-10, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the invariant checks cut at max(1, |h|), which does not scale with h")),
+    ])
+    def test_asymmetric_metric_is_refused_at_every_scale(self, capsys, tmp_path, scale):
+        # free_trivial's metric times scale, with 0.1 h_00 added to h_01
+        # only, so that h_01 is not h_10^*
+        spec = json.loads(fixture_path("free_trivial.json").read_text())
+        h = scale * np.array(spec["h"])
+        h[0, 1] += 0.1 * h[0, 0]
+        spec["h"], spec["h_inv"] = h.tolist(), (np.array(spec["h_inv"]) / scale).tolist()
+        bad = tmp_path / "asymmetric.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "projective", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("realcalc: error: metric symmetry h_ij = h_ji^* violated (residual ")
+        assert err.count("\n") == 1
+
     def test_free_trivial_positive(self, capsys):
         report = run_json(capsys, "projective", "free_trivial.json")
         assert report["holds"] is True
@@ -200,6 +283,19 @@ class TestProjectiveCommand:
         assert counts == {"lambda_tensor": entries, "_form_lambda": 1, "_criterion_residual": 1}
 
 
+# a program that runs main on each argument list of its JSON argument and
+# prints the exit code and the sha256 of the report on stdout, one line each
+_REPORT_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from realcalc.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
 @pytest.fixture(scope="module")
 def trivial_su4_spec(tmp_path_factory):
     """A spec file of trivial data over su(4), whose JSON report of about
@@ -220,6 +316,24 @@ class TestDeterminismAndIO:
         second = run(capsys, "analyze", "gc_su4.json", "--format", fmt)
         assert first == second
         assert first[0] == 0
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path, trivial_su4_spec):
+        # QR and GEMM speed tune to the BLAS thread count; a report's bytes
+        # must not. A generic su(7) (n = 48) is where the split's QR runs
+        # fastest on one thread, and trivial data over su(4) prints 3 MB.
+        su7 = tmp_path / "su7.json"
+        mats = generic_presentation(np.random.default_rng(7), su_basis(7))
+        su7.write_text(json.dumps({"N": 7, "basis": [{"matrix": _pairs(m)} for m in mats]}))
+        specs = {"lie": [*sorted(ALGEBRA_FIXTURES), str(su7)], "analyze": [*sorted(ALGEBRA_FIXTURES), str(su7)],
+                 "projective": [*sorted(PROJECTIVE_FIXTURES), str(trivial_su4_spec)]}
+        calls = [[command, spec, "--format", fmt] for command, names in specs.items() for spec in names
+                 for fmt in ("json", "text")]
+        digests = [python_on_blas_threads(threads, "-c", _REPORT_DIGESTS, json.dumps(calls)) for threads in (1, 2)]
+        for proc in digests:
+            assert (proc.returncode, proc.stderr) == (0, "")
+        lines = digests[0].stdout.splitlines()
+        assert len(lines) == len(set(lines)) == len(calls) and all(line.startswith("0 ") for line in lines)
+        assert digests[1].stdout == digests[0].stdout
 
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -437,6 +551,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
         assert "N: expected a positive integer" in err
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="_parse_array allocates the declared shape before it reads the value")
+    @pytest.mark.parametrize("fixture, key", [("su2.json", "N"), ("free_trivial.json", "N"),
+                                              ("free_trivial.json", "n")])
+    def test_dimension_too_large_for_an_array_is_located(self, capsys, tmp_path, fixture, key):
+        # a positive dimension of 10**400 passes as an integer, but numpy
+        # has no array of that shape: today np.empty's ValueError ends main
+        spec = json.loads(fixture_path(fixture).read_text())
+        spec[key] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "analyze" if fixture == "su2.json" else "projective", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("realcalc: error: ") and err.count("\n") == 1
 
     def test_non_antihermitian_basis(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -815,6 +944,80 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith(f"realcalc: error: {bad}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+
+
+def _pairs_to_bare(value):
+    """``value`` with every [re, im] pair in it replaced by the bare number re."""
+    if isinstance(value, list) and len(value) == 2 and all(type(x) in (int, float) for x in value):
+        return value[0]
+    return [_pairs_to_bare(v) for v in value] if isinstance(value, list) else value
+
+
+def _paths(node, path=()):
+    """The key path of ``node`` and of every value nested in it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def mutated_call(seed: int) -> tuple[str, dict]:
+    """A command and a bundled fixture it accepts, with one or two values
+    replaced: by a bool, a string, a number no double holds, the list one
+    entry short or long, or its [re, im] pairs in bare form. Each value is
+    picked at a depth drawn first, so that the few top-level fields are
+    mutated about as often as the many entries of the matrices."""
+    rng = random.Random(seed)
+    name = rng.choice(sorted(ALGEBRA_FIXTURES | PROJECTIVE_FIXTURES))
+    command = "projective" if name in PROJECTIVE_FIXTURES else rng.choice(["lie", "analyze"])
+    spec = json.loads(fixture_path(name).read_text())
+    for _ in range(rng.randint(1, 2)):
+        paths = list(_paths(spec))[1:]
+        depth = rng.choice(sorted({len(path) for path in paths}))
+        *outer, key = rng.choice([path for path in paths if len(path) == depth])
+        parent = spec
+        for step in outer:
+            parent = parent[step]
+        node = parent[key]
+        misfits = [True, False, "0", 10**400, -(10**400)]
+        if parent is spec and key in ("N", "n"):
+            # a dimension of 10**400 still ends in a traceback; see
+            # test_dimension_too_large_for_an_array_is_located
+            misfits.remove(10**400)
+        if isinstance(node, list):
+            misfits += [node[:-1], node + node[-1:], _pairs_to_bare(node)]
+        parent[key] = rng.choice(misfits)
+    return command, spec
+
+
+@pytest.fixture(scope="module")
+def mutated_spec_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "spec.json"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(["json", "text"]))
+def test_mutated_specs_fail_by_name_or_print_finite_reports(mutated_spec_file, seed, fmt):
+    # in-process, so a traceback is an exception out of main and a numpy
+    # warning is an error (pytest's filterwarnings)
+    command, spec = mutated_call(seed)
+    mutated_spec_file.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(mutated_spec_file), "--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert out == ""
+        assert err.startswith("realcalc: error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        floats = []
+        keep = lambda t: floats.append(float(t))
+        json.loads(out, parse_float=keep, parse_constant=keep)
+        assert all(math.isfinite(x) for x in floats)
+    else:
+        assert re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE) is None
 
 
 def _parsed_entry_by_entry(monkeypatch, parse, *args):

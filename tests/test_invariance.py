@@ -15,6 +15,8 @@ the row module exactly when its rank-one projective calculus meets the
 projective criterion.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from support import (
     killing_by_ad,
     mix_basis,
     projector,
+    python_on_blas_threads,
     random_unitary,
     rank_one_calculus,
     user_constants,
@@ -203,6 +206,26 @@ class TestClosedForms:
         for _ in range(4):
             basis = LieBasis(presented(rng, case_mats(name), how))
             assert_split_matches_oracles(basis, levi_split_compact(basis), (name, how))
+
+
+# every test that holds the split bit for bit to products formed another
+# way: all_pairs_frame_tensor, all_pairs_fit_norms and the whole bracket
+# gather; none of them starts a process
+SPLIT_ORACLE_TESTS = [
+    "tests/test_liealg.py::TestLeviSplit::test_bracket_pairs_match_full_gather",
+    "tests/test_liealg.py::TestLeviSplit::test_closure_violation_matches_all_pairs_formula",
+    "tests/test_liealg.py::TestSplitAgainstOracles::test_fixtures_and_random_family",
+    "tests/test_invariance.py::TestClosedForms::test_split_matches_direct_svd",
+]
+
+
+def test_split_oracles_hold_on_one_blas_thread():
+    # the bit-for-bit oracles assume that a GEMM's rows do not depend on
+    # how many rows or threads it is given; the suite runs at the default
+    # thread count, so the oracle tests run once more on one thread
+    proc = python_on_blas_threads(1, "-m", "pytest", "-q", "-p", "no:cacheprovider", *SPLIT_ORACLE_TESTS,
+                                  cwd=Path(__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 # Presentations on which the projective criterion of the rank-one
