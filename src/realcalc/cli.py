@@ -212,22 +212,23 @@ def _parse_array(value, shape: tuple[int, ...], loc: str) -> np.ndarray:
     """The complex array of ``shape``, a matrix or a stack or grid of
     matrices, written as nested lists of complex scalars (see the module
     docstring): in one pass by ``_fast_stack`` when it is well formed,
-    else entry by entry, naming the first misfit in row-major order."""
+    else entry by entry, naming the first misfit in row-major order. The
+    array is formed only from what was read, so a declared shape that no
+    array can have is a located error, not an allocation."""
     out = _fast_stack(value, shape)
     if out is None:
-        out = np.empty(shape, dtype=complex)
-        _walk(value, out, loc)
+        out = np.array(_walk(value, shape, loc), dtype=complex).reshape(shape)
     return out
 
 
-def _walk(value, out: np.ndarray, loc: str) -> None:
-    if not isinstance(value, list) or len(value) != len(out):
-        raise CliError(f"{loc}: expected " + _EXPECTED[out.ndim].format(len(out)))
-    for i, item in enumerate(value):
-        if out.ndim == 1:
-            out[i] = _parse_complex(item, f"{loc}[{i}]")
-        else:
-            _walk(item, out[i], f"{loc}[{i}]")
+def _walk(value, shape: tuple[int, ...], loc: str) -> list[complex]:
+    """The complex leaves of ``value`` in row-major order, each level's
+    length checked against ``shape``."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise CliError(f"{loc}: expected " + _EXPECTED[len(shape)].format(shape[0]))
+    if len(shape) == 1:
+        return [_parse_complex(item, f"{loc}[{i}]") for i, item in enumerate(value)]
+    return [leaf for i, item in enumerate(value) for leaf in _walk(item, shape[1:], f"{loc}[{i}]")]
 
 
 def _parse_tolerance(obj, loc: str) -> Optional[Tolerance]:

@@ -304,9 +304,13 @@ def killing_form(basis: LieBasis, split: LeviSplit) -> np.ndarray:
     ``ss_basis`` then ``radical_basis``. D = T_inv E carries it to
     B = -G G^T with the n x n factor G = sqrt(2) T_inv V diag(s), and
     numpy forms G G^T as one symmetric rank-n update, so B is exactly
-    symmetric. A B that overflows a double raises ValueError. Cost:
-    O(n^3) time, O(n^2) memory.
+    symmetric. A B that overflows a double raises ValueError, and so does
+    a split that keeps no singular values, such as one built by hand.
+    Cost: O(n^3) time, O(n^2) memory.
     """
+    if split._singular_values is None:
+        raise ValueError("killing_form reads the singular values of a split from levi_split_compact; "
+                         "this split has none")
     V = np.vstack([split.ss_basis, split.radical_basis]).T
     with np.errstate(over="ignore", invalid="ignore"):
         G = basis.T_inv @ (V * (np.sqrt(2.0) * split._singular_values))

@@ -15,6 +15,23 @@ decides whether the calculus is pseudo-Riemannian, and on success the
 connection coefficients are assembled and certified against the
 coefficient form of the Koszul identity.
 
+Every check has one cut rule: a defect passes when it is within ``tol``
+of the scale of its own terms, ``tol.cut(scale)``, and no scale has a
+floor of 1. The criterion and the defining identities are homogeneous
+in the derivations and in the metric, and so is every scale. A product
+identity (p p = p, p h^{kl} h_li = p, p h^{ml} = h^{kl},
+sum_k X_k Y^k = 1) is cut entry by entry at the same product in
+absolute values (:func:`_within_product_cut`), a symmetry at its grid's
+largest entry, and the criterion at each derivation index i at the
+largest terms of its two sides and of p d_i(p), whose terms p D_i p are
+the scale of its round-off where d_i(p) itself is round-off, as on a
+common eigenvector of the D_i. The rule has two limits: every cut is at
+least ``tol.abs``, so a residual that small passes whatever its terms;
+and Λ^k_il mixes every derivation, so on a presentation whose D_i
+differ in norm by many orders the residual at index i can carry terms
+that index i's cut does not see. Deciding the criterion in the frame
+of the derivations, as the row module does, would lift both.
+
 Grids of matrices are numpy arrays of shape (n, n, N, N); the first two
 axes are the coefficient indices in the order they carry in the
 formulas (p[k, i], h[i, j], h_inv[k, l]).
@@ -150,65 +167,57 @@ def _invariant_residuals(p: np.ndarray, h: np.ndarray, h_inv: np.ndarray, tol: T
     the residual is the largest entry of its defect, and ``within`` says
     whether the defect is within its cut under ``tol``.
 
-    Idempotence is cut entry by entry (:func:`_idempotent_within_cut`);
-    every other identity at the product of factors, each at least 1,
-    which can exceed the largest double where the residual does not
-    (``_within_cut``). The identities are checked in this order, so a
-    caller that stops at the first violation reports the same one. The
-    four grid products are block matrix products: O(n^3 N^3) time,
-    O(n^2 N^2) memory.
+    A product identity is cut entry by entry (:func:`_within_product_cut`),
+    a symmetry at tol.cut of its grid's largest entry. The identities are
+    checked in this order, so a caller that stops at the first violation
+    reports the same one. The grid products, and those of their absolute
+    values, are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
     """
-    pmax = max(1.0, max_norm(p))
-    hmax = max(1.0, max_norm(h))
-    imax = max(1.0, max_norm(h_inv))
     P, H, Hi = _block_matrix(p), _block_matrix(h), _block_matrix(h_inv)
-
     defect = P @ P - P
-    res = max_norm(defect)
-    yield "projection idempotence p.p = p", res, _idempotent_within_cut(P, defect, pmax, tol)
+    yield "projection idempotence p.p = p", max_norm(defect), _within_product_cut(defect, (P, P), tol)
+    hcut, icut = tol.cut(max_norm(h)), tol.cut(max_norm(h_inv))
     res = max_norm(h - h.conj().transpose(1, 0, 3, 2))
-    yield "metric symmetry h_ij = h_ji^*", res, _within_cut(res, (hmax,), tol)
+    yield "metric symmetry h_ij = h_ji^*", res, res <= hcut
     res = max_norm(h - h.conj().transpose(0, 1, 3, 2))
-    yield "metric hermiticity h_ij = h_ij^dagger", res, _within_cut(res, (hmax,), tol)
+    yield "metric hermiticity h_ij = h_ij^dagger", res, res <= hcut
     res = max_norm(h_inv - h_inv.conj().transpose(1, 0, 3, 2))
-    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, _within_cut(res, (imax,), tol)
+    yield "inverse conjugate symmetry (h^ij)^* = h^ji", res, res <= icut
     PHi = P @ Hi
-    res = max_norm(PHi @ H - P)
-    yield "inverse relation p h^{kl} h_li = p", res, _within_cut(res, (pmax, hmax, imax), tol)
-    res = max_norm(PHi - Hi)
-    yield "projection compatibility p h^{ml} = h^{kl}", res, _within_cut(res, (pmax, imax), tol)
+    defect = PHi @ H - P
+    yield "inverse relation p h^{kl} h_li = p", max_norm(defect), _within_product_cut(defect, (P, Hi, H), tol)
+    defect = PHi - Hi
+    yield "projection compatibility p h^{ml} = h^{kl}", max_norm(defect), _within_product_cut(defect, (P, Hi), tol)
 
 
-def _idempotent_within_cut(P: np.ndarray, defect: np.ndarray, pmax: float, tol: Tolerance) -> bool:
-    """Whether every entry of ``defect`` = P P - P is within its own
-    rounding scale: |defect_kj| <= tol.abs + tol.rel min((|P| |P|)_kj, pmax^2).
+@np.errstate(over="ignore")
+def _within_product_cut(defect: np.ndarray, factors: tuple[np.ndarray, ...], tol: Tolerance) -> bool:
+    """Whether every entry of ``defect``, the defect of an identity whose
+    terms are the matrix product A B or A B C of ``factors``, is within
+    the scale of its own terms:
 
-    One cut for the whole matrix, at pmax^2 = max(1, |P|)^2, lets a p that
-    mixes large and small entries pass with a defect far above the
-    rounding of its entry's sums; (|P| |P|)_kj bounds that rounding, and
-    pmax^2 stays a ceiling, so no entry's cut is looser than the whole
-    matrix's. Both sides are divided by c^2, c the largest power of two
-    at most ``pmax``, so |P| / c <= 2 and the scale's real GEMM cannot
-    overflow; a division by c rounds only below the normal range.
+        |defect_kj| <= tol.cut(min((|A| |B| ...)_kj, max|A| max|B| ...)).
+
+    (|A| |B| ...)_kj bounds the rounding of entry kj's sums, so a matrix
+    that mixes large and small entries is held to the terms of each
+    entry; the product of the largest entries stays a ceiling, so no
+    entry's cut is looser than one cut for the whole matrix. Each factor
+    is divided by a power of two within a factor 2 of its largest entry,
+    so the real GEMMs cannot overflow, and the cut is multiplied back by
+    ``np.ldexp``: it is inf only where it is past the largest double,
+    which every finite defect is within and a non-finite one is not.
     O((nN)^3) time, O((nN)^2) memory.
     """
-    c = np.ldexp(1.0, int(np.frexp(pmax)[1]) - 1)
-    A = np.abs(P) / c
-    scale = np.minimum(A @ A, (pmax / c) ** 2)
-    return bool(np.all(np.abs(defect) / c / c <= tol.abs / c / c + tol.rel * scale))
-
-
-def _within_cut(res: float, factors: tuple[float, ...], tol: Tolerance) -> bool:
-    """Whether res <= tol.cut(s) for s the product of the factors, each
-    at least 1, without forming s: res and tol.abs are divided by the
-    factors one at a time, so nothing overflows where res is finite.
-    With |p| and |h^-1| near 1.5e154, |p| |h^-1| is past the largest
-    double, and a cut formed from it would be inf and pass a finite
-    violation."""
-    cut = tol.abs
+    scale, cap, exponent = None, 1.0, 0
     for factor in factors:
-        res, cut = res / factor, cut / factor
-    return res <= cut + tol.rel
+        a = np.abs(factor)
+        e = int(np.frexp(a.max(initial=0.0))[1]) - 1
+        a = np.ldexp(a, -e)
+        scale = a if scale is None else scale @ a
+        cap *= a.max(initial=0.0)
+        exponent += e
+    cut = tol.abs + np.ldexp(tol.rel * np.minimum(scale, cap), exponent)
+    return bool(np.all(np.abs(defect) <= np.minimum(cut, np.finfo(float).max)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,13 +227,18 @@ class ProjectiveCalculusData:
     ``f`` is read off the derivations' split before the grids are read;
     a span that is not closed raises :class:`~realcalc.liealg.ClosureViolation`,
     any other failure to form f a ValueError that begins ``derivations:``.
-    Then it checks, each within tolerance: idempotence of p, entry by
-    entry, hermiticity and index symmetry of the metric blocks, conjugate
-    symmetry of the inverse blocks, the defining inverse relation in
-    coefficient form, and compatibility of the inverse with the
-    projection. A residual
-    that is not finite violates its identity whatever the tolerance. The
-    checks are block matrix products: O(n^3 N^3) time, O(n^2 N^2) memory.
+    Then it checks, each within tolerance: idempotence of p, hermiticity
+    and index symmetry of the metric blocks, conjugate symmetry of the
+    inverse blocks, the defining inverse relation in coefficient form,
+    and compatibility of the inverse with the projection. Each is cut at
+    the scale of its own terms, with no floor of 1 (the module
+    docstring): the three product identities entry by entry, the three
+    symmetries at their grid's largest entry, so h -> c h,
+    h_inv -> h_inv / c keeps every verdict until a residual meets
+    ``tol.abs``. A
+    residual that is not finite violates its identity whatever the
+    tolerance. The checks are block matrix products: O(n^3 N^3) time,
+    O(n^2 N^2) memory.
 
     The derivatives of the grids, dp[i, k, j] = [D_i, p^k_j] and
     dh[i, a, b] = [D_i, h_ab], are built here once, two GEMMs each, as
@@ -293,7 +307,7 @@ class ProjectiveCalculusData:
         return _freeze(_times_block(self._lambda, _block_matrix(self.p)))
 
     @cached_property
-    def _criterion(self) -> tuple[float, np.ndarray, float]:
+    def _criterion(self) -> tuple[float, np.ndarray, tuple]:
         return _criterion_residual(self)
 
 
@@ -350,17 +364,30 @@ def lc_condition_check(
     compares. A residual that overflows a double raises ValueError.
     """
     lambda_tensor(data)  # Λ is formed, or its overflow raised, under lambda_tensor's name
-    worst, per_index, scale = data._criterion
-    return worst <= tol.cut(scale), worst, per_index
+    worst, per_index, (pmax, dp_i, lam_i, d_i) = data._criterion
+    with np.errstate(over="ignore"):  # tol.rel multiplies first, so a cut is inf only past the largest double
+        cut = tol.abs + np.maximum.reduce([tol.rel * pmax * dp_i, tol.rel * lam_i * max(1.0, pmax),
+                                           tol.rel * d_i * pmax * pmax])
+    return bool(np.all(per_index <= cut[:, None])), worst, per_index
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _criterion_residual(data: ProjectiveCalculusData) -> tuple[float, np.ndarray, float]:
-    """``(max_residual, residuals, scale)`` of :func:`lc_condition_check`,
-    with scale = max(1, |p|, |Λ|). The two sums are the GEMMs P dP and
-    Λ P: O(n^4 N^3) time, O(n^3 N^2) memory; dp enters P dP as one copy
-    laid out as its block matrix with rows (l, b). The per-index maxima
-    reduce the contiguous (k, a, i, j, c) layout, over a and then over c.
+def _criterion_residual(data: ProjectiveCalculusData) -> tuple[float, np.ndarray, tuple]:
+    """``(max_residual, residuals, terms)`` of :func:`lc_condition_check`.
+
+    ``terms`` = (|p|, |d_i p|, |Λ^._i.|, |D_i|), the largest entry
+    magnitudes at each derivation index i. The residuals at index i are
+    cut at tol.cut(max(|p| |d_i p|, |Λ^._i.| max(1, |p|), |p| |D_i| |p|)):
+    the largest terms of the criterion's two sides, where the 1 is δ's
+    entry, not a floor, and of p D_i p and p p D_i, which p d_i(p) is
+    formed from. On a common eigenvector of the D_i, d_i p and Λ are
+    round-off, and only the last shows the scale of the residual. Each
+    product is, like the residual, of degree 1 in the derivations and of
+    degree 0 under h -> c h, h^-1 -> h^-1 / c. The two
+    sums are the GEMMs P dP and Λ P: O(n^4 N^3) time, O(n^3 N^2) memory;
+    dp enters P dP as one copy laid out as its block matrix with rows
+    (l, b). The per-index maxima reduce the contiguous (k, a, i, j, c)
+    layout, over a and then over c.
     """
     p, lam = data.p, data._lambda
     residual = _block_times(_block_matrix(p), data.dp.transpose(1, 0, 2, 3, 4))
@@ -370,7 +397,10 @@ def _criterion_residual(data: ProjectiveCalculusData) -> tuple[float, np.ndarray
     if not np.isfinite(worst):
         raise ValueError("p is too large for the criterion: its terms p^k_l [D_i, p^l_j] "
                          "or Lam^k_il p^l_j overflow a double")
-    return worst, _freeze(per_index), max(1.0, max_norm(p), max_norm(lam))
+    n = data.n
+    terms = (max_norm(p), np.abs(data.dp.reshape(n, -1)).max(axis=1),
+             np.abs(lam).max(axis=(0, 2, 3, 4)), np.abs(data.derivs.mats.reshape(n, -1)).max(axis=1))
+    return worst, _freeze(per_index), terms
 
 
 def lc_connection_coefficients(
@@ -430,20 +460,23 @@ def koszul_verify_projective(data: ProjectiveCalculusData, coeffs) -> float:
 def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL) -> ProjectiveCalculusData:
     """Build the coefficient data from generators X_i with right inverse Y^k.
 
-    Requires sum_k X_k Y^k = 1; then p^k_i = Y^k X_i, h_ij = X_i^dagger X_j
-    and h^{ij} = Y^i (Y^j)^dagger, all validated before returning. The
-    generators are checked before f is read off the derivations.
+    Requires sum_k X_k Y^k = 1, cut entry by entry against sum_k |X_k| |Y^k|
+    like the product identities of :class:`ProjectiveCalculusData`; then
+    p^k_i = Y^k X_i, h_ij = X_i^dagger X_j and h^{ij} = Y^i (Y^j)^dagger,
+    all validated before returning. The generators are checked before f
+    is read off the derivations.
     """
     n, N = derivs.n, derivs.N
     Xs = np.array([as_matrix(x) for x in X])
     Ys = np.array([as_matrix(y) for y in Y])
     if Xs.shape != (n, N, N) or Ys.shape != (n, N, N):
         raise ValueError(f"expected {n} generator matrices of size {N}")
-    total = np.einsum("kab,kbc->ac", Xs, Ys)
-    scale = max(1.0, max_norm(Xs) * max_norm(Ys))
-    res = max_norm(total - np.eye(N))
-    if res > tol.cut(scale):
-        raise NotGenerating(f"sum_k X_k Y^k differs from identity by {res:.3e}")
+    # the block row [X_1 ... X_n] times the block column [Y^1; ...; Y^n]
+    row, column = Xs.transpose(1, 0, 2).reshape(N, n * N), Ys.reshape(n * N, N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = row @ column - np.eye(N)
+    if not _within_product_cut(defect, (row, column), tol):
+        raise NotGenerating(f"sum_k X_k Y^k differs from identity by {max_norm(defect):.3e}")
     p = np.einsum("kab,ibc->kiac", Ys, Xs)
     h = np.einsum("iba,jbc->ijac", Xs.conj(), Xs)
     h_inv = np.einsum("iab,jcb->ijac", Ys, Ys.conj())

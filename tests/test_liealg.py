@@ -206,6 +206,11 @@ class TestKillingForm:
             with pytest.raises(ValueError, match="Killing form overflows a double"):
                 split_killing(basis)
 
+    def test_hand_built_split_is_refused_by_name(self, su2_basis, su2_f):
+        # a split formed without levi_split_compact keeps no singular values
+        with pytest.raises(ValueError, match="split from levi_split_compact"):
+            liealg.killing_form(su2_basis, oracle_split(su2_f))
+
     def test_gc_has_one_null_direction(self, su4):
         B = split_killing(su4["gc"])
         # the central direction comes first in the gc basis

@@ -260,6 +260,17 @@ class TestConditionCheck:
         assert holds
         assert worst == 0.0
 
+    def test_criterion_cut_does_not_overflow(self):
+        # |p| |d_i p| = 1e300 * 1e10 is past the largest double, but its cut,
+        # 1e-9 of it, is not: a residual of 1e305 fails, and 1e300 passes
+        data = ProjectiveCalculusData(CARTAN_SU3, eye_grid(2, 3), eye_grid(2, 3), eye_grid(2, 3))
+        lc_condition_check(data)
+        worst, per_index, (_, dp_i, lam_i, d_i) = data._criterion
+        for residual, holds in ((1e305, False), (1e300, True)):
+            data.__dict__["_criterion"] = (residual, np.full_like(per_index, residual),
+                                           (1e300, np.full_like(dp_i, 1e10), 0 * lam_i, 0 * d_i))
+            assert lc_condition_check(data)[0] is holds
+
 
 FORMATIONS = ("_form_lambda", "_criterion_residual")
 
@@ -430,6 +441,12 @@ class TestFromModuleGenerators:
         with pytest.raises(NotGenerating):
             from_module_generators([I2, Z2, Z2], [Z2, I2, Z2], su2_basis)
 
+    def test_generating_cut_does_not_overflow(self):
+        # X = Y = 1e200 1: sum_k X_k Y^k is inf, and a cut formed from
+        # |X| |Y| was inf too and passed it
+        with pytest.raises(NotGenerating, match="differs from identity by inf"):
+            from_module_generators([1e200 * I2], [1e200 * I2], LieBasis([D3]))
+
     def test_idempotence_preserved_for_generic_generators(self, su2_basis):
         # X_i from a commuting hermitian pencil times a common unitary,
         # so every X_i^dagger X_j is hermitian (the real-metric condition);
@@ -524,23 +541,32 @@ def _invariant_residuals_literal(p, h, h_inv):
 
 
 def _invariant_factors(p, h, h_inv):
-    """Per identity, in the order above, the factors of its residual's
-    scale, each max(1, |grid|)."""
+    """Per identity, in the order above, the factors of the scale at
+    which its residual is compared with the literal one, each
+    max(1, |grid|)."""
     pmax, hmax, imax = (max(1.0, max_norm(g)) for g in (p, h, h_inv))
     return [(pmax, pmax), (hmax,), (hmax,), (imax,), (pmax, hmax, imax), (pmax, imax)]
 
 
 def _invariant_violations_literal(p, h, h_inv, tol=DEFAULT_TOL):
     """Per identity, in the order above, whether its literal residual is
-    past its cut: idempotence entry by entry, at tol.cut of
-    min((|p| |p|)_kj, max(1, |p|)^2), every other identity at tol.cut of
-    the product of its factors."""
-    factors = _invariant_factors(p, h, h_inv)
-    defect = np.einsum("klab,ljbc->kjac", p, p) - p
-    scale = np.minimum(np.einsum("klab,ljbc->kjac", np.abs(p), np.abs(p)), math.prod(factors[0]))
-    literal = _invariant_residuals_literal(p, h, h_inv)
-    return [bool(np.any(np.abs(defect) > tol.abs + tol.rel * scale))] + [
-        res > tol.cut(math.prod(f)) for (_, res), f in zip(literal[1:], factors[1:])
+    past its cut: a product identity entry by entry, at tol.cut of
+    min((|A| |B| ...)_kj, max|A| max|B| ...) for its factors A, B, ...,
+    a symmetry at tol.cut of its grid's largest entry."""
+    def past(subscripts, factors, value):
+        defect = np.einsum(subscripts, *factors, optimize=True) - value
+        scale = np.einsum(subscripts, *map(np.abs, factors), optimize=True)
+        cap = math.prod(map(max_norm, factors))
+        return bool(np.any(np.abs(defect) > tol.abs + tol.rel * np.minimum(scale, cap)))
+
+    literal = dict(_invariant_residuals_literal(p, h, h_inv))
+    return [
+        past("klab,ljbc->kjac", (p, p), p),
+        literal["metric symmetry h_ij = h_ji^*"] > tol.cut(max_norm(h)),
+        literal["metric hermiticity h_ij = h_ij^dagger"] > tol.cut(max_norm(h)),
+        literal["inverse conjugate symmetry (h^ij)^* = h^ji"] > tol.cut(max_norm(h_inv)),
+        past("qkab,klbc,licd->qiad", (p, h_inv, h), p),
+        past("kmab,mlbc->klac", (p, h_inv), h_inv),
     ]
 
 
@@ -680,8 +706,13 @@ class TestContractionsAgainstLiteral:
         scale = max(max_norm(lhs), max_norm(rhs))
         assert _agree(per_index, want, scale)
         assert worst == pytest.approx(float(np.max(want)), abs=REL * max(1.0, scale))
-        cut = DEFAULT_TOL.cut(max(1.0, max_norm(generic_data.p), max_norm(_lambda_literal(generic_data))))
-        assert holds == (float(np.max(want)) <= cut)
+        # index i's cut: the largest terms of the two sides, p d_i p and
+        # Λ^._i. times δ's 1 or p, and p D_i p, which p d_i p is formed from
+        d, pmax = generic_data, max_norm(generic_data.p)
+        dp, lam = _commutators_literal(d.derivs.mats, d.p), _lambda_literal(d)
+        cut = [DEFAULT_TOL.cut(max(pmax * max_norm(dp[i]), max_norm(lam[:, i]) * max(1.0, pmax),
+                                   pmax * max_norm(d.derivs.mats[i]) * pmax)) for i in range(d.n)]
+        assert holds == bool(np.all(want <= np.array(cut)[:, None]))
 
     def test_connection_coefficients(self, generic_data, monkeypatch):
         # the assembly is compared on both kinds of data, so the guard
