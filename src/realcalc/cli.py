@@ -487,8 +487,8 @@ def _render(value, indent: int) -> tuple[Optional[str], list[str]]:
     that may be inlined, i.e. it has at most _INLINE_WIDTH characters and
     no "{"; otherwise None, and then no list holding the value can be
     inlined either. An array that ``_prints_in_bulk`` is printed by
-    ``_render_float_array``; any other array as its list form, and lists
-    always by the generic path below.
+    ``_render_float_array`` and is never inlined; any other array as its
+    list form, and lists always by the generic path below.
 
     Cost: linear in the report's bytes. Every value is encoded once;
     containers extend their pieces lists with their items' pieces, so
@@ -496,9 +496,7 @@ def _render(value, indent: int) -> tuple[Optional[str], list[str]]:
     """
     if isinstance(value, np.ndarray):
         if _prints_in_bulk(value):
-            pretty = _render_float_array(value, indent)
-            inline = len(pretty) == 1 and len(pretty[0]) <= _INLINE_WIDTH
-            return (pretty[0] if inline else None), pretty
+            return None, _render_float_array(value, indent)
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
@@ -559,27 +557,26 @@ def _render_float_array(x: np.ndarray, indent: int, inline: bool = False) -> lis
     The floats are printed in bulk, a run of slabs of the outermost axis
     at a time: as many whole slabs as fit in _SLAB_SIZE floats, and at
     least one, so that the per-float temporaries never cover the whole
-    array. For each run,
+    array. The array's own brackets, and the text between two runs, are
+    printed here, each as one piece. The pretty form never prints the
+    array on one line: it holds at least _BULK_MIN_SIZE = 32 floats, of
+    at least 3 characters each (as in "0.0"), with ", " between them and
+    two brackets around them, so its one-line form has at least
+    32 * 3 + 31 * 2 + 2 = 160 > _INLINE_WIDTH characters. For each run,
 
     1. ``_text_lengths`` gives the length of every float's JSON text,
        float.__repr__ of its rounded value, and the format and argument
        that print it, from one scale pass, forming only the texts of
        the few floats that print as literals;
-    2. the one-line length of every group at every level comes from
-       reshape-sums of the text lengths, and decides whether the group
-       prints inline, by _render's rule: when all its items are inline
-       and its one-line form fits _INLINE_WIDTH (no float text holds
-       "{", and an item printed over several lines is longer than its
-       own one-line form, which was already too wide);
+    2. the one-line length of every group at levels 1 and below comes
+       from reshape-sums of the text lengths, and decides whether the
+       group prints inline, by _render's rule: when all its items are
+       inline and its one-line form fits _INLINE_WIDTH (no float text
+       holds "{", and an item printed over several lines is longer than
+       its own one-line form, which was already too wide);
     3. ``_printed`` prints the run with one format call.
 
     With ``inline``, step 2 is skipped: every group prints inline.
-
-    Each run is one piece; the text between two runs is another. An
-    array of more than one run holds more than _SLAB_SIZE floats, so it
-    never prints inline in the pretty form: every float adds at least 5
-    characters to its one-line form (3 for its text, as in "0.0", and 2
-    for the ", " or brackets around it), and 5 * 18 > _INLINE_WIDTH.
 
     Cost: O(m d) for m floats in d dimensions, in numpy passes and one
     C-level format call per run, plus the texts of the floats that print
@@ -587,46 +584,34 @@ def _render_float_array(x: np.ndarray, indent: int, inline: bool = False) -> lis
     """
     if not np.isfinite(x).all():
         raise ValueError("Out of range float values are not JSON compliant")
+    d = x.ndim
     step = max(1, _SLAB_SIZE * len(x) // x.size)  # outermost slabs per run
-    if step >= len(x) and not inline:
-        return [_bulk_text(x, indent, True, False)]
     pad = "\n" + "  " * (indent + 1)
     first, sep, last = ("[", ", ", "]") if inline else ("[" + pad, "," + pad, "\n" + "  " * indent + "]")
     pieces = []
     for i in range(0, len(x), step):
-        pieces += sep if i else first, _bulk_text(x[i:i + step], indent, False, inline)
+        run = x[i:i + step]
+        shape = run.shape
+        spec, args, literals, lengths = _text_lengths(run.ravel())
+        # depth[k]: the outermost level whose group holding float k is inline (d if none)
+        if inline:
+            depth = np.zeros(run.size, np.intp)
+        else:
+            # A group's one-line form adds 2 characters for each item inside it,
+            # at every level, to the texts of its floats; when that fits, so does
+            # each item's shorter one-line form, and the whole group is inline.
+            lengths = lengths.reshape(shape)
+            fits_at = np.zeros(shape[:-1], np.intp)  # per innermost row, its inline groups
+            items = 0
+            for j in reversed(range(1, d)):
+                lengths = lengths.sum(axis=-1)
+                items = shape[j] * (items + 1)
+                fits = lengths <= _INLINE_WIDTH - 2 * items
+                fits_at += fits.reshape(fits.shape + (1,) * (d - 1 - j))
+            depth = np.repeat(d - fits_at.ravel(), shape[-1])
+        pieces += sep if i else first, _printed(spec, args, literals, shape, depth, indent)
     pieces.append(last)
     return pieces
-
-
-def _bulk_text(x: np.ndarray, indent: int, whole: bool, inline: bool) -> str:
-    """The text of the finite float array x at the given depth if whole;
-    otherwise x is a run of slabs of a larger array, and the text is the
-    slabs' texts joined as that array joins its items, without its
-    brackets: over several lines, or on one line if ``inline``. Steps
-    1-3 of _render_float_array.
-
-    Cost: O(m d) numpy work for m floats in d dimensions, and one
-    format call.
-    """
-    d, shape, flat = x.ndim, x.shape, x.ravel()
-    spec, args, literals, lengths = _text_lengths(flat)
-    if inline:
-        return _printed(spec, args, literals, shape, np.zeros(flat.size, np.intp), indent, 1)
-    # A group's one-line form adds 2 characters for each item inside it,
-    # at every level, to the texts of its floats; when that fits, so does
-    # each item's shorter one-line form, and the whole group is inline.
-    lengths = lengths.reshape(shape)
-    inline = np.zeros(shape[:-1], np.intp)  # per innermost row, its inline groups
-    items = 0
-    for j in reversed(range(0 if whole else 1, d)):
-        lengths = lengths.sum(axis=-1)
-        items = shape[j] * (items + 1)
-        fits = lengths <= _INLINE_WIDTH - 2 * items
-        inline += fits.reshape(fits.shape + (1,) * (d - 1 - j))
-    # depth[i]: the outermost level whose group holding float i is inline (d if none)
-    depth = np.repeat(d - inline.ravel(), shape[-1])
-    return _printed(spec, args, literals, shape, depth, indent, 0 if whole else 1)
 
 
 def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
@@ -724,7 +709,7 @@ def _repr_texts(values: list[float]) -> list[str]:
 
 
 def _printed(spec: np.ndarray, args: list[int], literals: np.ndarray, shape: tuple[int, ...],
-             depth: np.ndarray, indent: int, top: int) -> str:
+             depth: np.ndarray, indent: int) -> str:
     """The floats of a run of an array of ``shape``, given by each one's
     format, the digit-family arguments and the literal texts
     (``_text_lengths``), printed with the texts between and around them
@@ -748,7 +733,7 @@ def _printed(spec: np.ndarray, args: list[int], literals: np.ndarray, shape: tup
     for j in range(1, d):
         common[(slice(None),) * j + (0,) * (d - j)] -= 1
     common = common.ravel()[1:]
-    table, prefix, suffix = _separators(d, indent, top)
+    table, prefix, suffix = _separators(d, indent)
     key = ((common * (d + 1) + depth[:-1]) * (d + 1) + depth[1:]) * specs + spec[1:]
     texts = np.empty(spec.size + 1, object)
     texts[0], texts[1:-1], texts[-1] = prefix[specs * depth[0] + spec[0]], table[key], suffix[depth[-1]]
@@ -767,10 +752,11 @@ _LITERAL, _ZERO = map(_SPECS.index, ("", "0.0"))
 
 
 @lru_cache(maxsize=None)
-def _separators(d: int, indent: int, top: int):
-    """The format texts around the floats of a d-dimensional array at
-    the given depth whose groups at levels ``top`` and below are printed
-    here.
+def _separators(d: int, indent: int):
+    """The format texts around the floats of a run of slabs of a
+    d-dimensional array at the given depth: they open and close its
+    groups at levels 1 and below, and ``_render_float_array`` prints
+    level 0's brackets and the text between runs.
 
     A float's inline depth is the outermost level whose group holding it
     prints inline (d if none). The text between floats a and b, whose
@@ -784,7 +770,7 @@ def _separators(d: int, indent: int, top: int):
     float's groups and holds its format, and ``suffix[depth]`` closes
     the last one's. Every entry and prefix holds the one "%" conversion
     of its format, or none for ``_LITERAL`` and ``_ZERO``; the suffixes
-    hold none. The tables are built on first use for each argument triple,
+    hold none. The tables are built on first use for each argument pair,
     never at import.
 
     Floats a and b share their groups at levels 0 to c, so when either
@@ -811,8 +797,8 @@ def _separators(d: int, indent: int, top: int):
                 key = ((c * (d + 1) + a) * (d + 1) + b) * specs
                 table[key:key + specs] = [closes(a, c + 1) + comma + opens(b, c + 1) + spec for spec in _SPECS]
     table.flags.writeable = False  # shared by every call with these arguments
-    prefix = tuple(opens(a, top) + spec for a in range(d + 1) for spec in _SPECS)
-    return table, prefix, tuple(closes(a, top) for a in range(d + 1))
+    prefix = tuple(opens(a, 1) + spec for a in range(d + 1) for spec in _SPECS)
+    return table, prefix, tuple(closes(a, 1) for a in range(d + 1))
 
 
 def _json_pieces(report: dict) -> list[str]:

@@ -464,7 +464,8 @@ def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL)
     like the product identities of :class:`ProjectiveCalculusData`; then
     p^k_i = Y^k X_i, h_ij = X_i^dagger X_j and h^{ij} = Y^i (Y^j)^dagger,
     all validated before returning. The generators are checked before f
-    is read off the derivations.
+    is read off the derivations; a product that overflows a double raises
+    ValueError naming the generators it is formed from.
     """
     n, N = derivs.n, derivs.N
     Xs = np.array([as_matrix(x) for x in X])
@@ -477,7 +478,13 @@ def from_module_generators(X, Y, derivs: LieBasis, tol: Tolerance = DEFAULT_TOL)
         defect = row @ column - np.eye(N)
     if not _within_product_cut(defect, (row, column), tol):
         raise NotGenerating(f"sum_k X_k Y^k differs from identity by {max_norm(defect):.3e}")
-    p = np.einsum("kab,ibc->kiac", Ys, Xs)
-    h = np.einsum("iba,jbc->ijac", Xs.conj(), Xs)
-    h_inv = np.einsum("iab,jcb->ijac", Ys, Ys.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.einsum("kab,ibc->kiac", Ys, Xs)
+        h = np.einsum("iba,jbc->ijac", Xs.conj(), Xs)
+        h_inv = np.einsum("iab,jcb->ijac", Ys, Ys.conj())
+    for grid, cause in ((p, "X and Y are too large for p: p^k_i = Y^k X_i"),
+                        (h, "X is too large for h: h_ij = X_i^dagger X_j"),
+                        (h_inv, "Y is too large for h_inv: h^{ij} = Y^i (Y^j)^dagger")):
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"{cause} overflows a double")
     return ProjectiveCalculusData(derivs, p, h, h_inv, tol)

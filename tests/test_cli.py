@@ -747,6 +747,25 @@ class TestErrorPaths:
         message = "h is too large for its derivatives: [D_i, h_ab] overflows a double"
         assert run(capsys, "projective", str(bad)) == (1, "", f"realcalc: error: {message}\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("xs, ys, message", [
+        # n = 1, N = 2: sum_k X_k Y^k = 1 exactly, but X^dagger X or Y Y^dagger overflows
+        ([1e200], [1e-200], "X is too large for h: h_ij = X_i^dagger X_j overflows a double"),
+        ([1e-200], [1e200], "Y is too large for h_inv: h^{ij} = Y^i (Y^j)^dagger overflows a double"),
+        # n = 2, N = 3: X_2 = 0 keeps the sum at 1, but Y^2 X_1 overflows
+        ([1e200, 0.0], [1e-200, 1e200], "X and Y are too large for p: p^k_i = Y^k X_i overflows a double"),
+    ], ids=["h", "h_inv", "p"])
+    def test_generator_product_overflow_is_located(self, capsys, tmp_path, xs, ys, message, fmt):
+        # generators X_k = x_k 1 and Y^k = y_k 1; the spec has no h or h_inv
+        n, N = len(xs), len(xs) + 1
+        derivations = [np.array([[0.0, 1.0], [-1.0, 0.0]])] if n == 1 else [
+            np.diag([1j, -1j, 0.0]), np.diag([0.0, 1j, -1j])]
+        spec = {"N": N, "n": n, "derivations": [_pairs(d) for d in derivations],
+                "X": [_pairs(x * np.eye(N)) for x in xs], "Y": [_pairs(y * np.eye(N)) for y in ys]}
+        bad = tmp_path / "big_generators.json"
+        bad.write_text(json.dumps(spec))
+        assert run(capsys, "projective", str(bad), "--format", fmt) == (1, "", f"realcalc: error: {message}\n")
+
     @staticmethod
     def _rotation_spec(p, c: float = 1e200) -> dict:
         # n = 1, N = 2: D = [[0, 1], [-1, 0]], a metric with entries c

@@ -258,33 +258,12 @@ PROJECTIVE_CUT_DEFECT = {
     ("su2c-su3", "all"): "mu + [g, g]: residual 5.0e-14 <= cut 1.4e-12 at i = 1",
 }
 PROJECTIVE_CUT_REASON = "the criterion is not decided in the frame (ROADMAP item 2's frame form)"
-# Presentations on which the criterion agrees with the row module, but the
-# Koszul certificate of a witness is past this test's bound: its residual is
-# round-off of h [D_i, p], of order eps |h| |p| |D_i|, and the bound,
-# 100 tol.cut(max(1, |h| max(1, |Lambda|))), does not scale with the
-# derivations. Each entry gives the first witness's residual and bound.
-KOSZUL_BOUND_DEFECT = {
-    ("cartan-su3-1e10", "given"): "residual 1.2e-06 > bound 1.0e-07",
-    ("cartan-su4-1e10", "given"): "residual 9.2e-07 > bound 1.0e-07",
-    ("cartan-su3-1e10", "conjugated"): "residual 1.2e-06 > bound 1.0e-07",
-    ("cartan-su4-1e10", "conjugated"): "residual 2.3e-06 > bound 1.0e-07",
-    ("cartan-su3-1e10", "mixed"): "residual 6.2e-07 > bound 1.0e-07",
-    ("cartan-su4-1e10", "mixed"): "residual 6.4e-07 > bound 1.0e-07",
-    ("abelian1", "all"): "residual 8.2e-05 > bound 1.0e-07",
-    ("cartan-su3-1e10", "all"): "residual 1.8e+14 > bound 1.0e+07",
-    ("su3c-su4", "all"): "residual 1.6e+31 > bound 3.4e+27",
-    ("su4c-su5", "all"): "residual 6.2e+36 > bound 1.2e+34",
-}
-KOSZUL_BOUND_REASON = "the test's Koszul bound does not scale with the derivations"
 
 
 def cross_setting_marks(name: str, how: str) -> list:
-    if (name, how) in PROJECTIVE_CUT_DEFECT:
-        reason = f"{PROJECTIVE_CUT_REASON}; {PROJECTIVE_CUT_DEFECT[name, how]}"
-    elif (name, how) in KOSZUL_BOUND_DEFECT:
-        reason = f"{KOSZUL_BOUND_REASON}; {KOSZUL_BOUND_DEFECT[name, how]}"
-    else:
+    if (name, how) not in PROJECTIVE_CUT_DEFECT:
         return []
+    reason = f"{PROJECTIVE_CUT_REASON}; {PROJECTIVE_CUT_DEFECT[name, how]}"
     return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
 
 
@@ -334,8 +313,11 @@ class TestRowAndProjectiveAgree:
                 holds, worst, _ = projcalc.lc_condition_check(data)
                 assert (conn is not None) == holds, (label, worst)
                 if label == "witness":
+                    # the residual is round-off of h (C - Lambda), whose terms
+                    # h [D_i, p] grow with the derivations
                     coeffs = projcalc.lc_connection_coefficients(data)
-                    scale = max(1.0, max_norm(data.h) * max(1.0, max_norm(projcalc.lambda_tensor(data))))
+                    scale = max(1.0, max_norm(data.h) * max(1.0, max_norm(projcalc.lambda_tensor(data))),
+                                max_norm(data.h) * max_norm(data.p) * max_norm(data.derivs.mats))
                     assert projcalc.koszul_verify_projective(data, coeffs) <= 100.0 * DEFAULT_TOL.cut(scale)
 
 

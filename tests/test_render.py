@@ -21,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from realcalc import cli
@@ -438,6 +438,16 @@ def float_arrays(draw):
     return shape, [pool[i] for i in picks]
 
 
+# The shortest bulk arrays: 32 floats of 3 characters each. Their 16-float
+# rows fit _INLINE_WIDTH and print inline, while the whole array, whose one
+# line would hold 160 characters, never does.
+SHORTEST_BULK = [([32], [0.0, 1.0] * 16), ([2, 16], [1.0, 0.0, 0.0, 1.0] * 8), ([16, 2], [0.0, 1.0] * 16)]
+# A 6-dimensional grid of 8 outermost slabs, printed in runs of 4 slabs at a
+# _SLAB_SIZE of 18 and of 5 at 20, whose groups fall on both sides of the width.
+GRID_6D = ([8, 1, 2, 1, 1, 2], [0.0, 1.0, -2.5, 0.1, -1.23456789012e-300, -2.2250738585072014e-308,
+                                -0.12345678901234, -1.23456789012e-200] * 4)
+
+
 def _placed(array, depth: int):
     """The array as the value at the given indent: inside depth nested dicts."""
     tree = array
@@ -446,6 +456,9 @@ def _placed(array, depth: int):
     return tree
 
 
+@example(SHORTEST_BULK[0], 0)
+@example(SHORTEST_BULK[1], 1)
+@example(SHORTEST_BULK[2], 3)
 @given(float_arrays(), st.integers(0, 3))
 def test_float_arrays_match_literal(array, depth):
     shape, leaves = array
@@ -602,20 +615,19 @@ def test_separators_hold_one_conversion_per_float(d):
     specs = len(cli._SPECS)
     conversions = [0 if s in (cli._LITERAL, cli._ZERO) else 1 for s in range(specs)]
     for indent in (0, 1, 4):
-        for top in (0, 1):
-            table, prefix, suffix = cli._separators(d, indent, top)
-            rows = table.reshape(d, d + 1, d + 1, specs)
-            for c, a, b in np.ndindex(d, d + 1, d + 1):
-                if a != b and min(a, b) <= c:
-                    assert set(rows[c, a, b]) == {None}
-                else:
-                    assert [text.endswith(spec) for text, spec in zip(rows[c, a, b], cli._SPECS)] == [True] * specs
-                    assert [text.count("%") for text in rows[c, a, b]] == conversions
-            assert len(prefix) == (d + 1) * specs
-            for i, text in enumerate(prefix):
-                assert text.endswith(cli._SPECS[i % specs])
-                assert text.count("%") == conversions[i % specs]
-            assert not any("%" in text for text in suffix)
+        table, prefix, suffix = cli._separators(d, indent)
+        rows = table.reshape(d, d + 1, d + 1, specs)
+        for c, a, b in np.ndindex(d, d + 1, d + 1):
+            if a != b and min(a, b) <= c:
+                assert set(rows[c, a, b]) == {None}
+            else:
+                assert [text.endswith(spec) for text, spec in zip(rows[c, a, b], cli._SPECS)] == [True] * specs
+                assert [text.count("%") for text in rows[c, a, b]] == conversions
+        assert len(prefix) == (d + 1) * specs
+        for i, text in enumerate(prefix):
+            assert text.endswith(cli._SPECS[i % specs])
+            assert text.count("%") == conversions[i % specs]
+        assert not any("%" in text for text in suffix)
 
 
 @given(float_arrays(), st.integers(0, 3), st.booleans())
@@ -627,6 +639,8 @@ def test_numpy_float_leaves_match_literal(array, depth, every):
     assert_same(_placed(nested, depth))
 
 
+@example(GRID_6D, 0, 18)
+@example(GRID_6D, 2, 20)
 @given(float_arrays(), st.integers(0, 3), st.sampled_from([18, 20, 48]))
 def test_float_arrays_in_slabs_match_literal(array, depth, slab):
     # small slabs split most arrays, and recurse into single slabs too large
@@ -680,6 +694,11 @@ def test_render_text_peak_memory():
     assert peak <= 8 * 2**20
 
 
+@example(SHORTEST_BULK[0], 0, cli._SLAB_SIZE)
+@example(SHORTEST_BULK[1], 1, cli._SLAB_SIZE)
+@example(SHORTEST_BULK[2], 3, cli._SLAB_SIZE)
+@example(GRID_6D, 0, 18)
+@example(GRID_6D, 2, 20)
 @given(float_arrays(), st.integers(0, 3), st.sampled_from([18, 20, 48, cli._SLAB_SIZE]))
 def test_float_arrays_match_text_literal(array, depth, slab):
     shape, leaves = array
