@@ -98,6 +98,7 @@ def _jsonify(value):
 
 
 _POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is an exact double
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _scaled12(x: np.ndarray):
@@ -120,7 +121,8 @@ def _scaled12(x: np.ndarray):
     Entries that fail the test are non-finite values, |k| > 22 (roughly
     0 < |x| < 1e-11 or |x| >= 1e34), a wrong exponent from log10 next to
     a power of ten (|prod| outside the range) and near-ties; those take
-    ``_round12``."""
+    ``_round12``, but for round-off, which ``_text_lengths`` prints
+    without rounding it."""
     k = 11 - np.floor(np.log10(np.abs(x)))
     fast = np.abs(k) <= 22
     k = np.where(fast, k, 0).astype(np.intp)
@@ -650,19 +652,24 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     Both zeros take the literal "0.0" (``_ZERO``), 3 characters and no
     argument, since -0.0 rounds to 0.0. Every other entry takes
     ``_LITERAL``, an empty format that ``_printed`` follows with the
-    text repr(r), r taken from prod where the fast test holds (exponents
-    from 0 up or below -4), by ``_round12`` elsewhere (near-ties,
-    |k| > 22 and log10 misses). These are about 1% of a coefficient
-    grid. Where the fast test holds and r is not an integer, that text
-    is "%.12g" of v, and one format call prints all of these. .12g
-    prints the digits of M (see ``_scaled12``) without their trailing
-    zeros, and repr the same digits (as above: r is normal, since
-    |k| <= 22 gives |r| >= 1e-11).
-    Both print positional digits for e from 0 to 10 (a 12-digit M with
-    e >= 11 is an integer) and the same exponent form, as in "1.5e-07",
-    for e below -4. Only integers, whose repr ends in ".0" or has an
-    exponent of 16 or more, and entries that fail the fast test are
-    printed by float.__repr__ (``_repr_texts``).
+    text repr(r). Where r is normal and not an integer, that text is
+    "%.12g" of v, and one format call prints all of these: .12g prints
+    the 12 significant digits of v, correctly rounded, without their
+    trailing zeros; they read back as r, and repr prints the same digits
+    (as above, for any normal r). Both print positional digits for
+    decimal exponents from -4 to 10 (a 12-digit value with e >= 11 is an
+    integer) and the same exponent form, as in "1.5e-07", below -4. Two
+    kinds of entry are known to be such an r without rounding them here:
+    those where the fast test holds (exponents from 0 up or below -4,
+    r = +-M / 10^k and normal, since |k| <= 22 gives |r| >= 1e-11) and r
+    is not an integer; and round-off, entries that fail the fast test
+    (near-ties, |k| > 22 and log10 misses) with |v| in
+    [``np.finfo(float).tiny``, 0.5), since rounding is monotonic, so r
+    is at least round12(tiny) > tiny, and 0 < |r| <= 0.5. The rest,
+    about 1% of a coefficient grid, are printed by float.__repr__ of r
+    (``_repr_texts``): integers, whose repr ends in ".0" or has an
+    exponent of 16 or more, with r from the fast test; and subnormals
+    and slow entries at 0.5 or above, with r from ``_round12``.
 
     So every printed text is repr(round12(v)), the text that the JSON
     encoder gives the entry of ``_round12(x).tolist()``. Rounding is
@@ -670,9 +677,9 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     rounded before it reached the printer.
 
     Cost: O(m) numpy work on m entries, plus a "%.12g" conversion per
-    ``_LITERAL`` entry that is not an integer, a float.__repr__ (about
-    twice that) per other ``_LITERAL`` entry, and a ``_round12_scalar``
-    per entry that fails the fast test.
+    ``_LITERAL`` entry printed from it, a float.__repr__ (about twice
+    that) per other ``_LITERAL`` entry, and a ``_round12_scalar`` (about
+    1.5 us) per subnormal and per slow entry at 0.5 or above.
     """
     with np.errstate(all="ignore"):
         fast, k, up, down, prod = _scaled12(x)
@@ -692,9 +699,11 @@ def _text_lengths(x: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray, np.
     lengths[at] = 13 - zeros - e + neg
     lit = np.flatnonzero(spec == _LITERAL)
     rounded = np.rint(prod[lit]) * down[lit] / up[lit] + 0.0  # as _round12 where fast
-    slow = ~fast[lit]
+    mag = np.abs(x[lit])
+    # printed by "%.12g" of v: a normal non-integer r, from the fast test or round-off
+    general = np.where(fast[lit], rounded != np.floor(rounded), (mag >= _TINY) & (mag < 0.5))
+    slow = ~(fast[lit] | general)
     rounded[slow] = _round12(x[lit[slow]])
-    general = ~slow & (rounded != np.floor(rounded))  # printed by "%.12g" of v
     texts = np.empty(lit.size, object)
     texts[general] = ("%.12g," * int(general.sum()) % tuple(x[lit[general]].tolist())).split(",")[:-1]
     texts[~general] = _repr_texts(rounded[~general].tolist())

@@ -161,16 +161,21 @@ class StructureConstants:
     f: np.ndarray
 
     def __init__(self, f):
-        arr = np.asarray(f, dtype=float)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ValueError(f"structure constants must be n x n x n, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("structure constants must be finite")
-        object.__setattr__(self, "f", _freeze(arr))
+        object.__setattr__(self, "f", _freeze(_constants_array(f)))
 
     @property
     def n(self) -> int:
         return self.f.shape[0]
+
+
+def _constants_array(f) -> np.ndarray:
+    """``f`` as a float array, no copy, checked as :class:`StructureConstants` checks it."""
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim != 3 or len(set(arr.shape)) != 1:
+        raise ValueError(f"structure constants must be n x n x n, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("structure constants must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -240,6 +240,17 @@ class ProjectiveCalculusData:
     tolerance. The checks are block matrix products: O(n^3 N^3) time,
     O(n^2 N^2) memory.
 
+    Known limit: the checks see the round-off with which the grids were
+    formed. Data carried to other generators e'_i = sum_k A_ki e_k by a
+    real matrix A, p' = A^-1 p A, h' = A^T h A and
+    h_inv' = A^-1 h_inv A^-T, holds round-off of about eps cond(A) that
+    the terms of its entries do not bound. Near cond(A) = 1e12 such a
+    presentation raises :class:`InvariantViolation` at idempotence, as
+    ``free_trivial``'s p = 1 does from about 1e6 on; a p of rank one in
+    the generators, as ``abelian_free``'s, stays within its cut. The
+    error is named, and no verdict is given on data the checks cannot
+    tell from a non-projection.
+
     The derivatives of the grids, dp[i, k, j] = [D_i, p^k_j] and
     dh[i, a, b] = [D_i, h_ab], are built here once, two GEMMs each, as
     C-contiguous arrays, and read by the criterion, Λ and the

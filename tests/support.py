@@ -23,7 +23,7 @@ import numpy as np
 
 import realcalc
 from realcalc import cncalc, liealg
-from realcalc.matlin import DEFAULT_TOL, Tolerance, as_row_vector, max_norm, real_nullspace
+from realcalc.matlin import DEFAULT_TOL, Tolerance, _scaled_norm, as_row_vector, max_norm, real_nullspace
 
 # ---------------------------------------------------------------------------
 # Processes
@@ -585,3 +585,128 @@ def oracle_existence(mats: list[np.ndarray], x: float = 1.0, tol: Tolerance = DE
                 continue
             return cncalc.EXISTS
     return cncalc.NONEXISTENT
+
+
+# ---------------------------------------------------------------------------
+# The witness checks as full-array passes, one check at a time: the
+# reference that the library's one pass must equal bit for bit
+
+
+def _reference_w(pre, conn, anchor) -> np.ndarray:
+    """w[j] = nabla_j v0 = i*lam_j v0 - v0 D_j, shape (n, N)."""
+    v0 = anchor.v0
+    return 1j * conn.lambdas[:, None] * v0[None, :] - v0 @ pre.basis.mats
+
+
+def reference_torsion(pre, conn, f, anchor) -> np.ndarray:
+    """T[i, j] = mu_j w_i - mu_i w_j - c_ij v0 with c = mu . f, shape (n, n, N)."""
+    mu = anchor.mu
+    w = _reference_w(pre, conn, anchor)
+    c = np.tensordot(mu, f.f, axes=1)
+    return mu[None, :, None] * w[:, None, :] - mu[:, None, None] * w[None, :, :] - c[:, :, None] * anchor.v0
+
+
+def reference_metric_compat(pre) -> float:
+    """|x| max_j max_a |(D_j + D_j^dagger)[a]|."""
+    A = pre.basis.mats + pre.basis.mats.conj().transpose(0, 2, 1)
+    return abs(pre.metric_scale) * float(np.max(np.linalg.norm(A, axis=2)))
+
+
+def reference_koszul_parts(pre, conn, f, anchor) -> tuple[np.ndarray, ...]:
+    """``(p_perp, A_perp, b_z, B_z, phi, nu)`` of every Koszul gap's split, phi
+    formed whole from three (n, n, n) terms."""
+    mats = pre.basis.mats
+    mu = anchor.mu
+    v0 = anchor.v0
+    n, N = len(mu), len(v0)
+    nu = float(np.vdot(v0, v0).real)
+    w = _reference_w(pre, conn, anchor)
+    a = mats @ v0.conj()
+    b = v0 @ mats
+    c = np.tensordot(mu, f.f, axes=1)
+    p = 2.0 * w.conj() - a
+    t = mu[None, :, None] * a.T[:, None, :]
+    A = (t - t.transpose(0, 2, 1)).reshape(N, n * n)
+    t = mu[None, :, None] * b.T[:, None, :]
+    B = (t - t.transpose(0, 2, 1)).reshape(N, n * n)
+    phi = -np.multiply.outer(mu, c) + mu[:, None] * c.T[:, None, :] + c[:, :, None] * mu
+    phi = phi.reshape(n, n * n)
+    p_v = (p @ v0) / nu
+    A_v = (v0 @ A) / nu
+    p_perp = p - np.outer(p_v, v0.conj())
+    A_perp = A - np.outer(v0.conj(), A_v)
+    b_z = b + np.outer(p_v, v0)
+    B_z = B - np.outer(v0, A_v)
+    return p_perp, A_perp, b_z, B_z, phi, nu
+
+
+def reference_koszul_residual(pre, conn, f, anchor) -> float:
+    """The largest per-triple Frobenius norm of the Koszul gap, summed one
+    vector component at a time on whole (n, n^2) arrays."""
+    mu = anchor.mu
+    v0 = anchor.v0
+    n, N = len(mu), len(v0)
+    p_perp, A_perp, b_z, B_z, phi, nu = reference_koszul_parts(pre, conn, f, anchor)
+    mumu = np.outer(mu, mu).ravel()
+    total = np.zeros((n, n * n))
+    part = np.empty((n, n * n))
+    for s in range(N):
+        for col, row, shift in ((p_perp[:, s], -A_perp[s], 0.0), (b_z[:, s], B_z[s], -v0[s])):
+            for take in (np.real, np.imag):
+                np.matmul(np.stack([take(col), mu], axis=1), np.stack([mumu, take(row)]), out=part)
+                if shift:
+                    part += take(shift) * phi
+                total += np.square(part, out=part)
+    return abs(pre.metric_scale) * float(np.sqrt(nu * np.max(total)))
+
+
+def reference_koszul_bound(pre, conn, f, anchor) -> float:
+    """The triangle-inequality bound on :func:`reference_koszul_residual`."""
+    mu = np.abs(anchor.mu)
+    p_perp, A_perp, b_z, B_z, phi, nu = reference_koszul_parts(pre, conn, f, anchor)
+    m = float(np.max(mu)) ** 2
+    a = float(np.max(np.linalg.norm(A_perp, axis=0)))
+    b = float(np.max(np.linalg.norm(B_z, axis=0)))
+    root = float(np.sqrt(nu))
+    X = np.linalg.norm(p_perp, axis=1) * m + mu * a
+    Z = np.linalg.norm(b_z, axis=1) * m + mu * b + root * np.max(np.abs(phi), axis=1)
+    return abs(pre.metric_scale) * root * float(np.max(np.hypot(X, Z)))
+
+
+def reference_checks(pre, f, anchor, conn, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The four checks' residuals and verdict, each check forming its own factors."""
+    scale = max(1.0, max_norm(pre.basis.mats))
+    thr = 100.0 * tol.cut(scale * max(1.0, abs(pre.metric_scale)))
+    t_norm = float(np.max(np.linalg.norm(reference_torsion(pre, conn, f, anchor), axis=2)))
+    rcc_res = float(max_norm(_reference_w(pre, conn, anchor)))
+    mc = reference_metric_compat(pre)
+    kz, certificate = reference_koszul_bound(pre, conn, f, anchor), "bound"
+    if kz > 0.5 * thr:
+        kz, certificate = reference_koszul_residual(pre, conn, f, anchor), "exact"
+    return {
+        "torsion": t_norm,
+        "rcc": rcc_res,
+        "metric_compatibility": mc,
+        "koszul": kz,
+        "koszul_certificate": certificate,
+        "ok": bool(rcc_res <= tol.cut(scale) and t_norm <= thr and mc <= thr and kz <= thr),
+    }
+
+
+def reference_frame_checks(pre, split, anchor, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """:func:`reference_checks` of the frame form that ``levi_civita_connection`` checks.
+
+    The frame E of ``pre.basis`` with its bracket tensor ``split.f``,
+    mu_E = T mu scaled to unit norm, and lambda_E = T lambda for the one
+    candidate lambda_j = Im(v0 D_j v0^dagger), each built as an object.
+    """
+    basis = pre.basis
+    conn = cncalc.Connection(((anchor.v0 @ basis.mats) @ anchor.v0.conj()).imag)
+    mu_E = basis.T @ anchor.mu
+    return reference_checks(
+        cncalc.MetricPreCalculus(basis.frame(), pre.metric_scale),
+        liealg.StructureConstants(split.f),
+        cncalc.AnchorMap(anchor.v0, mu_E / _scaled_norm(mu_E), tol),
+        cncalc.Connection(basis.T @ conn.lambdas),
+        tol,
+    )

@@ -156,7 +156,10 @@ def test_criterion_7_uniqueness(gc_witness):
         n = pre.basis.n
 
         def passes(other: cncalc.Connection) -> bool:
-            return cncalc._passes_all_checks(pre, f, anchor, other, liealg.DEFAULT_TOL)["ok"]
+            checks = cncalc._passes_all_checks(
+                pre.basis.mats, pre.metric_scale, f.f, anchor.v0, anchor.mu, other.lambdas, liealg.DEFAULT_TOL
+            )
+            return checks["ok"]
 
         assert passes(conn)
         # every single-coordinate bump of magnitude >= 1e-6 must fail

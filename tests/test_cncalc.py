@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ from support import (
     oracle_existence,
     random_subalgebra,
     random_unitary,
+    reference_checks,
+    reference_frame_checks,
+    reference_koszul_bound,
+    reference_koszul_residual,
+    reference_metric_compat,
+    reference_torsion,
     su2_mats,
     su_basis,
     user_constants,
@@ -336,7 +344,7 @@ class TestKoszulResidual:
         assert fast <= 1e-14 and slow <= 1e-14
         assert fast == pytest.approx(slow, abs=1e-14)
         # the closed-form bound certifies the witness on its own
-        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+        thr = cncalc._witness_cuts(pre.basis.mats, pre.metric_scale, DEFAULT_TOL)[0]
         assert cncalc._koszul_bound(pre, conn, f, anchor) <= 0.5 * thr
 
     def test_bounds_the_largest_entry(self, su2_basis, su2_f):
@@ -380,22 +388,25 @@ class TestKoszulCertificate:
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         anchor = AnchorMap(v / np.linalg.norm(v), rng.standard_normal(3))
         conn = Connection(rng.standard_normal(3))
-        checks = cncalc._passes_all_checks(pre, su2_f, anchor, conn, DEFAULT_TOL)
+        checks = cncalc._passes_all_checks(
+            su2_basis.mats, pre.metric_scale, su2_f.f, anchor.v0, anchor.mu, conn.lambdas, DEFAULT_TOL
+        )
         assert checks["koszul_certificate"] == "exact"
         assert checks["koszul"] == koszul_residual(pre, conn, su2_f, anchor)
         assert not checks["ok"]
 
     def test_exact_loop_not_entered_at_witnesses(self, su4, monkeypatch):
         # the O(n^3 N) loop runs only when the bound cannot certify, so a
-        # witness, whose Koszul gap is round-off, never enters it
+        # witness, whose Koszul gap is round-off, never enters it; the
+        # loop has one home, which koszul_residual calls too
         calls = []
-        original = cncalc.koszul_residual
+        original = cncalc._koszul_exact
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cncalc, "koszul_residual", counting)
+        monkeypatch.setattr(cncalc, "_koszul_exact", counting)
         rng = np.random.default_rng(82)
         bases = [su4["gc"]]
         bases += [LieBasis(generic_presentation(rng, block_with_center(k + 1, k))) for k in (2, 3, 5)]
@@ -550,7 +561,7 @@ class TestIntermediatesComputedOnce:
 def _assert_exists_under_cut(pre):
     report = decide_existence(pre)
     assert (report.status, report.reason) == (EXISTS, REASON_WITNESS)
-    thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(pre))
+    thr = cncalc._witness_cuts(pre.basis.mats, pre.metric_scale, DEFAULT_TOL)[0]
     residuals = report.diagnostics["witness_residuals"]
     assert set(residuals) == {"torsion", "rcc", "metric_compatibility", "koszul"}
     assert all(value <= thr for value in residuals.values()), residuals
@@ -632,8 +643,7 @@ class TestLeviCivitaConnection:
         anchor, _ = decide_existence(pre).witness
         conn, checks = levi_civita_connection(pre, split, anchor)
         assert conn is not None
-        frame = MetricPreCalculus(pre.basis.frame(), pre.metric_scale)
-        thr = 100.0 * DEFAULT_TOL.cut(cncalc._witness_scale(frame))
+        thr = cncalc._witness_cuts(pre.basis.E, pre.metric_scale, DEFAULT_TOL)[0]
         assert thr < 1e-6
         assert max(checks[key] for key in ("torsion", "metric_compatibility", "koszul")) <= thr
         bumped = AnchorMap(anchor.v0, anchor.mu + pre.basis.T_inv @ split.ss_basis[0])
@@ -648,6 +658,24 @@ class TestLeviCivitaConnection:
         assert checks["ok"]
         assert np.array_equal(conn.lambdas, [1.0])
 
+    def test_frame_form_keeps_the_constructors_errors(self, su4):
+        # the frame-form values reach the checks as arrays, checked as the
+        # constructors of StructureConstants and AnchorMap check them
+        basis = su4["gc"]
+        pre = MetricPreCalculus(basis)
+        split = levi_split_compact(basis)
+        anchor, _ = decide_existence(pre).witness
+        bad = liealg.LeviSplit(np.full_like(split.f, np.inf), split.radical_basis, split.ss_basis)
+        with pytest.raises(ValueError, match="structure constants must be finite"):
+            levi_civita_connection(pre, bad, anchor)
+        off = AnchorMap(anchor.v0 * (1.0 + 1e-10), anchor.mu)
+        with pytest.raises(ValueError, match="v0 must have unit norm"):
+            levi_civita_connection(pre, split, off, Tolerance(rel=1e-12, abs=0.0))
+        huge = AnchorMap(anchor.v0, np.full(basis.n, 1e308))
+        small = LieBasis(basis.mats * 1e-10)
+        with pytest.raises(ValueError, match="mu entries must be finite"), np.errstate(all="ignore"):
+            levi_civita_connection(MetricPreCalculus(small), levi_split_compact(small), huge)
+
     def test_random_v0_fails_rcc(self, gc_witness):
         # v0 D0 = i v0 holds only on the common eigenspace, so a random
         # v0 has no connection that annihilates it
@@ -657,5 +685,98 @@ class TestLeviCivitaConnection:
         anchor = AnchorMap(v / np.linalg.norm(v), witness.mu)
         conn, checks = levi_civita_connection(pre, levi_split_compact(pre.basis), anchor)
         assert conn is None
-        assert checks["rcc"] > cncalc._rcc_cut(pre.basis, DEFAULT_TOL)
+        assert checks["rcc"] > cncalc._witness_cuts(pre.basis.mats, pre.metric_scale, DEFAULT_TOL)[1]
         assert not checks["ok"]
+
+
+def _su_with_center(k: int, d: int) -> list[np.ndarray]:
+    """su(k) in the top corner of su(k + d) plus its d-dimensional center,
+    the trace-free diagonals that are constant on the block."""
+    diagonals = [np.concatenate([-np.ones(k), k * np.eye(d)[m]]) for m in range(d)]
+    return block_with_center(k + d, k)[:-1] + [1j * np.diag(v) for v in diagonals]
+
+
+def _random_anchor(rng, N: int, n: int) -> AnchorMap:
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    return AnchorMap(v / np.linalg.norm(v), rng.standard_normal(n))
+
+
+class TestOnePassMatchesOracle:
+    """The one witness pass, with phi formed a block of rows at a time,
+    against support's full-array checks that form their own factors, bit
+    for bit: the pass changes where each value is formed, not how."""
+
+    @staticmethod
+    def assert_views_match(pre, conn, f, anchor):
+        assert torsion(pre, conn, f, anchor).tobytes() == reference_torsion(pre, conn, f, anchor).tobytes()
+        assert repr(metric_compat_residual(pre, conn)) == repr(reference_metric_compat(pre))
+        bound = cncalc._koszul_bound(pre, conn, f, anchor)
+        assert repr(bound) == repr(reference_koszul_bound(pre, conn, f, anchor))
+        residual = koszul_residual(pre, conn, f, anchor)
+        assert repr(residual) == repr(reference_koszul_residual(pre, conn, f, anchor))
+        checks = cncalc._passes_all_checks(
+            pre.basis.mats, pre.metric_scale, f.f, anchor.v0, anchor.mu, conn.lambdas, DEFAULT_TOL
+        )
+        assert repr(checks) == repr(reference_checks(pre, f, anchor, conn))
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 3)])
+    def test_center_witnesses_across_metric_scales(self, k, d):
+        rng = np.random.default_rng(90 + 10 * k + d)
+        basis = LieBasis(generic_presentation(rng, _su_with_center(k, d)))
+        split = levi_split_compact(basis)
+        f = user_constants(basis)
+        for x in (1e-6, -1e-3, 1.0, 1e3, -1e6):
+            pre = MetricPreCalculus(basis, x)
+            anchor, conn = decide_existence(pre).witness
+            checks = levi_civita_connection(pre, split, anchor)[1]
+            assert checks["ok"] and checks["koszul_certificate"] == "bound"
+            assert repr(checks) == repr(reference_frame_checks(pre, split, anchor))
+            self.assert_views_match(pre, conn, f, anchor)
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_off_witness_anchors_over_several_blocks(self, k):
+        # su(k) is semisimple, so no anchor is a witness and the exact
+        # residual decides, its rows i summed a block at a time
+        rng = np.random.default_rng(100 + k)
+        basis = LieBasis(generic_presentation(rng, su_basis(k)))
+        assert len(list(cncalc._row_blocks(basis.n))) > 1
+        split = levi_split_compact(basis)
+        pre = MetricPreCalculus(basis, 0.7)
+        anchor = _random_anchor(rng, k, basis.n)
+        conn, checks = levi_civita_connection(pre, split, anchor)
+        assert conn is None and checks["koszul_certificate"] == "exact"
+        assert repr(checks) == repr(reference_frame_checks(pre, split, anchor))
+        frame = MetricPreCalculus(basis.frame(), 0.7)
+        conn = Connection(rng.standard_normal(basis.n))
+        self.assert_views_match(frame, conn, liealg.StructureConstants(split.f), anchor)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 16, None])
+    def test_any_block_of_rows(self, k, rows, monkeypatch):
+        rng = np.random.default_rng(110 + k)
+        basis = LieBasis(generic_presentation(rng, su_basis(k)))
+        n = basis.n
+        monkeypatch.setattr(cncalc, "_BLOCK_BYTES", 8 * n * n * (rows or n))
+        pre = MetricPreCalculus(basis, -1.3)
+        conn = Connection(rng.standard_normal(n))
+        self.assert_views_match(pre, conn, user_constants(basis), _random_anchor(rng, k, n))
+
+
+def test_levi_civita_connection_peak_memory():
+    # su(13) plus a center in su(14), n = 169, in a generic presentation as
+    # perfbench's: the checks form no n^3 array, so beside the frame tensor
+    # f_E (37 MiB, formed by the split) they stay within O(n^2 N + n N^2)
+    rng = np.random.default_rng(7)
+    basis = LieBasis(generic_presentation(rng, block_with_center(14, 13)))
+    pre = MetricPreCalculus(basis)
+    split = levi_split_compact(basis)
+    anchor = decide_existence(pre).witness[0]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        conn, checks = levi_civita_connection(pre, split, anchor)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 169 and conn is not None and checks["koszul_certificate"] == "bound"
+    assert peak <= 64 * 2**20

@@ -105,6 +105,25 @@ class TestDataValidation:
         with pytest.raises(InvariantViolation, match="idempotence"):
             ProjectiveCalculusData(basis, p[None, None], one, one)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_generators_raise_at_idempotence(self, seed):
+        # the docstring's known limit: free_trivial carried to generators
+        # e'_i = sum_k A_ki e_k by a real A of condition number 1e12 holds
+        # round-off of about eps cond(A) in p' = A^-1 p A, which its
+        # entries' terms do not bound; the error is named, not a verdict
+        spec = cli.parse_projective_spec(json.loads(fixture_path("free_trivial.json").read_text()))
+        rng = np.random.default_rng(seed)
+        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = q1 @ np.diag([1.0, 1e-6, 1e-12]) @ q2
+        A_inv = np.linalg.inv(A)
+        p = np.einsum("ak,klxy,li->aixy", A_inv, spec.p, A)
+        h = np.einsum("ki,klxy,lj->ijxy", A, spec.h, A)
+        h_inv = np.einsum("ak,klxy,bl->abxy", A_inv, spec.h_inv, A_inv)
+        with pytest.raises(InvariantViolation) as info:
+            ProjectiveCalculusData(LieBasis(spec.derivations), p, h, h_inv)
+        assert info.value.identity == "projection idempotence p.p = p"
+
     def test_rejects_nonhermitian_metric(self, su2_basis):
         h = eye_grid(3, 2).copy()
         h[0, 0] = np.array([[1, 1j], [2j, 1]])

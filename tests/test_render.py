@@ -536,6 +536,36 @@ def test_printed_floats_match_repr(values, rounded, slab):
     assert_printed_as_repr(values, slab)
 
 
+TINY = float(np.finfo(float).tiny)
+# round-off that fails the fast test: magnitudes log-uniform from the
+# smallest normal to 0.5, within 1e-3 of the smallest normal and N(0, 1e-17)
+# sized; values that round to +-0.5, and subnormals, which keep _round12
+roundoff = st.builds(lambda e, negative: -(10.0 ** e) if negative else 10.0 ** e,
+                     st.floats(np.log10(TINY), np.log10(0.5)), st.booleans())
+roundoff |= st.floats(TINY, TINY * (1 + 1e-3)) | st.floats(-1e-16, 1e-16)
+roundoff |= st.floats(0.5 - 1e-12, 0.5) | st.floats(-0.5, -0.5 + 1e-12)
+roundoff |= st.floats(-TINY, TINY, allow_subnormal=True)
+
+
+@given(st.lists(roundoff, min_size=cli._BULK_MIN_SIZE, max_size=120), st.sampled_from([18, cli._SLAB_SIZE]))
+def test_roundoff_prints_the_generic_bytes(values, slab):
+    # a round-off entry below 0.5 is printed by the "%.12g" format call and
+    # never rounded one at a time, and the array prints the generic path's
+    # bytes in JSON and in text
+    x = np.array(values)
+    rounded = []
+    entries = cli._round12
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_round12", lambda v: rounded.extend(v.tolist()) or entries(v))
+        cli._text_lengths(x)
+    assert all(abs(v) < TINY or abs(v) >= 0.5 for v in rounded)
+    assert_printed_as_repr(values, slab)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_SLAB_SIZE", slab)
+        assert_rounded_where_printed(x)
+        assert_rounded_where_printed(x.reshape(-1, 2)[:, ::-1] if x.size % 2 == 0 else x[:, None])
+
+
 def _family_values():
     """For e = -1 ... -4 and each count of trailing zeros of a 12-digit
     integer, a few digit integers M' of 12 - zeros digits, the last one
