@@ -475,9 +475,8 @@ def cmd_projective(spec: ProjectiveSpecFile, tol: Tolerance, source: str) -> dic
 # Rendering and dispatch
 
 
-# json.dumps with no NaN or infinity; an array, which only render_text's
-# leaves hand it, prints as the list form of its entries rounded by _round12
-_ENCODE = json.JSONEncoder(allow_nan=False, default=lambda a: _round12(a).tolist()).encode
+# json.dumps with no NaN or infinity
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
 _INLINE_WIDTH = 88
 
 
@@ -488,18 +487,17 @@ def _render(value, indent: int) -> tuple[Optional[str], list[str]]:
     whose concatenation is the text. ``flat`` is its one-line JSON when
     that may be inlined, i.e. it has at most _INLINE_WIDTH characters and
     no "{"; otherwise None, and then no list holding the value can be
-    inlined either. An array that ``_prints_in_bulk`` is printed by
-    ``_render_float_array`` and is never inlined; any other array as its
-    list form, and lists always by the generic path below.
+    inlined either. ``value`` is a value of ``_jsonify``: its one array
+    kind, an array that ``_prints_in_bulk``, is printed by
+    ``_render_float_array`` and is never inlined, and lists always by the
+    generic path below; any other array raises TypeError.
 
     Cost: linear in the report's bytes. Every value is encoded once;
     containers extend their pieces lists with their items' pieces, so
     no text is copied into the containers around it.
     """
-    if isinstance(value, np.ndarray):
-        if _prints_in_bulk(value):
-            return None, _render_float_array(value, indent)
-        value = value.tolist()
+    if isinstance(value, np.ndarray) and _prints_in_bulk(value):
+        return None, _render_float_array(value, indent)
     if isinstance(value, dict):
         if not value:
             return None, ["{}"]
@@ -818,10 +816,11 @@ def _json_pieces(report: dict) -> list[str]:
 
 
 def render_json(report: dict) -> str:
-    """Deterministic JSON: fixed key order, short numeric lists inline.
-    A float array of 32 entries or more (``_prints_in_bulk``) prints the
-    list form of its entries rounded to 12 digits (``_round12``), rounded
-    as it prints; other values print as they are. The pieces that
+    """Deterministic JSON of a value of ``_jsonify``: fixed key order,
+    short numeric lists inline. A float array of 32 entries or more
+    (``_prints_in_bulk``) prints the list form of its entries rounded to
+    12 digits (``_round12``), rounded as it prints; other values print as
+    they are, and any other array raises TypeError. The pieces that
     ``_render`` prints are joined once."""
     return "".join(_json_pieces(report))
 
@@ -853,12 +852,12 @@ def _text_pieces(report: dict) -> list[str]:
 
 
 def render_text(report: dict) -> str:
-    """Indented ``key: value`` lines, each leaf as ``json.dumps`` prints
-    the list form of its arrays' entries rounded to 12 digits
-    (``_round12``); a float array of 32 entries or more
+    """Indented ``key: value`` lines of a value of ``_jsonify``, each
+    leaf as ``json.dumps`` prints it; a float array of 32 entries or more
     (``_prints_in_bulk``) by the one bulk printer,
     ``_render_float_array`` with every group inline. A NaN or infinite
-    value raises ValueError, as in ``render_json``."""
+    value raises ValueError and any other array TypeError, as in
+    ``render_json``."""
     return "".join(_text_pieces(report))
 
 

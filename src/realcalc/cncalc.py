@@ -319,13 +319,8 @@ def _koszul_exact(parts: _KoszulParts) -> float:
     return abs(parts.x) * float(np.sqrt(nu * peak))
 
 
-def _koszul_bound(
-    pre: MetricPreCalculus,
-    conn: Connection,
-    f: StructureConstants,
-    anchor: AnchorMap,
-) -> float:
-    """An upper bound on :func:`koszul_residual`, free of its triple loop.
+def _bound_of(parts: _KoszulParts) -> float:
+    """An upper bound on :func:`koszul_residual`, free of its triple loop, from its parts.
 
     :func:`koszul_residual` splits every gap orthogonally, |gap_ijk|_F^2 =
     nu (|X_perp|^2 + |Z|^2) with nu = |v0|^2 and X_perp, Z as in
@@ -349,11 +344,6 @@ def _koszul_bound(
     are read a block of rows at a time (``_row_blocks``). Cost:
     O(n^2 N + n^3 + n N^2) time, O(n^2 N + n N^2) memory beside f.
     """
-    return _bound_of(_parts_of(pre, conn, f, anchor))
-
-
-def _bound_of(parts: _KoszulParts) -> float:
-    """:func:`_koszul_bound` from the parts of :func:`koszul_residual`."""
     mu = np.abs(parts.mu)
     m = float(np.max(mu)) ** 2
     a = float(np.max(np.linalg.norm(parts.A_perp, axis=0)))
@@ -389,7 +379,7 @@ def _passes_all_checks(
     ``_factors`` and ``_KoszulParts`` are formed once and every check
     reads them. Each residual passes at or below thr of
     ``_witness_cuts``, rcc below its own cut. The Koszul check is
-    certified by the bound of ``_koszul_bound`` when it is at most
+    certified by the bound of ``_bound_of`` when it is at most
     thr / 2, the other half being the margin for its round-off; otherwise
     the exact O(n^3 N) residual of :func:`koszul_residual` decides.
     Either way the verdict is the exact residual's. ``koszul`` holds the
@@ -504,7 +494,7 @@ def decide_existence(pre: MetricPreCalculus, tol: Tolerance = DEFAULT_TOL) -> Ex
     :func:`levi_civita_connection` finds for the anchor and checks in
     its frame form against the frame tensor of the split; its lambda is
     the common eigenvector's. The reported Koszul residual is the value that
-    decided: the bound of ``_koszul_bound`` or the largest per-triple
+    decided: the bound of ``_bound_of`` or the largest per-triple
     Frobenius norm of :func:`koszul_residual`, both upper bounds on the
     largest gap entry; ``diagnostics["koszul_certificate"]`` says which,
     ``"bound"`` or ``"exact"``, on Exists reports. Cost:

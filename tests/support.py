@@ -421,24 +421,37 @@ def all_pairs_frame_tensor(E: np.ndarray) -> np.ndarray:
     return np.tensordot(_all_pairs_brackets(E), E.conj(), axes=([2, 3], [1, 2])).real.transpose(2, 0, 1)
 
 
-def all_pairs_fit_norms(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sizes, residuals)``: |[E_a, E_b]|_F and what f leaves of it, read off all n^2 brackets.
+def _all_pairs_residuals(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(squares, rest)``: per pair a < b, |[E_a, E_b]|_F^2 and the (P, N^2) matrix f leaves of it.
 
-    ``f`` is :func:`all_pairs_frame_tensor`; the pairs a < b are copied
-    out of the full tensor and the projection subtracted by the split's
-    two real BLAS products, so both must equal bit for bit what the
-    split's ``_fit_norms`` gives closure to read.
+    The pairs are copied out of the full bracket tensor and the projection
+    by ``f`` (:func:`all_pairs_frame_tensor`) is subtracted by the split's
+    two real BLAS products.
     """
     n = E.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     flat = E.reshape(n, -1)
     rest = _all_pairs_brackets(E)[iu, ju].reshape(len(iu), flat.shape[1])
     coeffs = f[:, iu, ju].T
-    out = np.zeros((2, n, n))
     parts = rest.view(float)
-    out[0, iu, ju] = np.einsum("pq,pq->p", parts, parts)
+    squares = np.einsum("pq,pq->p", parts, parts)
     rest.real -= coeffs @ np.ascontiguousarray(flat.real)
     rest.imag -= coeffs @ np.ascontiguousarray(flat.imag)
+    return squares, rest
+
+
+def all_pairs_fit_norms(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, residuals)``: |[E_a, E_b]|_F and what f leaves of it, read off all n^2 brackets.
+
+    ``f`` is :func:`all_pairs_frame_tensor`; both must equal bit for bit
+    what the split's ``_fit_norms`` gives closure to read.
+    """
+    n = E.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    squares, rest = _all_pairs_residuals(E, f)
+    parts = rest.view(float)
+    out = np.zeros((2, n, n))
+    out[0, iu, ju] = squares
     out[1, iu, ju] = np.einsum("pq,pq->p", parts, parts)
     out = np.sqrt(out + out.transpose(0, 2, 1))
     return out[0], out[1]
@@ -448,13 +461,17 @@ def all_pairs_closure_violation(basis: liealg.LieBasis, f: np.ndarray) -> tuple[
     """``(pair, residual)`` of the worst user pair i < j, from all n^2 frame brackets.
 
     R_ij / (|D_i| |D_j|) = sum_ab W[i, a] W[j, b] R^E_ab with
-    W = T_inv / |D_i| and R^E the full bracket tensor minus its
-    projection by ``f`` (:func:`all_pairs_frame_tensor`); the first
-    largest pair wins, as in :class:`ClosureViolation`.
+    W = T_inv / |D_i| and R^E the residuals of the pairs a < b as
+    :func:`all_pairs_fit_norms` forms them, scattered antisymmetric; the
+    first largest pair wins, as in :class:`ClosureViolation`.
     """
-    n = basis.n
+    n, N = basis.n, basis.N
+    iu, ju = np.triu_indices(n, k=1)
+    rest = _all_pairs_residuals(basis.E, f)[1].reshape(len(iu), N, N)
+    R_E = np.zeros((n, n, N, N), dtype=complex)
+    R_E[iu, ju] = rest
+    R_E[ju, iu] = -rest
     W = basis.T_inv / basis.norms[:, None]
-    R_E = _all_pairs_brackets(basis.E) - np.tensordot(f, basis.E, axes=([0], [0]))
     R = np.tensordot(W, R_E, axes=([1], [0]))
     R = np.linalg.norm(np.tensordot(W, R, axes=([1], [1])).reshape(n, n, -1), axis=2)
     i, j = np.unravel_index(int(np.argmax(np.triu(R.T, k=1))), R.shape)

@@ -672,6 +672,25 @@ class TestErrorPaths:
                 errors.add(err)
         assert len(errors) == 1, errors
 
+    @pytest.mark.parametrize("second", [
+        1j * np.eye(3),
+        np.diag([1j, 1j, -2j]) + 0.4 * np.diag([1, -1, 0]),
+    ], ids=["u1", "hermitian_part"])
+    def test_non_su_element_is_refused_at_every_scale(self, capsys, tmp_path, second):
+        # a trace or a hermitian part is cut against the element's own
+        # largest entry, with no absolute floor, so scaling the basis down
+        # does not turn the refusal into a report or a traceback
+        bad = tmp_path / "not_su.json"
+        for k in range(-15, 16):
+            mats = (10.0**k * np.diag([1j, -1j, 0]), 10.0**k * second)
+            bad.write_text(json.dumps({"N": 3, "basis": [
+                {"name": f"D{i + 1}", "matrix": _pairs(m)} for i, m in enumerate(mats)
+            ]}))
+            for command in ("lie", "analyze"):
+                assert run(capsys, command, str(bad)) == (
+                    1, "", "realcalc: error: basis: basis matrix 1 is not trace-free antihermitian\n"
+                ), (k, command)
+
     def test_projective_closure_violation_names_derivations(self, capsys, tmp_path):
         spec = json.loads(fixture_path("mat2_rank1.json").read_text())
         spec["n"] = 2

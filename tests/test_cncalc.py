@@ -302,7 +302,7 @@ class TestKoszulResidual:
             fast = koszul_residual(pre, conn, su2_f, anchor)
             slow = _koszul_literal(pre, conn, su2_f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
-            assert cncalc._koszul_bound(pre, conn, su2_f, anchor) >= slow * (1.0 - 1e-12)
+            assert cncalc._bound_of(cncalc._parts_of(pre, conn, su2_f, anchor)) >= slow * (1.0 - 1e-12)
 
     def test_matches_literal_on_su3_center_random_anchors(self):
         # n = 9 and N = 4 keep the index roles apart, and random mu make
@@ -315,8 +315,8 @@ class TestKoszulResidual:
         basis = LieBasis(generic_presentation(rng, block_with_center(4, 3)))
         f = user_constants(basis)
         pre = MetricPreCalculus(basis, 0.8)
-        v_eig, eigenvalues = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
-        cases = [(v_eig, eigenvalues.imag)] * 3
+        found = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
+        cases = [(found.v, found.lambdas.imag)] * 3
         for _ in range(3):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             cases.append((v / np.linalg.norm(v), rng.standard_normal(9)))
@@ -327,7 +327,7 @@ class TestKoszulResidual:
             fast = koszul_residual(pre, conn, f, anchor)
             slow = _koszul_literal(pre, conn, f, anchor)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
-            assert cncalc._koszul_bound(pre, conn, f, anchor) >= slow * (1.0 - 1e-12)
+            assert cncalc._bound_of(cncalc._parts_of(pre, conn, f, anchor)) >= slow * (1.0 - 1e-12)
 
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -345,7 +345,7 @@ class TestKoszulResidual:
         assert fast == pytest.approx(slow, abs=1e-14)
         # the closed-form bound certifies the witness on its own
         thr = cncalc._witness_cuts(pre.basis.mats, pre.metric_scale, DEFAULT_TOL)[0]
-        assert cncalc._koszul_bound(pre, conn, f, anchor) <= 0.5 * thr
+        assert cncalc._bound_of(cncalc._parts_of(pre, conn, f, anchor)) <= 0.5 * thr
 
     def test_bounds_the_largest_entry(self, su2_basis, su2_f):
         # the Frobenius norm of an N x N gap is at least its largest
@@ -378,7 +378,7 @@ class TestKoszulCertificate:
                 lambdas = rng.standard_normal(basis.n) * 10.0 ** rng.uniform(-3, 3, basis.n)
                 anchor, conn = AnchorMap(v / np.linalg.norm(v), mu), Connection(lambdas)
                 exact = koszul_residual(pre, conn, f, anchor)
-                assert cncalc._koszul_bound(pre, conn, f, anchor) >= exact * (1.0 - 1e-12)
+                assert cncalc._bound_of(cncalc._parts_of(pre, conn, f, anchor)) >= exact * (1.0 - 1e-12)
 
     def test_off_witness_anchor_takes_the_exact_check(self, su2_basis, su2_f):
         # su(2) is semisimple, so no anchor is a witness: the bound
@@ -710,7 +710,7 @@ class TestOnePassMatchesOracle:
     def assert_views_match(pre, conn, f, anchor):
         assert torsion(pre, conn, f, anchor).tobytes() == reference_torsion(pre, conn, f, anchor).tobytes()
         assert repr(metric_compat_residual(pre, conn)) == repr(reference_metric_compat(pre))
-        bound = cncalc._koszul_bound(pre, conn, f, anchor)
+        bound = cncalc._bound_of(cncalc._parts_of(pre, conn, f, anchor))
         assert repr(bound) == repr(reference_koszul_bound(pre, conn, f, anchor))
         residual = koszul_residual(pre, conn, f, anchor)
         assert repr(residual) == repr(reference_koszul_residual(pre, conn, f, anchor))

@@ -214,8 +214,8 @@ class TestClosedForms:
 
 
 # every test that holds the split bit for bit to products formed another
-# way: all_pairs_frame_tensor, all_pairs_fit_norms and the whole bracket
-# gather; none of them starts a process
+# way: all_pairs_frame_tensor, all_pairs_fit_norms, all_pairs_closure_violation
+# and the whole bracket gather; none of them starts a process
 SPLIT_ORACLE_TESTS = [
     "tests/test_liealg.py::TestLeviSplit::test_bracket_pairs_match_full_gather",
     "tests/test_liealg.py::TestLeviSplit::test_closure_violation_matches_all_pairs_formula",

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -395,6 +396,39 @@ class TestLeviSplit:
                 assert np.array_equal(levi_split_compact(basis).f, f), draw
         assert violated >= 50
 
+    @pytest.mark.parametrize("mats", [[D1, D2], su_basis(4)[1:]], ids=["su2", "su4"])
+    def test_refusal_forms_the_brackets_once(self, monkeypatch, mats):
+        # closure is decided on the residual matrices the split already
+        # formed, and the violation is named from them
+        calls = []
+        pairs = liealg._bracket_pairs
+        monkeypatch.setattr(liealg, "_bracket_pairs", lambda E: calls.append(len(E)) or pairs(E))
+        basis = LieBasis(generic_presentation(np.random.default_rng(3), mats))
+        with pytest.raises(ClosureViolation):
+            levi_split_compact(basis)
+        assert calls == [basis.n]
+
+    def test_refusal_peak_memory_is_near_the_splits(self):
+        # su(9) plus its center in su(10), generic, closed (n = 81) and less
+        # its first element (n = 80): the refusal scatters the residuals
+        # into one (n, n, N, N) tensor beside them and carries it by W, with
+        # no second bracket build, all-pairs bracket tensor or f E product
+        mats = generic_presentation(np.random.default_rng(7), block_with_center(10, 9))
+        closed, open_span = LieBasis(mats), LieBasis(mats[1:])
+        levi_split_compact(closed)
+        with pytest.raises(ClosureViolation):
+            levi_split_compact(open_span)
+        peaks = []
+        for basis in (closed, open_span):
+            tracemalloc.start()
+            try:
+                with contextlib.suppress(ClosureViolation):
+                    levi_split_compact(basis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.75 * peaks[0], [peak / 2**20 for peak in peaks]
+
 
 class TestSplitAgainstOracles:
     """The one frame SVD against separate rank decisions on the user tensor."""
@@ -480,7 +514,8 @@ class TestSolvable:
 
 class TestCommonLeftEigenvector:
     def test_gc(self, su4):
-        v0, lambdas = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
+        found = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
+        v0, lambdas = found.v, found.lambdas
         assert np.allclose(v0, [1, 0, 0, 0], atol=1e-12)
         assert np.allclose(lambdas, [1j, 0, 0, 0], atol=1e-12)
 
@@ -489,7 +524,8 @@ class TestCommonLeftEigenvector:
 
     def test_single_diagonal(self):
         basis = LieBasis([D3])
-        v0, lambdas = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
+        found = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
+        v0, lambdas = found.v, found.lambdas
         assert np.allclose(v0, [1, 0], atol=1e-12)
         assert lambdas[0] == pytest.approx(1j)
 
@@ -523,7 +559,8 @@ class TestCommonLeftEigenvector:
         assert len(calls) == expected, calls
 
     def test_eigen_residuals(self, su4):
-        v0, lambdas = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
+        found = common_left_eigenvector(su4["gc"], levi_split_compact(su4["gc"]).ss_basis)
+        v0, lambdas = found.v, found.lambdas
         scale = max(max_norm(m) for m in su4["gc"].mats)
         for D, lam in zip(su4["gc"].mats, lambdas):
             assert max_norm(v0 @ D - lam * v0) <= 10 * DEFAULT_TOL.cut(scale)
@@ -631,7 +668,7 @@ class TestRandomFamilyProperties:
             followed = first_joint_eigenspace(mats)
             assert (fast is not None) == bool(slow) == (followed is not None), label
             if fast is not None:
-                v0, lambdas = fast
+                v0, lambdas = fast.v, fast.lambdas
                 scale = max(1.0, max(max_norm(m) for m in mats))
                 residual = max(
                     max_norm(v0 @ D - lam * v0) for D, lam in zip(mats, lambdas)
@@ -733,7 +770,7 @@ class TestEigenvectorLeadEntry:
         raw = su4_family()["gc"] if kind == "gc_su4" else block_with_center(4, 3)
         rng = np.random.default_rng(seed)
         basis = LieBasis(generic_presentation(rng, raw))
-        v0, _ = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis)
+        v0 = common_left_eigenvector(basis, levi_split_compact(basis).ss_basis).v
         lead = int(np.argmax(np.abs(v0) > 1e-8 * np.max(np.abs(v0))))
         assert v0[lead].imag == 0.0
         assert v0[lead].real > 0.0

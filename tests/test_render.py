@@ -4,11 +4,12 @@ There is one float printer: every float array of 32 entries or more, of
 any depth, is printed in bulk and rounded where it prints, and
 ``_jsonify`` rounds every other number one entry at a time.
 ``_dump_json_literal`` encodes every list subtree at every depth and
-keeps the result when it fits, reading an array as its list form, and a
-float array that the renderers print in bulk as the list form of its
-entries rounded to 12 digits; ``render_json`` encodes each value once
-and prints those float arrays in bulk. Both must print the same bytes
-for any tree. ``_text_literal`` is ``render_text`` with ``json.dumps``
+keeps the result when it fits, reading the one array kind that
+``_jsonify`` returns, a float array that the renderers print in bulk,
+as the list form of its entries rounded to 12 digits; ``render_json``
+encodes each value once and prints those float arrays in bulk. Both
+must print the same bytes for any tree of lists, scalars and such
+arrays. ``_text_literal`` is ``render_text`` with ``json.dumps``
 applied to that list form of each leaf. ``_round12`` and
 ``_complex_out`` are the per-scalar conversions the commands applied
 before ``_jsonify`` became the formatter of every value the bulk printer
@@ -34,16 +35,16 @@ from support import block_with_center, generic_presentation, su_basis, trivial_d
 ALGEBRA_FIXTURES = {"su2.json", "abelian1.json", "ga_su4.json", "gb_su4.json", "gc_su4.json"}
 
 
-def _lists(value, every: bool = False):
-    """The tree with every array replaced by its list form, that of its
-    rounded entries for an array that the renderers print in bulk, or for
-    every array if ``every`` (the text encoder rounds any array)."""
+def _lists(value):
+    """The tree with every array that the renderers print in bulk, the one
+    array kind ``_jsonify`` returns, replaced by the list form of its
+    rounded entries."""
     if isinstance(value, np.ndarray):
-        return (_round12_reference(value) if every or cli._prints_in_bulk(value) else value).tolist()
+        return _round12_reference(value).tolist()
     if isinstance(value, dict):
-        return {k: _lists(v, every) for k, v in value.items()}
+        return {k: _lists(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_lists(v, every) for v in value]
+        return [_lists(v) for v in value]
     return value
 
 
@@ -98,7 +99,7 @@ def _text_literal(report: dict) -> str:
             for idx, v in enumerate(value):
                 walk(v, f"[{idx}]", indent + 1)
         else:
-            lines.append(f"{pad}{key}: {json.dumps(_lists(value, every=True))}")
+            lines.append(f"{pad}{key}: {json.dumps(_lists(value))}")
 
     for k, v in report.items():
         walk(v, k, 0)
@@ -463,9 +464,10 @@ def _placed(array, depth: int):
 def test_float_arrays_match_literal(array, depth):
     shape, leaves = array
     nested = _nest(leaves, shape)
-    # small arrays are left to _render's generic path, which is cheaper there
+    # _jsonify leaves an array only where it prints in bulk; smaller ones
+    # become lists, which _render's generic path prints more cheaply
     assert cli._prints_in_bulk(np.array(nested)) == (len(leaves) >= cli._BULK_MIN_SIZE)
-    assert_same(_placed(np.array(nested), depth))
+    assert_same(_placed(cli._jsonify(np.array(nested)), depth))
     assert_same(_placed(nested, depth))
 
 
@@ -665,7 +667,7 @@ def test_numpy_float_leaves_match_literal(array, depth, every):
     shape, leaves = array
     leaves = [np.float64(v) if every or i % 3 == 0 else v for i, v in enumerate(leaves)]
     nested = _nest(leaves, shape)
-    assert_same(_placed(np.array(nested), depth))
+    assert_same(_placed(cli._jsonify(np.array(nested)), depth))
     assert_same(_placed(nested, depth))
 
 
@@ -678,7 +680,7 @@ def test_float_arrays_in_slabs_match_literal(array, depth, slab):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
         nested = _nest(leaves, shape)
-        assert_same(_placed(np.array(nested), depth))
+        assert_same(_placed(cli._jsonify(np.array(nested)), depth))
         assert_same(_placed(nested, depth))
 
 
@@ -735,7 +737,7 @@ def test_float_arrays_match_text_literal(array, depth, slab):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_SLAB_SIZE", slab)
         nested = _nest(leaves, shape)
-        for grid in (np.array(nested), nested):
+        for grid in (cli._jsonify(np.array(nested)), nested):
             assert_same_text({"grid": _placed(grid, depth), "n": 1})
 
 
@@ -792,8 +794,21 @@ def test_non_finite_text_leaves_are_refused():
     for leaf in (x[5], x[5].tolist(), [x[:2], x[17]]):
         for render in (cli.render_json, cli.render_text):
             with pytest.raises(ValueError, match="not JSON compliant"):
-                render({"x": leaf})
-    assert cli.render_text({"x": x[:5]}) == cli.render_text({"x": cli._round12(x[:5])})
+                render(cli._jsonify({"x": leaf}))
+
+
+def test_renderers_print_only_what_jsonify_returns():
+    # a float array too small to print in bulk has no rounding path in
+    # either renderer: _jsonify rounds it into a list, and a raw one is
+    # refused, so JSON and text cannot print different digits for it
+    report = {"x": np.array([0.1 + 0.2, 1 / 3, 2.0])}
+    for render in (cli.render_json, cli.render_text):
+        with pytest.raises(TypeError, match="ndarray"):
+            render(report)
+        with pytest.raises(TypeError, match="ndarray"):
+            render({"x": [report["x"]]})
+    assert cli.render_text(cli._jsonify(report)) == "x: [0.3, 0.333333333333, 2.0]\n"
+    assert json.loads(cli.render_json(cli._jsonify(report))) == {"x": [0.3, 0.333333333333, 2.0]}
 
 
 def test_jsonify_views_a_complex_grid():
@@ -875,7 +890,7 @@ def test_non_finite_leaf_raises(array, depth, bad, where):
     shape, leaves = array
     leaves[where % len(leaves)] = bad
     nested = _nest(leaves, shape)
-    for tree in (_placed(nested, depth), _placed(np.array(nested), depth)):
+    for tree in (_placed(nested, depth), _placed(cli._jsonify(np.array(nested)), depth)):
         with pytest.raises(ValueError):
             _dump_json_literal(tree, 0)
         with pytest.raises(ValueError):
